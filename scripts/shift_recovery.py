@@ -48,12 +48,12 @@ def main() -> None:
 
     def track(batch, class_pool, domain_pool):
         if len(domain_pool):
-            prompt_trace.append(domain_pool.entries[0].prompt.copy())
+            prompt_trace.append(domain_pool.prompts[0].copy())
 
     result = run_ctta(
         world.model, stream, hp, world.source_stats, rng=rng.child(4), on_batch_start=track
     )
-    prompt_trace.append(result.domain_pool.entries[0].prompt.copy())
+    prompt_trace.append(result.domain_pool.prompts[0].copy())
 
     xs, ys = draw_labeled_samples(world.class_means, 4000, world.noise_std, rng.child(9))
     source_err = float(np.mean(pseudo_labels(world.model, xs).argmax(1) != ys))
@@ -64,7 +64,7 @@ def main() -> None:
         p = prompt_trace[min(i, len(prompt_trace) - 1)]
         ratio = np.linalg.norm(p + delta) / np.linalg.norm(delta)
         print(f"{i:>5} {errors[i]:>7.3f} {ratio:>18.4f}")
-    final = result.domain_pool.entries[0].prompt
+    final = result.domain_pool.prompts[0]
     print(
         f"final residual ratio {np.linalg.norm(final + delta) / np.linalg.norm(delta):.4f}, "
         f"last-10-batch error {float(np.mean(errors[-10:])):.4f}"

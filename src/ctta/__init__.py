@@ -52,9 +52,7 @@ from .objective import (
     optimize_prompts,
 )
 from .pools import (
-    ClassPromptEntry,
     ClassPromptPool,
-    DomainPromptEntry,
     DomainPromptPool,
     FissionOutcome,
     fission_class,

@@ -12,13 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import BatchStats, Vector, as_vector
-from .pools import (
-    ClassPromptEntry,
-    ClassPromptPool,
-    DomainPromptEntry,
-    DomainPromptPool,
-    FissionOutcome,
-)
+from .pools import ClassPromptPool, DomainPromptPool, FissionOutcome
 
 
 class PoolVersionError(RuntimeError):
@@ -78,7 +72,7 @@ class DomainUpdateSummary:
     fused_pair: tuple[int, int] | None = None
 
 
-def _mean_rows(rows: list[Vector]) -> Vector:
+def _mean_rows(rows) -> Vector:
     """Arithmetic mean with a fixed sequential accumulation order."""
     acc = rows[0].copy()
     for r in rows[1:]:
@@ -94,7 +88,7 @@ def _check_outcome(pool, outcome: FissionOutcome) -> None:
         )
     if outcome.weights is not None:
         for i in outcome.weights:
-            if not 0 <= i < len(pool.entries):
+            if not 0 <= i < len(pool):
                 raise PoolVersionError(f"outcome references missing pool index {i}")
 
 
@@ -143,61 +137,48 @@ def update_class_pool(
 
     summary = ClassUpdateSummary()
     touched: set[int] = set()
-    if mode == "sequential":
-        n0 = len(pool.entries)
-        keys = np.stack([e.key for e in pool.entries]) if n0 else None
-        prompts = np.stack([e.prompt for e in pool.entries]) if n0 else None
-        for t, rec in enumerate(records):
-            if gate[t]:
-                summary.skipped.append(t)
-                continue
-            if rec.outcome.fissioned:
-                entry = ClassPromptEntry(
-                    rec.pseudo_label.copy(), rec.learned_prompt.copy(), created_at
-                )
-                pool.entries.append(entry)
-                summary.appended.append(len(pool.entries) - 1)
-                continue
+    fissioned: list[ClassUpdateRecord] = []
+    blended: list[ClassUpdateRecord] = []
+    keys, prompts = pool.keys, pool.prompts
+    for t, rec in enumerate(records):
+        if gate[t]:
+            summary.skipped.append(t)
+        elif rec.outcome.fissioned:
+            summary.appended.append(len(pool) + len(fissioned))
+            fissioned.append(rec)
+        elif mode == "averaged":
+            blended.append(rec)
+            touched.update(rec.outcome.weights)
+        else:
             idx, w = _candidate_arrays(rec.outcome)
             coeff = alpha_c * w
             new_keys = coeff[:, None] * rec.prediction + (1.0 - coeff)[:, None] * keys[idx]
             keys[idx] = new_keys / new_keys.sum(axis=1, keepdims=True)
             prompts[idx] = w[:, None] * rec.learned_prompt + (1.0 - w)[:, None] * prompts[idx]
             touched.update(idx)
-        for i in sorted(touched):
-            pool.entries[i].key = keys[i].copy()
-            pool.entries[i].prompt = prompts[i].copy()
-    else:
-        base_keys = {i: e.key for i, e in enumerate(pool.entries)}
-        base_prompts = {i: e.prompt for i, e in enumerate(pool.entries)}
-        blended: list[tuple[ClassUpdateRecord, dict[int, float]]] = []
-        for t, rec in enumerate(records):
-            if gate[t]:
-                summary.skipped.append(t)
-                continue
-            if rec.outcome.fissioned:
-                entry = ClassPromptEntry(
-                    rec.pseudo_label.copy(), rec.learned_prompt.copy(), created_at
-                )
-                pool.entries.append(entry)
-                summary.appended.append(len(pool.entries) - 1)
-                continue
-            blended.append((rec, rec.outcome.weights))
-            touched.update(rec.outcome.weights)
+    if mode == "averaged":
+        # Each touched row blends every kept sample against its own batch-start
+        # value, so the rows can be rewritten one at a time in place.
         for i in sorted(touched):
             key_terms = []
             prompt_terms = []
-            for rec, weights in blended:
-                w = weights.get(i, 0.0)
+            for rec in blended:
+                w = rec.outcome.weights.get(i, 0.0)
                 cf = alpha_c * w
-                key_terms.append(cf * rec.prediction + (1.0 - cf) * base_keys[i])
-                prompt_terms.append(w * rec.learned_prompt + (1.0 - w) * base_prompts[i])
+                key_terms.append(cf * rec.prediction + (1.0 - cf) * keys[i])
+                prompt_terms.append(w * rec.learned_prompt + (1.0 - w) * prompts[i])
             new_key = _mean_rows(key_terms)
-            pool.entries[i].key = new_key / new_key.sum()
-            pool.entries[i].prompt = _mean_rows(prompt_terms)
+            keys[i] = new_key / new_key.sum()
+            prompts[i] = _mean_rows(prompt_terms)
+    if fissioned:
+        pool._extend(
+            np.array([rec.pseudo_label for rec in fissioned]),
+            np.array([rec.learned_prompt for rec in fissioned]),
+            [created_at] * len(fissioned),
+        )
 
     summary.updated = sorted(touched)
-    if len(pool.entries) > pool.capacity:
+    if len(pool) > pool.capacity:
         summary.compaction = _compact_class_pool(pool)
     pool.bump()
     return summary
@@ -240,27 +221,25 @@ def _single_linkage_groups(dist: np.ndarray, num_groups: int) -> list[int]:
 
 
 def _compact_class_pool(pool: ClassPromptPool) -> MstClustering:
-    n = len(pool.entries)
+    n = len(pool)
     if n <= pool.capacity:
         raise ValueError("compaction requires pool size above capacity")
-    keys = np.stack([e.key for e in pool.entries])
+    keys = pool.keys
     normed = keys / np.linalg.norm(keys, axis=1, keepdims=True)
     dist = 1.0 - np.clip(normed @ normed.T, -1.0, 1.0)
     assignment = _single_linkage_groups(dist, pool.capacity)
     members: list[list[int]] = [[] for _ in range(pool.capacity)]
     for i, g in enumerate(assignment):
         members[g].append(i)
-    merged = []
-    for group in members:
-        key = _mean_rows([pool.entries[i].key for i in group])
-        merged.append(
-            ClassPromptEntry(
-                key / key.sum(),
-                _mean_rows([pool.entries[i].prompt for i in group]),
-                min(pool.entries[i].created_at for i in group),
-            )
-        )
-    pool.entries = merged
+    merged_keys = np.empty((pool.capacity, keys.shape[1]))
+    merged_prompts = np.empty((pool.capacity, pool.prompt_dim))
+    merged_created = np.empty(pool.capacity, dtype=np.int64)
+    for g, group in enumerate(members):
+        key = _mean_rows(keys[group])
+        merged_keys[g] = key / key.sum()
+        merged_prompts[g] = _mean_rows(pool.prompts[group])
+        merged_created[g] = pool.created_at[group].min()
+    pool.keys, pool.prompts, pool.created_at = merged_keys, merged_prompts, merged_created
     return MstClustering({i: g for i, g in enumerate(assignment)}, pool.capacity)
 
 
@@ -292,47 +271,39 @@ def update_domain_pool(
         raise ValueError("record stats dimension must match pool feature_dim")
 
     summary = DomainUpdateSummary(fissioned=record.outcome.fissioned)
+    stats_key = record.batch_stats.concat()
     if record.outcome.fissioned:
-        pool.entries.append(
-            DomainPromptEntry(
-                record.batch_stats.copy(), record.learned_prompt.copy(), created_at
-            )
-        )
-        summary.appended_index = len(pool.entries) - 1
-        if len(pool.entries) > pool.capacity:
+        pool._extend(stats_key[None, :], record.learned_prompt[None, :], [created_at])
+        summary.appended_index = len(pool) - 1
+        if len(pool) > pool.capacity:
             summary.fused_pair = _fuse_core(pool)
     else:
         idx, w = _candidate_arrays(record.outcome)
-        for j, i in enumerate(idx):
-            e = pool.entries[i]
-            cf = alpha_d * w[j]
-            e.key = BatchStats(
-                cf * record.batch_stats.mu + (1.0 - cf) * e.key.mu,
-                cf * record.batch_stats.sigma + (1.0 - cf) * e.key.sigma,
-            )
-            e.prompt = w[j] * record.learned_prompt + (1.0 - w[j]) * e.prompt
+        cf = alpha_d * w
+        pool.keys[idx] = cf[:, None] * stats_key + (1.0 - cf)[:, None] * pool.keys[idx]
+        pool.prompts[idx] = (
+            w[:, None] * record.learned_prompt + (1.0 - w)[:, None] * pool.prompts[idx]
+        )
         summary.updated = list(idx)
     pool.bump()
     return summary
 
 
 def _fuse_core(pool: DomainPromptPool) -> tuple[int, int]:
-    n = len(pool.entries)
+    n = len(pool)
     if n < 2:
         raise ValueError("nearest-pair fusion needs at least 2 entries")
-    keys = np.stack([e.key.concat() for e in pool.entries])
+    keys = pool.keys
     iu, ju = np.triu_indices(n, k=1)
     dists = np.linalg.norm(keys[iu] - keys[ju], axis=1)
     m = int(np.argmin(dists))
     i, j = int(iu[m]), int(ju[m])
-    a, b = pool.entries[i], pool.entries[j]
-    merged = DomainPromptEntry(
-        BatchStats(_mean_rows([a.key.mu, b.key.mu]), _mean_rows([a.key.sigma, b.key.sigma])),
-        _mean_rows([a.prompt, b.prompt]),
-        min(a.created_at, b.created_at),
-    )
-    pool.entries[i] = merged
-    del pool.entries[j]
+    keys[i] = _mean_rows(keys[[i, j]])
+    pool.prompts[i] = _mean_rows(pool.prompts[[i, j]])
+    pool.created_at[i] = min(pool.created_at[i], pool.created_at[j])
+    pool.keys = np.delete(keys, j, axis=0)
+    pool.prompts = np.delete(pool.prompts, j, axis=0)
+    pool.created_at = np.delete(pool.created_at, j)
     return (i, j)
 
 

@@ -16,8 +16,9 @@ Matrix = np.ndarray
 
 
 def _all_finite(arr: np.ndarray) -> bool:
-    # sum of finite values is finite; any NaN/Inf propagates into the sum
-    return math.isfinite(float(arr.sum()))
+    # sum of finite values is finite unless it overflows; any NaN/Inf
+    # propagates into the sum, so only an infinite sum needs the exact check
+    return math.isfinite(float(arr.sum())) or bool(np.isfinite(arr).all())
 
 
 def as_vector(values, dim: int | None = None, name: str = "vector") -> Vector:
@@ -112,13 +113,17 @@ class BatchStats:
 def batch_stats(features) -> BatchStats:
     """Mean and population standard deviation (divide by b) over a feature batch.
 
-    Requires at least two vectors; one sample cannot define a spread.
+    Requires at least two vectors; one sample cannot define a spread. A finite
+    batch whose mean or squared deviations exceed float64 is rejected by name.
     """
     arr = as_sample_batch(features, name="features")
     if arr.shape[0] < 2:
         raise ValueError(f"batch_stats needs >= 2 vectors, got {arr.shape[0]}")
-    mu = arr.mean(axis=0)
-    sigma = np.sqrt(((arr - mu) ** 2).mean(axis=0))
+    with np.errstate(over="ignore"):
+        mu = arr.mean(axis=0)
+        sigma = np.sqrt(((arr - mu) ** 2).mean(axis=0))
+    if not (_all_finite(mu) and _all_finite(sigma)):
+        raise ValueError("feature batch overflowed float64 in its mean or spread")
     return BatchStats(mu, sigma)
 
 

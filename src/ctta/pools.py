@@ -1,9 +1,11 @@
 """Dual prompt pools and the knowledge-fission operations.
 
-A pool is an ordered list of (key, prompt) entries with a capacity. Fission
-matches a query key against the pool under a threshold: matches compose a
-prompt by softmax weighting, and a miss spawns a fresh prompt instead. Fission
-never mutates a pool; all writes live in the fusion module.
+A pool is an ordered set of (key, prompt) rows with a capacity, stored as
+arrays: ``keys`` ``(n, key_dim)``, ``prompts`` ``(n, prompt_dim)`` and
+``created_at`` ``(n,)``. Fission matches a query key against every key under a
+threshold: matches compose a prompt by softmax weighting, and a miss spawns a
+fresh prompt instead. Fission never mutates a pool; all writes live in the
+fusion module.
 """
 from __future__ import annotations
 
@@ -15,34 +17,6 @@ import numpy as np
 from .numerics import BatchStats, Matrix, SeededRng, Vector, as_vector
 
 
-@dataclass
-class ClassPromptEntry:
-    """(pseudo-label key, prompt) pair capturing one class concept."""
-
-    key: Vector
-    prompt: Vector
-    created_at: int = 0
-
-    def __post_init__(self):
-        self.key = as_vector(self.key, name="class key")
-        self.prompt = as_vector(self.prompt, name="class prompt")
-        _check_probability(self.key, "class key")
-
-
-@dataclass
-class DomainPromptEntry:
-    """(batch-statistics key, prompt) pair capturing one domain."""
-
-    key: BatchStats
-    prompt: Vector
-    created_at: int = 0
-
-    def __post_init__(self):
-        if not isinstance(self.key, BatchStats):
-            raise ValueError("domain key must be BatchStats")
-        self.prompt = as_vector(self.prompt, name="domain prompt")
-
-
 def _check_probability(vec: Vector, name: str) -> None:
     if float(vec.min()) < 0.0:
         raise ValueError(f"{name} must be nonnegative")
@@ -51,78 +25,56 @@ def _check_probability(vec: Vector, name: str) -> None:
 
 
 class _BasePool:
-    def __init__(self, capacity: int, prompt_dim: int):
+    """Row storage shared by both pools; ``version`` counts mutations."""
+
+    def __init__(self, capacity: int, prompt_dim: int, key_dim: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         if prompt_dim < 1:
             raise ValueError("prompt_dim must be >= 1")
         self.capacity = int(capacity)
         self.prompt_dim = int(prompt_dim)
-        self.entries: list = []
+        self.keys: Matrix = np.empty((0, key_dim))
+        self.prompts: Matrix = np.empty((0, self.prompt_dim))
+        self.created_at: np.ndarray = np.empty(0, dtype=np.int64)
         self.version = 0
-        self._cache_version = -1
-        self._key_matrix: Matrix | None = None
-        self._prompt_matrix: Matrix | None = None
-        self._key_norms: Vector | None = None
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.keys.shape[0]
 
     def bump(self) -> None:
-        """Record a mutation: advances the version and drops stale caches."""
+        """Record a mutation by advancing the version."""
         self.version += 1
-        self._cache_version = -1
 
-    def _refresh_cache(self) -> None:
-        if self._cache_version == self.version:
-            return
-        self._key_matrix = self._stack_keys()
-        self._prompt_matrix = (
-            np.stack([e.prompt for e in self.entries]) if self.entries else None
+    def _extend(self, keys: Matrix, prompts: Matrix, created_at) -> None:
+        """Append rows as given; callers validate and bump."""
+        self.keys = np.concatenate((self.keys, keys))
+        self.prompts = np.concatenate((self.prompts, prompts))
+        self.created_at = np.concatenate(
+            (self.created_at, np.asarray(created_at, dtype=np.int64))
         )
-        self._key_norms = (
-            np.linalg.norm(self._key_matrix, axis=1) if self.entries else None
-        )
-        self._cache_version = self.version
 
-    def key_matrix(self) -> Matrix | None:
-        self._refresh_cache()
-        return self._key_matrix
-
-    def prompt_matrix(self) -> Matrix | None:
-        self._refresh_cache()
-        return self._prompt_matrix
-
-    def key_norms(self) -> Vector | None:
-        self._refresh_cache()
-        return self._key_norms
-
-    def _stack_keys(self) -> Matrix | None:
-        raise NotImplementedError
+    def _append_checked(self, key: Vector, prompt, created_at: int, name: str) -> int:
+        prompt = as_vector(prompt, dim=self.prompt_dim, name=f"{name} prompt")
+        self._extend(key[None, :], prompt[None, :], [created_at])
+        self.bump()
+        return len(self) - 1
 
 
 class ClassPromptPool(_BasePool):
-    """Ordered pool of class prompt entries, capacity enforced by fusion."""
+    """Ordered class prompts keyed by pseudo-labels, capacity enforced by fusion."""
 
-    def __init__(self, capacity: int, prompt_dim: int, num_classes: int, entries=None):
-        super().__init__(capacity, prompt_dim)
+    def __init__(self, capacity: int, prompt_dim: int, num_classes: int):
         if num_classes < 1:
             raise ValueError("num_classes must be >= 1")
+        super().__init__(capacity, prompt_dim, num_classes)
         self.num_classes = int(num_classes)
-        for e in entries or []:
-            self.append(e)
 
-    def append(self, entry: ClassPromptEntry) -> int:
-        if entry.key.shape[0] != self.num_classes:
-            raise ValueError("entry key dimension must equal num_classes")
-        if entry.prompt.shape[0] != self.prompt_dim:
-            raise ValueError("entry prompt dimension must equal prompt_dim")
-        self.entries.append(entry)
-        self.bump()
-        return len(self.entries) - 1
-
-    def _stack_keys(self):
-        return np.stack([e.key for e in self.entries]) if self.entries else None
+    def append(self, key, prompt, created_at: int = 0) -> int:
+        """Add a (probability key, prompt) row; returns its index."""
+        key = as_vector(key, dim=self.num_classes, name="class key")
+        _check_probability(key, "class key")
+        return self._append_checked(key, prompt, created_at, "class")
 
     def to_dict(self) -> dict:
         return {
@@ -132,8 +84,10 @@ class ClassPromptPool(_BasePool):
             "num_classes": self.num_classes,
             "version": self.version,
             "entries": [
-                {"key": e.key.tolist(), "prompt": e.prompt.tolist(), "created_at": e.created_at}
-                for e in self.entries
+                {"key": k, "prompt": p, "created_at": c}
+                for k, p, c in zip(
+                    self.keys.tolist(), self.prompts.tolist(), self.created_at.tolist()
+                )
             ],
         }
 
@@ -143,50 +97,40 @@ class ClassPromptPool(_BasePool):
             raise ValueError("snapshot is not a class pool")
         pool = cls(doc["capacity"], doc["prompt_dim"], doc["num_classes"])
         for e in doc["entries"]:
-            pool.append(ClassPromptEntry(e["key"], e["prompt"], e["created_at"]))
+            pool.append(e["key"], e["prompt"], e["created_at"])
         pool.version = doc["version"]
-        pool._cache_version = -1
         return pool
 
 
 class DomainPromptPool(_BasePool):
-    """Ordered pool of domain prompt entries keyed by batch statistics."""
+    """Ordered domain prompts keyed by batch statistics, stored as (mu, sigma) rows."""
 
-    def __init__(self, capacity: int, prompt_dim: int, feature_dim: int, entries=None):
-        super().__init__(capacity, prompt_dim)
+    def __init__(self, capacity: int, prompt_dim: int, feature_dim: int):
         if feature_dim < 1:
             raise ValueError("feature_dim must be >= 1")
+        super().__init__(capacity, prompt_dim, 2 * feature_dim)
         self.feature_dim = int(feature_dim)
-        for e in entries or []:
-            self.append(e)
 
-    def append(self, entry: DomainPromptEntry) -> int:
-        if entry.key.dim != self.feature_dim:
-            raise ValueError("entry key dimension must equal feature_dim")
-        if entry.prompt.shape[0] != self.prompt_dim:
-            raise ValueError("entry prompt dimension must equal prompt_dim")
-        self.entries.append(entry)
-        self.bump()
-        return len(self.entries) - 1
-
-    def _stack_keys(self):
-        return np.stack([e.key.concat() for e in self.entries]) if self.entries else None
+    def append(self, key, prompt, created_at: int = 0) -> int:
+        """Add a row whose key is the concatenation (mu, sigma); returns its index."""
+        key = as_vector(key, dim=2 * self.feature_dim, name="domain key")
+        if np.any(key[self.feature_dim :] < 0.0):
+            raise ValueError("domain key sigma entries must be >= 0")
+        return self._append_checked(key, prompt, created_at, "domain")
 
     def to_dict(self) -> dict:
+        f = self.feature_dim
         return {
             "kind": "domain",
             "capacity": self.capacity,
             "prompt_dim": self.prompt_dim,
-            "feature_dim": self.feature_dim,
+            "feature_dim": f,
             "version": self.version,
             "entries": [
-                {
-                    "mu": e.key.mu.tolist(),
-                    "sigma": e.key.sigma.tolist(),
-                    "prompt": e.prompt.tolist(),
-                    "created_at": e.created_at,
-                }
-                for e in self.entries
+                {"mu": k[:f], "sigma": k[f:], "prompt": p, "created_at": c}
+                for k, p, c in zip(
+                    self.keys.tolist(), self.prompts.tolist(), self.created_at.tolist()
+                )
             ],
         }
 
@@ -196,11 +140,8 @@ class DomainPromptPool(_BasePool):
             raise ValueError("snapshot is not a domain pool")
         pool = cls(doc["capacity"], doc["prompt_dim"], doc["feature_dim"])
         for e in doc["entries"]:
-            pool.append(
-                DomainPromptEntry(BatchStats(e["mu"], e["sigma"]), e["prompt"], e["created_at"])
-            )
+            pool.append(BatchStats(e["mu"], e["sigma"]).concat(), e["prompt"], e["created_at"])
         pool.version = doc["version"]
-        pool._cache_version = -1
         return pool
 
 
@@ -246,6 +187,50 @@ def _candidate_weights(
     return e / e.sum()
 
 
+def _compose(
+    pool: _BasePool,
+    scores: Vector,
+    candidates: np.ndarray,
+    rng: SeededRng,
+    init_scale: float,
+    softmax_over_all: bool,
+) -> FissionOutcome:
+    """Blend the candidate prompts by softmax(scores), or spawn one if none matched."""
+    if candidates.size == 0:
+        return FissionOutcome(
+            _fresh_prompt(pool.prompt_dim, rng, init_scale), None, True, pool.version
+        )
+    w = _candidate_weights(scores, candidates, softmax_over_all=softmax_over_all)
+    composed = w @ pool.prompts[candidates]
+    weights = dict(zip(candidates.tolist(), w.tolist()))
+    return FissionOutcome(composed, weights, False, pool.version)
+
+
+def _check_class_thresholds(gamma_c: float, tau_c: float) -> None:
+    if not -1.0 < gamma_c < 1.0:
+        raise ValueError("gamma_c must lie in (-1, 1)")
+    if tau_c <= 0:
+        raise ValueError("tau_c must be > 0")
+
+
+def _match_class(
+    pool: ClassPromptPool,
+    norms: Vector,
+    pseudo_label,
+    gamma_c: float,
+    tau_c: float,
+    rng: SeededRng,
+    init_scale: float,
+    softmax_over_all: bool,
+) -> FissionOutcome:
+    """The matching kernel shared by single-sample and batch class fission."""
+    y = as_vector(pseudo_label, dim=pool.num_classes, name="pseudo_label")
+    _check_probability(y, "pseudo_label")
+    sims = (pool.keys @ y) / (norms * math.sqrt(y @ y))
+    candidates = np.flatnonzero(sims > gamma_c)
+    return _compose(pool, sims / tau_c, candidates, rng, init_scale, softmax_over_all)
+
+
 def fission_class(
     pool: ClassPromptPool,
     pseudo_label,
@@ -262,27 +247,11 @@ def fission_class(
     are blended with weights softmax(similarity / tau_c); with no candidate
     (including the empty-pool initial state) a fresh prompt is spawned.
     """
-    if not -1.0 < gamma_c < 1.0:
-        raise ValueError("gamma_c must lie in (-1, 1)")
-    if tau_c <= 0:
-        raise ValueError("tau_c must be > 0")
-    y = as_vector(pseudo_label, dim=pool.num_classes, name="pseudo_label")
-    _check_probability(y, "pseudo_label")
-    keys = pool.key_matrix()
-    if keys is None:
-        return FissionOutcome(
-            _fresh_prompt(pool.prompt_dim, rng, init_scale), None, True, pool.version
-        )
-    sims = (keys @ y) / (pool.key_norms() * math.sqrt(y @ y))
-    candidates = np.flatnonzero(sims > gamma_c)
-    if candidates.size == 0:
-        return FissionOutcome(
-            _fresh_prompt(pool.prompt_dim, rng, init_scale), None, True, pool.version
-        )
-    w = _candidate_weights(sims / tau_c, candidates, softmax_over_all=softmax_over_all)
-    composed = w @ pool.prompt_matrix()[candidates]
-    weights = dict(zip(candidates.tolist(), w.tolist()))
-    return FissionOutcome(composed, weights, False, pool.version)
+    _check_class_thresholds(gamma_c, tau_c)
+    norms = np.linalg.norm(pool.keys, axis=1)
+    return _match_class(
+        pool, norms, pseudo_label, gamma_c, tau_c, rng, init_scale, softmax_over_all
+    )
 
 
 def fission_class_batch(
@@ -296,10 +265,10 @@ def fission_class_batch(
     softmax_over_all: bool = False,
 ) -> list[FissionOutcome]:
     """Per-sample class fission; outcome order matches sample order."""
+    _check_class_thresholds(gamma_c, tau_c)
+    norms = np.linalg.norm(pool.keys, axis=1)
     return [
-        fission_class(
-            pool, y, gamma_c, tau_c, rng, init_scale, softmax_over_all=softmax_over_all
-        )
+        _match_class(pool, norms, y, gamma_c, tau_c, rng, init_scale, softmax_over_all)
         for y in pseudo_labels
     ]
 
@@ -329,18 +298,6 @@ def fission_domain(
         raise ValueError("stats must be BatchStats")
     if stats.dim != pool.feature_dim:
         raise ValueError("stats dimension must match pool feature_dim")
-    keys = pool.key_matrix()
-    if keys is None:
-        return FissionOutcome(
-            _fresh_prompt(pool.prompt_dim, rng, init_scale), None, True, pool.version
-        )
-    dists = np.linalg.norm(keys - stats.concat(), axis=1)
+    dists = np.linalg.norm(pool.keys - stats.concat(), axis=1)
     candidates = np.flatnonzero(dists < gamma_d)
-    if candidates.size == 0:
-        return FissionOutcome(
-            _fresh_prompt(pool.prompt_dim, rng, init_scale), None, True, pool.version
-        )
-    w = _candidate_weights(-dists / tau_d, candidates, softmax_over_all=softmax_over_all)
-    composed = w @ pool.prompt_matrix()[candidates]
-    weights = dict(zip(candidates.tolist(), w.tolist()))
-    return FissionOutcome(composed, weights, False, pool.version)
+    return _compose(pool, -dists / tau_d, candidates, rng, init_scale, softmax_over_all)

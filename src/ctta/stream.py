@@ -326,11 +326,15 @@ def read_stream(path) -> list[LabeledBatch]:
     batches: list[LabeledBatch] = []
     cur_idx: int | None = None
     cur_domain = 0
+    cur_line = 0
     cur_rows: list[list[float]] = []
     cur_classes: list[int] = []
 
     def flush():
         if cur_idx is not None:
+            if len(cur_rows) < 2:
+                # key statistics need a spread, so the engine cannot adapt on it
+                raise StreamParseError(cur_line, f"batch {cur_idx} has fewer than 2 rows")
             batches.append(
                 LabeledBatch(
                     np.array(cur_rows, dtype=np.float64),
@@ -355,7 +359,7 @@ def read_stream(path) -> list[LabeledBatch]:
             if cur_idx is not None and idx <= cur_idx:
                 raise StreamParseError(lineno, f"batch_idx {idx} not ascending")
             flush()
-            cur_idx, cur_domain, cur_rows, cur_classes = idx, dom, [], []
+            cur_idx, cur_domain, cur_line, cur_rows, cur_classes = idx, dom, lineno, [], []
         elif dom != cur_domain:
             raise StreamParseError(lineno, f"domain_id changed within batch {idx}")
         cur_rows.append(feats)

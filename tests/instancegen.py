@@ -5,13 +5,7 @@ import numpy as np
 
 from ctta.fusion import ClassUpdateRecord, DomainUpdateRecord
 from ctta.numerics import BatchStats, SeededRng
-from ctta.pools import (
-    ClassPromptEntry,
-    ClassPromptPool,
-    DomainPromptEntry,
-    DomainPromptPool,
-    FissionOutcome,
-)
+from ctta.pools import ClassPromptPool, DomainPromptPool, FissionOutcome
 
 
 def random_prob(rng: SeededRng, dim: int) -> np.ndarray:
@@ -24,7 +18,7 @@ def random_class_pool(
 ) -> ClassPromptPool:
     pool = ClassPromptPool(capacity, prompt_dim, num_classes)
     for i in range(n_entries):
-        pool.append(ClassPromptEntry(random_prob(rng, num_classes), rng.normal(size=prompt_dim), i))
+        pool.append(random_prob(rng, num_classes), rng.normal(size=prompt_dim), i)
     return pool
 
 
@@ -34,11 +28,9 @@ def random_domain_pool(
     pool = DomainPromptPool(capacity, prompt_dim, feature_dim)
     for i in range(n_entries):
         pool.append(
-            DomainPromptEntry(
-                BatchStats(rng.normal(size=feature_dim), np.abs(rng.normal(size=feature_dim))),
-                rng.normal(size=prompt_dim),
-                i,
-            )
+            BatchStats(rng.normal(size=feature_dim), np.abs(rng.normal(size=feature_dim))).concat(),
+            rng.normal(size=prompt_dim),
+            i,
         )
     return pool
 
@@ -85,11 +77,15 @@ def random_domain_record(
 
 
 def class_pool_tuples(pool: ClassPromptPool):
-    return [(e.key.copy(), e.prompt.copy(), e.created_at) for e in pool.entries]
+    return [
+        (key.copy(), prompt.copy(), int(created))
+        for key, prompt, created in zip(pool.keys, pool.prompts, pool.created_at)
+    ]
 
 
 def domain_pool_tuples(pool: DomainPromptPool):
+    f = pool.feature_dim
     return [
-        (e.key.mu.copy(), e.key.sigma.copy(), e.prompt.copy(), e.created_at)
-        for e in pool.entries
+        (key[:f].copy(), key[f:].copy(), prompt.copy(), int(created))
+        for key, prompt, created in zip(pool.keys, pool.prompts, pool.created_at)
     ]

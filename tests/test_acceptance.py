@@ -150,7 +150,7 @@ def test_criterion_3_mst_oracle_equivalence():
         size = int(r.integers(2, 13))
         capacity = int(r.integers(1, size))
         pool = random_class_pool(r, size, capacity, 4, 3)
-        keys = np.stack([e.key for e in pool.entries])
+        keys = pool.keys.copy()
         clustering = mst_compact(pool)
         normed = keys / np.linalg.norm(keys, axis=1, keepdims=True)
         dist = 1.0 - normed @ normed.T
@@ -178,14 +178,14 @@ def test_criterion_4_pool_bounds_and_entropy_gate(lemma_suite, repeating_run):
     # the class pool bitwise untouched
     rng = SeededRng(44)
     pool = random_class_pool(rng, 6, 10, 4, 8)
-    before = b"".join(e.key.tobytes() + e.prompt.tobytes() for e in pool.entries)
+    before = b"".join(k.tobytes() + p.tobytes() for k, p in zip(pool.keys, pool.prompts))
     for _ in range(5):
         records = random_class_records(rng, pool, 16, fission_prob=0.4)
         gamma_h = 0.0  # every distribution has entropy > 0
         summary = update_class_pool(pool, records, gamma_h, 0.1)
         assert summary.skipped == list(range(16))
         assert not summary.appended and not summary.updated
-    after = b"".join(e.key.tobytes() + e.prompt.tobytes() for e in pool.entries)
+    after = b"".join(k.tobytes() + p.tobytes() for k, p in zip(pool.keys, pool.prompts))
     assert after == before
     elapsed = time.perf_counter() - start
     announce(4, "pool capacity bounds and entropy gate", elapsed)
@@ -219,7 +219,7 @@ def test_criterion_5_additive_shift_recovery():
             world.model, stream, Hyperparams(k_steps=50), world.source_stats, rng=rng.child(4)
         )
         assert len(result.domain_pool) == 1
-        learned = result.domain_pool.entries[0].prompt
+        learned = result.domain_pool.prompts[0]
         ratios.append(float(np.linalg.norm(learned + delta) / np.linalg.norm(delta)))
 
         xs, ys = draw_labeled_samples(world.class_means, 4000, NOISE, rng.child(9))
@@ -272,10 +272,12 @@ def test_criterion_7_algorithm_interpreter_equivalence():
         )
         update_class_pool(pool, records, gamma_h, alpha_c, created_at=case)
         assert len(pool) == len(expected)
-        for e, (key, prompt, created) in zip(pool.entries, expected):
-            assert e.key.tobytes() == key.tobytes()
-            assert e.prompt.tobytes() == prompt.tobytes()
-            assert e.created_at == created
+        for got_key, got_prompt, got_created, (key, prompt, created) in zip(
+            pool.keys, pool.prompts, pool.created_at, expected
+        ):
+            assert got_key.tobytes() == key.tobytes()
+            assert got_prompt.tobytes() == prompt.tobytes()
+            assert got_created == created
 
         nd = int(r.integers(0, 6))
         dcap = int(r.integers(max(1, nd - 1), nd + 3))
@@ -285,11 +287,12 @@ def test_criterion_7_algorithm_interpreter_equivalence():
         dexpected = algorithm2_reference(domain_pool_tuples(dpool), dcap, record, alpha_d, case)
         update_domain_pool(dpool, record, alpha_d, created_at=case)
         assert len(dpool) == len(dexpected)
-        for e, (mu, sigma, prompt, created) in zip(dpool.entries, dexpected):
-            assert e.key.mu.tobytes() == mu.tobytes()
-            assert e.key.sigma.tobytes() == sigma.tobytes()
-            assert e.prompt.tobytes() == prompt.tobytes()
-            assert e.created_at == created
+        for got, (mu, sigma, prompt, created) in zip(domain_pool_tuples(dpool), dexpected):
+            got_mu, got_sigma, got_prompt, got_created = got
+            assert got_mu.tobytes() == mu.tobytes()
+            assert got_sigma.tobytes() == sigma.tobytes()
+            assert got_prompt.tobytes() == prompt.tobytes()
+            assert got_created == created
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     announce(7, "pool updates vs pseudocode interpreters", elapsed, "100 instances each")

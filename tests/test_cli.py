@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -188,6 +189,35 @@ def test_verify_passes_on_the_shipped_demo_stream():
         ]
     )
     assert code == 0
+
+
+# sha256 of the README demo run's outputs, measured with numpy 2.4.6 before the
+# pools moved to array storage; any change to the engine's arithmetic shows here.
+DEMO_RUN_SHA256 = {
+    "metrics.csv": "9921f754c39991c77943e9080ac8cd6fa0a4b93a8b5d10fb3c93e477b2b4b44b",
+    "summary.json": "7c5270d573fa2f825b80fa1583a3720417a8dd522d47287f4109db427af25e2e",
+    "pools_class_final.json": "38e079f81ae06d80d3205f4a8b6f638f9160c1bcc54d74846a4c6be256b08a1a",
+    "pools_domain_final.json": "a558437f54b2dd5867acff63c0086f197f4e01ded496ab5fe42b078c24b37f80",
+}
+
+
+def test_demo_run_outputs_match_golden_bytes(tmp_path):
+    code = main(
+        [
+            "run",
+            "--config", str(DEMO / "config.json"),
+            "--stream", str(DEMO / "stream.csv"),
+            "--seed", "7",
+            "--certificate", str(DEMO / "certificate.json"),
+            "--out-dir", str(tmp_path),
+        ]
+    )
+    assert code == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in DEMO_RUN_SHA256
+    }
+    assert digests == DEMO_RUN_SHA256
 
 
 def test_unknown_subcommand_and_flags_exit_2(capsys):

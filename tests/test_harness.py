@@ -12,7 +12,7 @@ from ctta.harness import (
 )
 from ctta.model import key_stats, pseudo_labels
 from ctta.numerics import BatchStats, SeededRng
-from ctta.pools import ClassPromptEntry, ClassPromptPool, DomainPromptEntry, DomainPromptPool
+from ctta.pools import ClassPromptPool, DomainPromptPool
 from ctta.stream import (
     SeparationCertificate,
     StreamConfig,
@@ -64,10 +64,10 @@ def test_zero_prompt_pools_with_no_steps_reproduce_source_error(world):
     hp = Hyperparams(k_steps=0)
     class_pool = ClassPromptPool(hp.n_c, 8, 3)
     for k in range(3):
-        class_pool.append(ClassPromptEntry(onehot(k, 3), np.zeros(8), 0))
+        class_pool.append(onehot(k, 3), np.zeros(8), 0)
     domain_pool = DomainPromptPool(hp.n_d, 8, w.model.feature_dim)
     domain_pool.append(
-        DomainPromptEntry(BatchStats(w.source_stats.mu, w.source_stats.sigma), np.zeros(8), 0)
+        BatchStats(w.source_stats.mu, w.source_stats.sigma).concat(), np.zeros(8), 0
     )
     result = run_ctta(
         w.model, stream, hp, w.source_stats, seed=1, class_pool=class_pool, domain_pool=domain_pool

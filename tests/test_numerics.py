@@ -84,6 +84,18 @@ def test_batch_stats_requires_two_rows():
         batch_stats([np.zeros(3)])
 
 
+def test_batch_stats_names_float64_overflow():
+    rows = SeededRng(12).normal(size=(8, 4))
+    # squared deviations near 1e310 overflow although every input is finite
+    with pytest.raises(ValueError, match="overflowed float64"):
+        batch_stats(rows * 1e155)
+    # the mean alone can overflow too
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflowed float64"):
+        batch_stats(np.full((4, 2), 1.5e308))
+    stats = batch_stats(rows * 1e150)
+    assert np.all(np.isfinite(stats.sigma)) and np.all(stats.sigma > 0)
+
+
 def test_batch_stats_matches_two_pass_oracle():
     rng = SeededRng(11)
     rows = [rng.normal(size=6, scale=2.0) for _ in range(9)]

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from ctta.numerics import BatchStats, SeededRng, cosine_sim
 from ctta.pools import (
-    ClassPromptEntry,
     ClassPromptPool,
-    DomainPromptEntry,
     DomainPromptPool,
     FissionOutcome,
     fission_class,
@@ -29,7 +27,7 @@ def prob(vals):
 def make_class_pool(keys, capacity=10):
     pool = ClassPromptPool(capacity, DIM, C)
     for i, k in enumerate(keys):
-        pool.append(ClassPromptEntry(prob(k), np.full(DIM, float(i)), i))
+        pool.append(prob(k), np.full(DIM, float(i)), i)
     return pool
 
 
@@ -37,21 +35,16 @@ def make_domain_pool(mus, capacity=10, feature_dim=4):
     pool = DomainPromptPool(capacity, DIM, feature_dim)
     for i, mu in enumerate(mus):
         pool.append(
-            DomainPromptEntry(
-                BatchStats(np.asarray(mu, float), np.ones(feature_dim)),
-                np.full(DIM, float(i)),
-                i,
-            )
+            BatchStats(np.asarray(mu, float), np.ones(feature_dim)).concat(),
+            np.full(DIM, float(i)),
+            i,
         )
     return pool
 
 
 def pool_bytes(pool):
-    if isinstance(pool, ClassPromptPool):
-        return b"".join(e.key.tobytes() + e.prompt.tobytes() for e in pool.entries)
-    return b"".join(
-        e.key.mu.tobytes() + e.key.sigma.tobytes() + e.prompt.tobytes() for e in pool.entries
-    )
+    # a domain key row is mu followed by sigma, so one layout serves both pools
+    return b"".join(k.tobytes() + p.tobytes() for k, p in zip(pool.keys, pool.prompts))
 
 
 def test_fission_class_empty_pool_fissions():
@@ -78,13 +71,13 @@ def test_fission_class_sole_exact_match_takes_all_weight():
     pool = make_class_pool([key])
     out = fission_class(pool, key.copy(), 0.005, 1.0, SeededRng(0), 0.01)
     assert out.weights == {0: 1.0}
-    np.testing.assert_array_equal(out.composed_prompt, pool.entries[0].prompt)
+    np.testing.assert_array_equal(out.composed_prompt, pool.prompts[0])
 
 
 def test_fission_class_near_orthogonal_key_excluded():
     pool = make_class_pool([[0.7, 0.2, 0.1], [0.002, 0.002, 0.996]])
     query = prob([0.999996, 2e-6, 2e-6])
-    sims = [cosine_sim(query, e.key) for e in pool.entries]
+    sims = [cosine_sim(query, key) for key in pool.keys]
     assert sims[0] > 0.005 > sims[1]
     out = fission_class(pool, query, 0.005, 1.0, SeededRng(0), 0.01)
     assert set(out.weights) == {0}
@@ -182,7 +175,7 @@ def test_fission_weights_are_convex_and_composition_bounded(seed, n_entries):
     w = np.array(list(out.weights.values()))
     assert np.all(w > 0) and np.all(w <= 1.0)
     assert abs(w.sum() - 1.0) <= 1e-9
-    cand_prompts = np.stack([pool.entries[i].prompt for i in out.weights])
+    cand_prompts = pool.prompts[list(out.weights)]
     assert np.all(out.composed_prompt >= cand_prompts.min(axis=0) - 1e-12)
     assert np.all(out.composed_prompt <= cand_prompts.max(axis=0) + 1e-12)
 
@@ -231,4 +224,75 @@ def test_pool_snapshots_round_trip_bit_exactly(tmp_path):
         assert pool_bytes(restored) == pool_bytes(pool)
         assert restored.version == pool.version
         assert restored.capacity == pool.capacity
-        assert [e.created_at for e in restored.entries] == [e.created_at for e in pool.entries]
+        assert restored.created_at.tolist() == pool.created_at.tolist()
+
+
+def class_snapshot(key, prompt):
+    doc = ClassPromptPool(10, DIM, C).to_dict()
+    doc["entries"] = [{"key": list(key), "prompt": list(prompt), "created_at": 0}]
+    return doc
+
+
+def domain_snapshot(mu, sigma, prompt, feature_dim=4):
+    doc = DomainPromptPool(10, DIM, feature_dim).to_dict()
+    doc["entries"] = [{"mu": list(mu), "sigma": list(sigma), "prompt": list(prompt), "created_at": 0}]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        [-0.2, 0.6, 0.6],  # negative entry
+        [0.5, 0.3, 0.1],  # sums to 0.9
+        [0.5, 0.5],  # wrong length
+        [0.5, np.nan, 0.5],  # non-finite
+        [0.5, np.inf, 0.5],
+    ],
+)
+def test_class_pool_rejects_bad_keys_at_its_input_boundary(key):
+    pool = ClassPromptPool(10, DIM, C)
+    with pytest.raises(ValueError):
+        pool.append(key, np.zeros(DIM))
+    assert len(pool) == 0 and pool.version == 0
+    with pytest.raises(ValueError):
+        ClassPromptPool.from_dict(class_snapshot(key, np.zeros(DIM)))
+
+
+def test_domain_pool_rejects_bad_keys_at_its_input_boundary():
+    pool = DomainPromptPool(10, DIM, 4)
+    negative_sigma = np.array([1.0, -0.5, 1.0, 1.0])
+    with pytest.raises(ValueError):
+        pool.append(np.concatenate((np.zeros(4), negative_sigma)), np.zeros(DIM))
+    with pytest.raises(ValueError):
+        pool.append(np.ones(6), np.zeros(DIM))  # wrong length
+    assert len(pool) == 0 and pool.version == 0
+    with pytest.raises(ValueError):
+        DomainPromptPool.from_dict(domain_snapshot(np.zeros(4), negative_sigma, np.zeros(DIM)))
+    with pytest.raises(ValueError):
+        DomainPromptPool.from_dict(domain_snapshot(np.zeros(3), np.ones(3), np.zeros(DIM)))
+
+
+def test_pools_reject_prompts_of_the_wrong_dimension():
+    cpool = ClassPromptPool(10, DIM, C)
+    dpool = DomainPromptPool(10, DIM, 4)
+    with pytest.raises(ValueError):
+        cpool.append(prob([1, 1, 1]), np.zeros(DIM + 1))
+    with pytest.raises(ValueError):
+        dpool.append(np.ones(8), np.zeros(DIM - 1))
+    assert len(cpool) == len(dpool) == 0
+    with pytest.raises(ValueError):
+        ClassPromptPool.from_dict(class_snapshot(prob([1, 1, 1]), np.zeros(DIM + 1)))
+    with pytest.raises(ValueError):
+        DomainPromptPool.from_dict(domain_snapshot(np.zeros(4), np.ones(4), np.zeros(DIM + 1)))
+
+
+def test_pool_snapshots_reject_the_wrong_kind():
+    cdoc = make_class_pool([[0.6, 0.2, 0.2]]).to_dict()
+    ddoc = make_domain_pool([[0, 0, 0, 0]]).to_dict()
+    with pytest.raises(ValueError, match="not a domain pool"):
+        DomainPromptPool.from_dict(cdoc)
+    with pytest.raises(ValueError, match="not a class pool"):
+        ClassPromptPool.from_dict(ddoc)
+    # the matching kind still loads
+    assert len(ClassPromptPool.from_dict(cdoc)) == 1
+    assert len(DomainPromptPool.from_dict(ddoc)) == 1

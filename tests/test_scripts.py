@@ -1,0 +1,34 @@
+"""Smoke tests: the experiment scripts run in process and print their summaries."""
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, args, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    try:
+        runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    except SystemExit as exc:
+        pytest.fail(f"{name} exited with {exc.code}")
+    return capsys.readouterr().out
+
+
+def test_shift_recovery_prints_final_residual(monkeypatch, capsys):
+    out = run_script("shift_recovery.py", ["--batches", "12", "--k-steps", "5"], monkeypatch, capsys)
+    assert "source error" in out
+    assert "final residual ratio" in out and "last-10-batch error" in out
+
+
+def test_repeating_domains_prints_per_round_error(monkeypatch, capsys):
+    out = run_script(
+        "repeating_domains.py",
+        ["--domains", "2", "--rounds", "2", "--batches-per-domain", "4"],
+        monkeypatch,
+        capsys,
+    )
+    assert "certified 2 domains" in out
+    assert "round 1:" in out and "rounds 2-2:" in out

@@ -146,17 +146,17 @@ def test_read_stream_empty_file_warns(tmp_path):
 def test_read_stream_parse_errors_carry_line_numbers(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("wrong,header\n1,0,0,0.5\n")
-    with pytest.raises(StreamParseError) as err:
+    with pytest.raises(StreamParseError, match="expected header") as err:
         read_stream(path)
     assert err.value.line == 1
 
     path.write_text("batch_idx,domain_id,class_id,f0\n0,0,1,0.5\n0,0,1,0.5,9.9\n")
-    with pytest.raises(StreamParseError) as err:
+    with pytest.raises(StreamParseError, match="expected 4 fields") as err:
         read_stream(path)
     assert err.value.line == 3
 
     path.write_text("batch_idx,domain_id,class_id,f0\n0,0,1,not_a_float\n")
-    with pytest.raises(StreamParseError) as err:
+    with pytest.raises(StreamParseError, match="not_a_float") as err:
         read_stream(path)
     assert err.value.line == 2
 
@@ -167,6 +167,14 @@ def test_read_stream_parse_errors_carry_line_numbers(tmp_path):
     path.write_text("batch_idx,domain_id,class_id,f0\n0,0,1,0.5\n0,1,1,0.5\n")
     with pytest.raises(StreamParseError, match="domain_id changed"):
         read_stream(path)
+
+    # a batch of one row cannot define key statistics; the error names its first row
+    path.write_text(
+        "batch_idx,domain_id,class_id,f0\n0,0,1,0.5\n0,0,2,0.7\n1,0,1,0.5\n2,0,1,0.1\n2,0,0,0.2\n"
+    )
+    with pytest.raises(StreamParseError, match="fewer than 2 rows") as err:
+        read_stream(path)
+    assert err.value.line == 4
 
 
 def test_config_round_trip_and_unknown_keys():
