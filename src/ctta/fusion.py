@@ -1,9 +1,14 @@
 """Knowledge fusion: writing learned prompts back into the pools.
 
-Class-pool updates are entropy-gated and applied sample by sample; overflow
-triggers a single-linkage compaction over the minimum spanning tree of key
-distances. Domain-pool updates blend keys and prompts convexly; overflow
-fuses the nearest entry pair. All mutation of pools happens here.
+Class-pool updates are entropy-gated and applied sample by sample. Overflow
+triggers a single-linkage compaction on cosine distances between keys:
+Kruskal's algorithm takes edges in (weight, i, j) order from a stable argsort
+of the row-major upper triangle and stops once the pool's capacity of
+components remains, which cuts the heaviest edges of the minimum spanning
+tree. Each group of more than one row merges into its mean; groups are
+numbered, and the merged rows ordered, by their first member. Domain-pool
+updates blend keys and prompts convexly; overflow fuses the nearest entry
+pair. All mutation of pools happens here.
 """
 from __future__ import annotations
 
@@ -187,8 +192,11 @@ def update_class_pool(
 def _single_linkage_groups(dist: np.ndarray, num_groups: int) -> list[int]:
     """Kruskal-style union of ascending edges until ``num_groups`` components remain.
 
-    Equivalent to building the MST and deleting its heaviest edges; edge ties
-    break by (weight, i, j) order.
+    Equivalent to building the MST and deleting its heaviest edges. The upper
+    triangle is laid out row-major, i.e. in (i, j) order, so a stable argsort
+    of its weights visits edges in (weight, i, j) order, ties included. The
+    union stops as soon as ``num_groups`` components remain, usually after a
+    handful of edges. Groups are numbered by their first member.
     """
     n = dist.shape[0]
     parent = list(range(n))
@@ -199,14 +207,13 @@ def _single_linkage_groups(dist: np.ndarray, num_groups: int) -> list[int]:
             x = parent[x]
         return x
 
-    edges = sorted(
-        (dist[i, j], i, j) for i in range(n) for j in range(i + 1, n)
-    )
+    iu, ju = np.triu_indices(n, 1)
+    order = np.argsort(dist[iu, ju], kind="stable")
     components = n
-    for _, i, j in edges:
+    for e in order:
         if components <= num_groups:
             break
-        ri, rj = find(i), find(j)
+        ri, rj = find(int(iu[e])), find(int(ju[e]))
         if ri != rj:
             parent[ri] = rj
             components -= 1
@@ -224,23 +231,25 @@ def _compact_class_pool(pool: ClassPromptPool) -> MstClustering:
     n = len(pool)
     if n <= pool.capacity:
         raise ValueError("compaction requires pool size above capacity")
-    keys = pool.keys
+    keys, prompts, created = pool.keys, pool.prompts, pool.created_at
     normed = keys / np.linalg.norm(keys, axis=1, keepdims=True)
     dist = 1.0 - np.clip(normed @ normed.T, -1.0, 1.0)
     assignment = _single_linkage_groups(dist, pool.capacity)
     members: list[list[int]] = [[] for _ in range(pool.capacity)]
     for i, g in enumerate(assignment):
         members[g].append(i)
-    merged_keys = np.empty((pool.capacity, keys.shape[1]))
-    merged_prompts = np.empty((pool.capacity, pool.prompt_dim))
-    merged_created = np.empty(pool.capacity, dtype=np.int64)
+    # Singletons keep their row as is; only the at most n - capacity merged
+    # groups need a mean.
+    first = [group[0] for group in members]
+    merged_keys, merged_prompts, merged_created = keys[first], prompts[first], created[first]
     for g, group in enumerate(members):
-        key = _mean_rows(keys[group])
-        merged_keys[g] = key / key.sum()
-        merged_prompts[g] = _mean_rows(pool.prompts[group])
-        merged_created[g] = pool.created_at[group].min()
+        if len(group) > 1:
+            merged_keys[g] = _mean_rows(keys[group])
+            merged_prompts[g] = _mean_rows(prompts[group])
+            merged_created[g] = created[group].min()
+    merged_keys /= merged_keys.sum(axis=1, keepdims=True)
     pool.keys, pool.prompts, pool.created_at = merged_keys, merged_prompts, merged_created
-    return MstClustering({i: g for i, g in enumerate(assignment)}, pool.capacity)
+    return MstClustering(dict(enumerate(assignment)), pool.capacity)
 
 
 def mst_compact(pool: ClassPromptPool) -> MstClustering:

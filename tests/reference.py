@@ -2,7 +2,8 @@
 
 These deliberately re-derive results by the most literal route available:
 plain loops over the published update rules, naive agglomerative single
-linkage instead of Kruskal, two-pass statistics, exhaustive pair scans.
+linkage, a Kruskal that sorts Python edge tuples, two-pass statistics,
+exhaustive pair scans.
 They share only low-level numerics (entropy, array arithmetic) with the
 implementation under test.
 """
@@ -62,6 +63,44 @@ def single_linkage_bruteforce(dist: np.ndarray, num_groups: int) -> list[list[in
         clusters[a] = sorted(clusters[a] + clusters[b])
         del clusters[b]
     return sorted(clusters, key=min)
+
+
+def kruskal_single_linkage_reference(dist: np.ndarray, num_groups: int) -> list[int]:
+    """Kruskal-style union of ascending edges until ``num_groups`` components remain.
+
+    Sorts every (weight, i, j) edge tuple in Python, so edge ties break by
+    (weight, i, j) order. Returns the group id of each node, groups numbered
+    by their first member: the engine's exact assignment list, not just its
+    partition.
+    """
+    n = dist.shape[0]
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    edges = sorted(
+        (dist[i, j], i, j) for i in range(n) for j in range(i + 1, n)
+    )
+    components = n
+    for _, i, j in edges:
+        if components <= num_groups:
+            break
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            components -= 1
+    group_of_root: dict[int, int] = {}
+    assignment = []
+    for i in range(n):
+        r = find(i)
+        if r not in group_of_root:
+            group_of_root[r] = len(group_of_root)
+        assignment.append(group_of_root[r])
+    return assignment
 
 
 def partition_sets(groups_or_assignment) -> set[frozenset]:

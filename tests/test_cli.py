@@ -273,3 +273,50 @@ def test_gamma_d_defaults_to_half_theta_with_certificate(generated, tmp_path, ca
     rows = (out / "metrics.csv").read_text().splitlines()[1:]
     fissioned = [int(r.split(",")[8]) for r in rows]
     assert sum(fissioned) == 3
+
+
+# sha256 of a run whose class pool overflows and compacts on most batches,
+# measured with numpy 2.4.6 before compaction moved from a sorted list of
+# Python edge tuples to a stable argsort of the distance triangle.
+SATURATING_RUN_SHA256 = {
+    "metrics.csv": "bdeb75d8e693409c6e921c6c90a143a4caf561f2cca2332476a8597393b9cafd",
+    "summary.json": "7ddb9f4bc05dcfdcdb691ce6a591465407daaee24a4243b7deb20a9d83f478d6",
+    "pools_class_final.json": "b02c31b3a7ce11570f979ef2be294ce1201542a424f9552c330f4faf569195f0",
+    "pools_domain_final.json": "a2185f1d3f81fed27c1348e51851ed42ead04923b977877cfcba4dc0b25c36af",
+}
+
+
+def test_saturating_run_outputs_match_golden_bytes(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "domain_order": [0, 1, 2, 0, 1, 2],
+                "batches_per_domain": 2,
+                "batch_size": 16,
+                "input_dim": 8,
+                "num_classes": 3,
+                "seed": 0,
+                "gamma_c": 0.95,
+                "n_c": 4,
+                "gamma_d": 1.0,
+                "n_d": 6,
+                "k_steps": 1,
+            }
+        )
+    )
+    stream = tmp_path / "stream.csv"
+    world = ["--seed", "5", "--noise-std", "1.5"]
+    assert main(["gen-stream", "--config", str(config), "--out", str(stream), *world]) == 0
+    out = tmp_path / "out"
+    code = main(
+        ["run", "--config", str(config), "--stream", str(stream), "--out-dir", str(out), *world]
+    )
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["total_fusions"]["class"] > 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in SATURATING_RUN_SHA256
+    }
+    assert digests == SATURATING_RUN_SHA256

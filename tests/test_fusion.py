@@ -7,6 +7,7 @@ from ctta.fusion import (
     ClassUpdateRecord,
     DomainUpdateRecord,
     PoolVersionError,
+    _single_linkage_groups,
     fuse_nearest_pair,
     mst_compact,
     update_class_pool,
@@ -26,6 +27,7 @@ from instancegen import (
 from reference import (
     algorithm1_reference,
     algorithm2_reference,
+    kruskal_single_linkage_reference,
     partition_sets,
     single_linkage_bruteforce,
 )
@@ -196,6 +198,51 @@ def test_mst_compact_matches_bruteforce_single_linkage(seed):
     dist = 1.0 - normed @ normed.T
     expected = single_linkage_bruteforce(dist, capacity)
     assert partition_sets(clustering.assignment) == partition_sets(expected)
+
+
+def cosine_distances(keys):
+    normed = keys / np.linalg.norm(keys, axis=1, keepdims=True)
+    return 1.0 - np.clip(normed @ normed.T, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_compaction_assignment_matches_kruskal_reference(seed):
+    # Group numbering sets the order of the merged rows, so the whole
+    # assignment list must match, not only the partition.
+    rng = SeededRng(100 + seed)
+    n = int(rng.integers(100, 151))
+    capacity = int(rng.integers(1, n))
+    pool = random_class_pool(rng, n, capacity, 10, 4)
+    expected = kruskal_single_linkage_reference(cosine_distances(pool.keys), capacity)
+    clustering = mst_compact(pool)
+    assert list(clustering.assignment) == list(range(n))
+    assert list(clustering.assignment.values()) == expected
+    assert all(type(g) is int for g in clustering.assignment.values())
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_single_linkage_groups_match_kruskal_reference_under_ties(seed):
+    rng = SeededRng(200 + seed)
+    n = int(rng.integers(2, 151))
+    keys = np.stack([random_prob(rng, 3) for _ in range(n)])
+    dupes = rng.integers(0, n, size=(n // 3, 2))
+    keys[dupes[:, 0]] = keys[dupes[:, 1]]
+    dist = np.round(cosine_distances(keys), 2)
+    for num_groups in {1, max(1, n // 2), n - 1, n}:
+        expected = kruskal_single_linkage_reference(dist, num_groups)
+        assert _single_linkage_groups(dist, num_groups) == expected
+
+
+def test_single_linkage_groups_break_ties_by_weight_then_i_then_j():
+    # Four edges tie at 0.5; the rest weigh 0.9. Two unions are needed, and
+    # (weight, i, j) order takes (0, 4) and (1, 5) before (2, 3) and (3, 5).
+    dist = np.full((6, 6), 0.9)
+    np.fill_diagonal(dist, 0.0)
+    for i, j in [(3, 5), (2, 3), (1, 5), (0, 4)]:
+        dist[i, j] = dist[j, i] = 0.5
+    assert _single_linkage_groups(dist, 4) == [0, 1, 2, 3, 0, 1]
+    assert _single_linkage_groups(dist, 3) == [0, 1, 2, 2, 0, 1]
+    assert _single_linkage_groups(dist, 2) == [0, 1, 1, 1, 0, 1]
 
 
 def test_fuse_nearest_pair_identical_entries_win():
