@@ -1,11 +1,13 @@
 """Knowledge fusion: writing learned prompts back into the pools.
 
-Class-pool updates are entropy-gated and applied sample by sample. Overflow
-triggers a single-linkage compaction on cosine distances between keys:
-Kruskal's algorithm takes edges in (weight, i, j) order from a stable argsort
-of the row-major upper triangle and stops once the pool's capacity of
-components remains, which cuts the heaviest edges of the minimum spanning
-tree. Each group of more than one row merges into its mean; groups are
+Class-pool updates read each fission outcome's ``candidates`` and ``weights``
+arrays. They validate a batch's records once, are entropy-gated, and are
+applied sample by sample. Overflow triggers a single-linkage compaction on
+cosine distances between keys: Kruskal's algorithm takes edges in
+(weight, i, j) order from a stable argsort of the row-major upper triangle
+(light edges first, the rest only if needed) and stops once the pool's
+capacity of components remains, which cuts the heaviest edges of the minimum
+spanning tree. Each group of more than one row merges into its mean; groups are
 numbered, and the merged rows ordered, by their first member. Domain-pool
 updates blend keys and prompts convexly; overflow fuses the nearest entry
 pair. All mutation of pools happens here.
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import BatchStats, Vector, as_vector
+from .numerics import BatchStats, Matrix, Vector, as_matrix, as_vector
 from .pools import ClassPromptPool, DomainPromptPool, FissionOutcome
 
 
@@ -26,17 +28,12 @@ class PoolVersionError(RuntimeError):
 
 @dataclass
 class ClassUpdateRecord:
-    """Per-sample inputs to the class-pool update."""
+    """Per-sample inputs to the class-pool update, validated there per batch."""
 
     learned_prompt: Vector
     prediction: Vector
     pseudo_label: Vector
     outcome: FissionOutcome
-
-    def __post_init__(self):
-        self.learned_prompt = as_vector(self.learned_prompt, name="learned prompt")
-        self.prediction = as_vector(self.prediction, name="prediction")
-        self.pseudo_label = as_vector(self.pseudo_label, name="pseudo label")
 
 
 @dataclass
@@ -85,21 +82,26 @@ def _mean_rows(rows) -> Vector:
     return acc / len(rows)
 
 
-def _check_outcome(pool, outcome: FissionOutcome) -> None:
-    if outcome.pool_version != pool.version:
-        raise PoolVersionError(
-            f"outcome computed at pool version {outcome.pool_version}, "
-            f"pool is now at {pool.version}"
-        )
-    if outcome.weights is not None:
-        for i in outcome.weights:
-            if not 0 <= i < len(pool):
-                raise PoolVersionError(f"outcome references missing pool index {i}")
+def _check_outcomes(pool, outcomes: list[FissionOutcome]) -> None:
+    """Reject outcomes computed at another pool version or naming a missing row."""
+    if not outcomes:
+        return
+    for outcome in outcomes:
+        if outcome.pool_version != pool.version:
+            raise PoolVersionError(
+                f"outcome computed at pool version {outcome.pool_version}, "
+                f"pool is now at {pool.version}"
+            )
+    cand = np.concatenate([outcome.candidates for outcome in outcomes])
+    if cand.size and (cand.min() < 0 or cand.max() >= len(pool)):
+        missing = cand[(cand < 0) | (cand >= len(pool))][0]
+        raise PoolVersionError(f"outcome references missing pool index {missing}")
 
 
-def _candidate_arrays(outcome: FissionOutcome) -> tuple[list[int], np.ndarray]:
-    idx = sorted(outcome.weights)
-    return idx, np.array([outcome.weights[i] for i in idx])
+def _stack_rows(rows: list[Vector], dim: int, name: str) -> Matrix:
+    """Stack per-sample vectors into a finite (len(rows), dim) matrix."""
+    arr = np.array(rows, dtype=np.float64) if rows else np.empty((0, dim))
+    return as_matrix(arr, shape=(len(rows), dim), name=name)
 
 
 def update_class_pool(
@@ -130,59 +132,55 @@ def update_class_pool(
         raise ValueError("alpha_c must lie in [0, 1]")
     if mode not in ("sequential", "averaged"):
         raise ValueError(f"unknown class update mode {mode!r}")
-    for rec in records:
-        _check_outcome(pool, rec.outcome)
-
-    if records:
-        preds = np.stack([rec.prediction for rec in records])
-        ent = -(preds * np.log(np.where(preds > 0.0, preds, 1.0))).sum(axis=1)
-        gate = ent > gamma_h
-    else:
-        gate = np.zeros(0, dtype=bool)
+    _check_outcomes(pool, [rec.outcome for rec in records])
+    learned = _stack_rows([r.learned_prompt for r in records], pool.prompt_dim, "learned prompts")
+    preds = _stack_rows([r.prediction for r in records], pool.num_classes, "predictions")
+    labels = _stack_rows([r.pseudo_label for r in records], pool.num_classes, "pseudo labels")
+    ent = -(preds * np.log(np.where(preds > 0.0, preds, 1.0))).sum(axis=1)
 
     summary = ClassUpdateSummary()
-    touched: set[int] = set()
-    fissioned: list[ClassUpdateRecord] = []
-    blended: list[ClassUpdateRecord] = []
+    kept = []
+    for t, gated in enumerate((ent > gamma_h).tolist()):
+        (summary.skipped if gated else kept).append(t)
+    fissioned = [t for t in kept if records[t].outcome.fissioned]
+    matched = [t for t in kept if not records[t].outcome.fissioned]
     keys, prompts = pool.keys, pool.prompts
-    for t, rec in enumerate(records):
-        if gate[t]:
-            summary.skipped.append(t)
-        elif rec.outcome.fissioned:
-            summary.appended.append(len(pool) + len(fissioned))
-            fissioned.append(rec)
-        elif mode == "averaged":
-            blended.append(rec)
-            touched.update(rec.outcome.weights)
+    if matched:
+        outcomes = [records[t].outcome for t in matched]
+        sizes = [o.candidates.size for o in outcomes]
+        cand = np.concatenate([o.candidates for o in outcomes])
+        weights = np.concatenate([o.weights for o in outcomes])[:, None]
+        hit = np.zeros(len(pool), dtype=bool)
+        hit[cand] = True
+        rows = np.flatnonzero(hit)
+        if mode == "averaged":
+            # Each touched row blends every kept sample against its own
+            # batch-start value (weight 0 where the row was not a candidate),
+            # in sample order.
+            dense = np.zeros((len(matched), len(pool)))
+            dense[np.repeat(np.arange(len(matched)), sizes), cand] = weights[:, 0]
+            w = dense[:, rows, None]
+            cf = alpha_c * w
+            new_keys = _mean_rows(cf * preds[matched, None] + (1.0 - cf) * keys[rows])
+            keys[rows] = new_keys / new_keys.sum(axis=1, keepdims=True)
+            prompts[rows] = _mean_rows(w * learned[matched, None] + (1.0 - w) * prompts[rows])
         else:
-            idx, w = _candidate_arrays(rec.outcome)
-            coeff = alpha_c * w
-            new_keys = coeff[:, None] * rec.prediction + (1.0 - coeff)[:, None] * keys[idx]
-            keys[idx] = new_keys / new_keys.sum(axis=1, keepdims=True)
-            prompts[idx] = w[:, None] * rec.learned_prompt + (1.0 - w)[:, None] * prompts[idx]
-            touched.update(idx)
-    if mode == "averaged":
-        # Each touched row blends every kept sample against its own batch-start
-        # value, so the rows can be rewritten one at a time in place.
-        for i in sorted(touched):
-            key_terms = []
-            prompt_terms = []
-            for rec in blended:
-                w = rec.outcome.weights.get(i, 0.0)
-                cf = alpha_c * w
-                key_terms.append(cf * rec.prediction + (1.0 - cf) * keys[i])
-                prompt_terms.append(w * rec.learned_prompt + (1.0 - w) * prompts[i])
-            new_key = _mean_rows(key_terms)
-            keys[i] = new_key / new_key.sum()
-            prompts[i] = _mean_rows(prompt_terms)
+            cf = alpha_c * weights
+            key_keep, prompt_keep = 1.0 - cf, 1.0 - weights
+            ends = np.cumsum(sizes).tolist()
+            starts = [0] + ends[:-1]
+            firsts, lasts = cand[starts].tolist(), cand[[end - 1 for end in ends]].tolist()
+            for t, start, end, first, last in zip(matched, starts, ends, firsts, lasts):
+                # ascending candidates without gaps are a slice of the pool
+                at = slice(first, last + 1) if last - first == end - start - 1 else cand[start:end]
+                new_keys = cf[start:end] * preds[t] + key_keep[start:end] * keys[at]
+                keys[at] = new_keys / new_keys.sum(axis=1, keepdims=True)
+                prompts[at] = weights[start:end] * learned[t] + prompt_keep[start:end] * prompts[at]
+        summary.updated = rows.tolist()
     if fissioned:
-        pool._extend(
-            np.array([rec.pseudo_label for rec in fissioned]),
-            np.array([rec.learned_prompt for rec in fissioned]),
-            [created_at] * len(fissioned),
-        )
+        summary.appended = list(range(len(pool), len(pool) + len(fissioned)))
+        pool._extend(labels[fissioned], learned[fissioned], [created_at] * len(fissioned))
 
-    summary.updated = sorted(touched)
     if len(pool) > pool.capacity:
         summary.compaction = _compact_class_pool(pool)
     pool.bump()
@@ -195,8 +193,9 @@ def _single_linkage_groups(dist: np.ndarray, num_groups: int) -> list[int]:
     Equivalent to building the MST and deleting its heaviest edges. The upper
     triangle is laid out row-major, i.e. in (i, j) order, so a stable argsort
     of its weights visits edges in (weight, i, j) order, ties included. The
-    union stops as soon as ``num_groups`` components remain, usually after a
-    handful of edges. Groups are numbered by their first member.
+    union usually stops after a handful of edges, so only the edges up to a
+    partition threshold are sorted first; the heavier ones are sorted only if
+    the union runs past them. Groups are numbered by their first member.
     """
     n = dist.shape[0]
     parent = list(range(n))
@@ -208,15 +207,24 @@ def _single_linkage_groups(dist: np.ndarray, num_groups: int) -> list[int]:
         return x
 
     iu, ju = np.triu_indices(n, 1)
-    order = np.argsort(dist[iu, ju], kind="stable")
+    weights = dist[iu, ju]
+    k = 8 * (n - num_groups) + 64
+    if k < weights.size:
+        light = weights <= np.partition(weights, k - 1)[k - 1]
+        tiers = [np.flatnonzero(light), np.flatnonzero(~light)]
+    else:
+        tiers = [np.arange(weights.size)]
     components = n
-    for e in order:
+    for edges in tiers:
+        for e in edges[np.argsort(weights[edges], kind="stable")].tolist():
+            if components <= num_groups:
+                break
+            ri, rj = find(int(iu[e])), find(int(ju[e]))
+            if ri != rj:
+                parent[ri] = rj
+                components -= 1
         if components <= num_groups:
             break
-        ri, rj = find(int(iu[e])), find(int(ju[e]))
-        if ri != rj:
-            parent[ri] = rj
-            components -= 1
     group_of_root: dict[int, int] = {}
     assignment = []
     for i in range(n):
@@ -275,7 +283,7 @@ def update_domain_pool(
     """
     if not 0.0 <= alpha_d <= 1.0:
         raise ValueError("alpha_d must lie in [0, 1]")
-    _check_outcome(pool, record.outcome)
+    _check_outcomes(pool, [record.outcome])
     if record.batch_stats.dim != pool.feature_dim:
         raise ValueError("record stats dimension must match pool feature_dim")
 
@@ -287,13 +295,13 @@ def update_domain_pool(
         if len(pool) > pool.capacity:
             summary.fused_pair = _fuse_core(pool)
     else:
-        idx, w = _candidate_arrays(record.outcome)
+        idx, w = record.outcome.candidates, record.outcome.weights
         cf = alpha_d * w
         pool.keys[idx] = cf[:, None] * stats_key + (1.0 - cf)[:, None] * pool.keys[idx]
         pool.prompts[idx] = (
             w[:, None] * record.learned_prompt + (1.0 - w)[:, None] * pool.prompts[idx]
         )
-        summary.updated = list(idx)
+        summary.updated = idx.tolist()
     pool.bump()
     return summary
 

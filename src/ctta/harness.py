@@ -232,13 +232,12 @@ class ClusterLedger:
                 f"batch {batch_index}: first encounter of domain {true_domain} "
                 "matched existing prompts instead of fissioning"
             )
-        if outcome.weights is not None:
-            for i in outcome.weights:
-                if self.entry_labels[i] != true_domain:
-                    self.violations.append(
-                        f"batch {batch_index}: matched entry {i} of domain "
-                        f"{self.entry_labels[i]} while in domain {true_domain}"
-                    )
+        for i in outcome.candidates.tolist():
+            if self.entry_labels[i] != true_domain:
+                self.violations.append(
+                    f"batch {batch_index}: matched entry {i} of domain "
+                    f"{self.entry_labels[i]} while in domain {true_domain}"
+                )
 
     def on_domain_update(self, batch_index: int, true_domain: int, summary: DomainUpdateSummary):
         if summary.fissioned:
@@ -307,7 +306,7 @@ def _adapt_batch(
         hp.init_scale,
         softmax_over_all=hp.softmax_over_all,
     )
-    composed_class = np.stack([o.composed_prompt for o in class_outcomes])
+    composed_class = np.array([o.composed_prompt for o in class_outcomes])
     p_d, p_c, breakdown = optimize_prompts(
         model,
         samples,

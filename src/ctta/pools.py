@@ -4,24 +4,28 @@ A pool is an ordered set of (key, prompt) rows with a capacity, stored as
 arrays: ``keys`` ``(n, key_dim)``, ``prompts`` ``(n, prompt_dim)`` and
 ``created_at`` ``(n,)``. Fission matches a query key against every key under a
 threshold: matches compose a prompt by softmax weighting, and a miss spawns a
-fresh prompt instead. Fission never mutates a pool; all writes live in the
-fusion module.
+fresh prompt instead. Each outcome names its matches as two aligned arrays,
+ascending pool indices and their weights. Fission never mutates a pool; all
+writes live in the fusion module.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .numerics import BatchStats, Matrix, SeededRng, Vector, as_vector
+from .numerics import BatchStats, Matrix, SeededRng, Vector, _all_finite, as_vector
 
 
-def _check_probability(vec: Vector, name: str) -> None:
-    if float(vec.min()) < 0.0:
+def _check_probability(arr: np.ndarray, name: str) -> None:
+    """Each row of ``arr`` (a vector, or a matrix of rows) must be a distribution."""
+    if arr.size and float(arr.min()) < 0.0:
         raise ValueError(f"{name} must be nonnegative")
-    if abs(float(vec.sum()) - 1.0) > 1e-6:
-        raise ValueError(f"{name} must sum to 1, got {vec.sum()}")
+    sums = np.atleast_1d(arr.sum(axis=-1))
+    off = np.abs(sums - 1.0) > 1e-6
+    if off.any():
+        raise ValueError(f"{name} must sum to 1, got {sums[off][0]}")
 
 
 class _BasePool:
@@ -149,86 +153,85 @@ class DomainPromptPool(_BasePool):
 class FissionOutcome:
     """Result of matching one query against a pool.
 
-    Either ``weights`` maps candidate pool indices to softmax weights and
-    ``composed_prompt`` is their convex combination, or nothing cleared the
-    threshold and ``composed_prompt`` is a freshly spawned prompt. The
-    ``pool_version`` stamp lets fusion reject stale outcomes.
+    ``candidates`` holds the matched pool indices in ascending order and
+    ``weights`` their softmax weights, aligned with it; ``composed_prompt`` is
+    the weighted blend of the candidates' prompts. When nothing cleared the
+    threshold both arrays are empty and ``composed_prompt`` is a freshly
+    spawned prompt. The ``pool_version`` stamp lets fusion reject stale
+    outcomes.
     """
 
     composed_prompt: Vector
-    weights: dict[int, float] | None
-    fissioned: bool
+    candidates: np.ndarray
+    weights: Vector
     pool_version: int = 0
 
-    def __post_init__(self):
-        self.composed_prompt = as_vector(self.composed_prompt, name="composed prompt")
-        if self.fissioned != (self.weights is None):
-            raise ValueError("fissioned flag must mirror absent weights")
-        if self.weights is not None and not self.weights:
-            raise ValueError("weights present but empty")
-
-
-def _fresh_prompt(prompt_dim: int, rng: SeededRng, init_scale: float) -> Vector:
-    if init_scale < 0:
-        raise ValueError("init_scale must be >= 0")
-    draw = rng.normal(size=prompt_dim)
-    return draw * init_scale
-
-
-def _candidate_weights(
-    scores: Vector, candidates: np.ndarray, *, softmax_over_all: bool
-) -> Vector:
-    sel = scores[candidates]
-    if softmax_over_all:
-        shifted = scores - scores.max()
-        return np.exp(shifted[candidates]) / np.exp(shifted).sum()
-    shifted = sel - sel.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+    @property
+    def fissioned(self) -> bool:
+        return self.candidates.size == 0
 
 
 def _compose(
     pool: _BasePool,
-    scores: Vector,
-    candidates: np.ndarray,
+    scores: Matrix,
+    mask: np.ndarray,
     rng: SeededRng,
     init_scale: float,
     softmax_over_all: bool,
-) -> FissionOutcome:
-    """Blend the candidate prompts by softmax(scores), or spawn one if none matched."""
-    if candidates.size == 0:
-        return FissionOutcome(
-            _fresh_prompt(pool.prompt_dim, rng, init_scale), None, True, pool.version
-        )
-    w = _candidate_weights(scores, candidates, softmax_over_all=softmax_over_all)
-    composed = w @ pool.prompts[candidates]
-    weights = dict(zip(candidates.tolist(), w.tolist()))
-    return FissionOutcome(composed, weights, False, pool.version)
+) -> list[FissionOutcome]:
+    """Blend each row's candidate prompts by softmax(scores), or spawn one if none matched.
+
+    Exponentials are taken for the whole batch at once, but each row's
+    normaliser is its own sum and each blend its own vector-matrix product,
+    so every row carries the bits of a one-row call. Fresh prompts come from
+    one draw in row order, which equals one draw per row.
+    """
+    if init_scale < 0:
+        raise ValueError("init_scale must be >= 0")
+    flat = np.flatnonzero(mask)
+    cand = flat % mask.shape[1]
+    counts = mask.sum(axis=1).tolist()
+    ends = list(accumulate(counts))
+    starts = [0] + ends[:-1]
+    fresh = [t for t, k in enumerate(counts) if not k]
+    matched = [t for t, k in enumerate(counts) if k]
+    composed = np.empty((len(counts), pool.prompt_dim))
+    if fresh:
+        composed[fresh] = rng.normal(size=(len(fresh), pool.prompt_dim)) * init_scale
+    weights = np.empty(flat.size)
+    if matched:
+        top = scores if softmax_over_all else np.where(mask, scores, -np.inf)
+        shifted = scores - top.max(axis=1, keepdims=True)
+        if softmax_over_all:
+            totals = np.exp(shifted)
+            num = totals.take(flat)
+            sums = [totals[t].sum() for t in matched]
+        else:
+            num = np.exp(shifted.take(flat))
+            sums = [num[starts[t] : ends[t]].sum() for t in matched]
+        np.divide(num, np.repeat(np.array(sums), [counts[t] for t in matched]), out=weights)
+    outcomes = []
+    for t, (start, end) in enumerate(zip(starts, ends)):
+        c, w, row = cand[start:end], weights[start:end], composed[t]
+        if end > start:
+            np.matmul(w, pool.prompts.take(c, axis=0), out=row)
+        outcomes.append(FissionOutcome(row, c, w, pool.version))
+    return outcomes
 
 
-def _check_class_thresholds(gamma_c: float, tau_c: float) -> None:
-    if not -1.0 < gamma_c < 1.0:
-        raise ValueError("gamma_c must lie in (-1, 1)")
-    if tau_c <= 0:
-        raise ValueError("tau_c must be > 0")
-
-
-def _match_class(
-    pool: ClassPromptPool,
-    norms: Vector,
-    pseudo_label,
-    gamma_c: float,
-    tau_c: float,
-    rng: SeededRng,
-    init_scale: float,
-    softmax_over_all: bool,
-) -> FissionOutcome:
-    """The matching kernel shared by single-sample and batch class fission."""
-    y = as_vector(pseudo_label, dim=pool.num_classes, name="pseudo_label")
+def _check_pseudo_labels(pseudo_labels, num_classes: int) -> Matrix:
+    """Coerce to a (b, C) matrix whose rows are finite probability vectors."""
+    y = np.asarray(pseudo_labels, dtype=np.float64)
+    if y.size == 0 and y.ndim == 1:
+        y = y.reshape(0, num_classes)
+    if y.ndim != 2:
+        raise ValueError(f"pseudo_label must be 1-d, got shape {y.shape[1:]}")
+    if y.shape[1] != num_classes:
+        raise ValueError(f"pseudo_label must have dimension {num_classes}, got {y.shape[1]}")
+    if not _all_finite(y):
+        raise ValueError("pseudo_label contains non-finite entries")
     _check_probability(y, "pseudo_label")
-    sims = (pool.keys @ y) / (norms * math.sqrt(y @ y))
-    candidates = np.flatnonzero(sims > gamma_c)
-    return _compose(pool, sims / tau_c, candidates, rng, init_scale, softmax_over_all)
+    return y
 
 
 def fission_class(
@@ -241,17 +244,11 @@ def fission_class(
     *,
     softmax_over_all: bool = False,
 ) -> FissionOutcome:
-    """Match one pseudo-label against the class pool by cosine similarity.
-
-    Entries with similarity strictly above ``gamma_c`` become candidates and
-    are blended with weights softmax(similarity / tau_c); with no candidate
-    (including the empty-pool initial state) a fresh prompt is spawned.
-    """
-    _check_class_thresholds(gamma_c, tau_c)
-    norms = np.linalg.norm(pool.keys, axis=1)
-    return _match_class(
-        pool, norms, pseudo_label, gamma_c, tau_c, rng, init_scale, softmax_over_all
-    )
+    """Class fission of one pseudo-label: ``fission_class_batch`` on one row."""
+    y = as_vector(pseudo_label, dim=pool.num_classes, name="pseudo_label")
+    return fission_class_batch(
+        pool, y[None, :], gamma_c, tau_c, rng, init_scale, softmax_over_all=softmax_over_all
+    )[0]
 
 
 def fission_class_batch(
@@ -264,13 +261,29 @@ def fission_class_batch(
     *,
     softmax_over_all: bool = False,
 ) -> list[FissionOutcome]:
-    """Per-sample class fission; outcome order matches sample order."""
-    _check_class_thresholds(gamma_c, tau_c)
-    norms = np.linalg.norm(pool.keys, axis=1)
-    return [
-        _match_class(pool, norms, y, gamma_c, tau_c, rng, init_scale, softmax_over_all)
-        for y in pseudo_labels
-    ]
+    """Match each pseudo-label against the class pool by cosine similarity.
+
+    Entries with similarity strictly above ``gamma_c`` become candidates and
+    are blended with weights softmax(similarity / tau_c); with no candidate
+    (including the empty-pool initial state) a fresh prompt is spawned.
+    Inputs are validated once for the whole batch; outcome order matches
+    sample order.
+    """
+    if not -1.0 < gamma_c < 1.0:
+        raise ValueError("gamma_c must lie in (-1, 1)")
+    if tau_c <= 0:
+        raise ValueError("tau_c must be > 0")
+    labels = _check_pseudo_labels(pseudo_labels, pool.num_classes)
+    keys = pool.keys
+    # One matrix-vector product per row: a row of labels @ keys.T does not
+    # carry the bits of keys @ y.
+    dots = np.empty((labels.shape[0], len(pool)))
+    sq = np.empty(labels.shape[0])
+    for t, y in enumerate(labels):
+        np.matmul(keys, y, out=dots[t])
+        sq[t] = y @ y
+    sims = dots / (np.linalg.norm(keys, axis=1) * np.sqrt(sq)[:, None])
+    return _compose(pool, sims / tau_c, sims > gamma_c, rng, init_scale, softmax_over_all)
 
 
 def fission_domain(
@@ -298,6 +311,5 @@ def fission_domain(
         raise ValueError("stats must be BatchStats")
     if stats.dim != pool.feature_dim:
         raise ValueError("stats dimension must match pool feature_dim")
-    dists = np.linalg.norm(pool.keys - stats.concat(), axis=1)
-    candidates = np.flatnonzero(dists < gamma_d)
-    return _compose(pool, -dists / tau_d, candidates, rng, init_scale, softmax_over_all)
+    dists = np.linalg.norm(pool.keys - stats.concat(), axis=1)[None, :]
+    return _compose(pool, -dists / tau_d, dists < gamma_d, rng, init_scale, softmax_over_all)[0]

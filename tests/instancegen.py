@@ -35,18 +35,26 @@ def random_domain_pool(
     return pool
 
 
+def make_outcome(prompt, weights: dict[int, float] | None, version: int) -> FissionOutcome:
+    """An outcome from an {index: weight} map, or a fissioned one for ``None``."""
+    idx = sorted(weights or {})
+    return FissionOutcome(
+        np.asarray(prompt, dtype=float),
+        np.array(idx, dtype=np.int64),
+        np.array([weights[i] for i in idx], dtype=float),
+        version,
+    )
+
+
 def random_outcome(rng: SeededRng, pool, prompt_dim: int, fission_prob: float) -> FissionOutcome:
     if len(pool) == 0 or rng.uniform() < fission_prob:
-        return FissionOutcome(rng.normal(size=prompt_dim, scale=0.1), None, True, pool.version)
+        return make_outcome(rng.normal(size=prompt_dim, scale=0.1), None, pool.version)
     n_cand = int(rng.integers(1, len(pool) + 1))
     idx = sorted(rng.permutation(len(pool))[:n_cand].tolist())
     w = rng.uniform(0.1, 1.0, size=n_cand)
     w = w / w.sum()
-    return FissionOutcome(
-        rng.normal(size=prompt_dim, scale=0.1),
-        dict(zip(idx, w.tolist())),
-        False,
-        pool.version,
+    return make_outcome(
+        rng.normal(size=prompt_dim, scale=0.1), dict(zip(idx, w.tolist())), pool.version
     )
 
 

@@ -1,9 +1,9 @@
 """Independent reference oracles used to check the engine.
 
 These deliberately re-derive results by the most literal route available:
-plain loops over the published update rules, naive agglomerative single
-linkage, a Kruskal that sorts Python edge tuples, two-pass statistics,
-exhaustive pair scans.
+plain loops over the published matching and update rules, naive
+agglomerative single linkage, a Kruskal that sorts Python edge tuples,
+two-pass statistics, exhaustive pair scans.
 They share only low-level numerics (entropy, array arithmetic) with the
 implementation under test.
 """
@@ -103,6 +103,37 @@ def kruskal_single_linkage_reference(dist: np.ndarray, num_groups: int) -> list[
     return assignment
 
 
+def class_fission_reference(
+    keys, prompts, pseudo_labels, gamma_c, tau_c, rng, init_scale, softmax_over_all=False
+):
+    """Sample-by-sample class fission, straight from the matching rule.
+
+    For each pseudo-label y: cosine similarities ``K @ y / (|k| |y|)``, the
+    indices strictly above ``gamma_c`` as candidates, softmax(sim / tau_c)
+    weights normalised over the candidates (or over every row), and their
+    blend of prompts; a sample without candidates draws a fresh prompt from
+    ``rng``, in sample order. Returns one (candidates, weights, prompt)
+    triple per sample.
+    """
+    norms = np.linalg.norm(keys, axis=1)
+    out = []
+    for y in pseudo_labels:
+        sims = (keys @ y) / (norms * math.sqrt(y @ y))
+        cand = [i for i in range(keys.shape[0]) if sims[i] > gamma_c]
+        if not cand:
+            out.append((cand, np.empty(0), rng.normal(size=prompts.shape[1]) * init_scale))
+            continue
+        scores = sims / tau_c
+        if softmax_over_all:
+            e = np.exp(scores - scores.max())
+            w = e[cand] / e.sum()
+        else:
+            e = np.exp(scores[cand] - scores[cand].max())
+            w = e / e.sum()
+        out.append((cand, w, w @ prompts[cand]))
+    return out
+
+
 def partition_sets(groups_or_assignment) -> set[frozenset]:
     """Canonical form of a partition for comparison."""
     if isinstance(groups_or_assignment, dict):
@@ -126,8 +157,8 @@ def algorithm1_reference(entries, capacity, records, gamma_h, alpha_c, created_a
         if rec.outcome.fissioned:
             entries.append((rec.pseudo_label.copy(), rec.learned_prompt.copy(), created_at))
         else:
-            for i in sorted(rec.outcome.weights):
-                w = rec.outcome.weights[i]
+            outcome = rec.outcome
+            for i, w in sorted(zip(outcome.candidates.tolist(), outcome.weights.tolist())):
                 key, prompt, created = entries[i]
                 cf = alpha_c * w
                 new_key = cf * rec.prediction + (1.0 - cf) * key
@@ -194,8 +225,8 @@ def algorithm2_reference(entries, capacity, record, alpha_d, created_at=0):
             entries[i] = merged
             del entries[j]
     else:
-        for i in sorted(record.outcome.weights):
-            w = record.outcome.weights[i]
+        outcome = record.outcome
+        for i, w in sorted(zip(outcome.candidates.tolist(), outcome.weights.tolist())):
             mu, sigma, prompt, created = entries[i]
             cf = alpha_d * w
             entries[i] = (

@@ -320,3 +320,54 @@ def test_saturating_run_outputs_match_golden_bytes(tmp_path):
         for name in SATURATING_RUN_SHA256
     }
     assert digests == SATURATING_RUN_SHA256
+
+
+# sha256 of a run with batch-averaged class updates and softmax weights over
+# the whole pool, measured with numpy 2.4.6 before fission outcomes moved from
+# {index: weight} dicts to candidate and weight arrays.
+AVERAGED_RUN_SHA256 = {
+    "metrics.csv": "8d67c2c1b40cec8f042694acda4f9c08d17e0093d8603078abd472d88c4932a6",
+    "summary.json": "12891cf67db3daae2bcc3020f26446ccd57aa7d77e1ed40d2883f979f386419e",
+    "pools_class_final.json": "f10633fbfe5e0fb177e14b71f23409d86964bf9345609a28ed50684d4891b648",
+    "pools_domain_final.json": "f2571eea87507f61c4f431895e6ba276c29db791a816dc0764b47b804f03f8f1",
+}
+
+
+def test_averaged_softmax_over_all_run_outputs_match_golden_bytes(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "domain_order": [0, 1, 2, 0, 1, 2],
+                "batches_per_domain": 2,
+                "batch_size": 16,
+                "input_dim": 8,
+                "num_classes": 3,
+                "seed": 0,
+                "gamma_c": 0.9,
+                "n_c": 6,
+                "gamma_d": 2.0,
+                "n_d": 6,
+                "k_steps": 1,
+                "class_update": "averaged",
+                "softmax_over_all": True,
+            }
+        )
+    )
+    stream = tmp_path / "stream.csv"
+    world = ["--seed", "5", "--noise-std", "1.5"]
+    assert main(["gen-stream", "--config", str(config), "--out", str(stream), *world]) == 0
+    out = tmp_path / "out"
+    code = main(
+        ["run", "--config", str(config), "--stream", str(stream), "--out-dir", str(out), *world]
+    )
+    assert code == 0
+    # both pools match on most batches, so both weighting paths are exercised
+    rows = (out / "metrics.csv").read_text().splitlines()[1:]
+    assert sum(int(r.split(",")[8]) for r in rows) < len(rows)
+    assert sum(int(r.split(",")[9]) for r in rows) < 16 * len(rows)
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in AVERAGED_RUN_SHA256
+    }
+    assert digests == AVERAGED_RUN_SHA256

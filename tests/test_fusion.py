@@ -14,10 +14,11 @@ from ctta.fusion import (
     update_domain_pool,
 )
 from ctta.numerics import BatchStats, SeededRng
-from ctta.pools import ClassPromptPool, DomainPromptPool, FissionOutcome
+from ctta.pools import ClassPromptPool, DomainPromptPool
 from instancegen import (
     class_pool_tuples,
     domain_pool_tuples,
+    make_outcome,
     random_class_pool,
     random_class_records,
     random_domain_pool,
@@ -44,9 +45,8 @@ def onehot(i, n=3):
 
 
 def matched_record(pool, prompt, prediction, pseudo, weights):
-    return ClassUpdateRecord(
-        prompt, prediction, pseudo, FissionOutcome(prompt, weights, False, pool.version)
-    )
+    outcome = make_outcome(prompt, weights, pool.version)
+    return ClassUpdateRecord(prompt, prediction, pseudo, outcome)
 
 
 def test_gate_skips_everything_bitwise():
@@ -78,9 +78,8 @@ def test_sole_candidate_full_weight_replaces_prompt_keeps_key():
 def test_fissioned_record_appends_pseudo_label_key():
     pool = ClassPromptPool(10, 4, 3)
     pseudo = random_prob(SeededRng(2), 3)
-    rec = ClassUpdateRecord(
-        np.ones(4), onehot(1), pseudo, FissionOutcome(np.ones(4), None, True, pool.version)
-    )
+    outcome = make_outcome(np.ones(4), None, pool.version)
+    rec = ClassUpdateRecord(np.ones(4), onehot(1), pseudo, outcome)
     summary = update_class_pool(pool, [rec], 10.0, 0.1, created_at=7)
     assert summary.appended == [0]
     np.testing.assert_array_equal(pool.keys[0], pseudo)
@@ -123,6 +122,25 @@ def test_update_rejects_stale_outcomes():
         update_domain_pool(dpool, rec, 0.1)
 
 
+def test_update_rejects_outcomes_naming_missing_rows():
+    rng = SeededRng(7)
+    pool = random_class_pool(rng, 3, 10, 3, 5)
+    before, version = class_pool_bytes(pool), pool.version
+    rec = matched_record(pool, np.zeros(5), onehot(0), onehot(0), {0: 0.5, 3: 0.5})
+    with pytest.raises(PoolVersionError, match="missing pool index 3"):
+        update_class_pool(pool, [rec], 10.0, 0.1)
+    assert class_pool_bytes(pool) == before and pool.version == version
+
+    dpool = random_domain_pool(rng, 2, 10, 4, 5)
+    rec = DomainUpdateRecord(
+        np.zeros(5),
+        BatchStats(np.zeros(4), np.ones(4)),
+        make_outcome(np.zeros(5), {1: 0.5, 2: 0.5}, dpool.version),
+    )
+    with pytest.raises(PoolVersionError, match="missing pool index 2"):
+        update_domain_pool(dpool, rec, 0.1)
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=40, deadline=None)
 def test_class_updates_are_convex_and_keys_stay_probabilities(seed):
@@ -140,7 +158,7 @@ def test_class_updates_are_convex_and_keys_stay_probabilities(seed):
     old2 = class_pool_tuples(pool2)
     rec = random_class_records(rng, pool2, 1, fission_prob=0.0)[0]
     update_class_pool(pool2, [rec], 10.0, alpha_c)
-    for i, w in rec.outcome.weights.items():
+    for i in rec.outcome.candidates:
         lo = np.minimum(old2[i][1], rec.learned_prompt) - 1e-12
         hi = np.maximum(old2[i][1], rec.learned_prompt) + 1e-12
         assert np.all(pool2.prompts[i] >= lo)
@@ -233,6 +251,23 @@ def test_single_linkage_groups_match_kruskal_reference_under_ties(seed):
         assert _single_linkage_groups(dist, num_groups) == expected
 
 
+def test_single_linkage_groups_continue_past_the_partitioned_edges():
+    # Thirty nodes at distance 0 give 435 zero-weight edges, more than the
+    # 368 edges sorted first for n=40 and 2 groups; they close only 29 of the
+    # 38 unions needed, so the union must go on into the heavier edges, which
+    # are rounded to 2 decimals so that they tie too.
+    rng = SeededRng(11)
+    dist = np.round(rng.uniform(0.1, 1.0, size=(40, 40)), 2)
+    dist = np.minimum(dist, dist.T)
+    dist[:30, :30] = 0.0
+    np.fill_diagonal(dist, 0.0)
+    num_groups = 2
+    assert np.count_nonzero(dist[np.triu_indices(40, 1)] == 0.0) > 8 * (40 - num_groups) + 64
+    groups = _single_linkage_groups(dist, num_groups)
+    assert groups == kruskal_single_linkage_reference(dist, num_groups)
+    assert len(set(groups)) == num_groups
+
+
 def test_single_linkage_groups_break_ties_by_weight_then_i_then_j():
     # Four edges tie at 0.5; the rest weigh 0.9. Two unions are needed, and
     # (weight, i, j) order takes (0, 4) and (1, 5) before (2, 3) and (3, 5).
@@ -302,7 +337,7 @@ def test_domain_update_examples():
     rec2 = DomainUpdateRecord(
         learned,
         BatchStats(rng.normal(size=3), np.abs(rng.normal(size=3))),
-        FissionOutcome(learned, {0: 1.0}, False, pool2.version),
+        make_outcome(learned, {0: 1.0}, pool2.version),
     )
     update_domain_pool(pool2, rec2, 0.0)
     np.testing.assert_array_equal(pool2.prompts[0], learned)
@@ -316,7 +351,7 @@ def test_domain_update_hand_simulation():
     rec = DomainUpdateRecord(
         np.array([3.0, 4.0]),
         BatchStats(np.array([2.0, 0.0]), np.array([4.0, 0.0])),
-        FissionOutcome(np.array([3.0, 4.0]), {0: 0.5}, False, pool.version),
+        make_outcome(np.array([3.0, 4.0]), {0: 0.5}, pool.version),
     )
     update_domain_pool(pool, rec, 0.1)
     # coeff = 0.05: mu <- .05*[2,0]+.95*[1,1] = [1.05,.95]; sigma <- .05*[4,0]+.95*[2,2]=[2.1,1.9]
