@@ -83,7 +83,12 @@ def _mean_rows(rows) -> Vector:
 
 
 def _check_outcomes(pool, outcomes: list[FissionOutcome]) -> None:
-    """Reject outcomes computed at another pool version or naming a missing row."""
+    """Reject stale or malformed outcomes before any row is written.
+
+    Each outcome must be computed at the pool's current version, and its
+    candidates must be strictly ascending, aligned with its weights and name
+    rows the pool has.
+    """
     if not outcomes:
         return
     for outcome in outcomes:
@@ -92,10 +97,20 @@ def _check_outcomes(pool, outcomes: list[FissionOutcome]) -> None:
                 f"outcome computed at pool version {outcome.pool_version}, "
                 f"pool is now at {pool.version}"
             )
+        if outcome.candidates.shape != outcome.weights.shape:
+            raise ValueError("outcome candidates and weights must be aligned 1-d arrays")
     cand = np.concatenate([outcome.candidates for outcome in outcomes])
-    if cand.size and (cand.min() < 0 or cand.max() >= len(pool)):
+    if not cand.size:
+        return
+    if cand.min() < 0 or cand.max() >= len(pool):
         missing = cand[(cand < 0) | (cand >= len(pool))][0]
         raise PoolVersionError(f"outcome references missing pool index {missing}")
+    # One pass over the concatenation; the step into the next outcome is exempt.
+    ascending = np.diff(cand) > 0
+    ends = np.cumsum([outcome.candidates.size for outcome in outcomes[:-1]], dtype=np.int64)
+    ascending[ends[(ends > 0) & (ends < cand.size)] - 1] = True
+    if not ascending.all():
+        raise ValueError("outcome candidates must be strictly ascending")
 
 
 def _stack_rows(rows: list[Vector], dim: int, name: str) -> Matrix:
@@ -168,11 +183,8 @@ def update_class_pool(
             cf = alpha_c * weights
             key_keep, prompt_keep = 1.0 - cf, 1.0 - weights
             ends = np.cumsum(sizes).tolist()
-            starts = [0] + ends[:-1]
-            firsts, lasts = cand[starts].tolist(), cand[[end - 1 for end in ends]].tolist()
-            for t, start, end, first, last in zip(matched, starts, ends, firsts, lasts):
-                # ascending candidates without gaps are a slice of the pool
-                at = slice(first, last + 1) if last - first == end - start - 1 else cand[start:end]
+            for t, start, end in zip(matched, [0] + ends[:-1], ends):
+                at = cand[start:end]
                 new_keys = cf[start:end] * preds[t] + key_keep[start:end] * keys[at]
                 keys[at] = new_keys / new_keys.sum(axis=1, keepdims=True)
                 prompts[at] = weights[start:end] * learned[t] + prompt_keep[start:end] * prompts[at]

@@ -33,12 +33,15 @@ def as_vector(values, dim: int | None = None, name: str = "vector") -> Vector:
     return arr
 
 
-def as_matrix(values, shape: tuple[int, int] | None = None, name: str = "matrix") -> Matrix:
-    """Coerce to a finite 2-d float64 array, optionally checking its shape."""
+def as_matrix(values, shape: tuple[int | None, int | None] | None = None, name: str = "matrix") -> Matrix:
+    """Coerce to a finite 2-d float64 array, optionally checking its shape.
+
+    A ``None`` in ``shape`` leaves that axis unchecked.
+    """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-d, got shape {arr.shape}")
-    if shape is not None and arr.shape != tuple(shape):
+    if shape is not None and any(w is not None and g != w for g, w in zip(arr.shape, shape)):
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
     if not _all_finite(arr):
         raise ValueError(f"{name} contains non-finite entries")

@@ -15,7 +15,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .numerics import BatchStats, Matrix, SeededRng, Vector, _all_finite, as_vector
+from .numerics import BatchStats, Matrix, SeededRng, Vector, as_matrix, as_vector
 
 
 def _check_probability(arr: np.ndarray, name: str) -> None:
@@ -224,12 +224,7 @@ def _check_pseudo_labels(pseudo_labels, num_classes: int) -> Matrix:
     y = np.asarray(pseudo_labels, dtype=np.float64)
     if y.size == 0 and y.ndim == 1:
         y = y.reshape(0, num_classes)
-    if y.ndim != 2:
-        raise ValueError(f"pseudo_label must be 1-d, got shape {y.shape[1:]}")
-    if y.shape[1] != num_classes:
-        raise ValueError(f"pseudo_label must have dimension {num_classes}, got {y.shape[1]}")
-    if not _all_finite(y):
-        raise ValueError("pseudo_label contains non-finite entries")
+    y = as_matrix(y, shape=(None, num_classes), name="pseudo_label")
     _check_probability(y, "pseudo_label")
     return y
 

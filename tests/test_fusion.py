@@ -14,7 +14,7 @@ from ctta.fusion import (
     update_domain_pool,
 )
 from ctta.numerics import BatchStats, SeededRng
-from ctta.pools import ClassPromptPool, DomainPromptPool
+from ctta.pools import ClassPromptPool, DomainPromptPool, FissionOutcome
 from instancegen import (
     class_pool_tuples,
     domain_pool_tuples,
@@ -138,6 +138,40 @@ def test_update_rejects_outcomes_naming_missing_rows():
         make_outcome(np.zeros(5), {1: 0.5, 2: 0.5}, dpool.version),
     )
     with pytest.raises(PoolVersionError, match="missing pool index 2"):
+        update_domain_pool(dpool, rec, 0.1)
+
+
+@pytest.mark.parametrize(
+    "candidates, weights, match",
+    [
+        ([0, 2, 1, 3], [0.4, 0.3, 0.2, 0.1], "strictly ascending"),  # spans 0..3 without gaps
+        ([1, 1], [0.5, 0.5], "strictly ascending"),
+        ([0, 1], [1.0], "aligned"),
+    ],
+)
+def test_update_rejects_malformed_outcomes(candidates, weights, match):
+    rng = SeededRng(8)
+    pool = random_class_pool(rng, 4, 10, 3, 5)
+    before, version = class_pool_bytes(pool), pool.version
+    good = matched_record(pool, np.zeros(5), onehot(0), onehot(0), {0: 0.5, 1: 0.5})
+    bad = ClassUpdateRecord(
+        np.zeros(5),
+        onehot(1),
+        onehot(1),
+        FissionOutcome(np.zeros(5), np.array(candidates), np.array(weights), pool.version),
+    )
+    # the well-formed outcomes on either side must not mask the malformed one
+    with pytest.raises(ValueError, match=match):
+        update_class_pool(pool, [good, bad, good], 10.0, 0.1)
+    assert class_pool_bytes(pool) == before and pool.version == version
+
+    dpool = random_domain_pool(rng, 4, 10, 4, 5)
+    rec = DomainUpdateRecord(
+        np.zeros(5),
+        BatchStats(np.zeros(4), np.ones(4)),
+        FissionOutcome(np.zeros(5), np.array(candidates), np.array(weights), dpool.version),
+    )
+    with pytest.raises(ValueError, match=match):
         update_domain_pool(dpool, rec, 0.1)
 
 
