@@ -13,6 +13,8 @@ import argparse
 import json
 import sys
 from dataclasses import fields
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -53,10 +55,60 @@ def load_config_file(path) -> tuple[dict, dict]:
     return hp_doc, sc_doc
 
 
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@lru_cache(maxsize=None)
+def _list_encoder(indent: str):
+    # without an indent json runs its C encoder, which takes any item separator
+    return json.JSONEncoder(separators=("," + indent, ": ")).encode
+
+
+def _layout(value, newline: str, out: list[str]) -> None:
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        opener = "{"
+        for key in sorted(value):
+            out.append(f"{opener}{inner}{encode_basestring_ascii(key)}: ")
+            _layout(value[key], inner, out)
+            opener = ","
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        if set(map(type, value)) <= _JSON_SCALARS:
+            # one C call writes the items and their separators as json would
+            out.append(f"[{inner}{_list_encoder(inner)(value)[1:-1]}{newline}]")
+            return
+        opener = "["
+        for item in value:
+            out.append(opener + inner)
+            _layout(item, inner, out)
+            opener = ","
+        out.append(newline + "]")
+    elif type(value) is int:
+        # every snapshot entry has a counter; json.dumps takes ~15x longer
+        out.append(repr(value))
+    else:
+        out.append(json.dumps(value))
+
+
+def _json_text(doc) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)`` for documents with str
+    keys. With an indent json runs its pure-Python encoder; this lays out the
+    containers itself and encodes each list of scalars in one C call."""
+    out: list[str] = []
+    _layout(doc, "\n", out)
+    return "".join(out)
+
+
 def _dump_json(doc: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(_json_text(doc) + "\n")
 
 
 def _load_certificate(path) -> SeparationCertificate:

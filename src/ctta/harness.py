@@ -370,11 +370,15 @@ def run_ctta(
         if on_batch_start is not None:
             on_batch_start(batch, class_pool, domain_pool)
         samples = batch.samples
-        probs, breakdown, class_outcomes, domain_outcome, class_summary, domain_summary = (
-            _adapt_batch(
-                model, samples, hp, source_stats, class_pool, domain_pool, rng, batch.batch_index
+        try:
+            probs, breakdown, class_outcomes, domain_outcome, class_summary, domain_summary = (
+                _adapt_batch(
+                    model, samples, hp, source_stats, class_pool, domain_pool, rng,
+                    batch.batch_index,
+                )
             )
-        )
+        except ValueError as exc:
+            raise ValueError(f"batch {batch.batch_index}: {exc}") from exc
         if ledger is not None:
             ledger.on_fission_outcome(batch.batch_index, batch.domain_id, domain_outcome)
             ledger.on_domain_update(batch.batch_index, batch.domain_id, domain_summary)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import groupby, repeat
 
 import numpy as np
 
@@ -298,13 +299,23 @@ def write_stream(batches: list[LabeledBatch], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for batch in batches:
-            for row, cls in zip(batch.samples, batch.class_ids):
-                vals = ",".join(format(v, ".9g") for v in row)
-                fh.write(f"{batch.batch_index},{batch.domain_id},{int(cls)},{vals}\n")
+            lead = f"{batch.batch_index},{batch.domain_id},"
+            fh.write(
+                "".join(
+                    f"{lead}{cls},{','.join(map(format, row, repeat('.9g')))}\n"
+                    for row, cls in zip(batch.samples.tolist(), batch.class_ids.tolist())
+                )
+            )
 
 
 def read_stream(path) -> list[LabeledBatch]:
-    """Parse a stream CSV back into batches; malformed input fails with a line number."""
+    """Parse a stream CSV back into batches; malformed input fails with a line number.
+
+    Each run of lines with the same batch-index prefix is parsed as one block
+    by ``_parse_batch``. Input it does not accept is parsed again line by line
+    by ``_parse_lines``, which alone reports errors, so every message and line
+    number comes from one place.
+    """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     if lines and lines[-1] == "":
@@ -323,6 +334,53 @@ def read_stream(path) -> list[LabeledBatch]:
         warnings.warn(f"stream file {path} contains zero batches")
         return []
 
+    data = lines[1:]
+    batches: list[LabeledBatch] = []
+    for _, rows in groupby(data, key=_batch_prefix):
+        batch = _parse_batch(list(rows), dim)
+        if batch is None or (batches and batch.batch_index <= batches[-1].batch_index):
+            return _parse_lines(data, dim)
+        batches.append(batch)
+    return batches
+
+
+def _batch_prefix(line: str) -> str:
+    return line.partition(",")[0]
+
+
+def _parse_batch(rows: list[str], dim: int) -> LabeledBatch | None:
+    """One batch from its data lines (without newlines), which share a
+    batch-index prefix: one split over the joined lines, then ``int()`` on the
+    id columns, ``float()`` on the features and one finiteness check, as
+    ``_parse_lines`` does per line. None for anything that parser might treat
+    differently."""
+    width = 3 + dim
+    if len(rows) < 2:
+        return None
+    # joined by ",\n", the first field of every later row starts with the only
+    # newlines in the text; when those fields sit at every width-th position
+    # and the count is rows * width, every row has exactly width fields
+    fields = ",\n".join(rows).split(",")
+    if len(fields) != len(rows) * width or set(fields[width::width]) != {"\n" + fields[0]}:
+        return None
+    try:
+        index = int(fields[0])
+        domains = set(map(int, fields[1::width]))
+        class_ids = np.array(list(map(int, fields[2::width])), dtype=np.int64)
+        # casting str objects to float64 calls PyNumber_Float, float()'s own
+        # conversion, on each; numpy's parser for str arrays is another one
+        table = np.fromiter(fields, object, len(fields)).reshape(len(rows), width)
+        samples = table[:, 3:].astype(np.float64)
+    except (ValueError, OverflowError):
+        return None
+    if len(domains) != 1 or not np.isfinite(samples).all():
+        return None
+    return LabeledBatch(samples, class_ids, domains.pop(), index)
+
+
+def _parse_lines(lines: list[str], dim: int) -> list[LabeledBatch]:
+    """Line-by-line parser of the data lines (file line 2 onwards); raises
+    ``StreamParseError`` with the first offending line."""
     batches: list[LabeledBatch] = []
     cur_idx: int | None = None
     cur_domain = 0
@@ -344,7 +402,7 @@ def read_stream(path) -> list[LabeledBatch]:
                 )
             )
 
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=2):
         parts = line.split(",")
         if len(parts) != 3 + dim:
             raise StreamParseError(lineno, f"expected {3 + dim} fields, got {len(parts)}")

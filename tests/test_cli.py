@@ -1,11 +1,17 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ctta.cli import main
-from ctta.stream import read_stream
+from ctta.cli import _dump_json, _json_text, load_config_file, main
+from ctta.harness import Hyperparams, build_world, run_ctta
+from ctta.pools import ClassPromptPool, DomainPromptPool
+from ctta.stream import StreamConfig, read_stream, write_stream
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 
@@ -199,6 +205,18 @@ DEMO_RUN_SHA256 = {
     "pools_class_final.json": "38e079f81ae06d80d3205f4a8b6f638f9160c1bcc54d74846a4c6be256b08a1a",
     "pools_domain_final.json": "a558437f54b2dd5867acff63c0086f197f4e01ded496ab5fe42b078c24b37f80",
 }
+# sha256 over the boundary snapshots concatenated in sorted name order,
+# measured with numpy 2.4.6 before the JSON writer left json.dump(indent=2).
+DEMO_RUN_BOUNDARY_SHA256 = "9eb2a8e17dfb7a139b03f56e480899a8c898bb262f873fd10bac765f3691b597"
+
+
+def boundary_digest(out: Path) -> tuple[int, str]:
+    """Count and sha256 of a run's boundary snapshots, in sorted name order."""
+    paths = sorted(out.glob("pools_*_boundary_*.json"), key=lambda p: p.name)
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(path.read_bytes())
+    return len(paths), digest.hexdigest()
 
 
 def test_demo_run_outputs_match_golden_bytes(tmp_path):
@@ -218,6 +236,8 @@ def test_demo_run_outputs_match_golden_bytes(tmp_path):
         for name in DEMO_RUN_SHA256
     }
     assert digests == DEMO_RUN_SHA256
+    # five domain boundaries, one class and one domain snapshot at each
+    assert boundary_digest(tmp_path) == (10, DEMO_RUN_BOUNDARY_SHA256)
 
 
 def test_unknown_subcommand_and_flags_exit_2(capsys):
@@ -284,6 +304,8 @@ SATURATING_RUN_SHA256 = {
     "pools_class_final.json": "b02c31b3a7ce11570f979ef2be294ce1201542a424f9552c330f4faf569195f0",
     "pools_domain_final.json": "a2185f1d3f81fed27c1348e51851ed42ead04923b977877cfcba4dc0b25c36af",
 }
+# measured like DEMO_RUN_BOUNDARY_SHA256
+SATURATING_RUN_BOUNDARY_SHA256 = "f16dce113a915aca3c95a89378c43b5dd4b21908423d0a46aabad53021f50b3e"
 
 
 def test_saturating_run_outputs_match_golden_bytes(tmp_path):
@@ -320,6 +342,7 @@ def test_saturating_run_outputs_match_golden_bytes(tmp_path):
         for name in SATURATING_RUN_SHA256
     }
     assert digests == SATURATING_RUN_SHA256
+    assert boundary_digest(out) == (10, SATURATING_RUN_BOUNDARY_SHA256)
 
 
 # sha256 of a run with batch-averaged class updates and softmax weights over
@@ -371,3 +394,90 @@ def test_averaged_softmax_over_all_run_outputs_match_golden_bytes(tmp_path):
         for name in AVERAGED_RUN_SHA256
     }
     assert digests == AVERAGED_RUN_SHA256
+
+
+def test_gen_stream_reproduces_the_shipped_demo_files(tmp_path):
+    # the regeneration command in the README
+    stream, cert = tmp_path / "stream.csv", tmp_path / "certificate.json"
+    code = main(
+        [
+            "gen-stream",
+            "--config", str(DEMO / "config.json"),
+            "--seed", "7",
+            "--out", str(stream),
+            "--certificate", str(cert),
+        ]
+    )
+    assert code == 0
+    assert stream.read_bytes() == (DEMO / "stream.csv").read_bytes()
+    assert cert.read_bytes() == (DEMO / "certificate.json").read_bytes()
+
+
+def test_overflowing_batch_names_its_batch(tmp_path, capsys):
+    batches = read_stream(DEMO / "stream.csv")
+    batches[5].samples = batches[5].samples * 1e155
+    stream = tmp_path / "overflow.csv"
+    write_stream(batches, stream)
+    code = main(
+        [
+            "run",
+            "--config", str(DEMO / "config.json"),
+            "--stream", str(stream),
+            "--seed", "7",
+            "--certificate", str(DEMO / "certificate.json"),
+            "--out-dir", str(tmp_path / "out"),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: batch 5: feature batch overflowed float64 in its mean or spread" in err
+
+    hp_doc, sc_doc = load_config_file(DEMO / "config.json")
+    world = build_world(StreamConfig.from_dict(dict(sc_doc, seed=7)))
+    with pytest.raises(ValueError, match=r"^batch 5: feature batch overflowed") as exc:
+        run_ctta(world.model, batches, Hyperparams.from_dict(hp_doc), world.source_stats, seed=7)
+    # the engine's own error stays attached
+    assert isinstance(exc.value.__cause__, ValueError)
+    assert str(exc.value.__cause__).startswith("feature batch overflowed")
+
+
+_EDGE_FLOATS = [-0.0, 5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf]
+_json_floats = st.floats() | st.sampled_from(_EDGE_FLOATS)
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | _json_floats
+    | st.text()
+    | st.sampled_from(["a, b", ", ", "x,\n  y", "h\u00e9, w\u00f6rld", "\u2603"])
+)
+_json_docs = st.recursive(
+    _json_scalars,
+    lambda children: (
+        st.lists(children)
+        | st.lists(_json_floats, min_size=1)
+        | st.dictionaries(st.text() | st.sampled_from(["k, v", "\u00fc"]), children)
+    ),
+    max_leaves=40,
+)
+
+
+@given(_json_docs)
+@settings(max_examples=400, deadline=None)
+def test_json_writer_matches_json_dumps(doc):
+    assert _json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_json_writer_matches_json_dumps_on_pool_snapshots(tmp_path, n):
+    rng = np.random.default_rng(n)
+    class_pool, domain_pool = ClassPromptPool(5, 4, 3), DomainPromptPool(5, 4, 2)
+    for i in range(n):
+        prompt = rng.normal(size=4)
+        prompt[: min(i, 4)] = [-0.0, 5e-324, 1e308, -1e-310][: min(i, 4)]
+        class_pool.append(rng.dirichlet(np.ones(3)), prompt, created_at=i)
+        domain_pool.append(np.r_[rng.normal(size=2), rng.uniform(size=2)], -prompt, i)
+    for doc in (class_pool.to_dict(), domain_pool.to_dict()):
+        path = tmp_path / "pool.json"
+        _dump_json(doc, path)
+        assert path.read_text() == json.dumps(doc, sort_keys=True, indent=2) + "\n"

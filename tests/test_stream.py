@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from ctta import stream as stream_module
 from ctta.harness import build_world
 from ctta.model import key_stats
 from ctta.numerics import SeededRng
@@ -14,6 +17,8 @@ from ctta.stream import (
     read_stream,
     write_stream,
 )
+
+DEMO_STREAM = Path(__file__).resolve().parent.parent / "demo" / "stream.csv"
 
 
 @pytest.fixture(scope="module")
@@ -161,12 +166,25 @@ def test_read_stream_parse_errors_carry_line_numbers(tmp_path):
     assert err.value.line == 2
 
     path.write_text("batch_idx,domain_id,class_id,f0\n1,0,1,0.5\n0,0,1,0.5\n")
-    with pytest.raises(StreamParseError, match="ascending"):
+    with pytest.raises(StreamParseError, match="ascending") as err:
         read_stream(path)
+    assert err.value.line == 3
 
     path.write_text("batch_idx,domain_id,class_id,f0\n0,0,1,0.5\n0,1,1,0.5\n")
-    with pytest.raises(StreamParseError, match="domain_id changed"):
+    with pytest.raises(StreamParseError, match="domain_id changed") as err:
         read_stream(path)
+    assert err.value.line == 3
+
+    path.write_text("batch_idx,domain_id,class_id,f0\n0,0,1,0.5\n\n0,0,1,0.5\n")
+    with pytest.raises(StreamParseError, match="expected 4 fields, got 1") as err:
+        read_stream(path)
+    assert err.value.line == 3
+
+    for bad in ("nan", "1e999", "-inf"):
+        path.write_text(f"batch_idx,domain_id,class_id,f0\n0,0,1,0.5\n0,0,1,{bad}\n")
+        with pytest.raises(StreamParseError, match="non-finite feature value") as err:
+            read_stream(path)
+        assert err.value.line == 3
 
     # a batch of one row cannot define key statistics; the error names its first row
     path.write_text(
@@ -196,3 +214,127 @@ def test_domain_spec_validation():
         DomainSpec(0, np.zeros(2), np.ones(3), means, 0.1)  # shift dim mismatch
     with pytest.raises(ValueError):
         DomainSpec(0, np.zeros(3), np.ones(3), means, -0.1)
+
+
+def _data_lines(text: str) -> list[str]:
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines[1:]
+
+
+def assert_same_batches(got, want):
+    """Bit-for-bit equality of parsed batches, signed zeros included."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.samples.dtype == b.samples.dtype == np.float64
+        assert a.samples.shape == b.samples.shape
+        assert a.samples.flags.c_contiguous
+        np.testing.assert_array_equal(a.samples.view(np.int64), b.samples.view(np.int64))
+        assert a.class_ids.dtype == b.class_ids.dtype == np.int64
+        np.testing.assert_array_equal(a.class_ids, b.class_ids)
+        assert (a.domain_id, a.batch_index) == (b.domain_id, b.batch_index)
+        assert type(a.domain_id) is type(a.batch_index) is int
+
+
+def _odd_values_stream() -> str:
+    rows = [
+        "batch_idx,domain_id,class_id,f0,f1,f2",
+        "0,3,0,-0,5e-324,1.79769313e+308",
+        "0,3,2,-1e-310,0.1,-2.5E-3",
+        "7,0,1,1,-1,1e22",
+        "7,0,1,123456789,0.000123456789,-0.0",
+        "7,0,0,1e-05,3.14159265,-7",
+    ]
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("source", ["demo", "odd_values", "generated"])
+def test_batch_parser_matches_line_parser_bit_for_bit(tmp_path, monkeypatch, world, source):
+    path = tmp_path / "stream.csv"
+    if source == "demo":
+        path.write_bytes(DEMO_STREAM.read_bytes())
+    elif source == "odd_values":
+        path.write_text(_odd_values_stream())
+    else:
+        cfg, w = world
+        spec = DomainSpec(0, np.zeros(6), np.ones(6), w.class_means, 0.4)
+        scfg = StreamConfig(
+            domain_order=(0, 0, 0), batches_per_domain=3, batch_size=2, input_dim=6,
+            num_classes=3, seed=3,
+        )
+        write_stream(generate_stream(scfg, [spec], SeededRng(3)), path)
+    lines = _data_lines(path.read_text())
+    dim = len(path.read_text().split("\n", 1)[0].split(",")) - 3
+    want = stream_module._parse_lines(lines, dim)
+
+    def no_fallback(*args):
+        raise AssertionError("valid input fell back to the line parser")
+
+    monkeypatch.setattr(stream_module, "_parse_lines", no_fallback)
+    assert_same_batches(read_stream(path), want)
+
+
+def _set_field(lines, row, col, value):
+    parts = lines[row].split(",")
+    parts[col] = value
+    return lines[:row] + [",".join(parts)] + lines[row + 1 :]
+
+
+def _relabel_batch(lines, batch, index):
+    rows = range(1 + 16 * batch, 1 + 16 * (batch + 1))
+    return [f"{index},{line.split(',', 1)[1]}" if i in rows else line for i, line in enumerate(lines)]
+
+
+# Edits of the demo stream (file line 1 is the header; batch b, row r is file
+# line 2 + 16 * b + r) and the outcome read_stream had before batches were
+# parsed as blocks: None where it parses, else (line, message).
+STREAM_EDITS = {
+    "blank line": (lambda L: L[:40] + [""] + L[40:], (41, "expected 11 fields, got 1")),
+    "05 batch prefix": (lambda L: _set_field(L, 1 + 16 * 5 + 7, 0, "05"), None),
+    "leading space": (lambda L: _set_field(L, 1 + 16 * 2 + 3, 4, " 1.5"), None),
+    "plus sign": (lambda L: _set_field(L, 1 + 16 * 2 + 3, 4, "+1.5"), None),
+    "underscore": (lambda L: _set_field(L, 1 + 16 * 2 + 3, 4, "1_0"), None),
+    "nan": (lambda L: _set_field(L, 1 + 16 * 4 + 9, 6, "nan"), (75, "non-finite feature value")),
+    "1e999": (lambda L: _set_field(L, 1 + 16 * 4 + 9, 6, "1e999"), (75, "non-finite feature value")),
+    "one-row batch": (
+        lambda L: L[: 1 + 16 * 3] + L[16 * 4 :],
+        (50, "batch 3 has fewer than 2 rows"),
+    ),
+    "domain change in batch": (
+        lambda L: _set_field(L, 1 + 16 * 12 + 5, 1, "2"),
+        (199, "domain_id changed within batch 12"),
+    ),
+    "descending index": (
+        lambda L: _set_field(L, 1 + 16 * 12 + 5, 0, "3"),
+        (199, "batch_idx 3 not ascending"),
+    ),
+    "descending batch": (
+        lambda L: _relabel_batch(L, 12, 3),
+        (194, "batch_idx 3 not ascending"),
+    ),
+    "repeated index joins batches": (lambda L: _relabel_batch(L, 12, 11), None),
+    "wrong field count": (lambda L: L[:30] + [L[30] + ",0.5"] + L[31:], (31, "expected 11 fields, got 12")),
+    # in batch 0 index and domain are both 0, so the shifted columns still parse
+    "field moved to the previous row": (
+        lambda L: L[:2] + [L[2] + ",0.5", L[3].rsplit(",", 1)[0]] + L[4:],
+        (3, "expected 11 fields, got 12"),
+    ),
+    "no final newline": (lambda L: L[:-1], None),
+}
+
+
+@pytest.mark.parametrize("name", list(STREAM_EDITS))
+def test_read_stream_on_edited_demo_streams(tmp_path, name):
+    edit, expected = STREAM_EDITS[name]
+    lines = edit(DEMO_STREAM.read_text().split("\n"))
+    path = tmp_path / "edited.csv"
+    path.write_text("\n".join(lines))
+    if expected is None:
+        want = stream_module._parse_lines(_data_lines(path.read_text()), 8)
+        assert_same_batches(read_stream(path), want)
+    else:
+        line, message = expected
+        with pytest.raises(StreamParseError) as err:
+            read_stream(path)
+        assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
