@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from array import array
 from dataclasses import fields
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -56,6 +57,7 @@ def load_config_file(path) -> tuple[dict, dict]:
 
 
 _JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+_FLOATS = frozenset({float})
 
 
 @lru_cache(maxsize=None)
@@ -64,7 +66,7 @@ def _list_encoder(indent: str):
     return json.JSONEncoder(separators=("," + indent, ": ")).encode
 
 
-def _layout(value, newline: str, out: list[str]) -> None:
+def _layout(value, newline: str, out: list[str], prev: dict, rows: dict) -> None:
     inner = newline + "  "
     if isinstance(value, dict):
         if not value:
@@ -73,21 +75,30 @@ def _layout(value, newline: str, out: list[str]) -> None:
         opener = "{"
         for key in sorted(value):
             out.append(f"{opener}{inner}{encode_basestring_ascii(key)}: ")
-            _layout(value[key], inner, out)
+            _layout(value[key], inner, out, prev, rows)
             opener = ","
         out.append(newline + "}")
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
             return
-        if set(map(type, value)) <= _JSON_SCALARS:
-            # one C call writes the items and their separators as json would
-            out.append(f"[{inner}{_list_encoder(inner)(value)[1:-1]}{newline}]")
+        types = set(map(type, value))
+        if types <= _JSON_SCALARS:
+            # equal float64 bits print equally; the bytes keep -0.0 apart from
+            # 0.0, and a list with any non-float item is never reused
+            key = (inner, array("d", value).tobytes()) if types == _FLOATS else None
+            text = prev.get(key)
+            if text is None:
+                # one C call writes the items and their separators as json would
+                text = f"[{inner}{_list_encoder(inner)(value)[1:-1]}{newline}]"
+            if key is not None:
+                rows[key] = text
+            out.append(text)
             return
         opener = "["
         for item in value:
             out.append(opener + inner)
-            _layout(item, inner, out)
+            _layout(item, inner, out, prev, rows)
             opener = ","
         out.append(newline + "]")
     elif type(value) is int:
@@ -97,18 +108,27 @@ def _layout(value, newline: str, out: list[str]) -> None:
         out.append(json.dumps(value))
 
 
-def _json_text(doc) -> str:
+def _json_text(doc, memo: dict | None = None) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2)`` for documents with str
     keys. With an indent json runs its pure-Python encoder; this lays out the
-    containers itself and encodes each list of scalars in one C call."""
+    containers itself and encodes each list of scalars in one C call.
+
+    ``memo`` carries float-list text from one document to the next: a list
+    of floats whose bits and indent equal one of the previous document's is
+    copied, not encoded again. On return it holds this document's float lists
+    only, so consecutive snapshots of one pool share it."""
     out: list[str] = []
-    _layout(doc, "\n", out)
+    rows: dict = {}
+    _layout(doc, "\n", out, memo or {}, rows)
+    if memo is not None:
+        memo.clear()
+        memo.update(rows)
     return "".join(out)
 
 
-def _dump_json(doc: dict, path) -> None:
+def _dump_json(doc: dict, path, memo: dict | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_json_text(doc) + "\n")
+        fh.write(_json_text(doc, memo) + "\n")
 
 
 def _load_certificate(path) -> SeparationCertificate:
@@ -226,11 +246,15 @@ def cmd_run(args) -> int:
     )
     (out / "metrics.csv").write_text(result.metrics.to_csv(), encoding="utf-8")
     _dump_json(result.metrics.summary(), out / "summary.json")
-    _dump_json(result.class_pool.to_dict(), out / "pools_class_final.json")
-    _dump_json(result.domain_pool.to_dict(), out / "pools_domain_final.json")
+    # fusion merges rows and leaves most of them as they were, so each pool's
+    # snapshots are written in batch order, each reusing its predecessor's rows
+    class_memo: dict = {}
+    domain_memo: dict = {}
     for idx, class_doc, domain_doc in boundaries:
-        _dump_json(class_doc, out / f"pools_class_boundary_{idx}.json")
-        _dump_json(domain_doc, out / f"pools_domain_boundary_{idx}.json")
+        _dump_json(class_doc, out / f"pools_class_boundary_{idx}.json", class_memo)
+        _dump_json(domain_doc, out / f"pools_domain_boundary_{idx}.json", domain_memo)
+    _dump_json(result.class_pool.to_dict(), out / "pools_class_final.json", class_memo)
+    _dump_json(result.domain_pool.to_dict(), out / "pools_domain_final.json", domain_memo)
     if args.model_out:
         save_model(world.model, args.model_out, seed=sc.seed)
     print(

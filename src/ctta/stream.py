@@ -287,6 +287,7 @@ def make_separated(
 
 
 _HEADER_PREFIX = ("batch_idx", "domain_id", "class_id")
+_INT64 = np.iinfo(np.int64)
 
 
 def write_stream(batches: list[LabeledBatch], path) -> None:
@@ -411,6 +412,9 @@ def _parse_lines(lines: list[str], dim: int) -> list[LabeledBatch]:
             feats = [float(v) for v in parts[3:]]
         except ValueError as exc:
             raise StreamParseError(lineno, str(exc)) from None
+        if not _INT64.min <= cls <= _INT64.max:
+            # class ids are stored as int64; int() accepts any size
+            raise StreamParseError(lineno, f"class_id {cls} outside int64")
         if not all(np.isfinite(feats)):
             raise StreamParseError(lineno, "non-finite feature value")
         if idx != cur_idx:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctta.cli import _dump_json, _json_text, load_config_file, main
@@ -466,6 +466,66 @@ _json_docs = st.recursive(
 @settings(max_examples=400, deadline=None)
 def test_json_writer_matches_json_dumps(doc):
     assert _json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+# edits that make a row equal to, or nearly equal to, one of an earlier document
+_ROW_EDITS = {
+    "same": list,
+    "zero sign": lambda row: [-v if v == 0 else v for v in row],
+    "next float": lambda row: [math.nextafter(v, math.inf) for v in row],
+    "as ints": lambda row: [int(v) if math.isfinite(v) and v.is_integer() else v for v in row],
+}
+_row_picks = st.tuples(st.integers(0, 7), st.sampled_from(list(_ROW_EDITS)))
+# per document: (key, prompt) picks of its entries, and one row at the top level
+_doc_plans = st.lists(
+    st.tuples(st.lists(st.tuples(_row_picks, _row_picks), max_size=6), _row_picks),
+    min_size=1,
+    max_size=5,
+)
+
+
+def _float_lists(value) -> int:
+    if isinstance(value, dict):
+        return sum(map(_float_lists, value.values()))
+    if value and isinstance(value, list) and all(type(v) is float for v in value):
+        return 1
+    return sum(map(_float_lists, value)) if isinstance(value, list) else 0
+
+
+@given(st.lists(st.lists(_json_floats, min_size=1, max_size=4), min_size=1, max_size=8), _doc_plans)
+@example(
+    rows=[[0.0, 2.0]],
+    plans=[
+        ([((0, "same"), (0, "same"))], (0, "same")),
+        ([((0, "zero sign"), (0, "as ints")), ((0, "same"), (0, "next float"))], (0, "zero sign")),
+        ([], (0, "as ints")),
+        ([((0, "same"), (0, "same"))], (0, "same")),
+    ],
+)
+@settings(max_examples=300, deadline=None)
+def test_json_writer_memo_matches_json_dumps_across_snapshots(rows, plans):
+    # rows are shared, reordered and perturbed between consecutive documents,
+    # and the top-level row sits two levels above the entries' rows
+    def pick(choice):
+        index, edit = choice
+        return _ROW_EDITS[edit](rows[index % len(rows)])
+
+    memo: dict = {}
+    for version, (entries, top) in enumerate(plans):
+        doc = {
+            "kind": "class",
+            "version": version,
+            "top": pick(top),
+            "entries": [
+                {"key": pick(key), "prompt": pick(prompt), "created_at": i}
+                for i, (key, prompt) in enumerate(entries)
+            ],
+        }
+        before = dict(memo)
+        assert _json_text(doc, memo) == json.dumps(doc, sort_keys=True, indent=2)
+        assert len(memo) <= _float_lists(doc)
+        # a row the previous document had is copied, not encoded again
+        assert all(memo[k] is before[k] for k in memo.keys() & before.keys())
 
 
 @pytest.mark.parametrize("n", [0, 1, 5])

@@ -297,6 +297,14 @@ STREAM_EDITS = {
     "underscore": (lambda L: _set_field(L, 1 + 16 * 2 + 3, 4, "1_0"), None),
     "nan": (lambda L: _set_field(L, 1 + 16 * 4 + 9, 6, "nan"), (75, "non-finite feature value")),
     "1e999": (lambda L: _set_field(L, 1 + 16 * 4 + 9, 6, "1e999"), (75, "non-finite feature value")),
+    "class id beyond int64": (
+        lambda L: _set_field(L, 1 + 16 * 4 + 9, 2, "99999999999999999999"),
+        (75, "class_id 99999999999999999999 outside int64"),
+    ),
+    "class id below int64": (
+        lambda L: _set_field(L, 1 + 16 * 7 + 2, 2, "-9223372036854775809"),
+        (116, "class_id -9223372036854775809 outside int64"),
+    ),
     "one-row batch": (
         lambda L: L[: 1 + 16 * 3] + L[16 * 4 :],
         (50, "batch 3 has fewer than 2 rows"),
