@@ -40,7 +40,7 @@ def main() -> None:
         * args.shift_multiple
         * np.linalg.norm(world.source_stats.sigma)
     )
-    spec = DomainSpec(1, delta, np.ones(cfg.input_dim), world.class_means, world.noise_std)
+    spec = DomainSpec(1, delta, np.ones(cfg.input_dim), world.class_means, world.source_spec.noise_std)
     stream = generate_stream(cfg, [spec], rng.child(3))
 
     hp = Hyperparams(k_steps=args.k_steps)
@@ -55,7 +55,7 @@ def main() -> None:
     )
     prompt_trace.append(result.domain_pool.prompts[0].copy())
 
-    xs, ys = draw_labeled_samples(world.class_means, 4000, world.noise_std, rng.child(9))
+    xs, ys = draw_labeled_samples(world.class_means, 4000, world.source_spec.noise_std, rng.child(9))
     source_err = float(np.mean(pseudo_labels(world.model, xs).argmax(1) != ys))
     print(f"|delta| = {np.linalg.norm(delta):.3f}, source error = {source_err:.4f}")
     print(f"{'batch':>5} {'error':>7} {'|P+delta|/|delta|':>18}")

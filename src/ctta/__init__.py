@@ -10,10 +10,7 @@ alignment-plus-entropy objective, and fused back under capacity limits.
 from .fusion import (
     ClassUpdateRecord,
     DomainUpdateRecord,
-    MstClustering,
     PoolVersionError,
-    fuse_nearest_pair,
-    mst_compact,
     update_class_pool,
     update_domain_pool,
 )
@@ -40,7 +37,7 @@ from .model import (
     pseudo_labels,
     save_model,
 )
-from .numerics import BatchStats, SeededRng, batch_stats, cosine_sim, entropy, euclid, softmax
+from .numerics import BatchStats, SeededRng, batch_stats
 from .objective import (
     AdamWState,
     LossBreakdown,

@@ -10,10 +10,11 @@ failed check, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
+import numbers
 import sys
 from array import array
-from dataclasses import fields
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -28,7 +29,8 @@ from .harness import (
     verify_lemmas,
 )
 from .model import save_model
-from .numerics import SeededRng
+from .numerics import HYPERPARAMS, SeededRng
+from .pools import ClassPromptPool, DomainPromptPool
 from .stream import (
     DomainSpec,
     SeparationCertificate,
@@ -39,19 +41,16 @@ from .stream import (
     write_stream,
 )
 
-_HP_FIELDS = {f.name for f in fields(Hyperparams)}
-
-
 def load_config_file(path) -> tuple[dict, dict]:
     """Split a config JSON into hyperparameter and stream-config dicts."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
-    unknown = set(doc) - _HP_FIELDS - set(StreamConfig.FIELDS)
+    unknown = set(doc) - set(HYPERPARAMS) - set(StreamConfig.FIELDS)
     if unknown:
         raise ValueError(f"unknown config keys rejected: {sorted(unknown)}")
-    hp_doc = {k: v for k, v in doc.items() if k in _HP_FIELDS}
+    hp_doc = {k: v for k, v in doc.items() if k in HYPERPARAMS}
     sc_doc = {k: v for k, v in doc.items() if k in StreamConfig.FIELDS}
     return hp_doc, sc_doc
 
@@ -131,43 +130,58 @@ def _dump_json(doc: dict, path, memo: dict | None = None) -> None:
         fh.write(_json_text(doc, memo) + "\n")
 
 
-def _load_certificate(path) -> SeparationCertificate:
-    with open(path, encoding="utf-8") as fh:
-        return SeparationCertificate.from_dict(json.load(fh))
-
-
-def _resolve_gamma_d(flag_value, hp_doc, certificate) -> float:
-    if flag_value is not None:
-        return flag_value
-    if "gamma_d" in hp_doc:
-        return hp_doc["gamma_d"]
-    if certificate is not None:
-        return certificate.theta / 2.0
-    return Hyperparams().gamma_d
-
-
-def _world_args(parser: argparse.ArgumentParser) -> None:
+def _setup_args(parser: argparse.ArgumentParser, *, adapt: bool = True, seed_required: bool = True):
+    """The flags ``_setup`` reads, apart from a command's own certificate and gamma_d."""
+    parser.add_argument("--config", required=True)
+    if adapt:
+        parser.add_argument("--stream", required=True)
+    parser.add_argument("--seed", type=int, required=seed_required, default=None)
     parser.add_argument("--noise-std", type=float, default=0.4)
     parser.add_argument("--feature-dim", type=int, default=None)
     parser.add_argument("--class-mean-scale", type=float, default=1.0)
     parser.add_argument("--source-samples", type=int, default=300)
 
 
-def _build(args, sc: StreamConfig):
-    return build_world(
+def _setup(args, *, adapt: bool = True) -> tuple:
+    """The one start of ``gen-stream``, ``run``, ``verify`` and ``sweep``.
+
+    Loads the config, lets ``--seed`` override its seed and builds the world.
+    A command that adapts over a stream also loads its certificate, takes
+    ``gamma_d`` from ``--gamma-d``, else the config, else half the
+    certificate's theta, builds the Hyperparams and reads a non-empty stream.
+    Returns (stream config, world, hyperparameter doc, Hyperparams,
+    certificate, stream), the last three None when not adapting.
+    """
+    hp_doc, sc_doc = load_config_file(args.config)
+    if args.seed is not None:
+        sc_doc["seed"] = args.seed
+    sc = StreamConfig.from_dict(sc_doc)
+    certificate = hp = stream = None
+    if adapt:
+        if args.certificate:
+            with open(args.certificate, encoding="utf-8") as fh:
+                certificate = SeparationCertificate.from_dict(json.load(fh))
+        if args.gamma_d is not None:
+            hp_doc["gamma_d"] = args.gamma_d
+        elif "gamma_d" not in hp_doc and certificate is not None:
+            hp_doc["gamma_d"] = certificate.theta / 2.0
+        hp = Hyperparams.from_dict(hp_doc)
+    world = build_world(
         sc,
         feature_dim=args.feature_dim,
         noise_std=args.noise_std,
         class_mean_scale=args.class_mean_scale,
         source_samples=args.source_samples,
     )
+    if adapt:
+        stream = read_stream(args.stream)
+        if not stream:
+            raise ValueError(f"stream {args.stream} contains no batches")
+    return sc, world, hp_doc, hp, certificate, stream
 
 
 def cmd_gen_stream(args) -> int:
-    hp_doc, sc_doc = load_config_file(args.config)
-    sc_doc["seed"] = args.seed
-    sc = StreamConfig.from_dict(sc_doc)
-    world = _build(args, sc)
+    sc, world, *_ = _setup(args, adapt=False)
     rng = SeededRng(sc.seed)
     n_domains = len(set(sc.domain_order))
     if sorted(set(sc.domain_order)) != list(range(n_domains)):
@@ -215,25 +229,17 @@ def cmd_gen_stream(args) -> int:
 
 
 def cmd_run(args) -> int:
-    hp_doc, sc_doc = load_config_file(args.config)
-    sc_doc["seed"] = args.seed
-    sc = StreamConfig.from_dict(sc_doc)
-    certificate = _load_certificate(args.certificate) if args.certificate else None
-    hp_doc["gamma_d"] = _resolve_gamma_d(args.gamma_d, hp_doc, certificate)
-    hp = Hyperparams.from_dict(hp_doc)
-    world = _build(args, sc)
-    stream = read_stream(args.stream)
-    if not stream:
-        raise ValueError(f"stream {args.stream} contains no batches")
-
+    sc, world, _, hp, _, stream = _setup(args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    boundaries: list[tuple[int, dict, dict]] = []
+    # each boundary keeps copies of the pool arrays; JSON is laid out at the end
+    boundaries: list[tuple[int, ClassPromptPool, DomainPromptPool]] = []
     prev_domain: list[int | None] = [None]
 
     def on_batch_start(batch, class_pool, domain_pool):
         if prev_domain[0] is not None and batch.domain_id != prev_domain[0]:
-            boundaries.append((batch.batch_index, class_pool.to_dict(), domain_pool.to_dict()))
+            pools = copy.deepcopy((class_pool, domain_pool))
+            boundaries.append((batch.batch_index, *pools))
         prev_domain[0] = batch.domain_id
 
     result = run_ctta(
@@ -250,9 +256,9 @@ def cmd_run(args) -> int:
     # snapshots are written in batch order, each reusing its predecessor's rows
     class_memo: dict = {}
     domain_memo: dict = {}
-    for idx, class_doc, domain_doc in boundaries:
-        _dump_json(class_doc, out / f"pools_class_boundary_{idx}.json", class_memo)
-        _dump_json(domain_doc, out / f"pools_domain_boundary_{idx}.json", domain_memo)
+    for idx, class_pool, domain_pool in boundaries:
+        _dump_json(class_pool.to_dict(), out / f"pools_class_boundary_{idx}.json", class_memo)
+        _dump_json(domain_pool.to_dict(), out / f"pools_domain_boundary_{idx}.json", domain_memo)
     _dump_json(result.class_pool.to_dict(), out / "pools_class_final.json", class_memo)
     _dump_json(result.domain_pool.to_dict(), out / "pools_domain_final.json", domain_memo)
     if args.model_out:
@@ -265,22 +271,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    hp_doc, sc_doc = load_config_file(args.config)
-    if args.seed is not None:
-        sc_doc["seed"] = args.seed
-    sc = StreamConfig.from_dict(sc_doc)
-    certificate = _load_certificate(args.certificate)
-    hp_doc["gamma_d"] = _resolve_gamma_d(args.gamma_d, hp_doc, certificate)
-    hp = Hyperparams.from_dict(hp_doc)
-    world = _build(args, sc)
-    stream = read_stream(args.stream)
+    sc, world, _, hp, certificate, stream = _setup(args)
     report = verify_lemmas(
-        stream,
-        certificate,
-        hp,
-        world.model,
-        world.source_stats,
-        rng=SeededRng(sc.seed).child(4),
+        stream, certificate, hp, world.model, world.source_stats, rng=SeededRng(sc.seed).child(4)
     )
     print(
         f"verify: status={report.status} batches={report.num_batches} "
@@ -305,33 +298,32 @@ def cmd_gradcheck(args) -> int:
     return 0 if result.passed else 1
 
 
+_FLAG_SPELLINGS = {"1": True, "true": True, "True": True, "0": False, "false": False, "False": False}
+
+
+def _sweep_value(name: str, raw: str):
+    """Parse one ``--values`` item as the type ``HYPERPARAMS`` gives ``name``."""
+    kind = HYPERPARAMS[name][0]
+    if kind is not bool:
+        return {numbers.Real: float, numbers.Integral: int, str: str}[kind](raw)
+    if raw not in _FLAG_SPELLINGS:
+        raise ValueError(f"{name} takes 1/true/True or 0/false/False, got {raw!r}")
+    return _FLAG_SPELLINGS[raw]
+
+
 def cmd_sweep(args) -> int:
-    hp_doc, sc_doc = load_config_file(args.config)
-    sc_doc["seed"] = args.seed
-    sc = StreamConfig.from_dict(sc_doc)
-    if args.param not in _HP_FIELDS:
+    if args.param not in HYPERPARAMS:
         raise ValueError(f"unknown hyperparameter {args.param!r}")
-    world = _build(args, sc)
-    stream = read_stream(args.stream)
-    if not stream:
-        raise ValueError(f"stream {args.stream} contains no batches")
+    sc, world, hp_doc, _, _, stream = _setup(args)
+    points = [
+        (raw, Hyperparams.from_dict({**hp_doc, args.param: _sweep_value(args.param, raw)}))
+        for raw in args.values.split(",")
+    ]
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    field_type = {f.name: f.type for f in fields(Hyperparams)}[args.param]
-    caster = {"float": float, "int": int, "bool": lambda s: s in ("1", "true", "True"), "str": str}[
-        field_type
-    ]
-    for raw in args.values.split(","):
-        value = caster(raw)
-        doc = dict(hp_doc)
-        doc[args.param] = value
-        hp = Hyperparams.from_dict(doc)
+    for raw, hp in points:
         result = run_ctta(
-            world.model,
-            stream,
-            hp,
-            world.source_stats,
-            rng=SeededRng(sc.seed).child(4),
+            world.model, stream, hp, world.source_stats, rng=SeededRng(sc.seed).child(4)
         )
         tag = f"{args.param}_{raw}"
         (out / f"metrics_{tag}.csv").write_text(result.metrics.to_csv(), encoding="utf-8")
@@ -347,34 +339,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-stream", help="generate a stream CSV (plus certificate when theta is set)")
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    _setup_args(p, adapt=False)
     p.add_argument("--out", required=True)
     p.add_argument("--certificate", default="certificate.json")
     p.add_argument("--probe-batches", type=int, default=20)
     p.add_argument("--shift-scale", type=float, default=2.0)
     p.add_argument("--model-out", default=None)
-    _world_args(p)
     p.set_defaults(func=cmd_gen_stream)
 
     p = sub.add_parser("run", help="adapt over a stream file and write metrics")
-    p.add_argument("--config", required=True)
-    p.add_argument("--stream", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    _setup_args(p)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--certificate", default=None)
     p.add_argument("--gamma-d", type=float, default=None)
     p.add_argument("--model-out", default=None)
-    _world_args(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("verify", help="check cluster correctness on a certified stream")
-    p.add_argument("--config", required=True)
-    p.add_argument("--stream", required=True)
+    _setup_args(p, seed_required=False)
     p.add_argument("--certificate", required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--gamma-d", type=float, default=None)
-    _world_args(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gradcheck", help="analytic gradient vs central finite differences")
@@ -385,14 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("sweep", help="grid over one hyperparameter, one metrics file per point")
-    p.add_argument("--config", required=True)
-    p.add_argument("--stream", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    _setup_args(p)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--param", required=True)
     p.add_argument("--values", required=True)
-    _world_args(p)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, certificate=None, gamma_d=None)
     return parser
 
 

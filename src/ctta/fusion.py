@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import BatchStats, Matrix, Vector, as_matrix, as_vector
+from .numerics import BatchStats, Matrix, Vector, as_matrix, as_vector, check_param
 from .pools import ClassPromptPool, DomainPromptPool, FissionOutcome
 
 
@@ -51,19 +51,14 @@ class DomainUpdateRecord:
 
 
 @dataclass
-class MstClustering:
-    """Grouping produced by compaction: pool index -> group id."""
-
-    assignment: dict[int, int]
-    num_groups: int
-
-
-@dataclass
 class ClassUpdateSummary:
+    """Sample and row indices of one class-pool update; ``compaction`` is the
+    group of every pre-compaction row, when the update compacted."""
+
     skipped: list[int] = field(default_factory=list)
     appended: list[int] = field(default_factory=list)
     updated: list[int] = field(default_factory=list)
-    compaction: MstClustering | None = None
+    compaction: list[int] | None = None
 
 
 @dataclass
@@ -141,16 +136,16 @@ def update_class_pool(
     batch-averaged variant that blends all kept samples against the pool
     state at batch start.
     """
-    if gamma_h < 0:
-        raise ValueError("gamma_h must be >= 0")
-    if not 0.0 <= alpha_c <= 1.0:
-        raise ValueError("alpha_c must lie in [0, 1]")
-    if mode not in ("sequential", "averaged"):
-        raise ValueError(f"unknown class update mode {mode!r}")
+    check_param("gamma_h", gamma_h)
+    check_param("alpha_c", alpha_c)
+    check_param("class_update", mode)
     _check_outcomes(pool, [rec.outcome for rec in records])
     learned = _stack_rows([r.learned_prompt for r in records], pool.prompt_dim, "learned prompts")
     preds = _stack_rows([r.prediction for r in records], pool.num_classes, "predictions")
     labels = _stack_rows([r.pseudo_label for r in records], pool.num_classes, "pseudo labels")
+    # One of two entropy forms: the predictions come from model._row_softmax
+    # and may hold exact zeros, hence the guard. The objective's entropy reads
+    # its own log-softmax instead, which has other bits.
     ent = -(preds * np.log(np.where(preds > 0.0, preds, 1.0))).sum(axis=1)
 
     summary = ClassUpdateSummary()
@@ -247,11 +242,17 @@ def _single_linkage_groups(dist: np.ndarray, num_groups: int) -> list[int]:
     return assignment
 
 
-def _compact_class_pool(pool: ClassPromptPool) -> MstClustering:
+def _compact_class_pool(pool: ClassPromptPool) -> list[int]:
+    """Merge an over-capacity class pool down to capacity via single linkage.
+
+    Returns the group of every row; the caller bumps the version.
+    """
     n = len(pool)
     if n <= pool.capacity:
         raise ValueError("compaction requires pool size above capacity")
     keys, prompts, created = pool.keys, pool.prompts, pool.created_at
+    # All pairwise cosines in one product of normalised keys; class fission
+    # (pools) takes one key-matrix product per query, which has other bits.
     normed = keys / np.linalg.norm(keys, axis=1, keepdims=True)
     dist = 1.0 - np.clip(normed @ normed.T, -1.0, 1.0)
     assignment = _single_linkage_groups(dist, pool.capacity)
@@ -269,14 +270,7 @@ def _compact_class_pool(pool: ClassPromptPool) -> MstClustering:
             merged_created[g] = created[group].min()
     merged_keys /= merged_keys.sum(axis=1, keepdims=True)
     pool.keys, pool.prompts, pool.created_at = merged_keys, merged_prompts, merged_created
-    return MstClustering(dict(enumerate(assignment)), pool.capacity)
-
-
-def mst_compact(pool: ClassPromptPool) -> MstClustering:
-    """Merge an over-capacity class pool down to capacity via single linkage."""
-    clustering = _compact_class_pool(pool)
-    pool.bump()
-    return clustering
+    return assignment
 
 
 def update_domain_pool(
@@ -293,8 +287,7 @@ def update_domain_pool(
     every candidate convexly, statistics with coefficient ``alpha_d * weight``
     and prompts with the raw weight.
     """
-    if not 0.0 <= alpha_d <= 1.0:
-        raise ValueError("alpha_d must lie in [0, 1]")
+    check_param("alpha_d", alpha_d)
     _check_outcomes(pool, [record.outcome])
     if record.batch_stats.dim != pool.feature_dim:
         raise ValueError("record stats dimension must match pool feature_dim")
@@ -319,6 +312,10 @@ def update_domain_pool(
 
 
 def _fuse_core(pool: DomainPromptPool) -> tuple[int, int]:
+    """Merge the closest entry pair by key distance; ties take the lowest (i, j).
+
+    The caller bumps the version.
+    """
     n = len(pool)
     if n < 2:
         raise ValueError("nearest-pair fusion needs at least 2 entries")
@@ -334,10 +331,3 @@ def _fuse_core(pool: DomainPromptPool) -> tuple[int, int]:
     pool.prompts = np.delete(pool.prompts, j, axis=0)
     pool.created_at = np.delete(pool.created_at, j)
     return (i, j)
-
-
-def fuse_nearest_pair(pool: DomainPromptPool) -> tuple[int, int]:
-    """Merge the closest entry pair by key distance; ties take the lowest (i, j)."""
-    pair = _fuse_core(pool)
-    pool.bump()
-    return pair

@@ -26,9 +26,10 @@ from .model import (
     forward,
     key_stats,
     make_class_means,
+    prompted_features,
     pseudo_labels,
 )
-from .numerics import Matrix, SeededRng, as_sample_batch
+from .numerics import Matrix, SeededRng, as_matrix, batch_stats, check_param
 from .objective import SourceStats, finite_diff_grad, grad, optimize_prompts
 from .pools import ClassPromptPool, DomainPromptPool, FissionOutcome, fission_class_batch, fission_domain
 from .stream import DomainSpec, LabeledBatch, SeparationCertificate, StreamConfig
@@ -36,7 +37,10 @@ from .stream import DomainSpec, LabeledBatch, SeparationCertificate, StreamConfi
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Every tunable constant of the engine, with its default value."""
+    """Every tunable constant of the engine, with its default value.
+
+    Each value must have the type and range ``numerics.HYPERPARAMS`` gives it.
+    """
 
     gamma_d: float = 25.0
     gamma_c: float = 0.005
@@ -57,22 +61,8 @@ class Hyperparams:
     class_update: str = "sequential"
 
     def __post_init__(self):
-        if self.gamma_d <= 0 or self.tau_d <= 0 or self.tau_c <= 0:
-            raise ValueError("gamma_d, tau_d, tau_c must be > 0")
-        if not -1.0 < self.gamma_c < 1.0:
-            raise ValueError("gamma_c must lie in (-1, 1)")
-        if self.gamma_h < 0:
-            raise ValueError("gamma_h must be >= 0")
-        if not (0.0 <= self.alpha_d <= 1.0 and 0.0 <= self.alpha_c <= 1.0):
-            raise ValueError("alpha_d and alpha_c must lie in [0, 1]")
-        if self.n_d < 1 or self.n_c < 1:
-            raise ValueError("pool capacities must be >= 1")
-        if self.lr_domain < 0 or self.lr_class < 0 or self.init_scale < 0:
-            raise ValueError("learning rates and init_scale must be >= 0")
-        if self.k_steps < 0:
-            raise ValueError("k_steps must be >= 0")
-        if self.class_update not in ("sequential", "averaged"):
-            raise ValueError("class_update must be 'sequential' or 'averaged'")
+        for f in fields(self):
+            check_param(f.name, getattr(self, f.name))
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -97,7 +87,6 @@ class BatchMetrics:
     batch_idx: int
     domain_id_true: int
     error_rate: float
-    mean_entropy: float
     loss_d: float
     loss_c: float
     pool_d_size: int
@@ -109,21 +98,13 @@ class BatchMetrics:
     compacted_c: int = 0
 
     def csv_row(self) -> str:
-        return ",".join(
-            [
-                str(self.batch_idx),
-                str(self.domain_id_true),
-                repr(self.error_rate),
-                repr(self.mean_entropy),
-                repr(self.loss_d),
-                repr(self.loss_c),
-                str(self.pool_d_size),
-                str(self.pool_c_size),
-                str(self.fissioned_d),
-                str(self.fissioned_c),
-                str(self.param_count),
-            ]
-        )
+        # the mean_entropy column holds loss_c, the batch's mean prediction
+        # entropy; str of a Python float is its repr
+        return ",".join(map(str, (
+            self.batch_idx, self.domain_id_true, self.error_rate, self.loss_c, self.loss_d,
+            self.loss_c, self.pool_d_size, self.pool_c_size, self.fissioned_d,
+            self.fissioned_c, self.param_count,
+        )))
 
 
 def _blocks(domain_seq: list[int]) -> list[int]:
@@ -147,7 +128,6 @@ class RunMetrics:
     """Per-batch records plus derived aggregates of one adaptation run."""
 
     rows: list[BatchMetrics] = field(default_factory=list)
-    input_dim: int = 0
 
     def overall_error(self) -> float:
         return float(np.mean([r.error_rate for r in self.rows])) if self.rows else 0.0
@@ -219,12 +199,10 @@ class ClusterLedger:
     """
 
     entry_labels: list[int] = field(default_factory=list)
-    batch_domains: list[int] = field(default_factory=list)
     violations: list[str] = field(default_factory=list)
     _seen: set[int] = field(default_factory=set)
 
     def on_fission_outcome(self, batch_index: int, true_domain: int, outcome: FissionOutcome):
-        self.batch_domains.append(true_domain)
         first = true_domain not in self._seen
         self._seen.add(true_domain)
         if first and not outcome.fissioned:
@@ -264,9 +242,7 @@ def compute_source_stats(
     model: ToyModel, samples, *, alpha_std: float = 1.0, recommended: int = 300
 ) -> SourceStats:
     """Prompt-free feature statistics of unlabeled source samples."""
-    x = as_sample_batch(samples, dim=model.input_dim, name="source samples")
-    if x.shape[0] < 2:
-        raise ValueError("source stats need at least 2 samples")
+    x = as_matrix(samples, shape=(None, model.input_dim), name="source samples", min_rows=2)
     if x.shape[0] < recommended:
         warnings.warn(
             f"only {x.shape[0]} source samples; {recommended}+ recommended for stable statistics"
@@ -364,7 +340,7 @@ def run_ctta(
         class_pool = ClassPromptPool(hp.n_c, model.input_dim, model.num_classes)
     if domain_pool is None:
         domain_pool = DomainPromptPool(hp.n_d, model.input_dim, model.feature_dim)
-    metrics = RunMetrics(input_dim=model.input_dim)
+    metrics = RunMetrics()
 
     for batch in stream:
         if on_batch_start is not None:
@@ -390,7 +366,6 @@ def run_ctta(
                 batch_idx=batch.batch_index,
                 domain_id_true=batch.domain_id,
                 error_rate=error_rate,
-                mean_entropy=breakdown.loss_c,
                 loss_d=breakdown.loss_d,
                 loss_c=breakdown.loss_c,
                 pool_d_size=len(domain_pool),
@@ -516,12 +491,10 @@ def gradient_check(
             )
             a = float(r.uniform(0.0, 4.0))
             alpha_std = float(r.uniform(0.3, 2.0))
-            z = (x + p_d + p_c) @ model.extractor.T
-            mu = z.mean(axis=0)
-            sg = np.sqrt(((z - mu) ** 2).mean(axis=0))
+            stats = batch_stats(prompted_features(model, x, p_d, p_c))
             if (
-                np.linalg.norm(mu - source.mu) <= kink_tol
-                or np.linalg.norm(sg - source.sigma) <= kink_tol
+                np.linalg.norm(stats.mu - source.mu) <= kink_tol
+                or np.linalg.norm(stats.sigma - source.sigma) <= kink_tol
             ):
                 continue
             ga_d, ga_c = grad(model, x, p_d, p_c, source, a, alpha_std)
@@ -545,7 +518,6 @@ class World:
     class_means: Matrix
     source_stats: SourceStats
     source_spec: DomainSpec
-    noise_std: float
 
 
 def build_world(
@@ -574,4 +546,4 @@ def build_world(
     source_spec = DomainSpec(
         0, np.zeros(config.input_dim), np.ones(config.input_dim), means, noise_std
     )
-    return World(model, means, source_stats, source_spec, noise_std)
+    return World(model, means, source_stats, source_spec)

@@ -11,16 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (
-    BatchStats,
-    Matrix,
-    SeededRng,
-    Vector,
-    as_matrix,
-    as_sample_batch,
-    as_vector,
-    batch_stats,
-)
+from .numerics import BatchStats, Matrix, SeededRng, Vector, as_matrix, as_vector, batch_stats
 
 
 @dataclass(frozen=True)
@@ -69,15 +60,36 @@ class ToyModel:
 
 
 def _row_softmax(logits: Matrix) -> Matrix:
+    # One of three softmax forms, and the one the pools read. The objective
+    # takes a log-softmax and class fission sums each row's candidates alone
+    # (pools._compose); each gives other bits than this one.
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _predict(model: ToyModel, inputs: Matrix) -> tuple[Matrix, Matrix]:
-    features = inputs @ model.extractor.T
-    logits = features @ model.head_weight.T + model.head_bias
-    return features, _row_softmax(logits)
+def head_logits(model: ToyModel, features: Matrix) -> Matrix:
+    """Logits of the frozen head on a batch of extracted features."""
+    return features @ model.head_weight.T + model.head_bias
+
+
+def check_prompted(model: ToyModel, batch, domain_prompt, class_prompts, *, min_rows: int = 1):
+    """Coerce a batch and its prompts: (b, d) samples with at least ``min_rows``
+    rows, one d-vector domain prompt and one d-row class prompt per sample."""
+    d = model.input_dim
+    x = as_matrix(batch, shape=(None, d), name="batch", min_rows=min_rows)
+    p_d = as_vector(domain_prompt, dim=d, name="domain prompt")
+    p_c = as_matrix(class_prompts, shape=(None, d), name="class prompts")
+    if p_c.shape[0] != x.shape[0]:
+        raise ValueError(
+            f"need one class prompt per sample: got {p_c.shape[0]} for batch of {x.shape[0]}"
+        )
+    return x, p_d, p_c
+
+
+def prompted_features(model: ToyModel, x: Matrix, p_d: Vector, p_c: Matrix) -> Matrix:
+    """Features of the prompted inputs, as both the forward pass and the loss see them."""
+    return (x + p_d + p_c) @ model.extractor.T
 
 
 def forward(model: ToyModel, batch, domain_prompt, class_prompts) -> tuple[Matrix, Matrix]:
@@ -88,20 +100,14 @@ def forward(model: ToyModel, batch, domain_prompt, class_prompts) -> tuple[Matri
     as (b, feature_dim) and (b, num_classes) arrays; the features are the ones
     the alignment loss statistics are computed from.
     """
-    x = as_sample_batch(batch, dim=model.input_dim)
-    p_d = as_vector(domain_prompt, dim=model.input_dim, name="domain prompt")
-    p_c = as_sample_batch(class_prompts, dim=model.input_dim, name="class prompts")
-    if p_c.shape[0] != x.shape[0]:
-        raise ValueError(
-            f"need one class prompt per sample: got {p_c.shape[0]} for batch of {x.shape[0]}"
-        )
-    return _predict(model, x + p_d + p_c)
+    z = prompted_features(model, *check_prompted(model, batch, domain_prompt, class_prompts))
+    return z, _row_softmax(head_logits(model, z))
 
 
 def pseudo_labels(model: ToyModel, batch) -> Matrix:
     """Prompt-free predictions, one probability row per sample."""
-    x = as_sample_batch(batch, dim=model.input_dim)
-    return _predict(model, x)[1]
+    x = as_matrix(batch, shape=(None, model.input_dim), name="batch", min_rows=1)
+    return _row_softmax(head_logits(model, x @ model.extractor.T))
 
 
 def key_stats(model: ToyModel, batch) -> BatchStats:
@@ -110,9 +116,7 @@ def key_stats(model: ToyModel, batch) -> BatchStats:
     Deliberately independent of any prompt so matching can precede prompt
     composition.
     """
-    x = as_sample_batch(batch, dim=model.input_dim)
-    if x.shape[0] < 2:
-        raise ValueError("key_stats needs a batch of >= 2 samples")
+    x = as_matrix(batch, shape=(None, model.input_dim), name="batch", min_rows=2)
     return batch_stats(x @ model.extractor.T)
 
 
@@ -126,13 +130,15 @@ def make_class_means(num_classes: int, input_dim: int, rng: SeededRng, scale: fl
 def draw_labeled_samples(
     class_means: Matrix, n: int, noise_std: float, rng: SeededRng
 ) -> tuple[Matrix, np.ndarray]:
-    """Balanced labeled draw around the class means (source-domain sampling)."""
+    """Balanced labeled draw around the class means: source samples and stream batches."""
     means = as_matrix(class_means, name="class_means")
     num_classes = means.shape[0]
     labels = np.array([k % num_classes for k in range(n)], dtype=np.int64)
     labels = rng.permutation(labels)
-    noise = rng.normal(size=(n, means.shape[1]), scale=noise_std) if noise_std > 0 else 0.0
-    return means[labels] + noise, labels
+    x = means[labels]
+    if noise_std > 0:
+        x = x + rng.normal(size=(n, means.shape[1]), scale=noise_std)
+    return x, labels
 
 
 def fit_head(

@@ -1,12 +1,13 @@
 """Deterministic numeric primitives shared by the adaptation engine.
 
-Everything here is pure: softmax, entropy, batch statistics, similarity and
-distance measures, plus a seeded random source. Vectors are 1-d float64 numpy
-arrays with finite entries; matrices are 2-d.
+Everything here is pure: array coercion and checks, the hyperparameter table
+with its one validator, batch statistics, plus a seeded random source. Vectors
+are 1-d float64 numpy arrays with finite entries; matrices are 2-d.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,59 +34,75 @@ def as_vector(values, dim: int | None = None, name: str = "vector") -> Vector:
     return arr
 
 
-def as_matrix(values, shape: tuple[int | None, int | None] | None = None, name: str = "matrix") -> Matrix:
+def as_matrix(
+    values, shape: tuple[int | None, int | None] | None = None, name: str = "matrix", min_rows: int = 0
+) -> Matrix:
     """Coerce to a finite 2-d float64 array, optionally checking its shape.
 
-    A ``None`` in ``shape`` leaves that axis unchecked.
+    A ``None`` in ``shape`` leaves that axis unchecked; a batch of samples is
+    ``shape=(None, dim)`` with ``min_rows`` of at least 1.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-d, got shape {arr.shape}")
-    if shape is not None and any(w is not None and g != w for g, w in zip(arr.shape, shape)):
+    rows, cols = shape or (None, None)
+    if (rows is not None and arr.shape[0] != rows) or (cols is not None and arr.shape[1] != cols):
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+    if arr.shape[0] < min_rows:
+        raise ValueError(f"{name} has {arr.shape[0]} rows, needs at least {min_rows}")
     if not _all_finite(arr):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
 
-def as_sample_batch(samples, dim: int | None = None, name: str = "batch") -> Matrix:
-    """Coerce a list of equal-length vectors (or a 2-d array) to a (b, d) matrix."""
-    if isinstance(samples, np.ndarray) and samples.ndim == 2:
-        arr = samples.astype(np.float64, copy=False)
-    else:
-        rows = list(samples)
-        if not rows:
-            raise ValueError(f"{name} is empty")
-        arr = np.stack([as_vector(r, name=f"{name} row") for r in rows])
-    if arr.shape[0] == 0:
-        raise ValueError(f"{name} is empty")
-    if dim is not None and arr.shape[1] != dim:
-        raise ValueError(f"{name} rows must have dimension {dim}, got {arr.shape[1]}")
-    if not _all_finite(arr):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
+# The type and range of every hyperparameter, stated here and nowhere else.
+# A range is an interval over the extended reals, or the tuple of allowed values.
+HYPERPARAMS: dict[str, tuple[type, str | tuple[str, ...] | None]] = {
+    "gamma_d": (numbers.Real, "(0, inf]"),
+    "gamma_c": (numbers.Real, "(-1, 1)"),
+    "gamma_h": (numbers.Real, "[0, inf]"),
+    "alpha_d": (numbers.Real, "[0, 1]"),
+    "alpha_c": (numbers.Real, "[0, 1]"),
+    "tau_d": (numbers.Real, "(0, inf]"),
+    "tau_c": (numbers.Real, "(0, inf]"),
+    "a": (numbers.Real, None),
+    "alpha_std": (numbers.Real, None),
+    "n_d": (numbers.Integral, "[1, inf]"),
+    "n_c": (numbers.Integral, "[1, inf]"),
+    "lr_domain": (numbers.Real, "[0, inf]"),
+    "lr_class": (numbers.Real, "[0, inf]"),
+    "k_steps": (numbers.Integral, "[0, inf]"),
+    "init_scale": (numbers.Real, "[0, inf]"),
+    "softmax_over_all": (bool, None),
+    "class_update": (str, ("sequential", "averaged")),
+}
+_BOUNDS = {  # (lo, hi) of each interval
+    k: tuple(map(float, r[1:-1].split(","))) for k, (_, r) in HYPERPARAMS.items() if isinstance(r, str)
+}
+# exact types pass without the abstract-class check, the slow part of isinstance
+_EXACT = {numbers.Real: (float, int), numbers.Integral: (int,), bool: (bool,), str: (str,)}
 
 
-def softmax(logits) -> Vector:
-    """Numerically stable softmax of a logit vector (max-subtraction trick)."""
-    x = as_vector(logits, name="logits")
-    if x.shape[0] < 1:
-        raise ValueError("softmax needs dimension >= 1")
-    shifted = x - x.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+def check_param(name: str, value):
+    """Return ``value`` if it has the type and range ``HYPERPARAMS`` gives ``name``.
 
-
-def entropy(probs) -> float:
-    """Shannon entropy -sum(p ln p) in nats, with 0 ln 0 taken as 0."""
-    p = as_vector(probs, name="probs")
-    if np.any(p < 0.0):
-        raise ValueError("entropy requires nonnegative entries")
-    total = p.sum()
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError(f"entropy requires entries summing to 1, got {total}")
-    nz = p[p > 0.0]
-    return float(-(nz * np.log(nz)).sum())
+    A bool is a flag and nothing else, not an Integral or a Real.
+    """
+    kind, allowed = HYPERPARAMS[name]
+    ok = type(value) in _EXACT[kind] or (
+        isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+    )
+    if ok and isinstance(allowed, tuple):
+        ok = value in allowed
+    elif ok and allowed is not None:
+        lo, hi = _BOUNDS[name]
+        ok = (lo < value if allowed[0] == "(" else lo <= value) and (
+            value < hi if allowed[-1] == ")" else value <= hi
+        )
+    if not ok:
+        rule = kind.__name__ + ("" if allowed is None else f" in {allowed}")
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return value
 
 
 @dataclass
@@ -109,9 +126,6 @@ class BatchStats:
         """The (mu, sigma) concatenation used as a matching key."""
         return np.concatenate((self.mu, self.sigma))
 
-    def copy(self) -> "BatchStats":
-        return BatchStats(self.mu.copy(), self.sigma.copy())
-
 
 def batch_stats(features) -> BatchStats:
     """Mean and population standard deviation (divide by b) over a feature batch.
@@ -119,33 +133,13 @@ def batch_stats(features) -> BatchStats:
     Requires at least two vectors; one sample cannot define a spread. A finite
     batch whose mean or squared deviations exceed float64 is rejected by name.
     """
-    arr = as_sample_batch(features, name="features")
-    if arr.shape[0] < 2:
-        raise ValueError(f"batch_stats needs >= 2 vectors, got {arr.shape[0]}")
+    arr = as_matrix(features, name="features", min_rows=2)
     with np.errstate(over="ignore"):
         mu = arr.mean(axis=0)
         sigma = np.sqrt(((arr - mu) ** 2).mean(axis=0))
     if not (_all_finite(mu) and _all_finite(sigma)):
         raise ValueError("feature batch overflowed float64 in its mean or spread")
     return BatchStats(mu, sigma)
-
-
-def cosine_sim(a, b) -> float:
-    """Cosine similarity, clipped into [-1, 1]; undefined for zero-norm inputs."""
-    va = as_vector(a, name="a")
-    vb = as_vector(b, dim=va.shape[0], name="b")
-    na = np.linalg.norm(va)
-    nb = np.linalg.norm(vb)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine similarity is undefined for zero-norm vectors")
-    return float(np.clip(va @ vb / (na * nb), -1.0, 1.0))
-
-
-def euclid(a, b) -> float:
-    """Euclidean distance between two equal-dimension vectors."""
-    va = as_vector(a, name="a")
-    vb = as_vector(b, dim=va.shape[0], name="b")
-    return float(np.linalg.norm(va - vb))
 
 
 class SeededRng:

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ToyModel
-from .numerics import Matrix, Vector, as_sample_batch, as_vector
+from .model import ToyModel, check_prompted, head_logits, prompted_features
+from .numerics import Matrix, Vector, as_matrix, as_vector, check_param
 
 
 @dataclass(frozen=True)
@@ -78,19 +78,17 @@ def adamw_step(state: AdamWState, prompt: np.ndarray, grad: np.ndarray) -> np.nd
 
 
 def _forward_state(model: ToyModel, batch, p_d, class_prompts):
-    x = as_sample_batch(batch, dim=model.input_dim)
-    if x.shape[0] < 2:
-        raise ValueError("objective needs a batch of >= 2 samples")
-    p_d = as_vector(p_d, dim=model.input_dim, name="domain prompt")
-    p_c = as_sample_batch(class_prompts, dim=model.input_dim, name="class prompts")
-    if p_c.shape[0] != x.shape[0]:
-        raise ValueError("need one class prompt per sample")
-    z = (x + p_d + p_c) @ model.extractor.T
-    logits = z @ model.head_weight.T + model.head_bias
+    x, p_d, p_c = check_prompted(model, batch, p_d, class_prompts, min_rows=2)
+    z = prompted_features(model, x, p_d, p_c)
+    logits = head_logits(model, z)
+    # A log-softmax, so the entropy reads finite logs. The other two softmax
+    # forms, model._row_softmax (whose probabilities the pools read) and
+    # pools._compose (each row's candidates summed alone), give other bits,
+    # and so does the zero-guarded entropy of the fusion gate.
     shifted = logits - logits.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     probs = np.exp(logp)
-    return x, p_c, z, probs, logp
+    return x, z, probs, logp, -(probs * logp).sum(axis=1)
 
 
 def _stats_terms(z: Matrix, source: SourceStats, alpha_std: float):
@@ -120,9 +118,8 @@ def loss(
     means plus ``alpha_std`` times the distance between standard deviations;
     ``loss_c`` is the mean prediction entropy; ``total = loss_d + a * loss_c``.
     """
-    _, _, z, probs, logp = _forward_state(model, batch, p_d, class_prompts)
+    _, z, _, _, ent = _forward_state(model, batch, p_d, class_prompts)
     *_, loss_d = _stats_terms(z, source_stats, alpha_std)
-    ent = -(probs * logp).sum(axis=1)
     loss_c = float(ent.mean())
     return LossBreakdown(loss_d, loss_c, a, loss_d + a * loss_c)
 
@@ -142,7 +139,7 @@ def grad(
     sample. At a vanishing norm term (prompted stats exactly matching source)
     the zero subgradient is used, which keeps the zero-loss point stationary.
     """
-    x, _, z, probs, logp = _forward_state(model, batch, p_d, class_prompts)
+    x, z, probs, logp, ent = _forward_state(model, batch, p_d, class_prompts)
     b = x.shape[0]
     _, sigma, centered, dmu, dsg, norm_mu, norm_sg, _ = _stats_terms(
         z, source_stats, alpha_std
@@ -157,7 +154,6 @@ def grad(
         )
         dz += (alpha_std / (norm_sg * b)) * scale * centered
 
-    ent = -(probs * logp).sum(axis=1)
     g_logits = -probs * (logp + ent[:, None])
     dz += (a / b) * (g_logits @ model.head_weight)
 
@@ -182,7 +178,7 @@ def finite_diff_grad(
     Only calls :func:`loss`, never the analytic gradient path.
     """
     p_d = as_vector(p_d, name="domain prompt").copy()
-    p_c = as_sample_batch(class_prompts, name="class prompts").copy()
+    p_c = as_matrix(class_prompts, name="class prompts").copy()
 
     def total(pd, pc):
         return loss(model, batch, pd, pc, source_stats, a, alpha_std).total
@@ -229,10 +225,9 @@ def optimize_prompts(
     so carrying moments across batches would be ill-defined). Returns the
     learned prompts and the loss at them; pools are untouched.
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    check_param("k_steps", steps)
     p_d = as_vector(domain_prompt, dim=model.input_dim, name="domain prompt").copy()
-    p_c = as_sample_batch(class_prompts, dim=model.input_dim, name="class prompts").copy()
+    p_c = as_matrix(class_prompts, shape=(None, model.input_dim), name="class prompts").copy()
     d_state = AdamWState.fresh(p_d.shape, lr_domain)
     c_state = AdamWState.fresh(p_c.shape, lr_class)
     for _ in range(steps):

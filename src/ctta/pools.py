@@ -15,7 +15,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .numerics import BatchStats, Matrix, SeededRng, Vector, as_matrix, as_vector
+from .numerics import BatchStats, Matrix, SeededRng, Vector, as_matrix, as_vector, check_param
 
 
 def _check_probability(arr: np.ndarray, name: str) -> None:
@@ -29,11 +29,12 @@ def _check_probability(arr: np.ndarray, name: str) -> None:
 
 
 class _BasePool:
-    """Row storage shared by both pools; ``version`` counts mutations."""
+    """Row storage shared by both pools; ``version`` counts mutations.
+
+    Each subclass checks ``capacity`` as the hyperparameter it stands for.
+    """
 
     def __init__(self, capacity: int, prompt_dim: int, key_dim: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
         if prompt_dim < 1:
             raise ValueError("prompt_dim must be >= 1")
         self.capacity = int(capacity)
@@ -71,7 +72,7 @@ class ClassPromptPool(_BasePool):
     def __init__(self, capacity: int, prompt_dim: int, num_classes: int):
         if num_classes < 1:
             raise ValueError("num_classes must be >= 1")
-        super().__init__(capacity, prompt_dim, num_classes)
+        super().__init__(check_param("n_c", capacity), prompt_dim, num_classes)
         self.num_classes = int(num_classes)
 
     def append(self, key, prompt, created_at: int = 0) -> int:
@@ -112,7 +113,7 @@ class DomainPromptPool(_BasePool):
     def __init__(self, capacity: int, prompt_dim: int, feature_dim: int):
         if feature_dim < 1:
             raise ValueError("feature_dim must be >= 1")
-        super().__init__(capacity, prompt_dim, 2 * feature_dim)
+        super().__init__(check_param("n_d", capacity), prompt_dim, 2 * feature_dim)
         self.feature_dim = int(feature_dim)
 
     def append(self, key, prompt, created_at: int = 0) -> int:
@@ -185,9 +186,13 @@ def _compose(
     normaliser is its own sum and each blend its own vector-matrix product,
     so every row carries the bits of a one-row call. Fresh prompts come from
     one draw in row order, which equals one draw per row.
+
+    This is one of three softmax forms. ``model._row_softmax`` normalises
+    whole rows in one call and ``objective._forward_state`` takes a
+    log-softmax; summing each row's candidates on its own gives other bits.
     """
-    if init_scale < 0:
-        raise ValueError("init_scale must be >= 0")
+    check_param("init_scale", init_scale)
+    check_param("softmax_over_all", softmax_over_all)
     flat = np.flatnonzero(mask)
     cand = flat % mask.shape[1]
     counts = mask.sum(axis=1).tolist()
@@ -264,14 +269,13 @@ def fission_class_batch(
     Inputs are validated once for the whole batch; outcome order matches
     sample order.
     """
-    if not -1.0 < gamma_c < 1.0:
-        raise ValueError("gamma_c must lie in (-1, 1)")
-    if tau_c <= 0:
-        raise ValueError("tau_c must be > 0")
+    check_param("gamma_c", gamma_c)
+    check_param("tau_c", tau_c)
     labels = _check_pseudo_labels(pseudo_labels, pool.num_classes)
     keys = pool.keys
     # One matrix-vector product per row: a row of labels @ keys.T does not
-    # carry the bits of keys @ y.
+    # carry the bits of keys @ y. Compaction's cosine (fusion) normalises the
+    # keys first and takes one key-by-key product instead; it has other bits.
     dots = np.empty((labels.shape[0], len(pool)))
     sq = np.empty(labels.shape[0])
     for t, y in enumerate(labels):
@@ -298,10 +302,8 @@ def fission_domain(
     softmax(-distance / tau_d); otherwise a fresh prompt is spawned, which
     also covers the very first test batch.
     """
-    if gamma_d <= 0:
-        raise ValueError("gamma_d must be > 0")
-    if tau_d <= 0:
-        raise ValueError("tau_d must be > 0")
+    check_param("gamma_d", gamma_d)
+    check_param("tau_d", tau_d)
     if not isinstance(stats, BatchStats):
         raise ValueError("stats must be BatchStats")
     if stats.dim != pool.feature_dim:

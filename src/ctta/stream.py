@@ -8,12 +8,12 @@ pair closer than a threshold that every cross-domain pair exceeds.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import groupby, repeat
 
 import numpy as np
 
-from .model import ToyModel, key_stats
+from .model import ToyModel, draw_labeled_samples, key_stats
 from .numerics import Matrix, SeededRng, Vector, as_matrix, as_vector
 
 
@@ -88,15 +88,9 @@ class StreamConfig:
     )
 
     def to_dict(self) -> dict:
-        return {
-            "domain_order": list(self.domain_order),
-            "batches_per_domain": self.batches_per_domain,
-            "batch_size": self.batch_size,
-            "input_dim": self.input_dim,
-            "num_classes": self.num_classes,
-            "seed": self.seed,
-            "theta": self.theta,
-        }
+        doc = {name: getattr(self, name) for name in self.FIELDS}
+        doc["domain_order"] = list(self.domain_order)
+        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "StreamConfig":
@@ -131,29 +125,15 @@ class SeparationCertificate:
         return self.max_intra < self.theta < self.min_inter
 
     def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "max_intra": self.max_intra,
-            "min_inter": self.min_inter,
-            "probe_batches": self.probe_batches,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SeparationCertificate":
         return cls(**doc)
 
 
-def _balanced_labels(batch_size: int, num_classes: int, rng: SeededRng) -> np.ndarray:
-    template = np.array([k % num_classes for k in range(batch_size)], dtype=np.int64)
-    return rng.permutation(template)
-
-
 def _draw_batch(spec: DomainSpec, batch_size: int, rng: SeededRng):
-    labels = _balanced_labels(batch_size, spec.num_classes, rng)
-    x = spec.class_means[labels]
-    if spec.noise_std > 0.0:
-        x = x + rng.normal(size=(batch_size, spec.input_dim), scale=spec.noise_std)
+    x, labels = draw_labeled_samples(spec.class_means, batch_size, spec.noise_std, rng)
     return spec.scale * x + spec.shift, labels
 
 
@@ -218,8 +198,7 @@ def make_separated(
     rng: SeededRng,
     *,
     noise_std: float = 0.4,
-    class_means: Matrix | None = None,
-    class_mean_scale: float = 1.0,
+    class_means: Matrix,
     probe_batches: int = 20,
     inter_margin: float = 3.0,
     intra_margin: float = 0.4,
@@ -239,10 +218,7 @@ def make_separated(
         raise ValueError("theta_target must be > 0")
     if probe_batches < 20:
         raise ValueError("certificate needs >= 20 probe batches per domain")
-    if class_means is None:
-        means = rng.child(0).normal(size=(config.num_classes, config.input_dim)) * class_mean_scale
-    else:
-        means = as_matrix(class_means, shape=(config.num_classes, config.input_dim))
+    means = as_matrix(class_means, shape=(config.num_classes, config.input_dim))
 
     raw = rng.child(1).normal(size=(n_domains - 1, config.input_dim))
     if n_domains - 1 <= config.input_dim:

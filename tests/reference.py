@@ -4,8 +4,9 @@ These deliberately re-derive results by the most literal route available:
 plain loops over the published matching and update rules, naive
 agglomerative single linkage, a Kruskal that sorts Python edge tuples,
 two-pass statistics, exhaustive pair scans.
-They share only low-level numerics (entropy, array arithmetic) with the
-implementation under test.
+They share only array coercion and arithmetic with the implementation under
+test. The vector softmax, entropy, cosine and Euclidean distance below are
+the textbook formulas the engine's batched forms are checked against.
 """
 from __future__ import annotations
 
@@ -13,7 +14,47 @@ import math
 
 import numpy as np
 
-from ctta.numerics import entropy
+from ctta.numerics import Vector, as_vector
+
+
+def softmax(logits) -> Vector:
+    """Numerically stable softmax of a logit vector (max-subtraction trick)."""
+    x = as_vector(logits, name="logits")
+    if x.shape[0] < 1:
+        raise ValueError("softmax needs dimension >= 1")
+    shifted = x - x.max()
+    e = np.exp(shifted)
+    return e / e.sum()
+
+
+def entropy(probs) -> float:
+    """Shannon entropy -sum(p ln p) in nats, with 0 ln 0 taken as 0."""
+    p = as_vector(probs, name="probs")
+    if np.any(p < 0.0):
+        raise ValueError("entropy requires nonnegative entries")
+    total = p.sum()
+    if abs(total - 1.0) > 1e-6:
+        raise ValueError(f"entropy requires entries summing to 1, got {total}")
+    nz = p[p > 0.0]
+    return float(-(nz * np.log(nz)).sum())
+
+
+def cosine_sim(a, b) -> float:
+    """Cosine similarity, clipped into [-1, 1]; undefined for zero-norm inputs."""
+    va = as_vector(a, name="a")
+    vb = as_vector(b, dim=va.shape[0], name="b")
+    na = np.linalg.norm(va)
+    nb = np.linalg.norm(vb)
+    if na == 0.0 or nb == 0.0:
+        raise ValueError("cosine similarity is undefined for zero-norm vectors")
+    return float(np.clip(va @ vb / (na * nb), -1.0, 1.0))
+
+
+def euclid(a, b) -> float:
+    """Euclidean distance between two equal-dimension vectors."""
+    va = as_vector(a, name="a")
+    vb = as_vector(b, dim=va.shape[0], name="b")
+    return float(np.linalg.norm(va - vb))
 
 
 def two_pass_stats(rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

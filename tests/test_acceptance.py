@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ctta.cli import main
-from ctta.fusion import mst_compact, update_class_pool, update_domain_pool
+from ctta.fusion import _compact_class_pool, update_class_pool, update_domain_pool
 from ctta.harness import (
     Hyperparams,
     build_world,
@@ -151,11 +151,11 @@ def test_criterion_3_mst_oracle_equivalence():
         capacity = int(r.integers(1, size))
         pool = random_class_pool(r, size, capacity, 4, 3)
         keys = pool.keys.copy()
-        clustering = mst_compact(pool)
+        assignment = _compact_class_pool(pool)
         normed = keys / np.linalg.norm(keys, axis=1, keepdims=True)
         dist = 1.0 - normed @ normed.T
         expected = single_linkage_bruteforce(dist, capacity)
-        assert partition_sets(clustering.assignment) == partition_sets(expected), f"case {case}"
+        assert partition_sets(dict(enumerate(assignment))) == partition_sets(expected), f"case {case}"
         assert len(pool) == capacity
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0

@@ -273,6 +273,69 @@ def test_missing_stream_file_exits_1(generated, tmp_path, capsys):
     assert code == 1
 
 
+def test_config_value_of_wrong_type_exits_1_naming_its_key(generated, tmp_path, capsys):
+    root, config, stream, cert = generated
+    bad = write_config(tmp_path / "config.json", softmax_over_all="false")
+    code = main(
+        [
+            "run",
+            "--config", str(bad),
+            "--stream", str(stream),
+            "--seed", "7",
+            "--out-dir", str(tmp_path / "out"),
+        ]
+    )
+    assert code == 1
+    assert "softmax_over_all must be bool" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_reads_flag_spellings_and_rejects_others(generated, tmp_path, capsys):
+    root, config, stream, cert = generated
+
+    def sweep(out, values):
+        return main(
+            [
+                "sweep",
+                "--config", str(config),
+                "--stream", str(stream),
+                "--seed", "7",
+                "--out-dir", str(out),
+                "--param", "softmax_over_all",
+                "--values", values,
+            ]
+        )
+
+    out, raws = tmp_path / "ok", ("1", "true", "True", "0", "false", "False")
+    assert sweep(out, ",".join(raws)) == 0
+    metrics = {raw: (out / f"metrics_softmax_over_all_{raw}.csv").read_bytes() for raw in raws}
+    assert metrics["1"] == metrics["true"] == metrics["True"]
+    assert metrics["0"] == metrics["false"] == metrics["False"]
+    assert metrics["1"] != metrics["0"]
+    capsys.readouterr()
+
+    assert sweep(tmp_path / "bad", "yes,flase") == 1
+    assert "'yes'" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "sweep"])
+def test_empty_stream_is_one_error_for_every_command(generated, tmp_path, capsys, command):
+    root, config, stream, cert = generated
+    empty = tmp_path / "empty.csv"
+    empty.write_text(stream.read_text().splitlines()[0] + "\n")
+    argv = [command, "--config", str(config), "--stream", str(empty), "--seed", "7"]
+    argv += {
+        "run": ["--out-dir", str(tmp_path / "out")],
+        "verify": ["--certificate", str(cert)],
+        "sweep": ["--out-dir", str(tmp_path / "out"), "--param", "gamma_h", "--values", "1.0"],
+    }[command]
+    with pytest.warns(UserWarning, match="zero batches"):
+        code = main(argv)
+    assert code == 1
+    assert f"error: stream {empty} contains no batches" in capsys.readouterr().err
+
+
 def test_gamma_d_defaults_to_half_theta_with_certificate(generated, tmp_path, capsys):
     root, config, stream, cert = generated
     out = tmp_path / "run"

@@ -7,9 +7,9 @@ from ctta.fusion import (
     ClassUpdateRecord,
     DomainUpdateRecord,
     PoolVersionError,
+    _compact_class_pool,
+    _fuse_core,
     _single_linkage_groups,
-    fuse_nearest_pair,
-    mst_compact,
     update_class_pool,
     update_domain_pool,
 )
@@ -117,7 +117,7 @@ def test_update_rejects_stale_outcomes():
 
     dpool = random_domain_pool(rng, 3, 10, 4, 5)
     rec = random_domain_record(rng, dpool, fission_prob=0.0)
-    fuse_nearest_pair(dpool)
+    dpool.append(np.concatenate((np.zeros(4), np.ones(4))), np.zeros(5), 9)  # bumps version
     with pytest.raises(PoolVersionError):
         update_domain_pool(dpool, rec, 0.1)
 
@@ -210,9 +210,9 @@ def test_mst_compact_merges_identical_pair_first():
     ]
     for i, k in enumerate(keys):
         pool.append(k, np.full(3, float(i)), i)
-    clustering = mst_compact(pool)
-    assert clustering.num_groups == 4
-    groups = partition_sets(clustering.assignment)
+    assignment = _compact_class_pool(pool)
+    assert len(set(assignment)) == 4
+    groups = partition_sets(dict(enumerate(assignment)))
     assert frozenset({3, 4}) in groups
     assert len(pool) == 4
 
@@ -221,8 +221,8 @@ def test_mst_compact_single_group_is_grand_mean():
     pool = ClassPromptPool(1, 2, 2)
     for i, k in enumerate([[0.9, 0.1], [0.5, 0.5], [0.1, 0.9]]):
         pool.append(np.array(k), np.array([float(i), 0.0]), i)
-    clustering = mst_compact(pool)
-    assert clustering.num_groups == 1
+    assignment = _compact_class_pool(pool)
+    assert len(set(assignment)) == 1
     assert len(pool) == 1
     np.testing.assert_allclose(pool.keys[0], [0.5, 0.5], atol=1e-12)
     np.testing.assert_allclose(pool.prompts[0], [1.0, 0.0], atol=1e-12)
@@ -233,7 +233,7 @@ def test_mst_compact_requires_overflow():
     pool = ClassPromptPool(4, 3, 3)
     pool.append(random_prob(SeededRng(0), 3), np.zeros(3), 0)
     with pytest.raises(ValueError):
-        mst_compact(pool)
+        _compact_class_pool(pool)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -243,13 +243,13 @@ def test_mst_compact_matches_bruteforce_single_linkage(seed):
     capacity = int(rng.integers(1, n))
     pool = random_class_pool(rng, n, capacity, 4, 3)
     keys = [key.copy() for key in pool.keys]
-    clustering = mst_compact(pool)
+    assignment = _compact_class_pool(pool)
 
     normed = np.stack(keys)
     normed = normed / np.linalg.norm(normed, axis=1, keepdims=True)
     dist = 1.0 - normed @ normed.T
     expected = single_linkage_bruteforce(dist, capacity)
-    assert partition_sets(clustering.assignment) == partition_sets(expected)
+    assert partition_sets(dict(enumerate(assignment))) == partition_sets(expected)
 
 
 def cosine_distances(keys):
@@ -266,10 +266,10 @@ def test_compaction_assignment_matches_kruskal_reference(seed):
     capacity = int(rng.integers(1, n))
     pool = random_class_pool(rng, n, capacity, 10, 4)
     expected = kruskal_single_linkage_reference(cosine_distances(pool.keys), capacity)
-    clustering = mst_compact(pool)
-    assert list(clustering.assignment) == list(range(n))
-    assert list(clustering.assignment.values()) == expected
-    assert all(type(g) is int for g in clustering.assignment.values())
+    assignment = _compact_class_pool(pool)
+    assert len(assignment) == n
+    assert assignment == expected
+    assert all(type(g) is int for g in assignment)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -319,7 +319,7 @@ def test_fuse_nearest_pair_identical_entries_win():
     mus = [[0.0, 0.0], [5.0, 5.0], [5.0, 5.0], [9.0, 0.0]]
     for i, mu in enumerate(mus):
         pool.append(BatchStats(np.array(mu), np.zeros(2)).concat(), np.full(2, float(i)), i)
-    pair = fuse_nearest_pair(pool)
+    pair = _fuse_core(pool)
     assert pair == (1, 2)
     assert len(pool) == 3
     np.testing.assert_array_equal(pool.keys[1, :2], [5.0, 5.0])
@@ -330,7 +330,7 @@ def test_fuse_pool_of_two_averages():
     pool = DomainPromptPool(10, 2, 2)
     pool.append(BatchStats(np.array([0.0, 0.0]), np.array([1.0, 1.0])).concat(), np.array([2.0, 0.0]), 0)
     pool.append(BatchStats(np.array([4.0, 0.0]), np.array([3.0, 1.0])).concat(), np.array([0.0, 2.0]), 5)
-    pair = fuse_nearest_pair(pool)
+    pair = _fuse_core(pool)
     assert pair == (0, 1)
     mu, sigma, prompt, created = domain_pool_tuples(pool)[0]
     np.testing.assert_allclose(mu, [2.0, 0.0], atol=1e-15)
@@ -339,7 +339,7 @@ def test_fuse_pool_of_two_averages():
     assert created == 0
 
     with pytest.raises(ValueError):
-        fuse_nearest_pair(pool)
+        _fuse_core(pool)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -353,7 +353,7 @@ def test_fuse_nearest_pair_matches_exhaustive_scan(seed):
             d = float(np.linalg.norm(keys[i] - keys[j]))
             if best is None or d < best[0]:
                 best = (d, i, j)
-    assert fuse_nearest_pair(pool) == best[1:]
+    assert _fuse_core(pool) == best[1:]
 
 
 def test_domain_update_examples():
@@ -465,7 +465,7 @@ def test_capacity_invariants_after_updates():
     summary = update_class_pool(pool, records, 10.0, 0.1)
     assert len(pool) <= pool.capacity
     if summary.compaction is not None:
-        assert summary.compaction.num_groups == pool.capacity
+        assert len(set(summary.compaction)) == pool.capacity
 
     dpool = random_domain_pool(rng, 3, 3, 3, 4)
     for _ in range(4):

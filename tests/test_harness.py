@@ -278,6 +278,15 @@ def test_hyperparams_validation_and_round_trip():
         Hyperparams(alpha_c=1.5)
     with pytest.raises(ValueError):
         Hyperparams(class_update="other")
+    # values of the wrong type are rejected by name, not coerced or compared
+    for key, value in [
+        ("softmax_over_all", "false"),
+        ("n_c", 100.5),
+        ("k_steps", True),
+        ("gamma_c", "0.5"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            Hyperparams.from_dict({key: value})
 
 
 def test_run_rejects_empty_stream(world):

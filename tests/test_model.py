@@ -12,8 +12,8 @@ from ctta.model import (
     pseudo_labels,
     save_model,
 )
-from ctta.numerics import SeededRng, softmax
-from reference import two_pass_stats
+from ctta.numerics import SeededRng
+from reference import softmax, two_pass_stats
 
 
 @pytest.fixture(scope="module")

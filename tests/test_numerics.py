@@ -5,16 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctta.numerics import (
-    BatchStats,
-    SeededRng,
-    batch_stats,
-    cosine_sim,
-    entropy,
-    euclid,
-    softmax,
-)
-from reference import euclid_direct, two_pass_stats
+from ctta.numerics import BatchStats, SeededRng, batch_stats
+from reference import cosine_sim, entropy, euclid, euclid_direct, softmax, two_pass_stats
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 small_vectors = st.lists(finite_floats, min_size=1, max_size=10).map(np.array)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctta.numerics import BatchStats, SeededRng, cosine_sim
+from ctta.numerics import BatchStats, SeededRng
 from ctta.pools import (
     ClassPromptPool,
     DomainPromptPool,
@@ -15,7 +15,7 @@ from ctta.pools import (
     fission_domain,
 )
 from instancegen import random_class_pool, random_prob
-from reference import class_fission_reference
+from reference import class_fission_reference, cosine_sim
 
 DIM = 5
 C = 3
