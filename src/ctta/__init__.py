@@ -52,7 +52,6 @@ from .pools import (
     ClassPromptPool,
     DomainPromptPool,
     FissionOutcome,
-    fission_class,
     fission_class_batch,
     fission_domain,
 )

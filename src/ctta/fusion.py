@@ -1,8 +1,9 @@
 """Knowledge fusion: writing learned prompts back into the pools.
 
-Class-pool updates read each fission outcome's ``candidates`` and ``weights``
-arrays. They validate a batch's records once, are entropy-gated, and are
-applied sample by sample. Overflow triggers a single-linkage compaction on
+A class-pool update reads one batch record: the learned prompts,
+predictions and pseudo-labels as matrices and the batch's fission outcome.
+It validates the record once, is entropy-gated, and is applied sample by
+sample. Overflow triggers a single-linkage compaction on
 cosine distances between keys: Kruskal's algorithm takes edges in
 (weight, i, j) order from a stable argsort of the row-major upper triangle
 (light edges first, the rest only if needed) and stops once the pool's
@@ -28,26 +29,27 @@ class PoolVersionError(RuntimeError):
 
 @dataclass
 class ClassUpdateRecord:
-    """Per-sample inputs to the class-pool update, validated there per batch."""
+    """One batch's inputs to the class-pool update, validated there.
 
-    learned_prompt: Vector
-    prediction: Vector
-    pseudo_label: Vector
+    Row t of each matrix and of ``outcome`` belongs to sample t.
+    """
+
+    learned_prompts: Matrix
+    predictions: Matrix
+    pseudo_labels: Matrix
     outcome: FissionOutcome
+
+    def __len__(self) -> int:
+        return len(self.outcome)
 
 
 @dataclass
 class DomainUpdateRecord:
-    """Per-batch inputs to the domain-pool update."""
+    """Per-batch inputs to the domain-pool update, validated there."""
 
     learned_prompt: Vector
     batch_stats: BatchStats
     outcome: FissionOutcome
-
-    def __post_init__(self):
-        self.learned_prompt = as_vector(self.learned_prompt, name="learned prompt")
-        if not isinstance(self.batch_stats, BatchStats):
-            raise ValueError("batch_stats must be BatchStats")
 
 
 @dataclass
@@ -77,46 +79,45 @@ def _mean_rows(rows) -> Vector:
     return acc / len(rows)
 
 
-def _check_outcomes(pool, outcomes: list[FissionOutcome]) -> None:
-    """Reject stale or malformed outcomes before any row is written.
+def _check_outcome(pool, outcome: FissionOutcome) -> None:
+    """Reject a stale or malformed outcome before any row is written.
 
-    Each outcome must be computed at the pool's current version, and its
-    candidates must be strictly ascending, aligned with its weights and name
-    rows the pool has.
+    The outcome must be computed at the pool's current version. Its offsets
+    must rise from 0 to the candidate count, one row per composed prompt, and
+    its candidates must be aligned with its weights, name rows the pool has
+    and ascend strictly within each row.
     """
-    if not outcomes:
-        return
-    for outcome in outcomes:
-        if outcome.pool_version != pool.version:
-            raise PoolVersionError(
-                f"outcome computed at pool version {outcome.pool_version}, "
-                f"pool is now at {pool.version}"
-            )
-        if outcome.candidates.shape != outcome.weights.shape:
-            raise ValueError("outcome candidates and weights must be aligned 1-d arrays")
-    cand = np.concatenate([outcome.candidates for outcome in outcomes])
+    if outcome.pool_version != pool.version:
+        raise PoolVersionError(
+            f"outcome computed at pool version {outcome.pool_version}, "
+            f"pool is now at {pool.version}"
+        )
+    cand, offsets = outcome.candidates, outcome.offsets
+    if cand.ndim != 1 or cand.shape != outcome.weights.shape:
+        raise ValueError("outcome candidates and weights must be aligned 1-d arrays")
+    if (
+        offsets.shape != (len(outcome.composed) + 1,)
+        or offsets[0] != 0
+        or offsets[-1] != cand.size
+        or (np.diff(offsets) < 0).any()
+    ):
+        raise ValueError("outcome offsets must rise from 0 to the candidate count, one per row")
     if not cand.size:
         return
     if cand.min() < 0 or cand.max() >= len(pool):
         missing = cand[(cand < 0) | (cand >= len(pool))][0]
         raise PoolVersionError(f"outcome references missing pool index {missing}")
-    # One pass over the concatenation; the step into the next outcome is exempt.
+    # One pass over all rows; the step into the next row is exempt.
     ascending = np.diff(cand) > 0
-    ends = np.cumsum([outcome.candidates.size for outcome in outcomes[:-1]], dtype=np.int64)
-    ascending[ends[(ends > 0) & (ends < cand.size)] - 1] = True
+    starts = offsets[1:-1]
+    ascending[starts[(starts > 0) & (starts < cand.size)] - 1] = True
     if not ascending.all():
         raise ValueError("outcome candidates must be strictly ascending")
 
 
-def _stack_rows(rows: list[Vector], dim: int, name: str) -> Matrix:
-    """Stack per-sample vectors into a finite (len(rows), dim) matrix."""
-    arr = np.array(rows, dtype=np.float64) if rows else np.empty((0, dim))
-    return as_matrix(arr, shape=(len(rows), dim), name=name)
-
-
 def update_class_pool(
     pool: ClassPromptPool,
-    records: list[ClassUpdateRecord],
+    record: ClassUpdateRecord,
     gamma_h: float,
     alpha_c: float,
     *,
@@ -139,27 +140,28 @@ def update_class_pool(
     check_param("gamma_h", gamma_h)
     check_param("alpha_c", alpha_c)
     check_param("class_update", mode)
-    _check_outcomes(pool, [rec.outcome for rec in records])
-    learned = _stack_rows([r.learned_prompt for r in records], pool.prompt_dim, "learned prompts")
-    preds = _stack_rows([r.prediction for r in records], pool.num_classes, "predictions")
-    labels = _stack_rows([r.pseudo_label for r in records], pool.num_classes, "pseudo labels")
+    outcome = record.outcome
+    _check_outcome(pool, outcome)
+    b, dim, num_classes = len(outcome), pool.prompt_dim, pool.num_classes
+    learned = as_matrix(record.learned_prompts, shape=(b, dim), name="learned prompts")
+    preds = as_matrix(record.predictions, shape=(b, num_classes), name="predictions")
+    labels = as_matrix(record.pseudo_labels, shape=(b, num_classes), name="pseudo labels")
     # One of two entropy forms: the predictions come from model._row_softmax
     # and may hold exact zeros, hence the guard. The objective's entropy reads
     # its own log-softmax instead, which has other bits.
     ent = -(preds * np.log(np.where(preds > 0.0, preds, 1.0))).sum(axis=1)
 
-    summary = ClassUpdateSummary()
-    kept = []
-    for t, gated in enumerate((ent > gamma_h).tolist()):
-        (summary.skipped if gated else kept).append(t)
-    fissioned = [t for t in kept if records[t].outcome.fissioned]
-    matched = [t for t in kept if not records[t].outcome.fissioned]
+    gated, fissioned_rows = ent > gamma_h, outcome.fissioned
+    summary = ClassUpdateSummary(skipped=np.flatnonzero(gated).tolist())
+    fissioned = np.flatnonzero(~gated & fissioned_rows)
+    matched = np.flatnonzero(~gated & ~fissioned_rows)
     keys, prompts = pool.keys, pool.prompts
-    if matched:
-        outcomes = [records[t].outcome for t in matched]
-        sizes = [o.candidates.size for o in outcomes]
-        cand = np.concatenate([o.candidates for o in outcomes])
-        weights = np.concatenate([o.weights for o in outcomes])[:, None]
+    if matched.size:
+        counts = np.diff(outcome.offsets)
+        kept = np.repeat(~gated, counts)
+        sizes = counts[matched]
+        cand = outcome.candidates[kept]
+        weights = outcome.weights[kept][:, None]
         hit = np.zeros(len(pool), dtype=bool)
         hit[cand] = True
         rows = np.flatnonzero(hit)
@@ -178,13 +180,13 @@ def update_class_pool(
             cf = alpha_c * weights
             key_keep, prompt_keep = 1.0 - cf, 1.0 - weights
             ends = np.cumsum(sizes).tolist()
-            for t, start, end in zip(matched, [0] + ends[:-1], ends):
+            for t, start, end in zip(matched.tolist(), [0] + ends[:-1], ends):
                 at = cand[start:end]
                 new_keys = cf[start:end] * preds[t] + key_keep[start:end] * keys[at]
                 keys[at] = new_keys / new_keys.sum(axis=1, keepdims=True)
                 prompts[at] = weights[start:end] * learned[t] + prompt_keep[start:end] * prompts[at]
         summary.updated = rows.tolist()
-    if fissioned:
+    if fissioned.size:
         summary.appended = list(range(len(pool), len(pool) + len(fissioned)))
         pool._extend(labels[fissioned], learned[fissioned], [created_at] * len(fissioned))
 
@@ -288,24 +290,28 @@ def update_domain_pool(
     and prompts with the raw weight.
     """
     check_param("alpha_d", alpha_d)
-    _check_outcomes(pool, [record.outcome])
+    outcome = record.outcome
+    _check_outcome(pool, outcome)
+    if len(outcome) != 1:
+        raise ValueError(f"a domain update takes a one-row outcome, got {len(outcome)} rows")
+    learned = as_vector(record.learned_prompt, dim=pool.prompt_dim, name="learned prompt")
+    if not isinstance(record.batch_stats, BatchStats):
+        raise ValueError("batch_stats must be BatchStats")
     if record.batch_stats.dim != pool.feature_dim:
         raise ValueError("record stats dimension must match pool feature_dim")
 
-    summary = DomainUpdateSummary(fissioned=record.outcome.fissioned)
+    summary = DomainUpdateSummary(fissioned=bool(outcome.fissioned[0]))
     stats_key = record.batch_stats.concat()
-    if record.outcome.fissioned:
-        pool._extend(stats_key[None, :], record.learned_prompt[None, :], [created_at])
+    if summary.fissioned:
+        pool._extend(stats_key[None, :], learned[None, :], [created_at])
         summary.appended_index = len(pool) - 1
         if len(pool) > pool.capacity:
             summary.fused_pair = _fuse_core(pool)
     else:
-        idx, w = record.outcome.candidates, record.outcome.weights
+        idx, w = outcome.candidates, outcome.weights
         cf = alpha_d * w
         pool.keys[idx] = cf[:, None] * stats_key + (1.0 - cf)[:, None] * pool.keys[idx]
-        pool.prompts[idx] = (
-            w[:, None] * record.learned_prompt + (1.0 - w)[:, None] * pool.prompts[idx]
-        )
+        pool.prompts[idx] = w[:, None] * learned + (1.0 - w)[:, None] * pool.prompts[idx]
         summary.updated = idx.tolist()
     pool.bump()
     return summary

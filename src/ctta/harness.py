@@ -205,7 +205,7 @@ class ClusterLedger:
     def on_fission_outcome(self, batch_index: int, true_domain: int, outcome: FissionOutcome):
         first = true_domain not in self._seen
         self._seen.add(true_domain)
-        if first and not outcome.fissioned:
+        if first and not outcome.fissioned[0]:
             self.violations.append(
                 f"batch {batch_index}: first encounter of domain {true_domain} "
                 "matched existing prompts instead of fissioning"
@@ -263,7 +263,7 @@ def _adapt_batch(
 ):
     """One online step on unlabeled samples; returns predictions and update summaries."""
     labels_free = pseudo_labels(model, samples)
-    class_outcomes = fission_class_batch(
+    class_outcome = fission_class_batch(
         class_pool,
         labels_free,
         hp.gamma_c,
@@ -282,12 +282,11 @@ def _adapt_batch(
         hp.init_scale,
         softmax_over_all=hp.softmax_over_all,
     )
-    composed_class = np.array([o.composed_prompt for o in class_outcomes])
     p_d, p_c, breakdown = optimize_prompts(
         model,
         samples,
-        domain_outcome.composed_prompt,
-        composed_class,
+        domain_outcome.composed[0],
+        class_outcome.composed,
         source_stats,
         a=hp.a,
         alpha_std=hp.alpha_std,
@@ -297,13 +296,9 @@ def _adapt_batch(
     )
     _, probs = forward(model, samples, p_d, p_c)
 
-    records = [
-        ClassUpdateRecord(p_c[t], probs[t], labels_free[t], class_outcomes[t])
-        for t in range(samples.shape[0])
-    ]
     class_summary = update_class_pool(
         class_pool,
-        records,
+        ClassUpdateRecord(p_c, probs, labels_free, class_outcome),
         hp.gamma_h,
         hp.alpha_c,
         mode=hp.class_update,
@@ -315,7 +310,7 @@ def _adapt_batch(
         hp.alpha_d,
         created_at=batch_index,
     )
-    return probs, breakdown, class_outcomes, domain_outcome, class_summary, domain_summary
+    return probs, breakdown, class_outcome, domain_outcome, class_summary, domain_summary
 
 
 def run_ctta(
@@ -347,7 +342,7 @@ def run_ctta(
             on_batch_start(batch, class_pool, domain_pool)
         samples = batch.samples
         try:
-            probs, breakdown, class_outcomes, domain_outcome, class_summary, domain_summary = (
+            probs, breakdown, class_outcome, domain_outcome, class_summary, domain_summary = (
                 _adapt_batch(
                     model, samples, hp, source_stats, class_pool, domain_pool, rng,
                     batch.batch_index,
@@ -370,8 +365,8 @@ def run_ctta(
                 loss_c=breakdown.loss_c,
                 pool_d_size=len(domain_pool),
                 pool_c_size=len(class_pool),
-                fissioned_d=int(domain_outcome.fissioned),
-                fissioned_c=sum(o.fissioned for o in class_outcomes),
+                fissioned_d=int(domain_outcome.fissioned[0]),
+                fissioned_c=int(class_outcome.fissioned.sum()),
                 param_count=(len(domain_pool) + len(class_pool)) * model.input_dim,
                 fused_d=int(domain_summary.fused_pair is not None),
                 compacted_c=int(class_summary.compaction is not None),

@@ -1,6 +1,6 @@
 """Deterministic numeric primitives shared by the adaptation engine.
 
-Everything here is pure: array coercion and checks, the hyperparameter table
+Everything here is pure: array coercion and checks, the parameter table
 with its one validator, batch statistics, plus a seeded random source. Vectors
 are 1-d float64 numpy arrays with finite entries; matrices are 2-d.
 """
@@ -76,19 +76,36 @@ HYPERPARAMS: dict[str, tuple[type, str | tuple[str, ...] | None]] = {
     "softmax_over_all": (bool, None),
     "class_update": (str, ("sequential", "averaged")),
 }
+# Stream configuration and separation certificate fields, under the same rule.
+# Each item of ``domain_order`` is checked as ``domain_order``; ``theta``
+# serves both the config and the certificate.
+STREAM_PARAMS: dict[str, tuple[type, str | tuple[str, ...] | None]] = {
+    "domain_order": (numbers.Integral, "[0, inf]"),
+    "batches_per_domain": (numbers.Integral, "[1, inf]"),
+    "batch_size": (numbers.Integral, "[2, inf]"),
+    "input_dim": (numbers.Integral, "[1, inf]"),
+    "num_classes": (numbers.Integral, "[1, inf]"),
+    "seed": (numbers.Integral, "[0, inf]"),
+    "theta": (numbers.Real, "(0, inf]"),
+    "max_intra": (numbers.Real, "[0, inf]"),
+    "min_inter": (numbers.Real, "[0, inf]"),
+    "probe_batches": (numbers.Integral, "[1, inf]"),
+}
+_PARAMS = {**HYPERPARAMS, **STREAM_PARAMS}
 _BOUNDS = {  # (lo, hi) of each interval
-    k: tuple(map(float, r[1:-1].split(","))) for k, (_, r) in HYPERPARAMS.items() if isinstance(r, str)
+    k: tuple(map(float, r[1:-1].split(","))) for k, (_, r) in _PARAMS.items() if isinstance(r, str)
 }
 # exact types pass without the abstract-class check, the slow part of isinstance
 _EXACT = {numbers.Real: (float, int), numbers.Integral: (int,), bool: (bool,), str: (str,)}
 
 
 def check_param(name: str, value):
-    """Return ``value`` if it has the type and range ``HYPERPARAMS`` gives ``name``.
+    """Return ``value`` if it has the type and range the table gives ``name``.
 
-    A bool is a flag and nothing else, not an Integral or a Real.
+    The table is ``HYPERPARAMS`` plus ``STREAM_PARAMS``. A bool is a flag and
+    nothing else, not an Integral or a Real.
     """
-    kind, allowed = HYPERPARAMS[name]
+    kind, allowed = _PARAMS[name]
     ok = type(value) in _EXACT[kind] or (
         isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
     )

@@ -4,14 +4,13 @@ A pool is an ordered set of (key, prompt) rows with a capacity, stored as
 arrays: ``keys`` ``(n, key_dim)``, ``prompts`` ``(n, prompt_dim)`` and
 ``created_at`` ``(n,)``. Fission matches a query key against every key under a
 threshold: matches compose a prompt by softmax weighting, and a miss spawns a
-fresh prompt instead. Each outcome names its matches as two aligned arrays,
-ascending pool indices and their weights. Fission never mutates a pool; all
-writes live in the fusion module.
+fresh prompt instead. One outcome holds a whole batch of queries in compressed
+sparse rows: per query a slice of ascending pool indices and their weights.
+Fission never mutates a pool; all writes live in the fusion module.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -152,24 +151,42 @@ class DomainPromptPool(_BasePool):
 
 @dataclass
 class FissionOutcome:
-    """Result of matching one query against a pool.
+    """Result of matching q queries against a pool, one row per query.
 
-    ``candidates`` holds the matched pool indices in ascending order and
-    ``weights`` their softmax weights, aligned with it; ``composed_prompt`` is
-    the weighted blend of the candidates' prompts. When nothing cleared the
-    threshold both arrays are empty and ``composed_prompt`` is a freshly
+    Row t's matched pool indices are ``candidates[offsets[t]:offsets[t + 1]]``
+    in ascending order, with their softmax weights at the same positions of
+    ``weights``; ``composed[t]`` is their weighted blend of prompts. A row
+    that nothing cleared the threshold for has an empty slice and a freshly
     spawned prompt. The ``pool_version`` stamp lets fusion reject stale
     outcomes.
     """
 
-    composed_prompt: Vector
+    composed: Matrix
+    offsets: np.ndarray
     candidates: np.ndarray
     weights: Vector
     pool_version: int = 0
 
     @property
-    def fissioned(self) -> bool:
-        return self.candidates.size == 0
+    def fissioned(self) -> np.ndarray:
+        return self.offsets[1:] == self.offsets[:-1]
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, t: int) -> "FissionOutcome":
+        """Row ``t`` as a one-row outcome."""
+        if not -len(self) <= t < len(self):
+            raise IndexError(f"row {t} of a {len(self)}-row outcome")
+        t %= len(self)
+        start, end = self.offsets[t], self.offsets[t + 1]
+        return FissionOutcome(
+            self.composed[t : t + 1],
+            self.offsets[t : t + 2] - start,
+            self.candidates[start:end],
+            self.weights[start:end],
+            self.pool_version,
+        )
 
 
 def _compose(
@@ -179,7 +196,7 @@ def _compose(
     rng: SeededRng,
     init_scale: float,
     softmax_over_all: bool,
-) -> list[FissionOutcome]:
+) -> FissionOutcome:
     """Blend each row's candidate prompts by softmax(scores), or spawn one if none matched.
 
     Exponentials are taken for the whole batch at once, but each row's
@@ -195,16 +212,17 @@ def _compose(
     check_param("softmax_over_all", softmax_over_all)
     flat = np.flatnonzero(mask)
     cand = flat % mask.shape[1]
-    counts = mask.sum(axis=1).tolist()
-    ends = list(accumulate(counts))
-    starts = [0] + ends[:-1]
-    fresh = [t for t, k in enumerate(counts) if not k]
-    matched = [t for t, k in enumerate(counts) if k]
+    counts = mask.sum(axis=1)
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    fresh = counts == 0
+    matched = np.flatnonzero(counts).tolist()
     composed = np.empty((len(counts), pool.prompt_dim))
-    if fresh:
-        composed[fresh] = rng.normal(size=(len(fresh), pool.prompt_dim)) * init_scale
+    if fresh.any():
+        composed[fresh] = rng.normal(size=(int(fresh.sum()), pool.prompt_dim)) * init_scale
     weights = np.empty(flat.size)
     if matched:
+        ends = offsets.tolist()
         top = scores if softmax_over_all else np.where(mask, scores, -np.inf)
         shifted = scores - top.max(axis=1, keepdims=True)
         if softmax_over_all:
@@ -213,15 +231,12 @@ def _compose(
             sums = [totals[t].sum() for t in matched]
         else:
             num = np.exp(shifted.take(flat))
-            sums = [num[starts[t] : ends[t]].sum() for t in matched]
-        np.divide(num, np.repeat(np.array(sums), [counts[t] for t in matched]), out=weights)
-    outcomes = []
-    for t, (start, end) in enumerate(zip(starts, ends)):
-        c, w, row = cand[start:end], weights[start:end], composed[t]
-        if end > start:
-            np.matmul(w, pool.prompts.take(c, axis=0), out=row)
-        outcomes.append(FissionOutcome(row, c, w, pool.version))
-    return outcomes
+            sums = [num[ends[t] : ends[t + 1]].sum() for t in matched]
+        np.divide(num, np.repeat(np.array(sums), counts[matched]), out=weights)
+        for t in matched:
+            start, end = ends[t], ends[t + 1]
+            np.matmul(weights[start:end], pool.prompts.take(cand[start:end], axis=0), out=composed[t])
+    return FissionOutcome(composed, offsets, cand, weights, pool.version)
 
 
 def _check_pseudo_labels(pseudo_labels, num_classes: int) -> Matrix:
@@ -234,23 +249,6 @@ def _check_pseudo_labels(pseudo_labels, num_classes: int) -> Matrix:
     return y
 
 
-def fission_class(
-    pool: ClassPromptPool,
-    pseudo_label,
-    gamma_c: float,
-    tau_c: float,
-    rng: SeededRng,
-    init_scale: float,
-    *,
-    softmax_over_all: bool = False,
-) -> FissionOutcome:
-    """Class fission of one pseudo-label: ``fission_class_batch`` on one row."""
-    y = as_vector(pseudo_label, dim=pool.num_classes, name="pseudo_label")
-    return fission_class_batch(
-        pool, y[None, :], gamma_c, tau_c, rng, init_scale, softmax_over_all=softmax_over_all
-    )[0]
-
-
 def fission_class_batch(
     pool: ClassPromptPool,
     pseudo_labels,
@@ -260,14 +258,14 @@ def fission_class_batch(
     init_scale: float,
     *,
     softmax_over_all: bool = False,
-) -> list[FissionOutcome]:
+) -> FissionOutcome:
     """Match each pseudo-label against the class pool by cosine similarity.
 
     Entries with similarity strictly above ``gamma_c`` become candidates and
     are blended with weights softmax(similarity / tau_c); with no candidate
     (including the empty-pool initial state) a fresh prompt is spawned.
-    Inputs are validated once for the whole batch; outcome order matches
-    sample order.
+    Inputs are validated once for the whole batch; the outcome has one row
+    per sample, in sample order.
     """
     check_param("gamma_c", gamma_c)
     check_param("tau_c", tau_c)
@@ -300,7 +298,7 @@ def fission_domain(
     Entries with Euclidean distance (over the concatenated mean and std)
     strictly below ``gamma_d`` become candidates, weighted by
     softmax(-distance / tau_d); otherwise a fresh prompt is spawned, which
-    also covers the very first test batch.
+    also covers the very first test batch. The outcome has one row.
     """
     check_param("gamma_d", gamma_d)
     check_param("tau_d", tau_d)
@@ -309,4 +307,4 @@ def fission_domain(
     if stats.dim != pool.feature_dim:
         raise ValueError("stats dimension must match pool feature_dim")
     dists = np.linalg.norm(pool.keys - stats.concat(), axis=1)[None, :]
-    return _compose(pool, -dists / tau_d, dists < gamma_d, rng, init_scale, softmax_over_all)[0]
+    return _compose(pool, -dists / tau_d, dists < gamma_d, rng, init_scale, softmax_over_all)

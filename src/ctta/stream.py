@@ -8,13 +8,13 @@ pair closer than a threshold that every cross-domain pair exceeds.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import groupby, repeat
 
 import numpy as np
 
 from .model import ToyModel, draw_labeled_samples, key_stats
-from .numerics import Matrix, SeededRng, Vector, as_matrix, as_vector
+from .numerics import Matrix, SeededRng, Vector, as_matrix, as_vector, check_param
 
 
 class StreamParseError(ValueError):
@@ -67,15 +67,13 @@ class StreamConfig:
     theta: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "domain_order", tuple(int(d) for d in self.domain_order))
+        order = tuple(check_param("domain_order", d) for d in self.domain_order)
+        object.__setattr__(self, "domain_order", tuple(map(int, order)))
         if not self.domain_order:
             raise ValueError("domain_order must be nonempty")
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2")
-        if self.batches_per_domain < 1 or self.input_dim < 1 or self.num_classes < 1:
-            raise ValueError("batches_per_domain, input_dim, num_classes must be positive")
-        if self.theta is not None and self.theta <= 0:
-            raise ValueError("theta must be > 0 when set")
+        for name in self.FIELDS[1:]:
+            if name != "theta" or self.theta is not None:
+                check_param(name, getattr(self, name))
 
     FIELDS = (
         "domain_order",
@@ -119,6 +117,10 @@ class SeparationCertificate:
     min_inter: float
     probe_batches: int
     seed: int
+
+    def __post_init__(self):
+        for f in fields(self):
+            check_param(f.name, getattr(self, f.name))
 
     @property
     def valid(self) -> bool:

@@ -36,10 +36,11 @@ def random_domain_pool(
 
 
 def make_outcome(prompt, weights: dict[int, float] | None, version: int) -> FissionOutcome:
-    """An outcome from an {index: weight} map, or a fissioned one for ``None``."""
+    """A one-row outcome from an {index: weight} map, or a fissioned one for ``None``."""
     idx = sorted(weights or {})
     return FissionOutcome(
-        np.asarray(prompt, dtype=float),
+        np.asarray(prompt, dtype=float)[None, :],
+        np.array([0, len(idx)], dtype=np.int64),
         np.array(idx, dtype=np.int64),
         np.array([weights[i] for i in idx], dtype=float),
         version,
@@ -58,20 +59,53 @@ def random_outcome(rng: SeededRng, pool, prompt_dim: int, fission_prob: float) -
     )
 
 
+def class_record(learned, prediction, pseudo_label, outcome: FissionOutcome) -> ClassUpdateRecord:
+    """A one-sample batch record."""
+    return ClassUpdateRecord(
+        np.array([learned], dtype=float),
+        np.array([prediction], dtype=float),
+        np.array([pseudo_label], dtype=float),
+        outcome,
+    )
+
+
+def stack_outcomes(outcomes: list[FissionOutcome]) -> FissionOutcome:
+    """One outcome holding the rows of ``outcomes`` in order."""
+    sizes = [o.candidates.size for o in outcomes]
+    return FissionOutcome(
+        np.concatenate([o.composed for o in outcomes]),
+        np.cumsum([0] + sizes, dtype=np.int64),
+        np.concatenate([o.candidates for o in outcomes]),
+        np.concatenate([o.weights for o in outcomes]),
+        outcomes[0].pool_version,
+    )
+
+
+def stack_class_records(records: list[ClassUpdateRecord]) -> ClassUpdateRecord:
+    """One batch record holding the samples of ``records`` in order."""
+    return ClassUpdateRecord(
+        np.concatenate([r.learned_prompts for r in records]),
+        np.concatenate([r.predictions for r in records]),
+        np.concatenate([r.pseudo_labels for r in records]),
+        stack_outcomes([r.outcome for r in records]),
+    )
+
+
 def random_class_records(
     rng: SeededRng, pool: ClassPromptPool, batch_size: int, fission_prob: float = 0.3
-) -> list[ClassUpdateRecord]:
-    records = []
-    for _ in range(batch_size):
-        records.append(
-            ClassUpdateRecord(
+) -> ClassUpdateRecord:
+    """One batch record of ``batch_size`` random samples, drawn sample by sample."""
+    return stack_class_records(
+        [
+            class_record(
                 rng.normal(size=pool.prompt_dim),
                 random_prob(rng, pool.num_classes),
                 random_prob(rng, pool.num_classes),
                 random_outcome(rng, pool, pool.prompt_dim, fission_prob),
             )
-        )
-    return records
+            for _ in range(batch_size)
+        ]
+    )
 
 
 def random_domain_record(

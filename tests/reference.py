@@ -185,26 +185,27 @@ def partition_sets(groups_or_assignment) -> set[frozenset]:
     return {frozenset(g) for g in groups_or_assignment}
 
 
-def algorithm1_reference(entries, capacity, records, gamma_h, alpha_c, created_at=0):
+def algorithm1_reference(entries, capacity, record, gamma_h, alpha_c, created_at=0):
     """Line-by-line replay of the class-pool update pseudocode.
 
     ``entries`` is a list of (key, prompt, created_at) tuples; a new list is
-    returned, leaving the input untouched.
+    returned, leaving the input untouched. The batch record is replayed one
+    sample at a time.
     """
     entries = [(k.copy(), p.copy(), c) for k, p, c in entries]
-    for rec in records:
-        if entropy(rec.prediction) > gamma_h:
+    for t in range(len(record)):
+        prediction, learned, outcome = record.predictions[t], record.learned_prompts[t], record.outcome[t]
+        if entropy(prediction) > gamma_h:
             continue
-        if rec.outcome.fissioned:
-            entries.append((rec.pseudo_label.copy(), rec.learned_prompt.copy(), created_at))
+        if outcome.fissioned[0]:
+            entries.append((record.pseudo_labels[t].copy(), learned.copy(), created_at))
         else:
-            outcome = rec.outcome
             for i, w in sorted(zip(outcome.candidates.tolist(), outcome.weights.tolist())):
                 key, prompt, created = entries[i]
                 cf = alpha_c * w
-                new_key = cf * rec.prediction + (1.0 - cf) * key
+                new_key = cf * prediction + (1.0 - cf) * key
                 new_key = new_key / new_key.sum()
-                new_prompt = w * rec.learned_prompt + (1.0 - w) * prompt
+                new_prompt = w * learned + (1.0 - w) * prompt
                 entries[i] = (new_key, new_prompt, created)
     if len(entries) > capacity:
         keys = [k for k, _, _ in entries]
@@ -236,7 +237,7 @@ def algorithm2_reference(entries, capacity, record, alpha_d, created_at=0):
     ``entries`` is a list of (mu, sigma, prompt, created_at) tuples.
     """
     entries = [(m.copy(), s.copy(), p.copy(), c) for m, s, p, c in entries]
-    if record.outcome.fissioned:
+    if record.outcome.fissioned[0]:
         entries.append(
             (
                 record.batch_stats.mu.copy(),

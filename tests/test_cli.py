@@ -289,6 +289,42 @@ def test_config_value_of_wrong_type_exits_1_naming_its_key(generated, tmp_path, 
     assert "softmax_over_all must be bool" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
+    # stream config values; verify reads the seed from the config
+    for key, value, rule in [
+        ("batches_per_domain", 2.5, "Integral in [1, inf], got 2.5"),
+        ("input_dim", 4.0, "Integral in [1, inf], got 4.0"),
+        ("num_classes", 3.0, "Integral in [1, inf], got 3.0"),
+        ("batch_size", True, "Integral in [2, inf], got True"),
+        ("theta", True, "Real in (0, inf], got True"),
+        ("domain_order", [0, 1.7, 2], "Integral in [0, inf], got 1.7"),
+        ("domain_order", ["0", "1", "2"], "Integral in [0, inf], got '0'"),
+        ("seed", -1, "Integral in [0, inf], got -1"),
+    ]:
+        bad = write_config(tmp_path / "config.json", **{key: value})
+        code = main(
+            ["verify", "--config", str(bad), "--stream", str(stream), "--certificate", str(cert)]
+        )
+        assert code == 1
+        assert f"{key} must be {rule}" in capsys.readouterr().err
+
+    # certificate values, read by run before gamma_d is taken from theta
+    for value in ("4", True):
+        bad_cert = tmp_path / "certificate.json"
+        bad_cert.write_text(json.dumps({**json.loads(cert.read_text()), "theta": value}))
+        code = main(
+            [
+                "run",
+                "--config", str(config),
+                "--stream", str(stream),
+                "--seed", "7",
+                "--certificate", str(bad_cert),
+                "--out-dir", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 1
+        assert f"theta must be Real in (0, inf], got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 def test_sweep_reads_flag_spellings_and_rejects_others(generated, tmp_path, capsys):
     root, config, stream, cert = generated

@@ -1,10 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctta.fusion import (
-    ClassUpdateRecord,
     DomainUpdateRecord,
     PoolVersionError,
     _compact_class_pool,
@@ -17,6 +18,7 @@ from ctta.numerics import BatchStats, SeededRng
 from ctta.pools import ClassPromptPool, DomainPromptPool, FissionOutcome
 from instancegen import (
     class_pool_tuples,
+    class_record,
     domain_pool_tuples,
     make_outcome,
     random_class_pool,
@@ -24,6 +26,8 @@ from instancegen import (
     random_domain_pool,
     random_domain_record,
     random_prob,
+    stack_class_records,
+    stack_outcomes,
 )
 from reference import (
     algorithm1_reference,
@@ -46,7 +50,7 @@ def onehot(i, n=3):
 
 def matched_record(pool, prompt, prediction, pseudo, weights):
     outcome = make_outcome(prompt, weights, pool.version)
-    return ClassUpdateRecord(prompt, prediction, pseudo, outcome)
+    return class_record(prompt, prediction, pseudo, outcome)
 
 
 def test_gate_skips_everything_bitwise():
@@ -54,10 +58,12 @@ def test_gate_skips_everything_bitwise():
     pool = random_class_pool(rng, 4, 10, 3, 5)
     before = class_pool_bytes(pool)
     # uniform predictions have entropy ln 3 > 0.5
-    records = [
-        matched_record(pool, rng.normal(size=5), np.full(3, 1 / 3), random_prob(rng, 3), {0: 1.0})
-        for _ in range(3)
-    ]
+    records = stack_class_records(
+        [
+            matched_record(pool, rng.normal(size=5), np.full(3, 1 / 3), random_prob(rng, 3), {0: 1.0})
+            for _ in range(3)
+        ]
+    )
     summary = update_class_pool(pool, records, 0.5, 0.1)
     assert summary.skipped == [0, 1, 2]
     assert class_pool_bytes(pool) == before
@@ -70,7 +76,7 @@ def test_sole_candidate_full_weight_replaces_prompt_keeps_key():
     pool.append(key.copy(), np.zeros(4), 0)
     learned = np.array([1.0, 2.0, 3.0, 4.0])
     rec = matched_record(pool, learned, onehot(0), onehot(0), {0: 1.0})
-    update_class_pool(pool, [rec], 10.0, 0.0)  # alpha_c = 0 freezes the key
+    update_class_pool(pool, rec, 10.0, 0.0)  # alpha_c = 0 freezes the key
     np.testing.assert_array_equal(pool.prompts[0], learned)
     np.testing.assert_array_equal(pool.keys[0], key)
 
@@ -79,8 +85,8 @@ def test_fissioned_record_appends_pseudo_label_key():
     pool = ClassPromptPool(10, 4, 3)
     pseudo = random_prob(SeededRng(2), 3)
     outcome = make_outcome(np.ones(4), None, pool.version)
-    rec = ClassUpdateRecord(np.ones(4), onehot(1), pseudo, outcome)
-    summary = update_class_pool(pool, [rec], 10.0, 0.1, created_at=7)
+    rec = class_record(np.ones(4), onehot(1), pseudo, outcome)
+    summary = update_class_pool(pool, rec, 10.0, 0.1, created_at=7)
     assert summary.appended == [0]
     np.testing.assert_array_equal(pool.keys[0], pseudo)
     assert pool.created_at[0] == 7
@@ -95,10 +101,12 @@ def test_update_class_pool_matches_hand_simulation():
     p2 = np.array([0.0, 4.0])
     yhat1 = np.array([1.0, 0.0])
     yhat2 = np.array([0.0, 1.0])
-    recs = [
-        matched_record(pool, p1, yhat1, yhat1, {0: 1.0}),
-        matched_record(pool, p2, yhat2, yhat2, {0: 0.5}),
-    ]
+    recs = stack_class_records(
+        [
+            matched_record(pool, p1, yhat1, yhat1, {0: 1.0}),
+            matched_record(pool, p2, yhat2, yhat2, {0: 0.5}),
+        ]
+    )
     update_class_pool(pool, recs, 10.0, alpha_c)
     # sample 1: key <- 0.5*[1,0] + 0.5*[.5,.5] = [.75,.25]; prompt <- [2,0]
     # sample 2: coeff 0.25: key <- 0.25*[0,1] + 0.75*[.75,.25] = [.5625,.4375]
@@ -128,7 +136,7 @@ def test_update_rejects_outcomes_naming_missing_rows():
     before, version = class_pool_bytes(pool), pool.version
     rec = matched_record(pool, np.zeros(5), onehot(0), onehot(0), {0: 0.5, 3: 0.5})
     with pytest.raises(PoolVersionError, match="missing pool index 3"):
-        update_class_pool(pool, [rec], 10.0, 0.1)
+        update_class_pool(pool, rec, 10.0, 0.1)
     assert class_pool_bytes(pool) == before and pool.version == version
 
     dpool = random_domain_pool(rng, 2, 10, 4, 5)
@@ -141,38 +149,93 @@ def test_update_rejects_outcomes_naming_missing_rows():
         update_domain_pool(dpool, rec, 0.1)
 
 
+def first_offset_not_0(outcome):
+    return replace(outcome, offsets=np.concatenate(([1], outcome.offsets[1:])))
+
+
+def offsets_decrease(outcome):
+    # the first row ends past the second; a one-row outcome cannot show this
+    if len(outcome) < 2:
+        return None
+    offsets = outcome.offsets.copy()
+    offsets[1] = offsets[2] + 1
+    return replace(outcome, offsets=offsets)
+
+
+def last_offset_short_of_candidates(outcome):
+    return replace(outcome, offsets=np.concatenate((outcome.offsets[:-1], [outcome.offsets[-1] - 1])))
+
+
+def composed_row_missing(outcome):
+    return replace(outcome, composed=outcome.composed[1:])
+
+
+def two_rows(outcome):
+    # only a domain update requires one row
+    return stack_outcomes([outcome, outcome]) if len(outcome) == 1 else None
+
+
 @pytest.mark.parametrize(
     "candidates, weights, match",
     [
         ([0, 2, 1, 3], [0.4, 0.3, 0.2, 0.1], "strictly ascending"),  # spans 0..3 without gaps
         ([1, 1], [0.5, 0.5], "strictly ascending"),
         ([0, 1], [1.0], "aligned"),
+        # Faults in the row layout rather than in one row: each edits
+        # well-formed outcomes, three rows for the class pool and one for the
+        # domain pool, and returns None where the fault cannot occur.
+        pytest.param(first_offset_not_0, None, "offsets", id="offsets-not-from-0"),
+        pytest.param(offsets_decrease, None, "offsets", id="offsets-decrease"),
+        pytest.param(last_offset_short_of_candidates, None, "offsets", id="offsets-end-short"),
+        pytest.param(composed_row_missing, None, "offsets", id="rows-unequal"),
+        pytest.param(two_rows, None, "one-row", id="domain-two-rows"),
     ],
 )
 def test_update_rejects_malformed_outcomes(candidates, weights, match):
     rng = SeededRng(8)
     pool = random_class_pool(rng, 4, 10, 3, 5)
-    before, version = class_pool_bytes(pool), pool.version
-    good = matched_record(pool, np.zeros(5), onehot(0), onehot(0), {0: 0.5, 1: 0.5})
-    bad = ClassUpdateRecord(
-        np.zeros(5),
-        onehot(1),
-        onehot(1),
-        FissionOutcome(np.zeros(5), np.array(candidates), np.array(weights), pool.version),
-    )
-    # the well-formed outcomes on either side must not mask the malformed one
-    with pytest.raises(ValueError, match=match):
-        update_class_pool(pool, [good, bad, good], 10.0, 0.1)
-    assert class_pool_bytes(pool) == before and pool.version == version
-
     dpool = random_domain_pool(rng, 4, 10, 4, 5)
-    rec = DomainUpdateRecord(
-        np.zeros(5),
-        BatchStats(np.zeros(4), np.ones(4)),
-        FissionOutcome(np.zeros(5), np.array(candidates), np.array(weights), dpool.version),
-    )
-    with pytest.raises(ValueError, match=match):
-        update_domain_pool(dpool, rec, 0.1)
+    before, version = class_pool_bytes(pool), pool.version
+    dbefore, dversion = class_pool_bytes(dpool), dpool.version
+    good = matched_record(pool, np.zeros(5), onehot(0), onehot(0), {0: 0.5, 1: 0.5})
+    if weights is None:
+        record = stack_class_records([good, good, good])
+        class_outcome = candidates(record.outcome)
+        domain_outcome = candidates(make_outcome(np.zeros(5), {0: 0.5, 1: 0.5}, dpool.version))
+    else:
+        bad = FissionOutcome(
+            np.zeros((1, 5)),
+            np.array([0, len(candidates)]),
+            np.array(candidates),
+            np.array(weights),
+            pool.version,
+        )
+        # the well-formed rows on either side must not mask the malformed one
+        record = stack_class_records([good, class_record(np.zeros(5), onehot(1), onehot(1), bad), good])
+        class_outcome, domain_outcome = record.outcome, replace(bad, pool_version=dpool.version)
+    if class_outcome is not None:
+        with pytest.raises(ValueError, match=match):
+            update_class_pool(pool, replace(record, outcome=class_outcome), 10.0, 0.1)
+    if domain_outcome is not None:
+        rec = DomainUpdateRecord(np.zeros(5), BatchStats(np.zeros(4), np.ones(4)), domain_outcome)
+        with pytest.raises(ValueError, match=match):
+            update_domain_pool(dpool, rec, 0.1)
+    assert class_pool_bytes(pool) == before and pool.version == version
+    assert class_pool_bytes(dpool) == dbefore and dpool.version == dversion
+
+
+@pytest.mark.parametrize("fissioned", [False, True])
+def test_domain_update_rejects_learned_prompt_of_wrong_dimension(fissioned):
+    rng = SeededRng(9)
+    pool = random_domain_pool(rng, 2, 10, 4, 4)
+    before, version = class_pool_bytes(pool), pool.version
+    outcome = make_outcome(np.zeros(4), None if fissioned else {0: 1.0}, pool.version)
+    # a length-1 prompt would broadcast into every component of a matched row
+    for learned in (np.array([7.0]), np.zeros(2), np.zeros(5)):
+        rec = DomainUpdateRecord(learned, BatchStats(np.zeros(4), np.ones(4)), outcome)
+        with pytest.raises(ValueError, match="learned prompt"):
+            update_domain_pool(pool, rec, 0.1)
+    assert class_pool_bytes(pool) == before and pool.version == version
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -190,11 +253,11 @@ def test_class_updates_are_convex_and_keys_stay_probabilities(seed):
     # single-record case: updated components lie between old and incoming values
     pool2 = random_class_pool(rng, 3, 20, 3, 4)
     old2 = class_pool_tuples(pool2)
-    rec = random_class_records(rng, pool2, 1, fission_prob=0.0)[0]
-    update_class_pool(pool2, [rec], 10.0, alpha_c)
+    rec = random_class_records(rng, pool2, 1, fission_prob=0.0)
+    update_class_pool(pool2, rec, 10.0, alpha_c)
     for i in rec.outcome.candidates:
-        lo = np.minimum(old2[i][1], rec.learned_prompt) - 1e-12
-        hi = np.maximum(old2[i][1], rec.learned_prompt) + 1e-12
+        lo = np.minimum(old2[i][1], rec.learned_prompts[0]) - 1e-12
+        hi = np.maximum(old2[i][1], rec.learned_prompts[0]) + 1e-12
         assert np.all(pool2.prompts[i] >= lo)
         assert np.all(pool2.prompts[i] <= hi)
 
@@ -448,10 +511,12 @@ def test_averaged_mode_blends_against_batch_start_state():
     pool.append(np.array([0.5, 0.5]), np.array([1.0, 1.0]), 0)
     p1 = np.array([3.0, 0.0])
     p2 = np.array([0.0, 3.0])
-    recs = [
-        matched_record(pool, p1, onehot(0, 2), onehot(0, 2), {0: 1.0}),
-        matched_record(pool, p2, onehot(1, 2), onehot(1, 2), {0: 1.0}),
-    ]
+    recs = stack_class_records(
+        [
+            matched_record(pool, p1, onehot(0, 2), onehot(0, 2), {0: 1.0}),
+            matched_record(pool, p2, onehot(1, 2), onehot(1, 2), {0: 1.0}),
+        ]
+    )
     update_class_pool(pool, recs, 10.0, 0.0, mode="averaged")
     # both samples blend against the original prompt [1,1]:
     # mean of (1.0*p1 + 0.0*[1,1]) and (1.0*p2 + 0.0*[1,1]) = [1.5, 1.5]

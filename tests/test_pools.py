@@ -10,7 +10,6 @@ from ctta.pools import (
     ClassPromptPool,
     DomainPromptPool,
     FissionOutcome,
-    fission_class,
     fission_class_batch,
     fission_domain,
 )
@@ -51,17 +50,17 @@ def pool_bytes(pool):
 
 def test_fission_class_empty_pool_fissions():
     pool = ClassPromptPool(10, DIM, C)
-    out = fission_class(pool, prob([1, 1, 1]), 0.005, 1.0, SeededRng(0), 0.01)
+    out = fission_class_batch(pool, [prob([1, 1, 1])], 0.005, 1.0, SeededRng(0), 0.01)
     assert out.fissioned and out.candidates.size == 0 and out.weights.size == 0
-    assert out.composed_prompt.shape == (DIM,)
-    assert np.abs(out.composed_prompt).max() < 0.1
+    assert out.composed.shape == (1, DIM)
+    assert np.abs(out.composed[0]).max() < 0.1
 
 
 def test_fission_class_equal_similarity_splits_weight():
     # two keys symmetric around the query get exactly half each
     pool = make_class_pool([[0.6, 0.2, 0.2], [0.2, 0.6, 0.2]])
     query = prob([0.4, 0.4, 0.2])
-    out = fission_class(pool, query, 0.005, 1.0, SeededRng(0), 0.01)
+    out = fission_class_batch(pool, [query], 0.005, 1.0, SeededRng(0), 0.01)
     assert not out.fissioned
     np.testing.assert_array_equal(out.candidates, [0, 1])
     assert out.weights[0] == pytest.approx(0.5, abs=1e-12)
@@ -71,10 +70,10 @@ def test_fission_class_equal_similarity_splits_weight():
 def test_fission_class_sole_exact_match_takes_all_weight():
     key = prob([0.7, 0.2, 0.1])
     pool = make_class_pool([key])
-    out = fission_class(pool, key.copy(), 0.005, 1.0, SeededRng(0), 0.01)
+    out = fission_class_batch(pool, [key.copy()], 0.005, 1.0, SeededRng(0), 0.01)
     np.testing.assert_array_equal(out.candidates, [0])
     np.testing.assert_array_equal(out.weights, [1.0])
-    np.testing.assert_array_equal(out.composed_prompt, pool.prompts[0])
+    np.testing.assert_array_equal(out.composed[0], pool.prompts[0])
 
 
 def test_fission_class_near_orthogonal_key_excluded():
@@ -82,7 +81,7 @@ def test_fission_class_near_orthogonal_key_excluded():
     query = prob([0.999996, 2e-6, 2e-6])
     sims = [cosine_sim(query, key) for key in pool.keys]
     assert sims[0] > 0.005 > sims[1]
-    out = fission_class(pool, query, 0.005, 1.0, SeededRng(0), 0.01)
+    out = fission_class_batch(pool, [query], 0.005, 1.0, SeededRng(0), 0.01)
     np.testing.assert_array_equal(out.candidates, [0])
     assert out.weights[0] == 1.0
 
@@ -90,24 +89,34 @@ def test_fission_class_near_orthogonal_key_excluded():
 def test_fission_class_batch_equals_elementwise_calls():
     pool = make_class_pool([[0.6, 0.2, 0.2], [0.1, 0.8, 0.1]])
     labels = [prob([5, 1, 1]), prob([1, 9, 1]), prob([1, 1, 1]), prob([1e-9, 1e-9, 1.0])]
-    batch_out = fission_class_batch(pool, labels, 0.4, 1.0, SeededRng(42), 0.01)
+    b = len(labels)
+    batch = fission_class_batch(pool, labels, 0.4, 1.0, SeededRng(42), 0.01)
     solo_rng = SeededRng(42)
-    for got, label in zip(batch_out, labels):
-        want = fission_class(pool, label, 0.4, 1.0, solo_rng, 0.01)
-        assert got.fissioned == want.fissioned
-        np.testing.assert_array_equal(got.candidates, want.candidates)
-        np.testing.assert_array_equal(got.weights, want.weights)
-        np.testing.assert_array_equal(got.composed_prompt, want.composed_prompt)
+    solo = [fission_class_batch(pool, [label], 0.4, 1.0, solo_rng, 0.01) for label in labels]
+    assert len(batch) == b
+    assert batch.fissioned.tolist() == [want.fissioned[0] for want in solo]
+    assert batch.fissioned.any() and not batch.fissioned.all()
+    for t, want in enumerate(solo):
+        for got in (batch[t], batch[t - b]):
+            assert len(got) == 1
+            assert got.offsets.tolist() == want.offsets.tolist()
+            assert got.candidates.tobytes() == want.candidates.tobytes()
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert got.composed.tobytes() == want.composed.tobytes()
+            assert got.pool_version == want.pool_version
+    with pytest.raises(IndexError):
+        batch[b]
+    assert len(list(batch)) == b
 
 
 def test_fission_class_identical_samples_identical_outcomes():
     pool = make_class_pool([[0.6, 0.2, 0.2]])
     labels = [prob([2, 1, 1])] * 3
     outs = fission_class_batch(pool, labels, 0.005, 1.0, SeededRng(0), 0.01)
-    for o in outs[1:]:
+    for o in list(outs)[1:]:
         np.testing.assert_array_equal(o.candidates, outs[0].candidates)
         np.testing.assert_array_equal(o.weights, outs[0].weights)
-        np.testing.assert_array_equal(o.composed_prompt, outs[0].composed_prompt)
+        np.testing.assert_array_equal(o.composed[0], outs[0].composed[0])
 
 
 def test_fission_class_batch_against_empty_pool_all_fission():
@@ -122,11 +131,11 @@ def test_fission_class_validates_inputs():
     pool = make_class_pool([[0.6, 0.2, 0.2]])
     rng = SeededRng(0)
     with pytest.raises(ValueError):
-        fission_class(pool, [0.5, 0.6, 0.2], 0.005, 1.0, rng, 0.01)  # not a distribution
+        fission_class_batch(pool, [[0.5, 0.6, 0.2]], 0.005, 1.0, rng, 0.01)  # not a distribution
     with pytest.raises(ValueError):
-        fission_class(pool, prob([1, 1, 1]), 1.5, 1.0, rng, 0.01)  # gamma_c out of range
+        fission_class_batch(pool, [prob([1, 1, 1])], 1.5, 1.0, rng, 0.01)  # gamma_c out of range
     with pytest.raises(ValueError):
-        fission_class(pool, prob([1, 1, 1]), 0.005, 0.0, rng, 0.01)  # tau_c <= 0
+        fission_class_batch(pool, [prob([1, 1, 1])], 0.005, 0.0, rng, 0.01)  # tau_c <= 0
 
 
 def test_fission_domain_exact_key_gets_largest_weight():
@@ -175,15 +184,15 @@ def test_fission_weights_are_convex_and_composition_bounded(seed, n_entries):
     keys = [rng.uniform(0.05, 1.0, size=C) for _ in range(n_entries)]
     pool = make_class_pool(keys)
     query = prob(rng.uniform(0.05, 1.0, size=C))
-    out = fission_class(pool, query, 0.005, 1.0, rng, 0.01)
+    out = fission_class_batch(pool, [query], 0.005, 1.0, rng, 0.01)
     if out.fissioned:
         return
     w = out.weights
     assert np.all(w > 0) and np.all(w <= 1.0)
     assert abs(w.sum() - 1.0) <= 1e-9
     cand_prompts = pool.prompts[out.candidates]
-    assert np.all(out.composed_prompt >= cand_prompts.min(axis=0) - 1e-12)
-    assert np.all(out.composed_prompt <= cand_prompts.max(axis=0) + 1e-12)
+    assert np.all(out.composed[0] >= cand_prompts.min(axis=0) - 1e-12)
+    assert np.all(out.composed[0] <= cand_prompts.max(axis=0) + 1e-12)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -194,7 +203,7 @@ def test_fission_is_read_only(seed):
     dpool = make_domain_pool([rng.normal(size=4) for _ in range(4)])
     before_c, before_d = pool_bytes(pool), pool_bytes(dpool)
     vc, vd = pool.version, dpool.version
-    fission_class(pool, prob(rng.uniform(0.05, 1.0, size=C)), 0.005, 1.0, rng, 0.01)
+    fission_class_batch(pool, [prob(rng.uniform(0.05, 1.0, size=C))], 0.005, 1.0, rng, 0.01)
     fission_domain(dpool, BatchStats(rng.normal(size=4), np.ones(4)), 4.0, 3.0, rng, 0.01)
     assert pool_bytes(pool) == before_c and pool.version == vc
     assert pool_bytes(dpool) == before_d and dpool.version == vd
@@ -203,17 +212,19 @@ def test_fission_is_read_only(seed):
 def test_softmax_over_all_weights_use_full_pool_denominator():
     pool = make_class_pool([[0.6, 0.2, 0.2], [0.002, 0.002, 0.996]])
     query = prob([0.999996, 2e-6, 2e-6])
-    restricted = fission_class(pool, query, 0.005, 1.0, SeededRng(0), 0.01)
-    full = fission_class(pool, query, 0.005, 1.0, SeededRng(0), 0.01, softmax_over_all=True)
+    restricted = fission_class_batch(pool, [query], 0.005, 1.0, SeededRng(0), 0.01)
+    full = fission_class_batch(pool, [query], 0.005, 1.0, SeededRng(0), 0.01, softmax_over_all=True)
     assert restricted.weights[0] == 1.0
     np.testing.assert_array_equal(full.candidates, [0])
     assert 0.0 < full.weights[0] < 1.0  # non-candidate still contributes to the denominator
 
 
 def test_fission_outcome_flag_consistency():
-    # the flag is derived from the candidates, so it cannot disagree with them
-    assert FissionOutcome(np.zeros(3), np.empty(0, np.int64), np.empty(0)).fissioned
-    assert not FissionOutcome(np.zeros(3), np.array([0]), np.array([1.0])).fissioned
+    # the flags are derived from the offsets, so they cannot disagree with the candidates
+    assert FissionOutcome(np.zeros((1, 3)), np.array([0, 0]), np.empty(0, np.int64), np.empty(0)).fissioned
+    assert not FissionOutcome(np.zeros((1, 3)), np.array([0, 1]), np.array([0]), np.array([1.0])).fissioned
+    two = FissionOutcome(np.zeros((2, 3)), np.array([0, 1, 1]), np.array([0]), np.array([1.0]))
+    assert two.fissioned.tolist() == [False, True]
 
 
 def test_pool_snapshots_round_trip_bit_exactly(tmp_path):
@@ -325,7 +336,7 @@ def test_fission_class_batch_bitwise_matches_literal_reference(seed, softmax_ove
         assert out.candidates.tolist() == cand
         assert out.fissioned == (not cand)
         assert out.weights.tobytes() == w.tobytes()
-        assert out.composed_prompt.tobytes() == composed.tobytes()
+        assert out.composed[0].tobytes() == composed.tobytes()
         assert out.pool_version == pool.version
     # both sides drew the same fresh prompts, so their generators agree afterwards
     assert engine_rng.normal(size=4).tobytes() == reference_rng.normal(size=4).tobytes()
