@@ -7,16 +7,9 @@ a domain pool keyed by batch feature statistics, optimized against an
 alignment-plus-entropy objective, and fused back under capacity limits.
 """
 
-from .fusion import (
-    ClassUpdateRecord,
-    DomainUpdateRecord,
-    PoolVersionError,
-    update_class_pool,
-    update_domain_pool,
-)
+from .fusion import ClassUpdateRecord, PoolVersionError, update_class_pool, update_domain_pool
 from .harness import (
     ClusterLedger,
-    Hyperparams,
     LemmaReport,
     RunMetrics,
     RunResult,
@@ -37,7 +30,7 @@ from .model import (
     pseudo_labels,
     save_model,
 )
-from .numerics import BatchStats, SeededRng, batch_stats
+from .numerics import BatchStats, Hyperparams, SeededRng, batch_stats
 from .objective import (
     AdamWState,
     LossBreakdown,

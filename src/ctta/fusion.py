@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import BatchStats, Matrix, Vector, as_matrix, as_vector, check_param
+from .numerics import BatchStats, Hyperparams, Matrix, Vector, as_matrix, as_vector
 from .pools import ClassPromptPool, DomainPromptPool, FissionOutcome
 
 
@@ -41,15 +41,6 @@ class ClassUpdateRecord:
 
     def __len__(self) -> int:
         return len(self.outcome)
-
-
-@dataclass
-class DomainUpdateRecord:
-    """Per-batch inputs to the domain-pool update, validated there."""
-
-    learned_prompt: Vector
-    batch_stats: BatchStats
-    outcome: FissionOutcome
 
 
 @dataclass
@@ -116,30 +107,21 @@ def _check_outcome(pool, outcome: FissionOutcome) -> None:
 
 
 def update_class_pool(
-    pool: ClassPromptPool,
-    record: ClassUpdateRecord,
-    gamma_h: float,
-    alpha_c: float,
-    *,
-    mode: str = "sequential",
-    created_at: int = 0,
+    pool: ClassPromptPool, record: ClassUpdateRecord, hp: Hyperparams, *, created_at: int = 0
 ) -> ClassUpdateSummary:
     """Write a batch of learned class prompts back into the pool.
 
-    Samples whose prediction entropy exceeds ``gamma_h`` are skipped entirely.
+    Samples whose prediction entropy exceeds ``hp.gamma_h`` are skipped entirely.
     Fissioned samples append a (pseudo-label, learned prompt) entry; matched
     samples update every candidate entry convexly, keys with coefficient
-    ``alpha_c * weight`` (renormalized to sum 1) and prompts with the raw
+    ``hp.alpha_c * weight`` (renormalized to sum 1) and prompts with the raw
     weight. If the pool ends above capacity, a spanning-tree compaction
     merges it down to exactly the capacity.
 
-    ``mode`` selects between the default per-sample sequential update and the
-    batch-averaged variant that blends all kept samples against the pool
-    state at batch start.
+    ``hp.class_update`` selects between the default per-sample sequential
+    update and the batch-averaged variant that blends all kept samples
+    against the pool state at batch start.
     """
-    check_param("gamma_h", gamma_h)
-    check_param("alpha_c", alpha_c)
-    check_param("class_update", mode)
     outcome = record.outcome
     _check_outcome(pool, outcome)
     b, dim, num_classes = len(outcome), pool.prompt_dim, pool.num_classes
@@ -151,7 +133,7 @@ def update_class_pool(
     # its own log-softmax instead, which has other bits.
     ent = -(preds * np.log(np.where(preds > 0.0, preds, 1.0))).sum(axis=1)
 
-    gated, fissioned_rows = ent > gamma_h, outcome.fissioned
+    gated, fissioned_rows = ent > hp.gamma_h, outcome.fissioned
     summary = ClassUpdateSummary(skipped=np.flatnonzero(gated).tolist())
     fissioned = np.flatnonzero(~gated & fissioned_rows)
     matched = np.flatnonzero(~gated & ~fissioned_rows)
@@ -165,19 +147,19 @@ def update_class_pool(
         hit = np.zeros(len(pool), dtype=bool)
         hit[cand] = True
         rows = np.flatnonzero(hit)
-        if mode == "averaged":
+        if hp.class_update == "averaged":
             # Each touched row blends every kept sample against its own
             # batch-start value (weight 0 where the row was not a candidate),
             # in sample order.
             dense = np.zeros((len(matched), len(pool)))
             dense[np.repeat(np.arange(len(matched)), sizes), cand] = weights[:, 0]
             w = dense[:, rows, None]
-            cf = alpha_c * w
+            cf = hp.alpha_c * w
             new_keys = _mean_rows(cf * preds[matched, None] + (1.0 - cf) * keys[rows])
             keys[rows] = new_keys / new_keys.sum(axis=1, keepdims=True)
             prompts[rows] = _mean_rows(w * learned[matched, None] + (1.0 - w) * prompts[rows])
         else:
-            cf = alpha_c * weights
+            cf = hp.alpha_c * weights
             key_keep, prompt_keep = 1.0 - cf, 1.0 - weights
             ends = np.cumsum(sizes).tolist()
             for t, start, end in zip(matched.tolist(), [0] + ends[:-1], ends):
@@ -277,8 +259,10 @@ def _compact_class_pool(pool: ClassPromptPool) -> list[int]:
 
 def update_domain_pool(
     pool: DomainPromptPool,
-    record: DomainUpdateRecord,
-    alpha_d: float,
+    learned_prompt,
+    stats: BatchStats,
+    outcome: FissionOutcome,
+    hp: Hyperparams,
     *,
     created_at: int = 0,
 ) -> DomainUpdateSummary:
@@ -286,22 +270,20 @@ def update_domain_pool(
 
     A fissioned prompt appends a new (stats, prompt) entry, fusing the
     nearest pair if that overflows the capacity; a matched prompt updates
-    every candidate convexly, statistics with coefficient ``alpha_d * weight``
+    every candidate convexly, statistics with coefficient ``hp.alpha_d * weight``
     and prompts with the raw weight.
     """
-    check_param("alpha_d", alpha_d)
-    outcome = record.outcome
     _check_outcome(pool, outcome)
     if len(outcome) != 1:
         raise ValueError(f"a domain update takes a one-row outcome, got {len(outcome)} rows")
-    learned = as_vector(record.learned_prompt, dim=pool.prompt_dim, name="learned prompt")
-    if not isinstance(record.batch_stats, BatchStats):
-        raise ValueError("batch_stats must be BatchStats")
-    if record.batch_stats.dim != pool.feature_dim:
-        raise ValueError("record stats dimension must match pool feature_dim")
+    learned = as_vector(learned_prompt, dim=pool.prompt_dim, name="learned prompt")
+    if not isinstance(stats, BatchStats):
+        raise ValueError("stats must be BatchStats")
+    if stats.dim != pool.feature_dim:
+        raise ValueError("stats dimension must match pool feature_dim")
 
     summary = DomainUpdateSummary(fissioned=bool(outcome.fissioned[0]))
-    stats_key = record.batch_stats.concat()
+    stats_key = stats.concat()
     if summary.fissioned:
         pool._extend(stats_key[None, :], learned[None, :], [created_at])
         summary.appended_index = len(pool) - 1
@@ -309,7 +291,7 @@ def update_domain_pool(
             summary.fused_pair = _fuse_core(pool)
     else:
         idx, w = outcome.candidates, outcome.weights
-        cf = alpha_d * w
+        cf = hp.alpha_d * w
         pool.keys[idx] = cf[:, None] * stats_key + (1.0 - cf)[:, None] * pool.keys[idx]
         pool.prompts[idx] = w[:, None] * learned + (1.0 - w)[:, None] * pool.prompts[idx]
         summary.updated = idx.tolist()

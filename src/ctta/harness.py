@@ -8,17 +8,11 @@ metrics and the observer ledger; the adaptation step itself sees samples only.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fusion import (
-    ClassUpdateRecord,
-    DomainUpdateRecord,
-    DomainUpdateSummary,
-    update_class_pool,
-    update_domain_pool,
-)
+from .fusion import ClassUpdateRecord, DomainUpdateSummary, update_class_pool, update_domain_pool
 from .model import (
     ToyModel,
     draw_labeled_samples,
@@ -29,51 +23,10 @@ from .model import (
     prompted_features,
     pseudo_labels,
 )
-from .numerics import Matrix, SeededRng, as_matrix, batch_stats, check_param
+from .numerics import Hyperparams, Matrix, SeededRng, as_matrix, batch_stats, check_param
 from .objective import SourceStats, finite_diff_grad, grad, optimize_prompts
 from .pools import ClassPromptPool, DomainPromptPool, FissionOutcome, fission_class_batch, fission_domain
 from .stream import DomainSpec, LabeledBatch, SeparationCertificate, StreamConfig
-
-
-@dataclass(frozen=True)
-class Hyperparams:
-    """Every tunable constant of the engine, with its default value.
-
-    Each value must have the type and range ``numerics.HYPERPARAMS`` gives it.
-    """
-
-    gamma_d: float = 25.0
-    gamma_c: float = 0.005
-    gamma_h: float = 2.0
-    alpha_d: float = 0.1
-    alpha_c: float = 0.1
-    tau_d: float = 3.0
-    tau_c: float = 1.0
-    a: float = 3.0
-    alpha_std: float = 1.0
-    n_d: int = 20
-    n_c: int = 100
-    lr_domain: float = 0.1
-    lr_class: float = 0.001
-    k_steps: int = 1
-    init_scale: float = 0.01
-    softmax_over_all: bool = False
-    class_update: str = "sequential"
-
-    def __post_init__(self):
-        for f in fields(self):
-            check_param(f.name, getattr(self, f.name))
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Hyperparams":
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown hyperparameter keys: {sorted(unknown)}")
-        return cls(**doc)
 
 
 METRICS_CSV_HEADER = (
@@ -238,9 +191,7 @@ class RunResult:
     ledger: ClusterLedger | None = None
 
 
-def compute_source_stats(
-    model: ToyModel, samples, *, alpha_std: float = 1.0, recommended: int = 300
-) -> SourceStats:
+def compute_source_stats(model: ToyModel, samples, *, recommended: int = 300) -> SourceStats:
     """Prompt-free feature statistics of unlabeled source samples."""
     x = as_matrix(samples, shape=(None, model.input_dim), name="source samples", min_rows=2)
     if x.shape[0] < recommended:
@@ -248,7 +199,7 @@ def compute_source_stats(
             f"only {x.shape[0]} source samples; {recommended}+ recommended for stable statistics"
         )
     stats = key_stats(model, x)
-    return SourceStats(stats.mu, stats.sigma, alpha_std, x.shape[0])
+    return SourceStats(stats.mu, stats.sigma)
 
 
 def _adapt_batch(
@@ -263,52 +214,18 @@ def _adapt_batch(
 ):
     """One online step on unlabeled samples; returns predictions and update summaries."""
     labels_free = pseudo_labels(model, samples)
-    class_outcome = fission_class_batch(
-        class_pool,
-        labels_free,
-        hp.gamma_c,
-        hp.tau_c,
-        rng,
-        hp.init_scale,
-        softmax_over_all=hp.softmax_over_all,
-    )
+    class_outcome = fission_class_batch(class_pool, labels_free, hp, rng)
     stats = key_stats(model, samples)
-    domain_outcome = fission_domain(
-        domain_pool,
-        stats,
-        hp.gamma_d,
-        hp.tau_d,
-        rng,
-        hp.init_scale,
-        softmax_over_all=hp.softmax_over_all,
-    )
+    domain_outcome = fission_domain(domain_pool, stats, hp, rng)
     p_d, p_c, breakdown = optimize_prompts(
-        model,
-        samples,
-        domain_outcome.composed[0],
-        class_outcome.composed,
-        source_stats,
-        a=hp.a,
-        alpha_std=hp.alpha_std,
-        lr_domain=hp.lr_domain,
-        lr_class=hp.lr_class,
-        steps=hp.k_steps,
+        model, samples, domain_outcome.composed[0], class_outcome.composed, source_stats, hp
     )
     _, probs = forward(model, samples, p_d, p_c)
 
-    class_summary = update_class_pool(
-        class_pool,
-        ClassUpdateRecord(p_c, probs, labels_free, class_outcome),
-        hp.gamma_h,
-        hp.alpha_c,
-        mode=hp.class_update,
-        created_at=batch_index,
-    )
+    record = ClassUpdateRecord(p_c, probs, labels_free, class_outcome)
+    class_summary = update_class_pool(class_pool, record, hp, created_at=batch_index)
     domain_summary = update_domain_pool(
-        domain_pool,
-        DomainUpdateRecord(p_d, stats, domain_outcome),
-        hp.alpha_d,
-        created_at=batch_index,
+        domain_pool, p_d, stats, domain_outcome, hp, created_at=batch_index
     )
     return probs, breakdown, class_outcome, domain_outcome, class_summary, domain_summary
 
@@ -463,6 +380,11 @@ def gradient_check(
     Configurations landing within ``kink_tol`` of an alignment-norm kink are
     resampled, since the subgradient convention is not comparable there.
     """
+    if num_configs < 1:
+        raise ValueError(f"num_configs must be >= 1, got {num_configs!r}")
+    for name, value in (("step", step), ("tolerance", tolerance)):
+        if not value > 0:
+            raise ValueError(f"{name} must be > 0, got {value!r}")
     rel_errors = []
     base = SeededRng(seed)
     for k in range(num_configs):
@@ -522,12 +444,20 @@ def build_world(
     noise_std: float = 0.4,
     class_mean_scale: float = 1.0,
     source_samples: int = 300,
-    alpha_std: float = 1.0,
 ) -> World:
-    """Deterministically construct the source model and statistics from the config seed."""
+    """Deterministically construct the source model and statistics from the config seed.
+
+    ``noise_std`` (checked by the source ``DomainSpec``) and ``feature_dim``
+    are checked before any draw.
+    """
+    if feature_dim is not None:
+        check_param("feature_dim", feature_dim)
     rng = SeededRng(config.seed)
     means = make_class_means(
         config.num_classes, config.input_dim, rng.child(10), scale=class_mean_scale
+    )
+    source_spec = DomainSpec(
+        0, np.zeros(config.input_dim), np.ones(config.input_dim), means, noise_std
     )
     model = fit_source_model(
         config.input_dim,
@@ -537,8 +467,4 @@ def build_world(
         rng.child(11),
     )
     src_x, _ = draw_labeled_samples(means, source_samples, noise_std, rng.child(12))
-    source_stats = compute_source_stats(model, src_x, alpha_std=alpha_std)
-    source_spec = DomainSpec(
-        0, np.zeros(config.input_dim), np.ones(config.input_dim), means, noise_std
-    )
-    return World(model, means, source_stats, source_spec)
+    return World(model, means, compute_source_stats(model, src_x), source_spec)

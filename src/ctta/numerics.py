@@ -1,14 +1,15 @@
 """Deterministic numeric primitives shared by the adaptation engine.
 
 Everything here is pure: array coercion and checks, the parameter table
-with its one validator, batch statistics, plus a seeded random source. Vectors
-are 1-d float64 numpy arrays with finite entries; matrices are 2-d.
+with its one validator and the ``Hyperparams`` record it checks, batch
+statistics, plus a seeded random source. Vectors are 1-d float64 numpy
+arrays with finite entries; matrices are 2-d.
 """
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -76,9 +77,9 @@ HYPERPARAMS: dict[str, tuple[type, str | tuple[str, ...] | None]] = {
     "softmax_over_all": (bool, None),
     "class_update": (str, ("sequential", "averaged")),
 }
-# Stream configuration and separation certificate fields, under the same rule.
-# Each item of ``domain_order`` is checked as ``domain_order``; ``theta``
-# serves both the config and the certificate.
+# Stream configuration, separation certificate and world fields, under the
+# same rule. Each item of ``domain_order`` is checked as ``domain_order``;
+# ``theta`` serves both the config and the certificate.
 STREAM_PARAMS: dict[str, tuple[type, str | tuple[str, ...] | None]] = {
     "domain_order": (numbers.Integral, "[0, inf]"),
     "batches_per_domain": (numbers.Integral, "[1, inf]"),
@@ -90,6 +91,8 @@ STREAM_PARAMS: dict[str, tuple[type, str | tuple[str, ...] | None]] = {
     "max_intra": (numbers.Real, "[0, inf]"),
     "min_inter": (numbers.Real, "[0, inf]"),
     "probe_batches": (numbers.Integral, "[1, inf]"),
+    "noise_std": (numbers.Real, "[0, inf)"),
+    "feature_dim": (numbers.Integral, "[1, inf]"),
 }
 _PARAMS = {**HYPERPARAMS, **STREAM_PARAMS}
 _BOUNDS = {  # (lo, hi) of each interval
@@ -120,6 +123,48 @@ def check_param(name: str, value):
         rule = kind.__name__ + ("" if allowed is None else f" in {allowed}")
         raise ValueError(f"{name} must be {rule}, got {value!r}")
     return value
+
+
+@dataclass(frozen=True)
+class Hyperparams:
+    """Every tunable constant of the engine, with its default value.
+
+    Each value must have the type and range ``HYPERPARAMS`` gives it. The
+    record is checked once, here; the stages read its fields unchecked.
+    """
+
+    gamma_d: float = 25.0
+    gamma_c: float = 0.005
+    gamma_h: float = 2.0
+    alpha_d: float = 0.1
+    alpha_c: float = 0.1
+    tau_d: float = 3.0
+    tau_c: float = 1.0
+    a: float = 3.0
+    alpha_std: float = 1.0
+    n_d: int = 20
+    n_c: int = 100
+    lr_domain: float = 0.1
+    lr_class: float = 0.001
+    k_steps: int = 1
+    init_scale: float = 0.01
+    softmax_over_all: bool = False
+    class_update: str = "sequential"
+
+    def __post_init__(self):
+        for f in fields(self):
+            check_param(f.name, getattr(self, f.name))
+
+    def to_dict(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "Hyperparams":
+        known = {f.name for f in fields(cls)}
+        unknown = set(doc) - known
+        if unknown:
+            raise ValueError(f"unknown hyperparameter keys: {sorted(unknown)}")
+        return cls(**doc)
 
 
 @dataclass

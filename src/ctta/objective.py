@@ -12,17 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ToyModel, check_prompted, head_logits, prompted_features
-from .numerics import Matrix, Vector, as_matrix, as_vector, check_param
+from .numerics import Hyperparams, Matrix, Vector, as_matrix, as_vector
 
 
 @dataclass(frozen=True)
 class SourceStats:
-    """Feature mean and std of the source domain, with the std-term weight."""
+    """Feature mean and std of the source domain."""
 
     mu: Vector
     sigma: Vector
-    alpha_std: float = 1.0
-    sample_count: int = 2
 
     def __post_init__(self):
         object.__setattr__(self, "mu", as_vector(self.mu, name="source mu"))
@@ -31,8 +29,6 @@ class SourceStats:
         )
         if np.any(self.sigma < 0.0):
             raise ValueError("source sigma must be >= 0")
-        if self.sample_count < 2:
-            raise ValueError("source stats need sample_count >= 2")
 
 
 @dataclass(frozen=True)
@@ -212,26 +208,20 @@ def optimize_prompts(
     domain_prompt,
     class_prompts,
     source_stats: SourceStats,
-    *,
-    a: float,
-    alpha_std: float,
-    lr_domain: float,
-    lr_class: float,
-    steps: int,
+    hp: Hyperparams,
 ) -> tuple[Vector, Matrix, LossBreakdown]:
-    """Run ``steps`` AdamW updates on the composed prompts for one batch.
+    """Run ``hp.k_steps`` AdamW updates on the composed prompts for one batch.
 
     Optimizer state is fresh per batch (composed prompts differ each batch,
     so carrying moments across batches would be ill-defined). Returns the
     learned prompts and the loss at them; pools are untouched.
     """
-    check_param("k_steps", steps)
     p_d = as_vector(domain_prompt, dim=model.input_dim, name="domain prompt").copy()
     p_c = as_matrix(class_prompts, shape=(None, model.input_dim), name="class prompts").copy()
-    d_state = AdamWState.fresh(p_d.shape, lr_domain)
-    c_state = AdamWState.fresh(p_c.shape, lr_class)
-    for _ in range(steps):
-        g_d, g_c = grad(model, batch, p_d, p_c, source_stats, a, alpha_std)
+    d_state = AdamWState.fresh(p_d.shape, hp.lr_domain)
+    c_state = AdamWState.fresh(p_c.shape, hp.lr_class)
+    for _ in range(hp.k_steps):
+        g_d, g_c = grad(model, batch, p_d, p_c, source_stats, hp.a, hp.alpha_std)
         p_d = adamw_step(d_state, p_d, g_d)
         p_c = adamw_step(c_state, p_c, g_c)
-    return p_d, p_c, loss(model, batch, p_d, p_c, source_stats, a, alpha_std)
+    return p_d, p_c, loss(model, batch, p_d, p_c, source_stats, hp.a, hp.alpha_std)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import BatchStats, Matrix, SeededRng, Vector, as_matrix, as_vector, check_param
+from .numerics import BatchStats, Hyperparams, Matrix, SeededRng, Vector, as_matrix, as_vector, check_param
 
 
 def _check_probability(arr: np.ndarray, name: str) -> None:
@@ -190,12 +190,7 @@ class FissionOutcome:
 
 
 def _compose(
-    pool: _BasePool,
-    scores: Matrix,
-    mask: np.ndarray,
-    rng: SeededRng,
-    init_scale: float,
-    softmax_over_all: bool,
+    pool: _BasePool, scores: Matrix, mask: np.ndarray, rng: SeededRng, hp: Hyperparams
 ) -> FissionOutcome:
     """Blend each row's candidate prompts by softmax(scores), or spawn one if none matched.
 
@@ -208,8 +203,6 @@ def _compose(
     whole rows in one call and ``objective._forward_state`` takes a
     log-softmax; summing each row's candidates on its own gives other bits.
     """
-    check_param("init_scale", init_scale)
-    check_param("softmax_over_all", softmax_over_all)
     flat = np.flatnonzero(mask)
     cand = flat % mask.shape[1]
     counts = mask.sum(axis=1)
@@ -219,13 +212,13 @@ def _compose(
     matched = np.flatnonzero(counts).tolist()
     composed = np.empty((len(counts), pool.prompt_dim))
     if fresh.any():
-        composed[fresh] = rng.normal(size=(int(fresh.sum()), pool.prompt_dim)) * init_scale
+        composed[fresh] = rng.normal(size=(int(fresh.sum()), pool.prompt_dim)) * hp.init_scale
     weights = np.empty(flat.size)
     if matched:
         ends = offsets.tolist()
-        top = scores if softmax_over_all else np.where(mask, scores, -np.inf)
+        top = scores if hp.softmax_over_all else np.where(mask, scores, -np.inf)
         shifted = scores - top.max(axis=1, keepdims=True)
-        if softmax_over_all:
+        if hp.softmax_over_all:
             totals = np.exp(shifted)
             num = totals.take(flat)
             sums = [totals[t].sum() for t in matched]
@@ -250,25 +243,16 @@ def _check_pseudo_labels(pseudo_labels, num_classes: int) -> Matrix:
 
 
 def fission_class_batch(
-    pool: ClassPromptPool,
-    pseudo_labels,
-    gamma_c: float,
-    tau_c: float,
-    rng: SeededRng,
-    init_scale: float,
-    *,
-    softmax_over_all: bool = False,
+    pool: ClassPromptPool, pseudo_labels, hp: Hyperparams, rng: SeededRng
 ) -> FissionOutcome:
     """Match each pseudo-label against the class pool by cosine similarity.
 
-    Entries with similarity strictly above ``gamma_c`` become candidates and
-    are blended with weights softmax(similarity / tau_c); with no candidate
-    (including the empty-pool initial state) a fresh prompt is spawned.
-    Inputs are validated once for the whole batch; the outcome has one row
-    per sample, in sample order.
+    Entries with similarity strictly above ``hp.gamma_c`` become candidates
+    and are blended with weights softmax(similarity / hp.tau_c); with no
+    candidate (including the empty-pool initial state) a fresh prompt is
+    spawned. The pseudo-labels are validated once for the whole batch; the
+    outcome has one row per sample, in sample order.
     """
-    check_param("gamma_c", gamma_c)
-    check_param("tau_c", tau_c)
     labels = _check_pseudo_labels(pseudo_labels, pool.num_classes)
     keys = pool.keys
     # One matrix-vector product per row: a row of labels @ keys.T does not
@@ -280,31 +264,22 @@ def fission_class_batch(
         np.matmul(keys, y, out=dots[t])
         sq[t] = y @ y
     sims = dots / (np.linalg.norm(keys, axis=1) * np.sqrt(sq)[:, None])
-    return _compose(pool, sims / tau_c, sims > gamma_c, rng, init_scale, softmax_over_all)
+    return _compose(pool, sims / hp.tau_c, sims > hp.gamma_c, rng, hp)
 
 
 def fission_domain(
-    pool: DomainPromptPool,
-    stats: BatchStats,
-    gamma_d: float,
-    tau_d: float,
-    rng: SeededRng,
-    init_scale: float,
-    *,
-    softmax_over_all: bool = False,
+    pool: DomainPromptPool, stats: BatchStats, hp: Hyperparams, rng: SeededRng
 ) -> FissionOutcome:
     """Match a batch-statistics key against the domain pool by distance.
 
     Entries with Euclidean distance (over the concatenated mean and std)
-    strictly below ``gamma_d`` become candidates, weighted by
-    softmax(-distance / tau_d); otherwise a fresh prompt is spawned, which
+    strictly below ``hp.gamma_d`` become candidates, weighted by
+    softmax(-distance / hp.tau_d); otherwise a fresh prompt is spawned, which
     also covers the very first test batch. The outcome has one row.
     """
-    check_param("gamma_d", gamma_d)
-    check_param("tau_d", tau_d)
     if not isinstance(stats, BatchStats):
         raise ValueError("stats must be BatchStats")
     if stats.dim != pool.feature_dim:
         raise ValueError("stats dimension must match pool feature_dim")
     dists = np.linalg.norm(pool.keys - stats.concat(), axis=1)[None, :]
-    return _compose(pool, -dists / tau_d, dists < gamma_d, rng, init_scale, softmax_over_all)
+    return _compose(pool, -dists / hp.tau_d, dists < hp.gamma_d, rng, hp)

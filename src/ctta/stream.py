@@ -42,8 +42,7 @@ class DomainSpec:
         object.__setattr__(self, "scale", as_vector(self.scale, dim=dim, name="scale"))
         if np.any(self.scale <= 0.0):
             raise ValueError("scale entries must be > 0")
-        if self.noise_std < 0.0:
-            raise ValueError("noise_std must be >= 0")
+        check_param("noise_std", self.noise_std)
 
     @property
     def input_dim(self) -> int:

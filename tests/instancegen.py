@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ctta.fusion import ClassUpdateRecord, DomainUpdateRecord
+from ctta.fusion import ClassUpdateRecord
 from ctta.numerics import BatchStats, SeededRng
 from ctta.pools import ClassPromptPool, DomainPromptPool, FissionOutcome
 
@@ -110,8 +110,9 @@ def random_class_records(
 
 def random_domain_record(
     rng: SeededRng, pool: DomainPromptPool, fission_prob: float = 0.5
-) -> DomainUpdateRecord:
-    return DomainUpdateRecord(
+) -> tuple[np.ndarray, BatchStats, FissionOutcome]:
+    """A domain update's inputs: (learned prompt, batch stats, outcome)."""
+    return (
         rng.normal(size=pool.prompt_dim),
         BatchStats(rng.normal(size=pool.feature_dim), np.abs(rng.normal(size=pool.feature_dim))),
         random_outcome(rng, pool, pool.prompt_dim, fission_prob),

@@ -231,21 +231,16 @@ def algorithm1_reference(entries, capacity, record, gamma_h, alpha_c, created_at
     return entries
 
 
-def algorithm2_reference(entries, capacity, record, alpha_d, created_at=0):
+def algorithm2_reference(
+    entries, capacity, learned_prompt, stats, outcome, alpha_d, created_at=0
+):
     """Line-by-line replay of the domain-pool update pseudocode.
 
     ``entries`` is a list of (mu, sigma, prompt, created_at) tuples.
     """
     entries = [(m.copy(), s.copy(), p.copy(), c) for m, s, p, c in entries]
-    if record.outcome.fissioned[0]:
-        entries.append(
-            (
-                record.batch_stats.mu.copy(),
-                record.batch_stats.sigma.copy(),
-                record.learned_prompt.copy(),
-                created_at,
-            )
-        )
+    if outcome.fissioned[0]:
+        entries.append((stats.mu.copy(), stats.sigma.copy(), learned_prompt.copy(), created_at))
         if len(entries) > capacity:
             best = None
             for i in range(len(entries)):
@@ -267,14 +262,13 @@ def algorithm2_reference(entries, capacity, record, alpha_d, created_at=0):
             entries[i] = merged
             del entries[j]
     else:
-        outcome = record.outcome
         for i, w in sorted(zip(outcome.candidates.tolist(), outcome.weights.tolist())):
             mu, sigma, prompt, created = entries[i]
             cf = alpha_d * w
             entries[i] = (
-                cf * record.batch_stats.mu + (1.0 - cf) * mu,
-                cf * record.batch_stats.sigma + (1.0 - cf) * sigma,
-                w * record.learned_prompt + (1.0 - w) * prompt,
+                cf * stats.mu + (1.0 - cf) * mu,
+                cf * stats.sigma + (1.0 - cf) * sigma,
+                w * learned_prompt + (1.0 - w) * prompt,
                 created,
             )
     return entries

@@ -182,7 +182,7 @@ def test_criterion_4_pool_bounds_and_entropy_gate(lemma_suite, repeating_run):
     for _ in range(5):
         records = random_class_records(rng, pool, 16, fission_prob=0.4)
         gamma_h = 0.0  # every distribution has entropy > 0
-        summary = update_class_pool(pool, records, gamma_h, 0.1)
+        summary = update_class_pool(pool, records, Hyperparams(gamma_h=gamma_h, alpha_c=0.1))
         assert summary.skipped == list(range(16))
         assert not summary.appended and not summary.updated
     after = b"".join(k.tobytes() + p.tobytes() for k, p in zip(pool.keys, pool.prompts))
@@ -270,7 +270,8 @@ def test_criterion_7_algorithm_interpreter_equivalence():
         expected = algorithm1_reference(
             class_pool_tuples(pool), capacity, records, gamma_h, alpha_c, case
         )
-        update_class_pool(pool, records, gamma_h, alpha_c, created_at=case)
+        hp = Hyperparams(gamma_h=gamma_h, alpha_c=alpha_c)
+        update_class_pool(pool, records, hp, created_at=case)
         assert len(pool) == len(expected)
         for got_key, got_prompt, got_created, (key, prompt, created) in zip(
             pool.keys, pool.prompts, pool.created_at, expected
@@ -284,8 +285,8 @@ def test_criterion_7_algorithm_interpreter_equivalence():
         dpool = random_domain_pool(r, nd, dcap, 3, 4)
         record = random_domain_record(r, dpool, fission_prob=0.5)
         alpha_d = float(r.uniform(0.0, 1.0))
-        dexpected = algorithm2_reference(domain_pool_tuples(dpool), dcap, record, alpha_d, case)
-        update_domain_pool(dpool, record, alpha_d, created_at=case)
+        dexpected = algorithm2_reference(domain_pool_tuples(dpool), dcap, *record, alpha_d, case)
+        update_domain_pool(dpool, *record, Hyperparams(alpha_d=alpha_d), created_at=case)
         assert len(dpool) == len(dexpected)
         for got, (mu, sigma, prompt, created) in zip(domain_pool_tuples(dpool), dexpected):
             got_mu, got_sigma, got_prompt, got_created = got

@@ -163,6 +163,21 @@ def test_gradcheck_exits_zero(capsys):
     assert "max relative error" in out
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--num-configs", "0", "num_configs must be >= 1, got 0"),
+        ("--step", "0", "step must be > 0, got 0.0"),
+        ("--step", "nan", "step must be > 0, got nan"),
+        ("--tolerance", "-0.5", "tolerance must be > 0, got -0.5"),
+    ],
+)
+def test_gradcheck_rejects_settings_naming_them(flag, value, message, capsys):
+    code = main(["gradcheck", flag, value])
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
 def test_sweep_writes_one_metrics_file_per_point(generated, tmp_path):
     root, config, stream, cert = generated
     out = tmp_path / "sweep"
@@ -306,6 +321,28 @@ def test_config_value_of_wrong_type_exits_1_naming_its_key(generated, tmp_path, 
         )
         assert code == 1
         assert f"{key} must be {rule}" in capsys.readouterr().err
+
+    # world flags, checked before the world is built
+    for flag, value, rule in [
+        ("--noise-std", "nan", "noise_std must be Real in [0, inf), got nan"),
+        ("--noise-std", "-0.1", "noise_std must be Real in [0, inf), got -0.1"),
+        ("--noise-std", "inf", "noise_std must be Real in [0, inf), got inf"),
+        ("--feature-dim", "0", "feature_dim must be Integral in [1, inf], got 0"),
+    ]:
+        out = tmp_path / "world.csv"
+        code = main(
+            [
+                "gen-stream",
+                "--config", str(DEMO / "config.json"),
+                "--seed", "7",
+                "--out", str(out),
+                "--certificate", str(tmp_path / "world_certificate.json"),
+                flag, value,
+            ]
+        )
+        assert code == 1
+        assert rule in capsys.readouterr().err
+        assert not out.exists()
 
     # certificate values, read by run before gamma_d is taken from theta
     for value in ("4", True):

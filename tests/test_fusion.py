@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctta.fusion import (
-    DomainUpdateRecord,
     PoolVersionError,
     _compact_class_pool,
     _fuse_core,
@@ -14,7 +13,7 @@ from ctta.fusion import (
     update_class_pool,
     update_domain_pool,
 )
-from ctta.numerics import BatchStats, SeededRng
+from ctta.numerics import BatchStats, Hyperparams, SeededRng
 from ctta.pools import ClassPromptPool, DomainPromptPool, FissionOutcome
 from instancegen import (
     class_pool_tuples,
@@ -64,7 +63,7 @@ def test_gate_skips_everything_bitwise():
             for _ in range(3)
         ]
     )
-    summary = update_class_pool(pool, records, 0.5, 0.1)
+    summary = update_class_pool(pool, records, Hyperparams(gamma_h=0.5, alpha_c=0.1))
     assert summary.skipped == [0, 1, 2]
     assert class_pool_bytes(pool) == before
     assert len(pool) == 4
@@ -76,7 +75,8 @@ def test_sole_candidate_full_weight_replaces_prompt_keeps_key():
     pool.append(key.copy(), np.zeros(4), 0)
     learned = np.array([1.0, 2.0, 3.0, 4.0])
     rec = matched_record(pool, learned, onehot(0), onehot(0), {0: 1.0})
-    update_class_pool(pool, rec, 10.0, 0.0)  # alpha_c = 0 freezes the key
+    # alpha_c = 0 freezes the key
+    update_class_pool(pool, rec, Hyperparams(gamma_h=10.0, alpha_c=0.0))
     np.testing.assert_array_equal(pool.prompts[0], learned)
     np.testing.assert_array_equal(pool.keys[0], key)
 
@@ -86,7 +86,7 @@ def test_fissioned_record_appends_pseudo_label_key():
     pseudo = random_prob(SeededRng(2), 3)
     outcome = make_outcome(np.ones(4), None, pool.version)
     rec = class_record(np.ones(4), onehot(1), pseudo, outcome)
-    summary = update_class_pool(pool, rec, 10.0, 0.1, created_at=7)
+    summary = update_class_pool(pool, rec, Hyperparams(gamma_h=10.0, alpha_c=0.1), created_at=7)
     assert summary.appended == [0]
     np.testing.assert_array_equal(pool.keys[0], pseudo)
     assert pool.created_at[0] == 7
@@ -107,7 +107,7 @@ def test_update_class_pool_matches_hand_simulation():
             matched_record(pool, p2, yhat2, yhat2, {0: 0.5}),
         ]
     )
-    update_class_pool(pool, recs, 10.0, alpha_c)
+    update_class_pool(pool, recs, Hyperparams(gamma_h=10.0, alpha_c=alpha_c))
     # sample 1: key <- 0.5*[1,0] + 0.5*[.5,.5] = [.75,.25]; prompt <- [2,0]
     # sample 2: coeff 0.25: key <- 0.25*[0,1] + 0.75*[.75,.25] = [.5625,.4375]
     #           prompt <- 0.5*[0,4] + 0.5*[2,0] = [1,2]
@@ -121,13 +121,13 @@ def test_update_rejects_stale_outcomes():
     recs = random_class_records(rng, pool, 2, fission_prob=0.0)
     pool.append(random_prob(rng, 3), np.zeros(5), 9)  # bumps version
     with pytest.raises(PoolVersionError):
-        update_class_pool(pool, recs, 10.0, 0.1)
+        update_class_pool(pool, recs, Hyperparams(gamma_h=10.0, alpha_c=0.1))
 
     dpool = random_domain_pool(rng, 3, 10, 4, 5)
     rec = random_domain_record(rng, dpool, fission_prob=0.0)
     dpool.append(np.concatenate((np.zeros(4), np.ones(4))), np.zeros(5), 9)  # bumps version
     with pytest.raises(PoolVersionError):
-        update_domain_pool(dpool, rec, 0.1)
+        update_domain_pool(dpool, *rec, Hyperparams(alpha_d=0.1))
 
 
 def test_update_rejects_outcomes_naming_missing_rows():
@@ -136,17 +136,17 @@ def test_update_rejects_outcomes_naming_missing_rows():
     before, version = class_pool_bytes(pool), pool.version
     rec = matched_record(pool, np.zeros(5), onehot(0), onehot(0), {0: 0.5, 3: 0.5})
     with pytest.raises(PoolVersionError, match="missing pool index 3"):
-        update_class_pool(pool, rec, 10.0, 0.1)
+        update_class_pool(pool, rec, Hyperparams(gamma_h=10.0, alpha_c=0.1))
     assert class_pool_bytes(pool) == before and pool.version == version
 
     dpool = random_domain_pool(rng, 2, 10, 4, 5)
-    rec = DomainUpdateRecord(
+    rec = (
         np.zeros(5),
         BatchStats(np.zeros(4), np.ones(4)),
         make_outcome(np.zeros(5), {1: 0.5, 2: 0.5}, dpool.version),
     )
     with pytest.raises(PoolVersionError, match="missing pool index 2"):
-        update_domain_pool(dpool, rec, 0.1)
+        update_domain_pool(dpool, *rec, Hyperparams(alpha_d=0.1))
 
 
 def first_offset_not_0(outcome):
@@ -215,11 +215,12 @@ def test_update_rejects_malformed_outcomes(candidates, weights, match):
         class_outcome, domain_outcome = record.outcome, replace(bad, pool_version=dpool.version)
     if class_outcome is not None:
         with pytest.raises(ValueError, match=match):
-            update_class_pool(pool, replace(record, outcome=class_outcome), 10.0, 0.1)
+            hp = Hyperparams(gamma_h=10.0, alpha_c=0.1)
+            update_class_pool(pool, replace(record, outcome=class_outcome), hp)
     if domain_outcome is not None:
-        rec = DomainUpdateRecord(np.zeros(5), BatchStats(np.zeros(4), np.ones(4)), domain_outcome)
+        rec = (np.zeros(5), BatchStats(np.zeros(4), np.ones(4)), domain_outcome)
         with pytest.raises(ValueError, match=match):
-            update_domain_pool(dpool, rec, 0.1)
+            update_domain_pool(dpool, *rec, Hyperparams(alpha_d=0.1))
     assert class_pool_bytes(pool) == before and pool.version == version
     assert class_pool_bytes(dpool) == dbefore and dpool.version == dversion
 
@@ -232,9 +233,9 @@ def test_domain_update_rejects_learned_prompt_of_wrong_dimension(fissioned):
     outcome = make_outcome(np.zeros(4), None if fissioned else {0: 1.0}, pool.version)
     # a length-1 prompt would broadcast into every component of a matched row
     for learned in (np.array([7.0]), np.zeros(2), np.zeros(5)):
-        rec = DomainUpdateRecord(learned, BatchStats(np.zeros(4), np.ones(4)), outcome)
+        rec = (learned, BatchStats(np.zeros(4), np.ones(4)), outcome)
         with pytest.raises(ValueError, match="learned prompt"):
-            update_domain_pool(pool, rec, 0.1)
+            update_domain_pool(pool, *rec, Hyperparams(alpha_d=0.1))
     assert class_pool_bytes(pool) == before and pool.version == version
 
 
@@ -246,7 +247,8 @@ def test_class_updates_are_convex_and_keys_stay_probabilities(seed):
     old = class_pool_tuples(pool)
     records = random_class_records(rng, pool, int(rng.integers(1, 6)), fission_prob=0.2)
     alpha_c = float(rng.uniform(0.0, 1.0))
-    update_class_pool(pool, records, float(rng.uniform(0.2, 1.2)), alpha_c)
+    hp = Hyperparams(gamma_h=float(rng.uniform(0.2, 1.2)), alpha_c=alpha_c)
+    update_class_pool(pool, records, hp)
     for key in pool.keys:
         assert key.min() >= -1e-15
         assert abs(key.sum() - 1.0) <= 1e-9
@@ -254,7 +256,7 @@ def test_class_updates_are_convex_and_keys_stay_probabilities(seed):
     pool2 = random_class_pool(rng, 3, 20, 3, 4)
     old2 = class_pool_tuples(pool2)
     rec = random_class_records(rng, pool2, 1, fission_prob=0.0)
-    update_class_pool(pool2, rec, 10.0, alpha_c)
+    update_class_pool(pool2, rec, Hyperparams(gamma_h=10.0, alpha_c=alpha_c))
     for i in rec.outcome.candidates:
         lo = np.minimum(old2[i][1], rec.learned_prompts[0]) - 1e-12
         hi = np.maximum(old2[i][1], rec.learned_prompts[0]) + 1e-12
@@ -423,7 +425,7 @@ def test_domain_update_examples():
     rng = SeededRng(4)
     pool = random_domain_pool(rng, 2, 5, 3, 4)
     rec = random_domain_record(rng, pool, fission_prob=1.0)
-    summary = update_domain_pool(pool, rec, 0.1, created_at=3)
+    summary = update_domain_pool(pool, *rec, Hyperparams(alpha_d=0.1), created_at=3)
     assert summary.fissioned and summary.appended_index == 2
     assert summary.fused_pair is None and len(pool) == 3
 
@@ -431,12 +433,12 @@ def test_domain_update_examples():
     pool2 = random_domain_pool(rng, 1, 5, 3, 4)
     old_key = pool2.keys[0].copy()
     learned = rng.normal(size=4)
-    rec2 = DomainUpdateRecord(
+    rec2 = (
         learned,
         BatchStats(rng.normal(size=3), np.abs(rng.normal(size=3))),
         make_outcome(learned, {0: 1.0}, pool2.version),
     )
-    update_domain_pool(pool2, rec2, 0.0)
+    update_domain_pool(pool2, *rec2, Hyperparams(alpha_d=0.0))
     np.testing.assert_array_equal(pool2.prompts[0], learned)
     np.testing.assert_array_equal(pool2.keys[0, :3], old_key[:3])
     np.testing.assert_array_equal(pool2.keys[0, 3:], old_key[3:])
@@ -445,12 +447,12 @@ def test_domain_update_examples():
 def test_domain_update_hand_simulation():
     pool = DomainPromptPool(5, 2, 2)
     pool.append(BatchStats(np.array([1.0, 1.0]), np.array([2.0, 2.0])).concat(), np.array([1.0, 0.0]), 0)
-    rec = DomainUpdateRecord(
+    rec = (
         np.array([3.0, 4.0]),
         BatchStats(np.array([2.0, 0.0]), np.array([4.0, 0.0])),
         make_outcome(np.array([3.0, 4.0]), {0: 0.5}, pool.version),
     )
-    update_domain_pool(pool, rec, 0.1)
+    update_domain_pool(pool, *rec, Hyperparams(alpha_d=0.1))
     # coeff = 0.05: mu <- .05*[2,0]+.95*[1,1] = [1.05,.95]; sigma <- .05*[4,0]+.95*[2,2]=[2.1,1.9]
     # prompt <- .5*[3,4]+.5*[1,0] = [2,2]
     mu, sigma, prompt, _ = domain_pool_tuples(pool)[0]
@@ -463,7 +465,7 @@ def test_fission_overflow_triggers_single_fuse():
     rng = SeededRng(5)
     pool = random_domain_pool(rng, 3, 3, 3, 4)
     rec = random_domain_record(rng, pool, fission_prob=1.0)
-    summary = update_domain_pool(pool, rec, 0.1)
+    summary = update_domain_pool(pool, *rec, Hyperparams(alpha_d=0.1))
     assert summary.fissioned and summary.fused_pair is not None
     assert len(pool) == 3
 
@@ -478,7 +480,7 @@ def test_update_class_pool_bitwise_matches_interpreter(seed):
     gamma_h = float(rng.uniform(0.0, np.log(3)))
     alpha_c = float(rng.uniform(0.0, 1.0))
     expected = algorithm1_reference(class_pool_tuples(pool), capacity, records, gamma_h, alpha_c, 5)
-    update_class_pool(pool, records, gamma_h, alpha_c, created_at=5)
+    update_class_pool(pool, records, Hyperparams(gamma_h=gamma_h, alpha_c=alpha_c), created_at=5)
     assert len(pool) == len(expected)
     for got_key, got_prompt, got_created, (key, prompt, created) in zip(
         pool.keys, pool.prompts, pool.created_at, expected
@@ -495,8 +497,8 @@ def test_update_domain_pool_bitwise_matches_interpreter(seed):
     capacity = int(rng.integers(max(1, n - 1), n + 3))
     pool = random_domain_pool(rng, n, capacity, 3, 4)
     record = random_domain_record(rng, pool, fission_prob=0.5)
-    expected = algorithm2_reference(domain_pool_tuples(pool), capacity, record, 0.1, 5)
-    update_domain_pool(pool, record, 0.1, created_at=5)
+    expected = algorithm2_reference(domain_pool_tuples(pool), capacity, *record, 0.1, 5)
+    update_domain_pool(pool, *record, Hyperparams(alpha_d=0.1), created_at=5)
     assert len(pool) == len(expected)
     for got, (mu, sigma, prompt, created) in zip(domain_pool_tuples(pool), expected):
         got_mu, got_sigma, got_prompt, got_created = got
@@ -517,7 +519,8 @@ def test_averaged_mode_blends_against_batch_start_state():
             matched_record(pool, p2, onehot(1, 2), onehot(1, 2), {0: 1.0}),
         ]
     )
-    update_class_pool(pool, recs, 10.0, 0.0, mode="averaged")
+    hp = Hyperparams(gamma_h=10.0, alpha_c=0.0, class_update="averaged")
+    update_class_pool(pool, recs, hp)
     # both samples blend against the original prompt [1,1]:
     # mean of (1.0*p1 + 0.0*[1,1]) and (1.0*p2 + 0.0*[1,1]) = [1.5, 1.5]
     np.testing.assert_allclose(pool.prompts[0], [1.5, 1.5], atol=1e-15)
@@ -527,7 +530,7 @@ def test_capacity_invariants_after_updates():
     rng = SeededRng(6)
     pool = random_class_pool(rng, 5, 5, 3, 4)
     records = random_class_records(rng, pool, 8, fission_prob=0.9)
-    summary = update_class_pool(pool, records, 10.0, 0.1)
+    summary = update_class_pool(pool, records, Hyperparams(gamma_h=10.0, alpha_c=0.1))
     assert len(pool) <= pool.capacity
     if summary.compaction is not None:
         assert len(set(summary.compaction)) == pool.capacity
@@ -535,5 +538,5 @@ def test_capacity_invariants_after_updates():
     dpool = random_domain_pool(rng, 3, 3, 3, 4)
     for _ in range(4):
         rec = random_domain_record(rng, dpool, fission_prob=1.0)
-        update_domain_pool(dpool, rec, 0.1)
+        update_domain_pool(dpool, *rec, Hyperparams(alpha_d=0.1))
         assert len(dpool) <= dpool.capacity

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ctta.model import ToyModel
-from ctta.numerics import SeededRng
+from ctta.numerics import Hyperparams, SeededRng
 from ctta.objective import (
     AdamWState,
     SourceStats,
@@ -178,9 +178,8 @@ def test_adamw_matches_reference_recurrence():
 
 def test_optimize_zero_steps_returns_composed_prompts():
     model, x, p_d, p_c, source = make_setup(seed=13)
-    out_d, out_c, breakdown = optimize_prompts(
-        model, x, p_d, p_c, source, a=3.0, alpha_std=1.0, lr_domain=0.1, lr_class=0.001, steps=0
-    )
+    hp = Hyperparams(a=3.0, alpha_std=1.0, lr_domain=0.1, lr_class=0.001, k_steps=0)
+    out_d, out_c, breakdown = optimize_prompts(model, x, p_d, p_c, source, hp)
     np.testing.assert_array_equal(out_d, p_d)
     np.testing.assert_array_equal(out_c, p_c)
     direct = loss(model, x, p_d, p_c, source, 3.0, 1.0)
@@ -189,9 +188,8 @@ def test_optimize_zero_steps_returns_composed_prompts():
 
 def test_optimize_matches_hand_traced_calls():
     model, x, p_d, p_c, source = make_setup(seed=14, b=2)
-    out_d, out_c, _ = optimize_prompts(
-        model, x, p_d, p_c, source, a=2.0, alpha_std=0.5, lr_domain=0.1, lr_class=0.01, steps=3
-    )
+    hp = Hyperparams(a=2.0, alpha_std=0.5, lr_domain=0.1, lr_class=0.01, k_steps=3)
+    out_d, out_c, _ = optimize_prompts(model, x, p_d, p_c, source, hp)
     ref_d, ref_c = p_d.copy(), p_c.copy()
     sd = AdamWState.fresh(ref_d.shape, 0.1)
     sc = AdamWState.fresh(ref_c.shape, 0.01)
@@ -246,5 +244,3 @@ def test_loss_terms_respect_their_bounds(seed):
 def test_source_stats_validation():
     with pytest.raises(ValueError):
         SourceStats(np.zeros(3), np.array([-1.0, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        SourceStats(np.zeros(3), np.zeros(3), sample_count=1)

@@ -1,11 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctta.numerics import BatchStats, SeededRng
+from ctta.numerics import BatchStats, Hyperparams, SeededRng
 from ctta.pools import (
     ClassPromptPool,
     DomainPromptPool,
@@ -18,6 +19,8 @@ from reference import class_fission_reference, cosine_sim
 
 DIM = 5
 C = 3
+# the matching constants most tests below use
+HP = Hyperparams(gamma_c=0.005, tau_c=1.0, gamma_d=25.0, tau_d=3.0, init_scale=0.01)
 
 
 def prob(vals):
@@ -50,7 +53,7 @@ def pool_bytes(pool):
 
 def test_fission_class_empty_pool_fissions():
     pool = ClassPromptPool(10, DIM, C)
-    out = fission_class_batch(pool, [prob([1, 1, 1])], 0.005, 1.0, SeededRng(0), 0.01)
+    out = fission_class_batch(pool, [prob([1, 1, 1])], HP, SeededRng(0))
     assert out.fissioned and out.candidates.size == 0 and out.weights.size == 0
     assert out.composed.shape == (1, DIM)
     assert np.abs(out.composed[0]).max() < 0.1
@@ -60,7 +63,7 @@ def test_fission_class_equal_similarity_splits_weight():
     # two keys symmetric around the query get exactly half each
     pool = make_class_pool([[0.6, 0.2, 0.2], [0.2, 0.6, 0.2]])
     query = prob([0.4, 0.4, 0.2])
-    out = fission_class_batch(pool, [query], 0.005, 1.0, SeededRng(0), 0.01)
+    out = fission_class_batch(pool, [query], HP, SeededRng(0))
     assert not out.fissioned
     np.testing.assert_array_equal(out.candidates, [0, 1])
     assert out.weights[0] == pytest.approx(0.5, abs=1e-12)
@@ -70,7 +73,7 @@ def test_fission_class_equal_similarity_splits_weight():
 def test_fission_class_sole_exact_match_takes_all_weight():
     key = prob([0.7, 0.2, 0.1])
     pool = make_class_pool([key])
-    out = fission_class_batch(pool, [key.copy()], 0.005, 1.0, SeededRng(0), 0.01)
+    out = fission_class_batch(pool, [key.copy()], HP, SeededRng(0))
     np.testing.assert_array_equal(out.candidates, [0])
     np.testing.assert_array_equal(out.weights, [1.0])
     np.testing.assert_array_equal(out.composed[0], pool.prompts[0])
@@ -81,7 +84,7 @@ def test_fission_class_near_orthogonal_key_excluded():
     query = prob([0.999996, 2e-6, 2e-6])
     sims = [cosine_sim(query, key) for key in pool.keys]
     assert sims[0] > 0.005 > sims[1]
-    out = fission_class_batch(pool, [query], 0.005, 1.0, SeededRng(0), 0.01)
+    out = fission_class_batch(pool, [query], HP, SeededRng(0))
     np.testing.assert_array_equal(out.candidates, [0])
     assert out.weights[0] == 1.0
 
@@ -90,9 +93,10 @@ def test_fission_class_batch_equals_elementwise_calls():
     pool = make_class_pool([[0.6, 0.2, 0.2], [0.1, 0.8, 0.1]])
     labels = [prob([5, 1, 1]), prob([1, 9, 1]), prob([1, 1, 1]), prob([1e-9, 1e-9, 1.0])]
     b = len(labels)
-    batch = fission_class_batch(pool, labels, 0.4, 1.0, SeededRng(42), 0.01)
+    hp = replace(HP, gamma_c=0.4)
+    batch = fission_class_batch(pool, labels, hp, SeededRng(42))
     solo_rng = SeededRng(42)
-    solo = [fission_class_batch(pool, [label], 0.4, 1.0, solo_rng, 0.01) for label in labels]
+    solo = [fission_class_batch(pool, [label], hp, solo_rng) for label in labels]
     assert len(batch) == b
     assert batch.fissioned.tolist() == [want.fissioned[0] for want in solo]
     assert batch.fissioned.any() and not batch.fissioned.all()
@@ -112,7 +116,7 @@ def test_fission_class_batch_equals_elementwise_calls():
 def test_fission_class_identical_samples_identical_outcomes():
     pool = make_class_pool([[0.6, 0.2, 0.2]])
     labels = [prob([2, 1, 1])] * 3
-    outs = fission_class_batch(pool, labels, 0.005, 1.0, SeededRng(0), 0.01)
+    outs = fission_class_batch(pool, labels, HP, SeededRng(0))
     for o in list(outs)[1:]:
         np.testing.assert_array_equal(o.candidates, outs[0].candidates)
         np.testing.assert_array_equal(o.weights, outs[0].weights)
@@ -121,9 +125,7 @@ def test_fission_class_identical_samples_identical_outcomes():
 
 def test_fission_class_batch_against_empty_pool_all_fission():
     pool = ClassPromptPool(10, DIM, C)
-    outs = fission_class_batch(
-        pool, [prob([1, 2, 3]) for _ in range(4)], 0.005, 1.0, SeededRng(1), 0.01
-    )
+    outs = fission_class_batch(pool, [prob([1, 2, 3]) for _ in range(4)], HP, SeededRng(1))
     assert all(o.fissioned for o in outs)
 
 
@@ -131,17 +133,18 @@ def test_fission_class_validates_inputs():
     pool = make_class_pool([[0.6, 0.2, 0.2]])
     rng = SeededRng(0)
     with pytest.raises(ValueError):
-        fission_class_batch(pool, [[0.5, 0.6, 0.2]], 0.005, 1.0, rng, 0.01)  # not a distribution
-    with pytest.raises(ValueError):
-        fission_class_batch(pool, [prob([1, 1, 1])], 1.5, 1.0, rng, 0.01)  # gamma_c out of range
-    with pytest.raises(ValueError):
-        fission_class_batch(pool, [prob([1, 1, 1])], 0.005, 0.0, rng, 0.01)  # tau_c <= 0
+        fission_class_batch(pool, [[0.5, 0.6, 0.2]], HP, rng)  # not a distribution
+    # the matching constants are checked once, when Hyperparams is built
+    with pytest.raises(ValueError, match="gamma_c"):
+        Hyperparams(gamma_c=1.5)  # out of range
+    with pytest.raises(ValueError, match="tau_c"):
+        Hyperparams(tau_c=0.0)  # <= 0
 
 
 def test_fission_domain_exact_key_gets_largest_weight():
     pool = make_domain_pool([[0, 0, 0, 0], [3, 3, 3, 3]])
     query = BatchStats(np.zeros(4), np.ones(4))
-    out = fission_domain(pool, query, 25.0, 3.0, SeededRng(0), 0.01)
+    out = fission_domain(pool, query, HP, SeededRng(0))
     assert not out.fissioned
     assert out.candidates[0] == 0
     assert out.weights[0] == out.weights.max()
@@ -149,14 +152,14 @@ def test_fission_domain_exact_key_gets_largest_weight():
 
 def test_fission_domain_empty_pool_fissions():
     pool = DomainPromptPool(10, DIM, 4)
-    out = fission_domain(pool, BatchStats(np.zeros(4), np.ones(4)), 25.0, 3.0, SeededRng(0), 0.01)
+    out = fission_domain(pool, BatchStats(np.zeros(4), np.ones(4)), HP, SeededRng(0))
     assert out.fissioned
 
 
 def test_fission_domain_equidistant_pair_splits_weight():
     pool = make_domain_pool([[1, 0, 0, 0], [-1, 0, 0, 0]])
     query = BatchStats(np.zeros(4), np.ones(4))
-    out = fission_domain(pool, query, 5.0, 3.0, SeededRng(0), 0.01)
+    out = fission_domain(pool, query, replace(HP, gamma_d=5.0), SeededRng(0))
     assert out.weights[0] == pytest.approx(0.5, abs=1e-12)
     assert out.weights[1] == pytest.approx(0.5, abs=1e-12)
 
@@ -164,7 +167,7 @@ def test_fission_domain_equidistant_pair_splits_weight():
 def test_fission_domain_tight_threshold_never_mixes_separated_keys():
     pool = make_domain_pool([[0, 0, 0, 0], [10, 0, 0, 0]])
     query = BatchStats(np.array([0.5, 0.0, 0.0, 0.0]), np.ones(4))
-    out = fission_domain(pool, query, 2.0, 3.0, SeededRng(0), 0.01)
+    out = fission_domain(pool, query, replace(HP, gamma_d=2.0), SeededRng(0))
     np.testing.assert_array_equal(out.candidates, [0])
 
 
@@ -172,9 +175,9 @@ def test_fission_domain_validates_inputs():
     pool = make_domain_pool([[0, 0, 0, 0]])
     rng = SeededRng(0)
     with pytest.raises(ValueError):
-        fission_domain(pool, BatchStats(np.zeros(3), np.ones(3)), 25.0, 3.0, rng, 0.01)
-    with pytest.raises(ValueError):
-        fission_domain(pool, BatchStats(np.zeros(4), np.ones(4)), -1.0, 3.0, rng, 0.01)
+        fission_domain(pool, BatchStats(np.zeros(3), np.ones(3)), HP, rng)
+    with pytest.raises(ValueError, match="gamma_d"):
+        Hyperparams(gamma_d=-1.0)
 
 
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=5))
@@ -184,7 +187,7 @@ def test_fission_weights_are_convex_and_composition_bounded(seed, n_entries):
     keys = [rng.uniform(0.05, 1.0, size=C) for _ in range(n_entries)]
     pool = make_class_pool(keys)
     query = prob(rng.uniform(0.05, 1.0, size=C))
-    out = fission_class_batch(pool, [query], 0.005, 1.0, rng, 0.01)
+    out = fission_class_batch(pool, [query], HP, rng)
     if out.fissioned:
         return
     w = out.weights
@@ -203,8 +206,9 @@ def test_fission_is_read_only(seed):
     dpool = make_domain_pool([rng.normal(size=4) for _ in range(4)])
     before_c, before_d = pool_bytes(pool), pool_bytes(dpool)
     vc, vd = pool.version, dpool.version
-    fission_class_batch(pool, [prob(rng.uniform(0.05, 1.0, size=C))], 0.005, 1.0, rng, 0.01)
-    fission_domain(dpool, BatchStats(rng.normal(size=4), np.ones(4)), 4.0, 3.0, rng, 0.01)
+    fission_class_batch(pool, [prob(rng.uniform(0.05, 1.0, size=C))], HP, rng)
+    stats = BatchStats(rng.normal(size=4), np.ones(4))
+    fission_domain(dpool, stats, replace(HP, gamma_d=4.0), rng)
     assert pool_bytes(pool) == before_c and pool.version == vc
     assert pool_bytes(dpool) == before_d and dpool.version == vd
 
@@ -212,8 +216,8 @@ def test_fission_is_read_only(seed):
 def test_softmax_over_all_weights_use_full_pool_denominator():
     pool = make_class_pool([[0.6, 0.2, 0.2], [0.002, 0.002, 0.996]])
     query = prob([0.999996, 2e-6, 2e-6])
-    restricted = fission_class_batch(pool, [query], 0.005, 1.0, SeededRng(0), 0.01)
-    full = fission_class_batch(pool, [query], 0.005, 1.0, SeededRng(0), 0.01, softmax_over_all=True)
+    restricted = fission_class_batch(pool, [query], HP, SeededRng(0))
+    full = fission_class_batch(pool, [query], replace(HP, softmax_over_all=True), SeededRng(0))
     assert restricted.weights[0] == 1.0
     np.testing.assert_array_equal(full.candidates, [0])
     assert 0.0 < full.weights[0] < 1.0  # non-candidate still contributes to the denominator
@@ -324,9 +328,8 @@ def test_fission_class_batch_bitwise_matches_literal_reference(seed, softmax_ove
     labels = np.stack([random_prob(rng, num_classes) for _ in range(int(rng.integers(1, 33)))])
     gamma_c = float(rng.uniform(0.9, 0.99))  # several seeds mix misses and matches
     engine_rng, reference_rng = SeededRng(seed), SeededRng(seed)
-    got = fission_class_batch(
-        pool, labels, gamma_c, 0.3, engine_rng, 0.01, softmax_over_all=softmax_over_all
-    )
+    hp = replace(HP, gamma_c=gamma_c, tau_c=0.3, softmax_over_all=softmax_over_all)
+    got = fission_class_batch(pool, labels, hp, engine_rng)
     want = class_fission_reference(
         pool.keys, pool.prompts, labels, gamma_c, 0.3, reference_rng, 0.01, softmax_over_all
     )
