@@ -34,7 +34,6 @@ from .numerics import BatchStats, Hyperparams, SeededRng, batch_stats
 from .objective import (
     AdamWState,
     LossBreakdown,
-    SourceStats,
     adamw_step,
     finite_diff_grad,
     grad,

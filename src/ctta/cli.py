@@ -29,7 +29,7 @@ from .harness import (
     verify_lemmas,
 )
 from .model import save_model
-from .numerics import HYPERPARAMS, SeededRng
+from .numerics import HYPERPARAMS, SeededRng, check_param
 from .pools import ClassPromptPool, DomainPromptPool
 from .stream import (
     DomainSpec,
@@ -181,6 +181,7 @@ def _setup(args, *, adapt: bool = True) -> tuple:
 
 
 def cmd_gen_stream(args) -> int:
+    check_param("shift_scale", args.shift_scale)
     sc, world, *_ = _setup(args, adapt=False)
     rng = SeededRng(sc.seed)
     n_domains = len(set(sc.domain_order))

@@ -23,8 +23,8 @@ from .model import (
     prompted_features,
     pseudo_labels,
 )
-from .numerics import Hyperparams, Matrix, SeededRng, as_matrix, batch_stats, check_param
-from .objective import SourceStats, finite_diff_grad, grad, optimize_prompts
+from .numerics import BatchStats, Hyperparams, Matrix, SeededRng, as_matrix, batch_stats, check_param
+from .objective import finite_diff_grad, grad, optimize_prompts
 from .pools import ClassPromptPool, DomainPromptPool, FissionOutcome, fission_class_batch, fission_domain
 from .stream import DomainSpec, LabeledBatch, SeparationCertificate, StreamConfig
 
@@ -191,22 +191,21 @@ class RunResult:
     ledger: ClusterLedger | None = None
 
 
-def compute_source_stats(model: ToyModel, samples, *, recommended: int = 300) -> SourceStats:
+def compute_source_stats(model: ToyModel, samples, *, recommended: int = 300) -> BatchStats:
     """Prompt-free feature statistics of unlabeled source samples."""
     x = as_matrix(samples, shape=(None, model.input_dim), name="source samples", min_rows=2)
     if x.shape[0] < recommended:
         warnings.warn(
             f"only {x.shape[0]} source samples; {recommended}+ recommended for stable statistics"
         )
-    stats = key_stats(model, x)
-    return SourceStats(stats.mu, stats.sigma)
+    return key_stats(model, x)
 
 
 def _adapt_batch(
     model: ToyModel,
     samples: Matrix,
     hp: Hyperparams,
-    source_stats: SourceStats,
+    source_stats: BatchStats,
     class_pool: ClassPromptPool,
     domain_pool: DomainPromptPool,
     rng: SeededRng,
@@ -234,10 +233,9 @@ def run_ctta(
     model: ToyModel,
     stream: list[LabeledBatch],
     hyperparams: Hyperparams,
-    source_stats: SourceStats,
+    source_stats: BatchStats,
     *,
-    seed: int = 0,
-    rng: SeededRng | None = None,
+    rng: SeededRng,
     class_pool: ClassPromptPool | None = None,
     domain_pool: DomainPromptPool | None = None,
     ledger: ClusterLedger | None = None,
@@ -247,7 +245,6 @@ def run_ctta(
     if not stream:
         raise ValueError("empty stream")
     hp = hyperparams
-    rng = rng if rng is not None else SeededRng(seed)
     if class_pool is None:
         class_pool = ClassPromptPool(hp.n_c, model.input_dim, model.num_classes)
     if domain_pool is None:
@@ -313,10 +310,9 @@ def verify_lemmas(
     certificate: SeparationCertificate,
     hyperparams: Hyperparams,
     model: ToyModel,
-    source_stats: SourceStats,
+    source_stats: BatchStats,
     *,
-    seed: int = 0,
-    rng: SeededRng | None = None,
+    rng: SeededRng,
 ) -> LemmaReport:
     """Check cluster-correct matching, fission, and fusion on a certified stream.
 
@@ -345,9 +341,7 @@ def verify_lemmas(
         return LemmaReport("hypothesis_violation", issues, [], len(stream), n_domains)
 
     ledger = ClusterLedger()
-    result = run_ctta(
-        model, stream, hyperparams, source_stats, seed=seed, rng=rng, ledger=ledger
-    )
+    result = run_ctta(model, stream, hyperparams, source_stats, rng=rng, ledger=ledger)
     status = "pass" if not ledger.violations else "lemma_violation"
     return LemmaReport(status, [], ledger.violations, len(stream), n_domains, result.metrics)
 
@@ -402,7 +396,7 @@ def gradient_check(
             x = r.normal(size=(b, input_dim))
             p_d = r.normal(size=input_dim, scale=0.5)
             p_c = r.normal(size=(b, input_dim), scale=0.5)
-            source = SourceStats(
+            source = BatchStats(
                 r.normal(size=feature_dim),
                 np.abs(r.normal(size=feature_dim)) + 0.1,
             )
@@ -433,7 +427,7 @@ class World:
 
     model: ToyModel
     class_means: Matrix
-    source_stats: SourceStats
+    source_stats: BatchStats
     source_spec: DomainSpec
 
 
@@ -447,11 +441,12 @@ def build_world(
 ) -> World:
     """Deterministically construct the source model and statistics from the config seed.
 
-    ``noise_std`` (checked by the source ``DomainSpec``) and ``feature_dim``
-    are checked before any draw.
+    ``noise_std`` (checked by the source ``DomainSpec``), ``feature_dim`` and
+    ``class_mean_scale`` are checked before any draw.
     """
     if feature_dim is not None:
         check_param("feature_dim", feature_dim)
+    check_param("class_mean_scale", class_mean_scale)
     rng = SeededRng(config.seed)
     means = make_class_means(
         config.num_classes, config.input_dim, rng.child(10), scale=class_mean_scale

@@ -77,8 +77,9 @@ HYPERPARAMS: dict[str, tuple[type, str | tuple[str, ...] | None]] = {
     "softmax_over_all": (bool, None),
     "class_update": (str, ("sequential", "averaged")),
 }
-# Stream configuration, separation certificate and world fields, under the
-# same rule. Each item of ``domain_order`` is checked as ``domain_order``;
+# Stream configuration, separation certificate, world and pool snapshot
+# fields, under the same rule. Each item of ``domain_order`` is checked as
+# ``domain_order``, and each entry's ``created_at`` as ``created_at``;
 # ``theta`` serves both the config and the certificate.
 STREAM_PARAMS: dict[str, tuple[type, str | tuple[str, ...] | None]] = {
     "domain_order": (numbers.Integral, "[0, inf]"),
@@ -93,6 +94,11 @@ STREAM_PARAMS: dict[str, tuple[type, str | tuple[str, ...] | None]] = {
     "probe_batches": (numbers.Integral, "[1, inf]"),
     "noise_std": (numbers.Real, "[0, inf)"),
     "feature_dim": (numbers.Integral, "[1, inf]"),
+    "class_mean_scale": (numbers.Real, "(0, inf)"),
+    "shift_scale": (numbers.Real, "(-inf, inf)"),
+    "prompt_dim": (numbers.Integral, "[1, inf]"),
+    "created_at": (numbers.Integral, "[-9223372036854775808, 9223372036854775808)"),  # int64
+    "version": (numbers.Integral, "[0, inf]"),
 }
 _PARAMS = {**HYPERPARAMS, **STREAM_PARAMS}
 _BOUNDS = {  # (lo, hi) of each interval

@@ -12,23 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ToyModel, check_prompted, head_logits, prompted_features
-from .numerics import Hyperparams, Matrix, Vector, as_matrix, as_vector
-
-
-@dataclass(frozen=True)
-class SourceStats:
-    """Feature mean and std of the source domain."""
-
-    mu: Vector
-    sigma: Vector
-
-    def __post_init__(self):
-        object.__setattr__(self, "mu", as_vector(self.mu, name="source mu"))
-        object.__setattr__(
-            self, "sigma", as_vector(self.sigma, dim=self.mu.shape[0], name="source sigma")
-        )
-        if np.any(self.sigma < 0.0):
-            raise ValueError("source sigma must be >= 0")
+from .numerics import BatchStats, Hyperparams, Matrix, Vector, as_matrix, as_vector
 
 
 @dataclass(frozen=True)
@@ -87,7 +71,7 @@ def _forward_state(model: ToyModel, batch, p_d, class_prompts):
     return x, z, probs, logp, -(probs * logp).sum(axis=1)
 
 
-def _stats_terms(z: Matrix, source: SourceStats, alpha_std: float):
+def _stats_terms(z: Matrix, source: BatchStats, alpha_std: float):
     mu = z.mean(axis=0)
     centered = z - mu
     sigma = np.sqrt((centered ** 2).mean(axis=0))
@@ -104,7 +88,7 @@ def loss(
     batch,
     p_d,
     class_prompts,
-    source_stats: SourceStats,
+    source_stats: BatchStats,
     a: float,
     alpha_std: float,
 ) -> LossBreakdown:
@@ -125,7 +109,7 @@ def grad(
     batch,
     p_d,
     class_prompts,
-    source_stats: SourceStats,
+    source_stats: BatchStats,
     a: float,
     alpha_std: float,
 ) -> tuple[Vector, Matrix]:
@@ -163,7 +147,7 @@ def finite_diff_grad(
     batch,
     p_d,
     class_prompts,
-    source_stats: SourceStats,
+    source_stats: BatchStats,
     a: float,
     alpha_std: float,
     *,
@@ -207,7 +191,7 @@ def optimize_prompts(
     batch,
     domain_prompt,
     class_prompts,
-    source_stats: SourceStats,
+    source_stats: BatchStats,
     hp: Hyperparams,
 ) -> tuple[Vector, Matrix, LossBreakdown]:
     """Run ``hp.k_steps`` AdamW updates on the composed prompts for one batch.

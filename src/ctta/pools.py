@@ -14,14 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import BatchStats, Hyperparams, Matrix, SeededRng, Vector, as_matrix, as_vector, check_param
+from .numerics import BatchStats, Hyperparams, Matrix, SeededRng, Vector, as_matrix, check_param
 
 
-def _check_probability(arr: np.ndarray, name: str) -> None:
-    """Each row of ``arr`` (a vector, or a matrix of rows) must be a distribution."""
+def _check_probability(arr: Matrix, name: str) -> None:
+    """Each row of the matrix ``arr`` must be a distribution."""
     if arr.size and float(arr.min()) < 0.0:
         raise ValueError(f"{name} must be nonnegative")
-    sums = np.atleast_1d(arr.sum(axis=-1))
+    sums = arr.sum(axis=1)
     off = np.abs(sums - 1.0) > 1e-6
     if off.any():
         raise ValueError(f"{name} must sum to 1, got {sums[off][0]}")
@@ -51,22 +51,49 @@ class _BasePool:
         self.version += 1
 
     def _extend(self, keys: Matrix, prompts: Matrix, created_at) -> None:
-        """Append rows as given; callers validate and bump."""
+        """Append rows as given, the one way a pool grows; callers check rows and version."""
         self.keys = np.concatenate((self.keys, keys))
         self.prompts = np.concatenate((self.prompts, prompts))
         self.created_at = np.concatenate(
             (self.created_at, np.asarray(created_at, dtype=np.int64))
         )
 
-    def _append_checked(self, key: Vector, prompt, created_at: int, name: str) -> int:
-        prompt = as_vector(prompt, dim=self.prompt_dim, name=f"{name} prompt")
-        self._extend(key[None, :], prompt[None, :], [created_at])
-        self.bump()
-        return len(self) - 1
+    @classmethod
+    def from_dict(cls, doc: dict):
+        """Load a ``to_dict`` snapshot: the one checked way rows enter a pool.
+
+        Each field is read as one matrix and checked once for all entries; a
+        snapshot holds at most ``capacity`` entries, and its counters and
+        version are integers.
+        """
+        if doc.get("kind") != cls.KIND:
+            raise ValueError(f"snapshot is not a {cls.KIND} pool")
+        width = check_param(cls.WIDTH, doc[cls.WIDTH])
+        pool = cls(doc["capacity"], check_param("prompt_dim", doc["prompt_dim"]), width)
+        entries = doc["entries"]
+        if len(entries) > pool.capacity:
+            raise ValueError(f"entries has {len(entries)} rows, more than capacity {pool.capacity}")
+        keys = np.hstack([_field(entries, name, width) for name in cls.KEY_FIELDS])
+        pool._check_keys(keys)
+        created_at = [check_param("created_at", e["created_at"]) for e in entries]
+        pool._extend(keys, _field(entries, "prompt", pool.prompt_dim), created_at)
+        pool.version = check_param("version", doc["version"])
+        return pool
+
+
+def _field(entries: list, name: str, width: int) -> Matrix:
+    """Field ``name`` of every snapshot entry as one ``(len(entries), width)`` matrix."""
+    return as_matrix(
+        [e[name] for e in entries] if entries else np.empty((0, width)),
+        shape=(None, width),
+        name=name,
+    )
 
 
 class ClassPromptPool(_BasePool):
     """Ordered class prompts keyed by pseudo-labels, capacity enforced by fusion."""
+
+    KIND, WIDTH, KEY_FIELDS = "class", "num_classes", ("key",)
 
     def __init__(self, capacity: int, prompt_dim: int, num_classes: int):
         if num_classes < 1:
@@ -74,15 +101,12 @@ class ClassPromptPool(_BasePool):
         super().__init__(check_param("n_c", capacity), prompt_dim, num_classes)
         self.num_classes = int(num_classes)
 
-    def append(self, key, prompt, created_at: int = 0) -> int:
-        """Add a (probability key, prompt) row; returns its index."""
-        key = as_vector(key, dim=self.num_classes, name="class key")
-        _check_probability(key, "class key")
-        return self._append_checked(key, prompt, created_at, "class")
+    def _check_keys(self, keys: Matrix) -> None:
+        _check_probability(keys, "key")
 
     def to_dict(self) -> dict:
         return {
-            "kind": "class",
+            "kind": self.KIND,
             "capacity": self.capacity,
             "prompt_dim": self.prompt_dim,
             "num_classes": self.num_classes,
@@ -95,19 +119,11 @@ class ClassPromptPool(_BasePool):
             ],
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ClassPromptPool":
-        if doc.get("kind") != "class":
-            raise ValueError("snapshot is not a class pool")
-        pool = cls(doc["capacity"], doc["prompt_dim"], doc["num_classes"])
-        for e in doc["entries"]:
-            pool.append(e["key"], e["prompt"], e["created_at"])
-        pool.version = doc["version"]
-        return pool
-
 
 class DomainPromptPool(_BasePool):
     """Ordered domain prompts keyed by batch statistics, stored as (mu, sigma) rows."""
+
+    KIND, WIDTH, KEY_FIELDS = "domain", "feature_dim", ("mu", "sigma")
 
     def __init__(self, capacity: int, prompt_dim: int, feature_dim: int):
         if feature_dim < 1:
@@ -115,17 +131,14 @@ class DomainPromptPool(_BasePool):
         super().__init__(check_param("n_d", capacity), prompt_dim, 2 * feature_dim)
         self.feature_dim = int(feature_dim)
 
-    def append(self, key, prompt, created_at: int = 0) -> int:
-        """Add a row whose key is the concatenation (mu, sigma); returns its index."""
-        key = as_vector(key, dim=2 * self.feature_dim, name="domain key")
-        if np.any(key[self.feature_dim :] < 0.0):
-            raise ValueError("domain key sigma entries must be >= 0")
-        return self._append_checked(key, prompt, created_at, "domain")
+    def _check_keys(self, keys: Matrix) -> None:
+        if np.any(keys[:, self.feature_dim :] < 0.0):
+            raise ValueError("sigma entries must be >= 0")
 
     def to_dict(self) -> dict:
         f = self.feature_dim
         return {
-            "kind": "domain",
+            "kind": self.KIND,
             "capacity": self.capacity,
             "prompt_dim": self.prompt_dim,
             "feature_dim": f,
@@ -137,16 +150,6 @@ class DomainPromptPool(_BasePool):
                 )
             ],
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "DomainPromptPool":
-        if doc.get("kind") != "domain":
-            raise ValueError("snapshot is not a domain pool")
-        pool = cls(doc["capacity"], doc["prompt_dim"], doc["feature_dim"])
-        for e in doc["entries"]:
-            pool.append(BatchStats(e["mu"], e["sigma"]).concat(), e["prompt"], e["created_at"])
-        pool.version = doc["version"]
-        return pool
 
 
 @dataclass

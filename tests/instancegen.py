@@ -13,26 +13,53 @@ def random_prob(rng: SeededRng, dim: int) -> np.ndarray:
     return v / v.sum()
 
 
+def load_pool(empty, rows):
+    """A pool shaped like ``empty`` holding ``rows`` of (key, prompt,
+    created_at), loaded through its ``from_dict`` at one version per row, as
+    if the rows were added one by one. A domain key is (mu, sigma). A pool
+    over capacity, which no snapshot holds, loads at its row count and then
+    gets its capacity back.
+    """
+    doc = empty.to_dict()
+    f = doc.get("feature_dim")
+    doc["entries"] = [
+        {
+            **({"key": list(k)} if f is None else {"mu": list(k[:f]), "sigma": list(k[f:])}),
+            "prompt": list(p),
+            "created_at": c,
+        }
+        for k, p, c in rows
+    ]
+    n = len(doc["entries"])
+    doc.update(capacity=max(empty.capacity, n), version=n)
+    pool = type(empty).from_dict(doc)
+    pool.capacity = empty.capacity
+    return pool
+
+
 def random_class_pool(
     rng: SeededRng, n_entries: int, capacity: int, num_classes: int, prompt_dim: int
 ) -> ClassPromptPool:
-    pool = ClassPromptPool(capacity, prompt_dim, num_classes)
-    for i in range(n_entries):
-        pool.append(random_prob(rng, num_classes), rng.normal(size=prompt_dim), i)
-    return pool
+    return load_pool(
+        ClassPromptPool(capacity, prompt_dim, num_classes),
+        [(random_prob(rng, num_classes), rng.normal(size=prompt_dim), i) for i in range(n_entries)],
+    )
 
 
 def random_domain_pool(
     rng: SeededRng, n_entries: int, capacity: int, feature_dim: int, prompt_dim: int
 ) -> DomainPromptPool:
-    pool = DomainPromptPool(capacity, prompt_dim, feature_dim)
-    for i in range(n_entries):
-        pool.append(
-            BatchStats(rng.normal(size=feature_dim), np.abs(rng.normal(size=feature_dim))).concat(),
-            rng.normal(size=prompt_dim),
-            i,
-        )
-    return pool
+    return load_pool(
+        DomainPromptPool(capacity, prompt_dim, feature_dim),
+        [
+            (
+                BatchStats(rng.normal(size=feature_dim), np.abs(rng.normal(size=feature_dim))).concat(),
+                rng.normal(size=prompt_dim),
+                i,
+            )
+            for i in range(n_entries)
+        ],
+    )
 
 
 def make_outcome(prompt, weights: dict[int, float] | None, version: int) -> FissionOutcome:

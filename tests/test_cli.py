@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from ctta.cli import _dump_json, _json_text, load_config_file, main
 from ctta.harness import Hyperparams, build_world, run_ctta
+from ctta.numerics import SeededRng
 from ctta.pools import ClassPromptPool, DomainPromptPool
 from ctta.stream import StreamConfig, read_stream, write_stream
+from instancegen import load_pool
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 
@@ -253,6 +255,14 @@ def test_demo_run_outputs_match_golden_bytes(tmp_path):
     assert digests == DEMO_RUN_SHA256
     # five domain boundaries, one class and one domain snapshot at each
     assert boundary_digest(tmp_path) == (10, DEMO_RUN_BOUNDARY_SHA256)
+    # every snapshot reloads and writes back to the same bytes
+    snapshots = sorted(tmp_path.glob("pools_*.json"))
+    assert len(snapshots) == 12
+    for path in snapshots:
+        text = path.read_text()
+        cls = ClassPromptPool if path.name.startswith("pools_class_") else DomainPromptPool
+        pool = cls.from_dict(json.loads(text))
+        assert json.dumps(pool.to_dict(), sort_keys=True, indent=2) + "\n" == text
 
 
 def test_unknown_subcommand_and_flags_exit_2(capsys):
@@ -328,6 +338,11 @@ def test_config_value_of_wrong_type_exits_1_naming_its_key(generated, tmp_path, 
         ("--noise-std", "-0.1", "noise_std must be Real in [0, inf), got -0.1"),
         ("--noise-std", "inf", "noise_std must be Real in [0, inf), got inf"),
         ("--feature-dim", "0", "feature_dim must be Integral in [1, inf], got 0"),
+        ("--class-mean-scale", "nan", "class_mean_scale must be Real in (0, inf), got nan"),
+        ("--class-mean-scale", "-1", "class_mean_scale must be Real in (0, inf), got -1.0"),
+        ("--class-mean-scale", "0", "class_mean_scale must be Real in (0, inf), got 0.0"),
+        ("--shift-scale", "nan", "shift_scale must be Real in (-inf, inf), got nan"),
+        ("--shift-scale", "inf", "shift_scale must be Real in (-inf, inf), got inf"),
     ]:
         out = tmp_path / "world.csv"
         code = main(
@@ -571,7 +586,9 @@ def test_overflowing_batch_names_its_batch(tmp_path, capsys):
     hp_doc, sc_doc = load_config_file(DEMO / "config.json")
     world = build_world(StreamConfig.from_dict(dict(sc_doc, seed=7)))
     with pytest.raises(ValueError, match=r"^batch 5: feature batch overflowed") as exc:
-        run_ctta(world.model, batches, Hyperparams.from_dict(hp_doc), world.source_stats, seed=7)
+        run_ctta(
+            world.model, batches, Hyperparams.from_dict(hp_doc), world.source_stats, rng=SeededRng(7)
+        )
     # the engine's own error stays attached
     assert isinstance(exc.value.__cause__, ValueError)
     assert str(exc.value.__cause__).startswith("feature batch overflowed")
@@ -667,12 +684,14 @@ def test_json_writer_memo_matches_json_dumps_across_snapshots(rows, plans):
 @pytest.mark.parametrize("n", [0, 1, 5])
 def test_json_writer_matches_json_dumps_on_pool_snapshots(tmp_path, n):
     rng = np.random.default_rng(n)
-    class_pool, domain_pool = ClassPromptPool(5, 4, 3), DomainPromptPool(5, 4, 2)
+    class_rows, domain_rows = [], []
     for i in range(n):
         prompt = rng.normal(size=4)
         prompt[: min(i, 4)] = [-0.0, 5e-324, 1e308, -1e-310][: min(i, 4)]
-        class_pool.append(rng.dirichlet(np.ones(3)), prompt, created_at=i)
-        domain_pool.append(np.r_[rng.normal(size=2), rng.uniform(size=2)], -prompt, i)
+        class_rows.append((rng.dirichlet(np.ones(3)), prompt, i))
+        domain_rows.append((np.r_[rng.normal(size=2), rng.uniform(size=2)], -prompt, i))
+    class_pool = load_pool(ClassPromptPool(5, 4, 3), class_rows)
+    domain_pool = load_pool(DomainPromptPool(5, 4, 2), domain_rows)
     for doc in (class_pool.to_dict(), domain_pool.to_dict()):
         path = tmp_path / "pool.json"
         _dump_json(doc, path)

@@ -19,6 +19,7 @@ from instancegen import (
     class_pool_tuples,
     class_record,
     domain_pool_tuples,
+    load_pool,
     make_outcome,
     random_class_pool,
     random_class_records,
@@ -70,9 +71,8 @@ def test_gate_skips_everything_bitwise():
 
 
 def test_sole_candidate_full_weight_replaces_prompt_keeps_key():
-    pool = ClassPromptPool(10, 4, 3)
     key = random_prob(SeededRng(1), 3)
-    pool.append(key.copy(), np.zeros(4), 0)
+    pool = load_pool(ClassPromptPool(10, 4, 3), [(key, np.zeros(4), 0)])
     learned = np.array([1.0, 2.0, 3.0, 4.0])
     rec = matched_record(pool, learned, onehot(0), onehot(0), {0: 1.0})
     # alpha_c = 0 freezes the key
@@ -94,8 +94,7 @@ def test_fissioned_record_appends_pseudo_label_key():
 
 def test_update_class_pool_matches_hand_simulation():
     # two-sample batch traced by hand through the sequential update
-    pool = ClassPromptPool(10, 2, 2)
-    pool.append(np.array([0.5, 0.5]), np.array([1.0, 0.0]), 0)
+    pool = load_pool(ClassPromptPool(10, 2, 2), [([0.5, 0.5], [1.0, 0.0], 0)])
     alpha_c = 0.5
     p1 = np.array([2.0, 0.0])
     p2 = np.array([0.0, 4.0])
@@ -119,13 +118,13 @@ def test_update_rejects_stale_outcomes():
     rng = SeededRng(3)
     pool = random_class_pool(rng, 3, 10, 3, 5)
     recs = random_class_records(rng, pool, 2, fission_prob=0.0)
-    pool.append(random_prob(rng, 3), np.zeros(5), 9)  # bumps version
+    pool.bump()
     with pytest.raises(PoolVersionError):
         update_class_pool(pool, recs, Hyperparams(gamma_h=10.0, alpha_c=0.1))
 
     dpool = random_domain_pool(rng, 3, 10, 4, 5)
     rec = random_domain_record(rng, dpool, fission_prob=0.0)
-    dpool.append(np.concatenate((np.zeros(4), np.ones(4))), np.zeros(5), 9)  # bumps version
+    dpool.bump()
     with pytest.raises(PoolVersionError):
         update_domain_pool(dpool, *rec, Hyperparams(alpha_d=0.1))
 
@@ -265,16 +264,14 @@ def test_class_updates_are_convex_and_keys_stay_probabilities(seed):
 
 
 def test_mst_compact_merges_identical_pair_first():
-    pool = ClassPromptPool(4, 3, 3)
     keys = [
-        np.array([0.8, 0.1, 0.1]),
-        np.array([0.1, 0.8, 0.1]),
-        np.array([0.1, 0.1, 0.8]),
-        np.array([0.4, 0.4, 0.2]),
-        np.array([0.4, 0.4, 0.2]),
+        [0.8, 0.1, 0.1],
+        [0.1, 0.8, 0.1],
+        [0.1, 0.1, 0.8],
+        [0.4, 0.4, 0.2],
+        [0.4, 0.4, 0.2],
     ]
-    for i, k in enumerate(keys):
-        pool.append(k, np.full(3, float(i)), i)
+    pool = load_pool(ClassPromptPool(4, 3, 3), [(k, np.full(3, float(i)), i) for i, k in enumerate(keys)])
     assignment = _compact_class_pool(pool)
     assert len(set(assignment)) == 4
     groups = partition_sets(dict(enumerate(assignment)))
@@ -283,9 +280,8 @@ def test_mst_compact_merges_identical_pair_first():
 
 
 def test_mst_compact_single_group_is_grand_mean():
-    pool = ClassPromptPool(1, 2, 2)
-    for i, k in enumerate([[0.9, 0.1], [0.5, 0.5], [0.1, 0.9]]):
-        pool.append(np.array(k), np.array([float(i), 0.0]), i)
+    keys = [[0.9, 0.1], [0.5, 0.5], [0.1, 0.9]]
+    pool = load_pool(ClassPromptPool(1, 2, 2), [(k, [float(i), 0.0], i) for i, k in enumerate(keys)])
     assignment = _compact_class_pool(pool)
     assert len(set(assignment)) == 1
     assert len(pool) == 1
@@ -295,8 +291,7 @@ def test_mst_compact_single_group_is_grand_mean():
 
 
 def test_mst_compact_requires_overflow():
-    pool = ClassPromptPool(4, 3, 3)
-    pool.append(random_prob(SeededRng(0), 3), np.zeros(3), 0)
+    pool = load_pool(ClassPromptPool(4, 3, 3), [(random_prob(SeededRng(0), 3), np.zeros(3), 0)])
     with pytest.raises(ValueError):
         _compact_class_pool(pool)
 
@@ -380,10 +375,10 @@ def test_single_linkage_groups_break_ties_by_weight_then_i_then_j():
 
 
 def test_fuse_nearest_pair_identical_entries_win():
-    pool = DomainPromptPool(10, 2, 2)
     mus = [[0.0, 0.0], [5.0, 5.0], [5.0, 5.0], [9.0, 0.0]]
-    for i, mu in enumerate(mus):
-        pool.append(BatchStats(np.array(mu), np.zeros(2)).concat(), np.full(2, float(i)), i)
+    # each key is (mu, sigma), with sigma zero
+    rows = [([*mu, 0.0, 0.0], np.full(2, float(i)), i) for i, mu in enumerate(mus)]
+    pool = load_pool(DomainPromptPool(10, 2, 2), rows)
     pair = _fuse_core(pool)
     assert pair == (1, 2)
     assert len(pool) == 3
@@ -392,9 +387,9 @@ def test_fuse_nearest_pair_identical_entries_win():
 
 
 def test_fuse_pool_of_two_averages():
-    pool = DomainPromptPool(10, 2, 2)
-    pool.append(BatchStats(np.array([0.0, 0.0]), np.array([1.0, 1.0])).concat(), np.array([2.0, 0.0]), 0)
-    pool.append(BatchStats(np.array([4.0, 0.0]), np.array([3.0, 1.0])).concat(), np.array([0.0, 2.0]), 5)
+    # each key is (mu, sigma)
+    rows = [([0.0, 0.0, 1.0, 1.0], [2.0, 0.0], 0), ([4.0, 0.0, 3.0, 1.0], [0.0, 2.0], 5)]
+    pool = load_pool(DomainPromptPool(10, 2, 2), rows)
     pair = _fuse_core(pool)
     assert pair == (0, 1)
     mu, sigma, prompt, created = domain_pool_tuples(pool)[0]
@@ -445,8 +440,7 @@ def test_domain_update_examples():
 
 
 def test_domain_update_hand_simulation():
-    pool = DomainPromptPool(5, 2, 2)
-    pool.append(BatchStats(np.array([1.0, 1.0]), np.array([2.0, 2.0])).concat(), np.array([1.0, 0.0]), 0)
+    pool = load_pool(DomainPromptPool(5, 2, 2), [([1.0, 1.0, 2.0, 2.0], [1.0, 0.0], 0)])
     rec = (
         np.array([3.0, 4.0]),
         BatchStats(np.array([2.0, 0.0]), np.array([4.0, 0.0])),
@@ -509,8 +503,7 @@ def test_update_domain_pool_bitwise_matches_interpreter(seed):
 
 
 def test_averaged_mode_blends_against_batch_start_state():
-    pool = ClassPromptPool(10, 2, 2)
-    pool.append(np.array([0.5, 0.5]), np.array([1.0, 1.0]), 0)
+    pool = load_pool(ClassPromptPool(10, 2, 2), [([0.5, 0.5], [1.0, 1.0], 0)])
     p1 = np.array([3.0, 0.0])
     p2 = np.array([0.0, 3.0])
     recs = stack_class_records(

@@ -12,7 +12,7 @@ from ctta.harness import (
     verify_lemmas,
 )
 from ctta.model import key_stats, pseudo_labels
-from ctta.numerics import BatchStats, SeededRng
+from ctta.numerics import SeededRng
 from ctta.pools import ClassPromptPool, DomainPromptPool
 from ctta.stream import (
     SeparationCertificate,
@@ -20,6 +20,7 @@ from ctta.stream import (
     generate_stream,
     make_separated,
 )
+from instancegen import load_pool
 from reference import two_pass_stats
 
 
@@ -63,15 +64,15 @@ def test_zero_prompt_pools_with_no_steps_reproduce_source_error(world):
         SeededRng(43),
     )
     hp = Hyperparams(k_steps=0)
-    class_pool = ClassPromptPool(hp.n_c, 8, 3)
-    for k in range(3):
-        class_pool.append(onehot(k, 3), np.zeros(8), 0)
-    domain_pool = DomainPromptPool(hp.n_d, 8, w.model.feature_dim)
-    domain_pool.append(
-        BatchStats(w.source_stats.mu, w.source_stats.sigma).concat(), np.zeros(8), 0
+    class_pool = load_pool(
+        ClassPromptPool(hp.n_c, 8, 3), [(onehot(k, 3), np.zeros(8), 0) for k in range(3)]
+    )
+    domain_pool = load_pool(
+        DomainPromptPool(hp.n_d, 8, w.model.feature_dim), [(w.source_stats.concat(), np.zeros(8), 0)]
     )
     result = run_ctta(
-        w.model, stream, hp, w.source_stats, seed=1, class_pool=class_pool, domain_pool=domain_pool
+        w.model, stream, hp, w.source_stats, rng=SeededRng(1),
+        class_pool=class_pool, domain_pool=domain_pool,
     )
     for row, batch in zip(result.metrics.rows, stream):
         source_err = float(np.mean(pseudo_labels(w.model, batch.samples).argmax(1) != batch.class_ids))
@@ -87,8 +88,8 @@ def test_identical_seed_and_config_give_identical_metrics(world):
         SeededRng(47),
     )
     hp = Hyperparams()
-    a = run_ctta(w.model, stream, hp, w.source_stats, seed=9)
-    b = run_ctta(w.model, stream, hp, w.source_stats, seed=9)
+    a = run_ctta(w.model, stream, hp, w.source_stats, rng=SeededRng(9))
+    b = run_ctta(w.model, stream, hp, w.source_stats, rng=SeededRng(9))
     assert a.metrics.to_csv() == b.metrics.to_csv()
     assert a.metrics.summary() == b.metrics.summary()
 
@@ -115,7 +116,7 @@ def test_hyperparams_are_checked_once_per_run(world, monkeypatch, batches):
     hp = Hyperparams(k_steps=2)
     table = CountingTable(numerics._PARAMS)
     monkeypatch.setattr(numerics, "_PARAMS", table)
-    result = run_ctta(w.model, stream, hp, w.source_stats, seed=3)
+    result = run_ctta(w.model, stream, hp, w.source_stats, rng=SeededRng(3))
     assert len(result.metrics.rows) == batches
     assert table.lookups == 2
 
@@ -129,8 +130,8 @@ def test_engine_never_reads_labels(world):
         for b in stream
     ]
     hp = Hyperparams()
-    a = run_ctta(w.model, stream, hp, w.source_stats, seed=2)
-    b = run_ctta(w.model, scrambled, hp, w.source_stats, seed=2)
+    a = run_ctta(w.model, stream, hp, w.source_stats, rng=SeededRng(2))
+    b = run_ctta(w.model, scrambled, hp, w.source_stats, rng=SeededRng(2))
     for ra, rb in zip(a.metrics.rows, b.metrics.rows):
         assert ra.loss_d == rb.loss_d and ra.loss_c == rb.loss_c
         assert ra.pool_d_size == rb.pool_d_size and ra.pool_c_size == rb.pool_c_size
@@ -144,7 +145,7 @@ def test_param_count_formula_enforced(world):
         [w.source_spec],
         SeededRng(59),
     )
-    result = run_ctta(w.model, stream, Hyperparams(), w.source_stats, seed=3)
+    result = run_ctta(w.model, stream, Hyperparams(), w.source_stats, rng=SeededRng(3))
     for row in result.metrics.rows:
         assert row.param_count == (row.pool_d_size + row.pool_c_size) * 8
 
@@ -184,7 +185,7 @@ def test_verify_lemmas_single_domain_trivially_clean(world):
     )
     cert = SeparationCertificate(2 * intra, intra, np.inf, 20, 71)
     hp = Hyperparams(gamma_d=intra * 1.5, n_d=5)
-    report = verify_lemmas(stream, cert, hp, w.model, w.source_stats, seed=4)
+    report = verify_lemmas(stream, cert, hp, w.model, w.source_stats, rng=SeededRng(4))
     assert report.passed
 
 
@@ -291,7 +292,9 @@ def test_hyperparams_defaults_are_the_documented_values():
 def test_verify_lemmas_rejects_missing_certificate():
     cfg, w, specs, cert, stream, rng = certified_setup(97, 2, batches_per_domain=3)
     with pytest.raises(ValueError, match="certificate"):
-        verify_lemmas(stream, None, Hyperparams(), w.model, w.source_stats)
+        verify_lemmas(
+            stream, None, Hyperparams(), w.model, w.source_stats, rng=SeededRng(0)
+        )
 
 
 def test_hyperparams_validation_and_round_trip():
@@ -319,4 +322,4 @@ def test_hyperparams_validation_and_round_trip():
 def test_run_rejects_empty_stream(world):
     cfg, w = world
     with pytest.raises(ValueError):
-        run_ctta(w.model, [], Hyperparams(), w.source_stats)
+        run_ctta(w.model, [], Hyperparams(), w.source_stats, rng=SeededRng(0))

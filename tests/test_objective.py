@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from ctta.model import ToyModel
-from ctta.numerics import Hyperparams, SeededRng
+from ctta.numerics import BatchStats, Hyperparams, SeededRng
 from ctta.objective import (
     AdamWState,
-    SourceStats,
     adamw_step,
     finite_diff_grad,
     grad,
@@ -26,7 +25,7 @@ def make_setup(seed=0, b=6, input_dim=4, feature_dim=4, num_classes=3):
     x = rng.normal(size=(b, input_dim))
     p_d = rng.normal(size=input_dim, scale=0.5)
     p_c = rng.normal(size=(b, input_dim), scale=0.5)
-    source = SourceStats(rng.normal(size=feature_dim), np.abs(rng.normal(size=feature_dim)) + 0.2)
+    source = BatchStats(rng.normal(size=feature_dim), np.abs(rng.normal(size=feature_dim)) + 0.2)
     return model, x, p_d, p_c, source
 
 
@@ -37,7 +36,7 @@ def test_loss_zero_at_perfectly_aligned_onehot_configuration():
     z = x @ model.extractor.T
     mu = z.mean(axis=0)
     sigma = np.sqrt(((z - mu) ** 2).mean(axis=0))
-    source = SourceStats(mu, sigma)
+    source = BatchStats(mu, sigma)
     out = loss(model, x, zeros, np.zeros_like(x), source, 0.0, 1.0)
     assert out.loss_d == pytest.approx(0.0, abs=1e-12)
     assert out.total == pytest.approx(0.0, abs=1e-12)
@@ -83,7 +82,7 @@ def test_grad_zero_at_global_minimum():
     z = x @ model.extractor.T
     mu = z.mean(axis=0)
     sigma = np.sqrt(((z - mu) ** 2).mean(axis=0))
-    source = SourceStats(mu, sigma)
+    source = BatchStats(mu, sigma)
     g_d, g_c = grad(model, x, zeros, np.zeros_like(x), source, 0.0, 1.0)
     np.testing.assert_array_equal(g_d, np.zeros(model.input_dim))
     np.testing.assert_array_equal(g_c, np.zeros_like(x))
@@ -209,7 +208,7 @@ def test_descent_on_additive_shift_is_monotone_to_the_floor(seed):
     rng = SeededRng(seed)
     model, x, _, _, _ = make_setup(seed=seed, b=12)
     z = x @ model.extractor.T
-    source = SourceStats(z.mean(axis=0), np.sqrt(((z - z.mean(axis=0)) ** 2).mean(axis=0)))
+    source = BatchStats(z.mean(axis=0), np.sqrt(((z - z.mean(axis=0)) ** 2).mean(axis=0)))
     delta = rng.normal(size=model.input_dim, scale=2.0)
     shifted = x + delta
     p_d = np.zeros(model.input_dim)
@@ -243,4 +242,4 @@ def test_loss_terms_respect_their_bounds(seed):
 
 def test_source_stats_validation():
     with pytest.raises(ValueError):
-        SourceStats(np.zeros(3), np.array([-1.0, 0.0, 0.0]))
+        BatchStats(np.zeros(3), np.array([-1.0, 0.0, 0.0]))

@@ -14,7 +14,7 @@ from ctta.pools import (
     fission_class_batch,
     fission_domain,
 )
-from instancegen import random_class_pool, random_prob
+from instancegen import load_pool, random_class_pool, random_prob
 from reference import class_fission_reference, cosine_sim
 
 DIM = 5
@@ -29,21 +29,16 @@ def prob(vals):
 
 
 def make_class_pool(keys, capacity=10):
-    pool = ClassPromptPool(capacity, DIM, C)
-    for i, k in enumerate(keys):
-        pool.append(prob(k), np.full(DIM, float(i)), i)
-    return pool
+    rows = [(prob(k), np.full(DIM, float(i)), i) for i, k in enumerate(keys)]
+    return load_pool(ClassPromptPool(capacity, DIM, C), rows)
 
 
 def make_domain_pool(mus, capacity=10, feature_dim=4):
-    pool = DomainPromptPool(capacity, DIM, feature_dim)
-    for i, mu in enumerate(mus):
-        pool.append(
-            BatchStats(np.asarray(mu, float), np.ones(feature_dim)).concat(),
-            np.full(DIM, float(i)),
-            i,
-        )
-    return pool
+    rows = [
+        (BatchStats(np.asarray(mu, float), np.ones(feature_dim)).concat(), np.full(DIM, float(i)), i)
+        for i, mu in enumerate(mus)
+    ]
+    return load_pool(DomainPromptPool(capacity, DIM, feature_dim), rows)
 
 
 def pool_bytes(pool):
@@ -235,7 +230,8 @@ def test_pool_snapshots_round_trip_bit_exactly(tmp_path):
     rng = SeededRng(9)
     cpool = make_class_pool([rng.uniform(0.05, 1.0, size=C) for _ in range(3)])
     dpool = make_domain_pool([rng.normal(size=4) for _ in range(2)])
-    for pool, cls in ((cpool, ClassPromptPool), (dpool, DomainPromptPool)):
+    empty = (ClassPromptPool(10, DIM, C), DomainPromptPool(10, DIM, 4))
+    for pool, cls in zip((cpool, dpool, *empty), (ClassPromptPool, DomainPromptPool) * 2):
         path = tmp_path / "pool.json"
         with open(path, "w") as fh:
             json.dump(pool.to_dict(), fh)
@@ -270,22 +266,12 @@ def domain_snapshot(mu, sigma, prompt, feature_dim=4):
     ],
 )
 def test_class_pool_rejects_bad_keys_at_its_input_boundary(key):
-    pool = ClassPromptPool(10, DIM, C)
-    with pytest.raises(ValueError):
-        pool.append(key, np.zeros(DIM))
-    assert len(pool) == 0 and pool.version == 0
     with pytest.raises(ValueError):
         ClassPromptPool.from_dict(class_snapshot(key, np.zeros(DIM)))
 
 
 def test_domain_pool_rejects_bad_keys_at_its_input_boundary():
-    pool = DomainPromptPool(10, DIM, 4)
     negative_sigma = np.array([1.0, -0.5, 1.0, 1.0])
-    with pytest.raises(ValueError):
-        pool.append(np.concatenate((np.zeros(4), negative_sigma)), np.zeros(DIM))
-    with pytest.raises(ValueError):
-        pool.append(np.ones(6), np.zeros(DIM))  # wrong length
-    assert len(pool) == 0 and pool.version == 0
     with pytest.raises(ValueError):
         DomainPromptPool.from_dict(domain_snapshot(np.zeros(4), negative_sigma, np.zeros(DIM)))
     with pytest.raises(ValueError):
@@ -293,17 +279,35 @@ def test_domain_pool_rejects_bad_keys_at_its_input_boundary():
 
 
 def test_pools_reject_prompts_of_the_wrong_dimension():
-    cpool = ClassPromptPool(10, DIM, C)
-    dpool = DomainPromptPool(10, DIM, 4)
-    with pytest.raises(ValueError):
-        cpool.append(prob([1, 1, 1]), np.zeros(DIM + 1))
-    with pytest.raises(ValueError):
-        dpool.append(np.ones(8), np.zeros(DIM - 1))
-    assert len(cpool) == len(dpool) == 0
     with pytest.raises(ValueError):
         ClassPromptPool.from_dict(class_snapshot(prob([1, 1, 1]), np.zeros(DIM + 1)))
     with pytest.raises(ValueError):
         DomainPromptPool.from_dict(domain_snapshot(np.zeros(4), np.ones(4), np.zeros(DIM + 1)))
+
+
+@pytest.mark.parametrize("cls", [ClassPromptPool, DomainPromptPool])
+@pytest.mark.parametrize(
+    "field, value, named",
+    [
+        ("capacity", 2, "entries"),  # the snapshot has three
+        ("version", "abc", "version"),
+        ("version", -1, "version"),
+        ("created_at", 2.5, "created_at"),
+        ("created_at", True, "created_at"),
+        ("created_at", 2**63, "created_at"),  # past int64
+        ("prompt_dim", 2.5, "prompt_dim"),
+        ("prompt_dim", "3", "prompt_dim"),
+    ],
+)
+def test_pool_snapshots_reject_malformed_fields_by_name(cls, field, value, named):
+    if cls is ClassPromptPool:
+        doc = make_class_pool([[0.6, 0.2, 0.2], [0.2, 0.6, 0.2], [1, 1, 1]]).to_dict()
+    else:
+        doc = make_domain_pool([[0, 0, 0, 0], [1, 0, 0, 0], [2, 0, 0, 0]]).to_dict()
+    cls.from_dict(doc)
+    (doc["entries"][1] if field == "created_at" else doc)[field] = value
+    with pytest.raises(ValueError, match=f"^{named} "):
+        cls.from_dict(doc)
 
 
 def test_pool_snapshots_reject_the_wrong_kind():
