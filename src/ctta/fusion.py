@@ -118,9 +118,11 @@ def update_class_pool(
     weight. If the pool ends above capacity, a spanning-tree compaction
     merges it down to exactly the capacity.
 
-    ``hp.class_update`` selects between the default per-sample sequential
-    update and the batch-averaged variant that blends all kept samples
-    against the pool state at batch start.
+    ``hp.class_update`` selects between the default sequential update and
+    the batch-averaged variant that blends all kept samples against the pool
+    state at batch start. The sequential update applies the samples one after
+    another, each to the values the previous ones left, on the touched rows
+    gathered once and scattered back once.
     """
     outcome = record.outcome
     _check_outcome(pool, outcome)
@@ -159,14 +161,22 @@ def update_class_pool(
             keys[rows] = new_keys / new_keys.sum(axis=1, keepdims=True)
             prompts[rows] = _mean_rows(w * learned[matched, None] + (1.0 - w) * prompts[rows])
         else:
+            # The samples' inputs are scaled for the whole batch, elementwise
+            # as one sample's would be (tests/test_bitfacts.py). The recurrence
+            # then runs in sample order on one gathered block of the touched
+            # rows, viewed whole when a sample's candidates are every touched row.
+            sample = np.repeat(matched, sizes)
             cf = hp.alpha_c * weights
-            key_keep, prompt_keep = 1.0 - cf, 1.0 - weights
+            key_in, key_keep = cf * preds[sample], 1.0 - cf
+            prompt_in, prompt_keep = weights * learned[sample], 1.0 - weights
+            block_keys, block_prompts, pos = keys[rows], prompts[rows], np.searchsorted(rows, cand)
             ends = np.cumsum(sizes).tolist()
-            for t, start, end in zip(matched.tolist(), [0] + ends[:-1], ends):
-                at = cand[start:end]
-                new_keys = cf[start:end] * preds[t] + key_keep[start:end] * keys[at]
-                keys[at] = new_keys / new_keys.sum(axis=1, keepdims=True)
-                prompts[at] = weights[start:end] * learned[t] + prompt_keep[start:end] * prompts[at]
+            for start, end in zip([0] + ends[:-1], ends):
+                at = slice(None) if end - start == len(rows) else pos[start:end]
+                new_keys = key_in[start:end] + key_keep[start:end] * block_keys[at]
+                block_keys[at] = new_keys / new_keys.sum(axis=1, keepdims=True)
+                block_prompts[at] = prompt_in[start:end] + prompt_keep[start:end] * block_prompts[at]
+            keys[rows], prompts[rows] = block_keys, block_prompts
         summary.updated = rows.tolist()
     if fissioned.size:
         summary.appended = list(range(len(pool), len(pool) + len(fissioned)))
@@ -236,7 +246,7 @@ def _compact_class_pool(pool: ClassPromptPool) -> list[int]:
         raise ValueError("compaction requires pool size above capacity")
     keys, prompts, created = pool.keys, pool.prompts, pool.created_at
     # All pairwise cosines in one product of normalised keys; class fission
-    # (pools) takes one key-matrix product per query, which has other bits.
+    # (pools) takes a stacked matrix-vector product per query, which has other bits.
     normed = keys / np.linalg.norm(keys, axis=1, keepdims=True)
     dist = 1.0 - np.clip(normed @ normed.T, -1.0, 1.0)
     assignment = _single_linkage_groups(dist, pool.capacity)

@@ -7,7 +7,6 @@ arrays with finite entries; matrices are 2-d.
 """
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, fields
 
@@ -18,9 +17,8 @@ Matrix = np.ndarray
 
 
 def _all_finite(arr: np.ndarray) -> bool:
-    # sum of finite values is finite unless it overflows; any NaN/Inf
-    # propagates into the sum, so only an infinite sum needs the exact check
-    return math.isfinite(float(arr.sum())) or bool(np.isfinite(arr).all())
+    # exact and silent: a fast sum would overflow, and warn, on large finite values
+    return bool(np.isfinite(arr).all())
 
 
 def as_vector(values, dim: int | None = None, name: str = "vector") -> Vector:

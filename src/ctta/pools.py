@@ -83,11 +83,13 @@ class _BasePool:
 
 def _field(entries: list, name: str, width: int) -> Matrix:
     """Field ``name`` of every snapshot entry as one ``(len(entries), width)`` matrix."""
-    return as_matrix(
-        [e[name] for e in entries] if entries else np.empty((0, width)),
-        shape=(None, width),
-        name=name,
-    )
+    if not entries:
+        return np.empty((0, width))
+    try:
+        rows = np.array([e[name] for e in entries], dtype=np.float64)
+    except ValueError as err:  # ragged rows, or entries that are not numbers
+        raise ValueError(f"{name} rows must be numbers of one length: {err}") from None
+    return as_matrix(rows, shape=(None, width), name=name)
 
 
 class ClassPromptPool(_BasePool):
@@ -197,10 +199,11 @@ def _compose(
 ) -> FissionOutcome:
     """Blend each row's candidate prompts by softmax(scores), or spawn one if none matched.
 
-    Exponentials are taken for the whole batch at once, but each row's
-    normaliser is its own sum and each blend its own vector-matrix product,
-    so every row carries the bits of a one-row call. Fresh prompts come from
-    one draw in row order, which equals one draw per row.
+    Exponentials are taken for the whole batch at once. Rows with the same
+    candidate count k form one group, never padded: its normalisers are one
+    row sum of a (g, k) block and its blends one stacked vector-matrix
+    product, both with the bits of a one-row call. Fresh prompts come from one
+    draw in row order, which equals one draw per row (tests/test_bitfacts.py).
 
     This is one of three softmax forms. ``model._row_softmax`` normalises
     whole rows in one call and ``objective._forward_state`` takes a
@@ -212,26 +215,28 @@ def _compose(
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     fresh = counts == 0
-    matched = np.flatnonzero(counts).tolist()
+    matched = np.flatnonzero(counts)
     composed = np.empty((len(counts), pool.prompt_dim))
     if fresh.any():
         composed[fresh] = rng.normal(size=(int(fresh.sum()), pool.prompt_dim)) * hp.init_scale
     weights = np.empty(flat.size)
-    if matched:
-        ends = offsets.tolist()
+    if matched.size:
         top = scores if hp.softmax_over_all else np.where(mask, scores, -np.inf)
         shifted = scores - top.max(axis=1, keepdims=True)
         if hp.softmax_over_all:
             totals = np.exp(shifted)
             num = totals.take(flat)
-            sums = [totals[t].sum() for t in matched]
         else:
             num = np.exp(shifted.take(flat))
-            sums = [num[ends[t] : ends[t + 1]].sum() for t in matched]
-        np.divide(num, np.repeat(np.array(sums), counts[matched]), out=weights)
-        for t in matched:
-            start, end = ends[t], ends[t + 1]
-            np.matmul(weights[start:end], pool.prompts.take(cand[start:end], axis=0), out=composed[t])
+        per_row = counts[matched]
+        sizes = set(per_row.tolist())
+        for k in sizes:
+            rows = matched if len(sizes) == 1 else matched[per_row == k]
+            at = offsets[rows][:, None] + np.arange(k)
+            e = num[at]
+            w = e / (totals[rows] if hp.softmax_over_all else e).sum(axis=1)[:, None]
+            weights[at] = w
+            composed[rows] = np.matmul(w[:, None, :], pool.prompts.take(cand[at], axis=0))[:, 0]
     return FissionOutcome(composed, offsets, cand, weights, pool.version)
 
 
@@ -257,15 +262,12 @@ def fission_class_batch(
     outcome has one row per sample, in sample order.
     """
     labels = _check_pseudo_labels(pseudo_labels, pool.num_classes)
-    keys = pool.keys
-    # One matrix-vector product per row: a row of labels @ keys.T does not
-    # carry the bits of keys @ y. Compaction's cosine (fusion) normalises the
-    # keys first and takes one key-by-key product instead; it has other bits.
-    dots = np.empty((labels.shape[0], len(pool)))
-    sq = np.empty(labels.shape[0])
-    for t, y in enumerate(labels):
-        np.matmul(keys, y, out=dots[t])
-        sq[t] = y @ y
+    keys, col = pool.keys, labels[:, :, None]
+    # Stacked products: slice t is keys @ y and y @ y with their one-row bits,
+    # which a row of labels @ keys.T lacks (tests/test_bitfacts.py). Compaction's
+    # cosine (fusion) takes one product of normalised keys; it has other bits.
+    dots = np.matmul(keys[None], col)[:, :, 0]
+    sq = np.matmul(labels[:, None, :], col)[:, 0, 0]
     sims = dots / (np.linalg.norm(keys, axis=1) * np.sqrt(sq)[:, None])
     return _compose(pool, sims / hp.tau_c, sims > hp.gamma_c, rng, hp)
 

@@ -135,6 +135,37 @@ def random_class_records(
     )
 
 
+def block_class_records(
+    rng: SeededRng, pool: ClassPromptPool, batch_size: int, alternate: bool, fission_prob: float = 0.3
+) -> ClassUpdateRecord:
+    """One batch record whose matched samples all name one block of two or
+    more pool rows or, with ``alternate``, the block and a strict subset of
+    it in turn. The first two samples match; each later one fissions with
+    probability ``fission_prob``.
+    """
+    block = np.sort(rng.permutation(len(pool))[: int(rng.integers(2, len(pool) + 1))])
+    samples, matched = [], 0
+    for t in range(batch_size):
+        if t >= 2 and rng.uniform() < fission_prob:
+            weights = None
+        else:
+            idx = block
+            if alternate and matched % 2:
+                idx = np.sort(rng.permutation(block)[: int(rng.integers(1, len(block)))])
+            w = rng.uniform(0.1, 1.0, size=len(idx))
+            weights, matched = dict(zip(idx.tolist(), (w / w.sum()).tolist())), matched + 1
+        outcome = make_outcome(rng.normal(size=pool.prompt_dim, scale=0.1), weights, pool.version)
+        samples.append(
+            class_record(
+                rng.normal(size=pool.prompt_dim),
+                random_prob(rng, pool.num_classes),
+                random_prob(rng, pool.num_classes),
+                outcome,
+            )
+        )
+    return stack_class_records(samples)
+
+
 def random_domain_record(
     rng: SeededRng, pool: DomainPromptPool, fission_prob: float = 0.5
 ) -> tuple[np.ndarray, BatchStats, FissionOutcome]:

@@ -1,0 +1,125 @@
+"""Bit-level facts about numpy and its BLAS that the engine's batched forms rely on.
+
+The pools are pinned bit for bit to one-sample interpreters (tests/reference.py),
+so a batched expression may replace a per-row loop only where it carries each
+row's bits. Each fact below names the engine code that relies on it; a numpy
+or BLAS change that breaks one fails here, by name, before it fails in the
+golden bytes. Shapes span the engine's: candidate counts and prompt widths
+below 80, batches below 130, classes below 40.
+"""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ctta.numerics import SeededRng
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+widths = st.integers(min_value=1, max_value=79)  # k or d
+batches = st.integers(min_value=1, max_value=129)
+classes = st.integers(min_value=1, max_value=39)
+
+
+def arrays(seed):
+    return np.random.default_rng(seed)
+
+
+def probability_rows(rng, rows, cols):
+    v = rng.uniform(0.02, 1.0, size=(rows, cols))
+    return v / v.sum(axis=1, keepdims=True)
+
+
+def test_fact1_a_gemm_row_is_not_a_matrix_vector_product():
+    # Why class fission does not take labels @ keys.T: some of its rows differ
+    # from keys @ y. Were every row to match, the one GEMM would do.
+    rng = arrays(1)
+    differ = 0
+    for _ in range(200):
+        n, c, b = (int(x) for x in rng.integers(1, 40, size=3))
+        keys, labels = probability_rows(rng, n, c), probability_rows(rng, b, c)
+        gemm = labels @ keys.T
+        differ += sum(gemm[t].tobytes() != (keys @ y).tobytes() for t, y in enumerate(labels))
+    assert differ > 0
+
+
+@given(seeds, st.integers(min_value=0, max_value=129), widths)
+@settings(max_examples=60, deadline=None)
+def test_fact2_one_normal_draw_equals_sequential_draws(seed, k, d):
+    # pools._compose draws every fresh prompt of a batch at once
+    whole = SeededRng(seed).normal(size=(k, d))
+    rng = SeededRng(seed)
+    rows = [rng.normal(size=d) for _ in range(k)]
+    assert whole.tobytes() == np.array(rows).reshape(k, d).tobytes()
+
+
+def test_fact3_zero_padding_changes_sums_and_blends():
+    # Why pools._compose groups rows by candidate count instead of padding
+    # them to one width with zero weights.
+    rng = arrays(3)
+    sums_differ = blends_differ = 0
+    for _ in range(200):
+        k = int(rng.integers(1, 40))
+        pad = k + int(rng.integers(1, 40))
+        e, prompts = rng.uniform(0.0, 1.0, size=k), rng.normal(size=(pad, 7))
+        padded = np.concatenate((e, np.zeros(pad - k)))
+        sums_differ += padded.sum().tobytes() != e.sum().tobytes()
+        blends_differ += (padded @ prompts).tobytes() != (e @ prompts[:k]).tobytes()
+    assert sums_differ > 0 and blends_differ > 0
+
+
+@given(seeds, batches, widths, classes)
+@settings(max_examples=60, deadline=None)
+def test_fact4_stacked_key_products_carry_each_rows_bits(seed, b, n, c):
+    # pools.fission_class_batch: keys @ y and y @ y for every label at once
+    rng = arrays(seed)
+    keys, labels = probability_rows(rng, n, c), probability_rows(rng, b, c)
+    col = labels[:, :, None]
+    dots = np.matmul(keys[None], col)[:, :, 0]
+    sq = np.matmul(labels[:, None, :], col)[:, 0, 0]
+    for t, y in enumerate(labels):
+        assert dots[t].tobytes() == (keys @ y).tobytes()
+        assert sq[t].tobytes() == (y @ y).tobytes()
+
+
+@given(seeds, batches, widths, widths)
+@settings(max_examples=60, deadline=None)
+def test_fact4_stacked_blends_carry_each_rows_bits(seed, g, k, d):
+    # pools._compose: one stacked product blends a group's gathered prompts
+    rng = arrays(seed)
+    w, prompts = rng.uniform(0.0, 1.0, size=(g, k)), rng.normal(size=(g, k, d))
+    stacked = np.matmul(w[:, None, :], prompts)[:, 0]
+    for t in range(g):
+        assert stacked[t].tobytes() == (w[t] @ prompts[t]).tobytes()
+
+
+@given(seeds, batches, widths, st.integers(min_value=1, max_value=79))
+@settings(max_examples=60, deadline=None)
+def test_fact4_gathered_row_sums_equal_each_rows_own_sum(seed, q, k, n):
+    # pools._compose: a group's normalisers are one row sum of its gathered
+    # candidates, num[at].sum(axis=1), or of its full rows under softmax_over_all
+    rng = arrays(seed)
+    counts = rng.integers(0, 2, size=q) * k  # rows of k candidates among empty ones
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    num = rng.uniform(0.0, 1.0, size=offsets[-1])
+    rows = np.flatnonzero(counts)
+    at = offsets[rows, None] + np.arange(k)
+    sums = num[at].sum(axis=1)
+    for s, t in zip(sums, rows):
+        assert s.tobytes() == num[offsets[t] : offsets[t + 1]].sum().tobytes()
+    totals = rng.uniform(0.0, 1.0, size=(q, n))
+    full = totals[rows].sum(axis=1)
+    for s, t in zip(full, rows):
+        assert s.tobytes() == totals[t].sum().tobytes()
+
+
+@given(seeds, batches, widths, classes)
+@settings(max_examples=60, deadline=None)
+def test_fact5_hoisted_elementwise_products_carry_each_samples_bits(seed, b, k, c):
+    # fusion.update_class_pool: each sample's inputs are scaled for the whole
+    # batch at once, as rows gathered by np.repeat, instead of broadcast per sample
+    rng = arrays(seed)
+    sizes = rng.integers(1, k + 1, size=b)
+    ends = np.cumsum(sizes)
+    weights, preds = rng.uniform(0.0, 1.0, size=(ends[-1], 1)), probability_rows(rng, b, c)
+    hoisted = weights * preds[np.repeat(np.arange(b), sizes)]
+    for t, (start, end) in enumerate(zip(ends - sizes, ends)):
+        assert hoisted[start:end].tobytes() == (weights[start:end] * preds[t]).tobytes()

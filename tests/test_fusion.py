@@ -16,6 +16,7 @@ from ctta.fusion import (
 from ctta.numerics import BatchStats, Hyperparams, SeededRng
 from ctta.pools import ClassPromptPool, DomainPromptPool, FissionOutcome
 from instancegen import (
+    block_class_records,
     class_pool_tuples,
     class_record,
     domain_pool_tuples,
@@ -32,6 +33,7 @@ from instancegen import (
 from reference import (
     algorithm1_reference,
     algorithm2_reference,
+    entropy,
     kruskal_single_linkage_reference,
     partition_sets,
     single_linkage_bruteforce,
@@ -464,17 +466,37 @@ def test_fission_overflow_triggers_single_fuse():
     assert len(pool) == 3
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_update_class_pool_bitwise_matches_interpreter(seed):
+@pytest.mark.parametrize(
+    "seed, batch",
+    [
+        pytest.param(seed, batch, id=str(seed) if batch == "random" else f"{batch}-{seed}")
+        for batch in ("random", "whole block", "alternating")
+        for seed in range(10)
+    ],
+)
+def test_update_class_pool_bitwise_matches_interpreter(seed, batch):
+    # "whole block": every matched sample names every touched row;
+    # "alternating": such samples take turns with ones naming a strict subset
     rng = SeededRng(100 + seed)
     n = int(rng.integers(0, 8))
+    if batch != "random":
+        n = max(n, 2)
     capacity = int(rng.integers(max(1, n - 2), n + 6))
     pool = random_class_pool(rng, n, capacity, 3, 4)
-    records = random_class_records(rng, pool, int(rng.integers(1, 9)), fission_prob=0.4)
+    if batch == "random":
+        records = random_class_records(rng, pool, int(rng.integers(1, 9)), fission_prob=0.4)
+    else:
+        records = block_class_records(rng, pool, int(rng.integers(2, 9)), batch == "alternating")
     gamma_h = float(rng.uniform(0.0, np.log(3)))
+    if batch != "random":
+        # the first two samples, whole block and then subset when alternating, pass the gate
+        gamma_h = max(gamma_h, *map(entropy, records.predictions[:2])) + 1e-9
     alpha_c = float(rng.uniform(0.0, 1.0))
     expected = algorithm1_reference(class_pool_tuples(pool), capacity, records, gamma_h, alpha_c, 5)
-    update_class_pool(pool, records, Hyperparams(gamma_h=gamma_h, alpha_c=alpha_c), created_at=5)
+    summary = update_class_pool(
+        pool, records, Hyperparams(gamma_h=gamma_h, alpha_c=alpha_c), created_at=5
+    )
+    assert batch == "random" or not {0, 1} & set(summary.skipped)
     assert len(pool) == len(expected)
     for got_key, got_prompt, got_created, (key, prompt, created) in zip(
         pool.keys, pool.prompts, pool.created_at, expected

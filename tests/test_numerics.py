@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctta.numerics import BatchStats, SeededRng, batch_stats
+from ctta.numerics import BatchStats, SeededRng, as_matrix, as_vector, batch_stats
 from reference import cosine_sim, entropy, euclid, euclid_direct, softmax, two_pass_stats
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -86,6 +87,20 @@ def test_batch_stats_names_float64_overflow():
         batch_stats(np.full((4, 2), 1.5e308))
     stats = batch_stats(rows * 1e150)
     assert np.all(np.isfinite(stats.sigma)) and np.all(stats.sigma > 0)
+
+
+def test_finite_checks_are_exact_and_silent_on_huge_finite_values():
+    huge = np.array([[1e308], [1e308], [-1.7e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # whose sum overflows, yet every entry is finite
+        assert as_matrix(huge).tobytes() == huge.tobytes()
+        assert as_vector(huge[:, 0]).tobytes() == huge[:, 0].tobytes()
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="non-finite"):
+                as_matrix(np.vstack((huge, [[bad]])))
+            with pytest.raises(ValueError, match="non-finite"):
+                as_vector(np.append(huge[:, 0], bad))
 
 
 def test_batch_stats_matches_two_pass_oracle():

@@ -297,6 +297,11 @@ def test_pools_reject_prompts_of_the_wrong_dimension():
         ("created_at", 2**63, "created_at"),  # past int64
         ("prompt_dim", 2.5, "prompt_dim"),
         ("prompt_dim", "3", "prompt_dim"),
+        # ragged: one entry's row shorter than the others'. 0 and -1 index the
+        # pool's key fields: a class key, or a domain key's mu and its sigma
+        ("prompt", [1.0], "prompt"),
+        (0, [1.0], 0),
+        (-1, [1.0], -1),
     ],
 )
 def test_pool_snapshots_reject_malformed_fields_by_name(cls, field, value, named):
@@ -305,7 +310,10 @@ def test_pool_snapshots_reject_malformed_fields_by_name(cls, field, value, named
     else:
         doc = make_domain_pool([[0, 0, 0, 0], [1, 0, 0, 0], [2, 0, 0, 0]]).to_dict()
     cls.from_dict(doc)
-    (doc["entries"][1] if field == "created_at" else doc)[field] = value
+    if isinstance(field, int):  # an index into the pool's key fields
+        field = named = cls.KEY_FIELDS[field]
+    entry = doc["entries"][1]
+    (entry if field in entry else doc)[field] = value
     with pytest.raises(ValueError, match=f"^{named} "):
         cls.from_dict(doc)
 
@@ -323,14 +331,23 @@ def test_pool_snapshots_reject_the_wrong_kind():
 
 
 @pytest.mark.parametrize("softmax_over_all", [False, True])
-@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("seed", range(9))
 def test_fission_class_batch_bitwise_matches_literal_reference(seed, softmax_over_all):
     rng = SeededRng(300 + seed)
-    n = 0 if seed == 0 else int(rng.integers(1, 41))
-    num_classes = int(rng.integers(2, 8))
-    pool = random_class_pool(rng, n, 50, num_classes, 6)
-    labels = np.stack([random_prob(rng, num_classes) for _ in range(int(rng.integers(1, 33)))])
-    gamma_c = float(rng.uniform(0.9, 0.99))  # several seeds mix misses and matches
+    if seed < 8:
+        n = 0 if seed == 0 else int(rng.integers(1, 41))
+        num_classes = int(rng.integers(2, 8))
+        pool = random_class_pool(rng, n, 50, num_classes, 6)
+        labels = np.stack([random_prob(rng, num_classes) for _ in range(int(rng.integers(1, 33)))])
+        gamma_c = float(rng.uniform(0.9, 0.99))  # several seeds mix misses and matches
+    else:
+        # one, two and three copies of three separated keys: queried in
+        # interleaved order, the rows fall into groups of 1, 2 and 3 candidates
+        peaks = [prob([8, 1, 1, 1]), prob([1, 8, 1, 1]), prob([1, 1, 8, 1])]
+        rows = [(peaks[i], rng.normal(size=6), j) for j, i in enumerate([0, 1, 1, 2, 2, 2])]
+        n, num_classes, gamma_c = 6, 4, 0.95
+        pool = load_pool(ClassPromptPool(50, 6, num_classes), rows)
+        labels = np.stack([peaks[2], prob([1, 1, 1, 1]), peaks[0], peaks[1], peaks[2], peaks[0]])
     engine_rng, reference_rng = SeededRng(seed), SeededRng(seed)
     hp = replace(HP, gamma_c=gamma_c, tau_c=0.3, softmax_over_all=softmax_over_all)
     got = fission_class_batch(pool, labels, hp, engine_rng)
@@ -350,3 +367,5 @@ def test_fission_class_batch_bitwise_matches_literal_reference(seed, softmax_ove
     if n > 0:
         # the threshold splits the pool: some sample matches part of it
         assert any(0 < len(cand) < n for cand, _, _ in want)
+    if seed == 8:
+        assert [len(cand) for cand, _, _ in want] == [3, 0, 1, 2, 3, 1]
