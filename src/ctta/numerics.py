@@ -200,9 +200,11 @@ def batch_stats(features) -> BatchStats:
     batch whose mean or squared deviations exceed float64 is rejected by name.
     """
     arr = as_matrix(features, name="features", min_rows=2)
+    b = arr.shape[0]
     with np.errstate(over="ignore"):
-        mu = arr.mean(axis=0)
-        sigma = np.sqrt(((arr - mu) ** 2).mean(axis=0))
+        # sum / b is mean's own arithmetic, bit for bit (tests/test_bitfacts.py, fact 6)
+        mu = arr.sum(axis=0) / b
+        sigma = np.sqrt(((arr - mu) ** 2).sum(axis=0) / b)
     if not (_all_finite(mu) and _all_finite(sigma)):
         raise ValueError("feature batch overflowed float64 in its mean or spread")
     return BatchStats(mu, sigma)

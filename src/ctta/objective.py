@@ -7,6 +7,7 @@ a central finite-difference oracle is provided for checking them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,7 @@ def adamw_step(state: AdamWState, prompt: np.ndarray, grad: np.ndarray) -> np.nd
     """One AdamW update with bias correction and decoupled weight decay."""
     if prompt.shape != state.m.shape or grad.shape != state.m.shape:
         raise ValueError("prompt/grad shape must match the optimizer state")
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise ValueError("non-finite gradient rejected")
     state.step += 1
     state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
@@ -57,8 +58,20 @@ def adamw_step(state: AdamWState, prompt: np.ndarray, grad: np.ndarray) -> np.nd
     return prompt - state.lr * (m_hat / (np.sqrt(v_hat) + state.eps) + state.weight_decay * prompt)
 
 
-def _forward_state(model: ToyModel, batch, p_d, class_prompts):
+def _check_inputs(model: ToyModel, batch, p_d, class_prompts, source: BatchStats):
+    # The objective's one entry check: optimize_prompts makes it once per
+    # batch, grad and loss once per call; the internals below trust its output.
     x, p_d, p_c = check_prompted(model, batch, p_d, class_prompts, min_rows=2)
+    if source.dim != model.feature_dim:
+        raise ValueError(
+            f"source statistics must have dimension {model.feature_dim} "
+            f"(the feature dimension), got {source.dim}"
+        )
+    return x, p_d, p_c
+
+
+def _forward_state(model: ToyModel, x: Matrix, p_d: Vector, p_c: Matrix):
+    # x, p_d and p_c come from _check_inputs, so nothing is coerced here.
     z = prompted_features(model, x, p_d, p_c)
     logits = head_logits(model, z)
     # A log-softmax, so the entropy reads finite logs. The other two softmax
@@ -68,19 +81,49 @@ def _forward_state(model: ToyModel, batch, p_d, class_prompts):
     shifted = logits - logits.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     probs = np.exp(logp)
-    return x, z, probs, logp, -(probs * logp).sum(axis=1)
+    return z, probs, logp, -(probs * logp).sum(axis=1)
 
 
 def _stats_terms(z: Matrix, source: BatchStats, alpha_std: float):
-    mu = z.mean(axis=0)
+    # sum / b is mean's own arithmetic and sqrt(v . v) is norm's, bit for bit
+    # (tests/test_bitfacts.py, facts 6 and 7), without their Python-level wrappers.
+    b = z.shape[0]
+    mu = z.sum(axis=0) / b
     centered = z - mu
-    sigma = np.sqrt((centered ** 2).mean(axis=0))
+    sigma = np.sqrt((centered ** 2).sum(axis=0) / b)
     dmu = mu - source.mu
     dsg = sigma - source.sigma
-    norm_mu = float(np.linalg.norm(dmu))
-    norm_sg = float(np.linalg.norm(dsg))
+    norm_mu = math.sqrt(dmu.dot(dmu))
+    norm_sg = math.sqrt(dsg.dot(dsg))
     loss_d = norm_mu + alpha_std * norm_sg
-    return mu, sigma, centered, dmu, dsg, norm_mu, norm_sg, loss_d
+    return sigma, centered, dmu, dsg, norm_mu, norm_sg, loss_d
+
+
+def _loss(model, x, p_d, p_c, source, a, alpha_std) -> LossBreakdown:
+    z, _, _, ent = _forward_state(model, x, p_d, p_c)
+    *_, loss_d = _stats_terms(z, source, alpha_std)
+    loss_c = float(ent.sum() / ent.shape[0])  # ent.mean(), bit for bit (test_bitfacts.py, fact 6)
+    return LossBreakdown(loss_d, loss_c, a, loss_d + a * loss_c)
+
+
+def _grad(model, x, p_d, p_c, source, a, alpha_std) -> tuple[Vector, Matrix]:
+    z, probs, logp, ent = _forward_state(model, x, p_d, p_c)
+    b = x.shape[0]
+    sigma, centered, dmu, dsg, norm_mu, norm_sg, _ = _stats_terms(z, source, alpha_std)
+
+    dz = np.zeros(z.shape)
+    if norm_mu != 0.0:
+        dz += dmu / (norm_mu * b)
+    if norm_sg != 0.0:
+        scale = np.divide(dsg, sigma, out=np.zeros(sigma.shape), where=sigma > 0.0)
+        dz += (alpha_std / (norm_sg * b)) * scale * centered
+
+    g_logits = -probs * (logp + ent[:, None])
+    dz += (a / b) * (g_logits @ model.head_weight)
+
+    g_class = dz @ model.extractor
+    g_domain = g_class.sum(axis=0)
+    return g_domain, g_class
 
 
 def loss(
@@ -97,11 +140,12 @@ def loss(
     ``loss_d`` is the Euclidean distance between source and prompted feature
     means plus ``alpha_std`` times the distance between standard deviations;
     ``loss_c`` is the mean prediction entropy; ``total = loss_d + a * loss_c``.
+    Every call checks its inputs (at least two rows, prompt shapes, source
+    statistics of the feature dimension), then runs the same internals as
+    :func:`optimize_prompts`.
     """
-    _, z, _, _, ent = _forward_state(model, batch, p_d, class_prompts)
-    *_, loss_d = _stats_terms(z, source_stats, alpha_std)
-    loss_c = float(ent.mean())
-    return LossBreakdown(loss_d, loss_c, a, loss_d + a * loss_c)
+    x, p_d, p_c = _check_inputs(model, batch, p_d, class_prompts, source_stats)
+    return _loss(model, x, p_d, p_c, source_stats, a, alpha_std)
 
 
 def grad(
@@ -118,28 +162,11 @@ def grad(
     Returns ``(g_domain, g_class)`` with ``g_class`` holding one row per
     sample. At a vanishing norm term (prompted stats exactly matching source)
     the zero subgradient is used, which keeps the zero-loss point stationary.
+    Every call checks its inputs as :func:`loss` does, then runs the same
+    internals as :func:`optimize_prompts`.
     """
-    x, z, probs, logp, ent = _forward_state(model, batch, p_d, class_prompts)
-    b = x.shape[0]
-    _, sigma, centered, dmu, dsg, norm_mu, norm_sg, _ = _stats_terms(
-        z, source_stats, alpha_std
-    )
-
-    dz = np.zeros_like(z)
-    if norm_mu != 0.0:
-        dz += dmu / (norm_mu * b)
-    if norm_sg != 0.0:
-        scale = np.divide(
-            dsg, sigma, out=np.zeros_like(sigma), where=sigma > 0.0
-        )
-        dz += (alpha_std / (norm_sg * b)) * scale * centered
-
-    g_logits = -probs * (logp + ent[:, None])
-    dz += (a / b) * (g_logits @ model.head_weight)
-
-    g_class = dz @ model.extractor
-    g_domain = g_class.sum(axis=0)
-    return g_domain, g_class
+    x, p_d, p_c = _check_inputs(model, batch, p_d, class_prompts, source_stats)
+    return _grad(model, x, p_d, p_c, source_stats, a, alpha_std)
 
 
 def finite_diff_grad(
@@ -199,13 +226,18 @@ def optimize_prompts(
     Optimizer state is fresh per batch (composed prompts differ each batch,
     so carrying moments across batches would be ill-defined). Returns the
     learned prompts and the loss at them; pools are untouched.
+
+    The inputs are checked once, on entry, as :func:`grad` and :func:`loss`
+    check theirs; the k gradient steps and the final loss then run unchecked
+    on the coerced arrays. ``adamw_step`` still checks each gradient's shape
+    and finiteness.
     """
-    p_d = as_vector(domain_prompt, dim=model.input_dim, name="domain prompt").copy()
-    p_c = as_matrix(class_prompts, shape=(None, model.input_dim), name="class prompts").copy()
+    x, p_d, p_c = _check_inputs(model, batch, domain_prompt, class_prompts, source_stats)
+    p_d, p_c = p_d.copy(), p_c.copy()
     d_state = AdamWState.fresh(p_d.shape, hp.lr_domain)
     c_state = AdamWState.fresh(p_c.shape, hp.lr_class)
     for _ in range(hp.k_steps):
-        g_d, g_c = grad(model, batch, p_d, p_c, source_stats, hp.a, hp.alpha_std)
+        g_d, g_c = _grad(model, x, p_d, p_c, source_stats, hp.a, hp.alpha_std)
         p_d = adamw_step(d_state, p_d, g_d)
         p_c = adamw_step(c_state, p_c, g_c)
-    return p_d, p_c, loss(model, batch, p_d, p_c, source_stats, hp.a, hp.alpha_std)
+    return p_d, p_c, _loss(model, x, p_d, p_c, source_stats, hp.a, hp.alpha_std)

@@ -2,11 +2,14 @@
 
 The pools are pinned bit for bit to one-sample interpreters (tests/reference.py),
 so a batched expression may replace a per-row loop only where it carries each
-row's bits. Each fact below names the engine code that relies on it; a numpy
+row's bits. Likewise the objective and the batch statistics may skip numpy's
+Python-level mean and norm only where the bare arithmetic gives their bits. Each fact below names the engine code that relies on it; a numpy
 or BLAS change that breaks one fails here, by name, before it fails in the
 golden bytes. Shapes span the engine's: candidate counts and prompt widths
 below 80, batches below 130, classes below 40.
 """
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +20,7 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 widths = st.integers(min_value=1, max_value=79)  # k or d
 batches = st.integers(min_value=1, max_value=129)
 classes = st.integers(min_value=1, max_value=39)
+scales = st.integers(min_value=-150, max_value=150)  # powers of two; squares stay finite
 
 
 def arrays(seed):
@@ -123,3 +127,26 @@ def test_fact5_hoisted_elementwise_products_carry_each_samples_bits(seed, b, k, 
     hoisted = weights * preds[np.repeat(np.arange(b), sizes)]
     for t, (start, end) in enumerate(zip(ends - sizes, ends)):
         assert hoisted[start:end].tobytes() == (weights[start:end] * preds[t]).tobytes()
+
+
+@given(seeds, st.integers(min_value=2, max_value=129), widths, scales)
+@settings(max_examples=60, deadline=None)
+def test_fact6_a_mean_is_its_sum_divided_by_the_count(seed, b, d, exponent):
+    # objective._stats_terms, objective._loss and numerics.batch_stats: the
+    # feature mean, the mean squared deviation and the mean entropy as sum / b
+    rng = arrays(seed)
+    z = rng.normal(size=(b, d)) * 2.0**exponent
+    mu = z.sum(axis=0) / b
+    assert mu.tobytes() == z.mean(axis=0).tobytes()
+    sq = (z - mu) ** 2
+    assert (sq.sum(axis=0) / b).tobytes() == sq.mean(axis=0).tobytes()
+    ent = rng.uniform(0.0, 4.0, size=b)
+    assert (ent.sum() / b).tobytes() == ent.mean().tobytes()
+
+
+@given(seeds, widths, scales)
+@settings(max_examples=60, deadline=None)
+def test_fact7_a_vector_norm_is_the_root_of_its_self_dot(seed, d, exponent):
+    # objective._stats_terms: the mean and spread distances as sqrt(v . v)
+    v = arrays(seed).normal(size=d) * 2.0**exponent
+    assert math.sqrt(v.dot(v)) == float(np.linalg.norm(v))

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from ctta.stream import (
     StreamConfig,
     generate_stream,
     make_separated,
+    read_stream,
 )
 from instancegen import load_pool
 from reference import two_pass_stats
@@ -323,3 +326,16 @@ def test_run_rejects_empty_stream(world):
     cfg, w = world
     with pytest.raises(ValueError):
         run_ctta(w.model, [], Hyperparams(), w.source_stats, rng=SeededRng(0))
+
+
+@pytest.mark.parametrize("dim", [1, 5])
+def test_run_rejects_source_stats_of_the_wrong_dimension(dim):
+    # on the demo stream (8 features) a 1-d source used to broadcast and adapt
+    # toward a wrong target, and a 5-d one to fail with numpy's unnamed error
+    stream = read_stream(Path(__file__).resolve().parent.parent / "demo" / "stream.csv")
+    cfg = StreamConfig(domain_order=(0, 1, 2, 0, 1, 2), batch_size=16, input_dim=8, num_classes=3)
+    w = build_world(cfg)
+    assert w.model.feature_dim == 8
+    wrong = numerics.BatchStats(np.zeros(dim), np.ones(dim))
+    with pytest.raises(ValueError, match=f"^batch 0: source statistics must have dimension 8 .*got {dim}$"):
+        run_ctta(w.model, stream, Hyperparams(n_d=6, k_steps=10), wrong, rng=SeededRng(7))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ctta import objective
 from ctta.model import ToyModel
 from ctta.numerics import BatchStats, Hyperparams, SeededRng
 from ctta.objective import (
@@ -185,19 +186,94 @@ def test_optimize_zero_steps_returns_composed_prompts():
     assert breakdown.total == direct.total
 
 
+def zero_spread_setup():
+    # a zero extractor row makes feature 0 exactly 0 on every prompted row, so
+    # sigma[0] == 0 at every step and the gradient takes the where= branch
+    model, x, p_d, p_c, source = make_setup(seed=15, b=7)
+    extractor = model.extractor.copy()
+    extractor[0] = 0.0
+    model = ToyModel(extractor, model.head_weight, model.head_bias)
+    return model, x, p_d, p_c, source
+
+
+HAND_TRACED = {
+    "b=2": (lambda: make_setup(seed=14, b=2), dict(a=2.0, alpha_std=0.5, lr_class=0.01, k_steps=3)),
+    "demo geometry": (
+        lambda: make_setup(seed=16, b=16, input_dim=8, feature_dim=8, num_classes=3),
+        dict(k_steps=10),
+    ),
+    "zero-spread feature": (zero_spread_setup, dict(a=1.5, alpha_std=2.0, lr_class=0.01, k_steps=4)),
+    "no steps": (lambda: make_setup(seed=17, b=5), dict(k_steps=0)),
+}
+
+
 def test_optimize_matches_hand_traced_calls():
-    model, x, p_d, p_c, source = make_setup(seed=14, b=2)
-    hp = Hyperparams(a=2.0, alpha_std=0.5, lr_domain=0.1, lr_class=0.01, k_steps=3)
-    out_d, out_c, _ = optimize_prompts(model, x, p_d, p_c, source, hp)
-    ref_d, ref_c = p_d.copy(), p_c.copy()
-    sd = AdamWState.fresh(ref_d.shape, 0.1)
-    sc = AdamWState.fresh(ref_c.shape, 0.01)
-    for _ in range(3):
-        g_d, g_c = grad(model, x, ref_d, ref_c, source, 2.0, 0.5)
-        ref_d = adamw_step(sd, ref_d, g_d)
-        ref_c = adamw_step(sc, ref_c, g_c)
-    np.testing.assert_array_equal(out_d, ref_d)
-    np.testing.assert_array_equal(out_c, ref_c)
+    for case, (setup, overrides) in HAND_TRACED.items():
+        model, x, p_d, p_c, source = setup()
+        hp = Hyperparams(**overrides)
+        if case == "zero-spread feature":
+            z = (x + p_d + p_c) @ model.extractor.T
+            assert not z[:, 0].any() and source.sigma[0] > 0.0
+        out_d, out_c, breakdown = optimize_prompts(model, x, p_d, p_c, source, hp)
+        ref_d, ref_c = p_d.copy(), p_c.copy()
+        sd = AdamWState.fresh(ref_d.shape, hp.lr_domain)
+        sc = AdamWState.fresh(ref_c.shape, hp.lr_class)
+        for _ in range(hp.k_steps):
+            g_d, g_c = grad(model, x, ref_d, ref_c, source, hp.a, hp.alpha_std)
+            ref_d = adamw_step(sd, ref_d, g_d)
+            ref_c = adamw_step(sc, ref_c, g_c)
+        ref = loss(model, x, ref_d, ref_c, source, hp.a, hp.alpha_std)
+        assert out_d.tobytes() == ref_d.tobytes(), case
+        assert out_c.tobytes() == ref_c.tobytes(), case
+        got = (breakdown.loss_d, breakdown.loss_c, breakdown.total)
+        assert got == (ref.loss_d, ref.loss_c, ref.total), case
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(objective, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(objective, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("k_steps", [0, 1, 10])
+def test_optimize_checks_its_inputs_once_per_call(monkeypatch, k_steps):
+    model, x, p_d, p_c, source = make_setup(seed=18, b=8)
+    checks = count_calls(monkeypatch, "check_prompted")
+    steps = count_calls(monkeypatch, "adamw_step")
+    optimize_prompts(model, x, p_d, p_c, source, Hyperparams(k_steps=k_steps))
+    assert len(checks) == 1
+    assert len(steps) == 2 * k_steps
+
+
+def bad_inputs():
+    model, x, p_d, p_c, source = make_setup(seed=19, b=6)
+    nan_x = x.copy()
+    nan_x[2, 1] = np.nan
+    yield "one row", "batch", (model, x[:1], p_d, p_c[:1], source)
+    yield "nan batch", "batch", (model, nan_x, p_d, p_c, source)
+    yield "domain dim", "domain prompt", (model, x, p_d[:-1], p_c, source)
+    yield "class rows", "class prompt", (model, x, p_d, p_c[:-1], source)
+    # a 1-d source would broadcast against the 4 features, a 5-d one fail unnamed
+    for dim in (1, 5):
+        wrong = BatchStats(np.zeros(dim), np.ones(dim))
+        yield f"source dim {dim}", "source statistics", (model, x, p_d, p_c, wrong)
+
+
+@pytest.mark.parametrize("case, name, args", list(bad_inputs()), ids=[c for c, *_ in bad_inputs()])
+def test_bad_objective_inputs_fail_by_name_before_any_step(monkeypatch, case, name, args):
+    steps = count_calls(monkeypatch, "adamw_step")
+    with pytest.raises(ValueError, match=name):
+        optimize_prompts(*args, Hyperparams(k_steps=3))
+    assert steps == []
+    for fn in (grad, loss):
+        with pytest.raises(ValueError, match=name):
+            fn(*args, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("seed", range(4))
