@@ -15,6 +15,7 @@ import json
 import numbers
 import sys
 from array import array
+from dataclasses import fields
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -47,11 +48,12 @@ def load_config_file(path) -> tuple[dict, dict]:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config must be a JSON object")
-    unknown = set(doc) - set(HYPERPARAMS) - set(StreamConfig.FIELDS)
+    stream_keys = {f.name for f in fields(StreamConfig)}
+    unknown = set(doc) - set(HYPERPARAMS) - stream_keys
     if unknown:
         raise ValueError(f"unknown config keys rejected: {sorted(unknown)}")
     hp_doc = {k: v for k, v in doc.items() if k in HYPERPARAMS}
-    sc_doc = {k: v for k, v in doc.items() if k in StreamConfig.FIELDS}
+    sc_doc = {k: v for k, v in doc.items() if k in stream_keys}
     return hp_doc, sc_doc
 
 

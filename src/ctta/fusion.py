@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import BatchStats, Hyperparams, Matrix, Vector, as_matrix, as_vector
+from .numerics import BatchStats, Hyperparams, Matrix, Vector, as_matrix, as_vector, check_stats
 from .pools import ClassPromptPool, DomainPromptPool, FissionOutcome
 
 
@@ -287,10 +287,7 @@ def update_domain_pool(
     if len(outcome) != 1:
         raise ValueError(f"a domain update takes a one-row outcome, got {len(outcome)} rows")
     learned = as_vector(learned_prompt, dim=pool.prompt_dim, name="learned prompt")
-    if not isinstance(stats, BatchStats):
-        raise ValueError("stats must be BatchStats")
-    if stats.dim != pool.feature_dim:
-        raise ValueError("stats dimension must match pool feature_dim")
+    check_stats(stats, pool.feature_dim, "stats")
 
     summary = DomainUpdateSummary(fissioned=bool(outcome.fissioned[0]))
     stats_key = stats.concat()

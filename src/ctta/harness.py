@@ -23,7 +23,9 @@ from .model import (
     prompted_features,
     pseudo_labels,
 )
-from .numerics import BatchStats, Hyperparams, Matrix, SeededRng, as_matrix, batch_stats, check_param
+from .numerics import (
+    BatchStats, Hyperparams, Matrix, SeededRng, as_matrix, batch_stats, check_param, check_stats,
+)
 from .objective import finite_diff_grad, grad, optimize_prompts
 from .pools import ClassPromptPool, DomainPromptPool, FissionOutcome, fission_class_batch, fission_domain
 from .stream import DomainSpec, LabeledBatch, SeparationCertificate, StreamConfig
@@ -244,6 +246,8 @@ def run_ctta(
     """Adapt online over the stream, scoring each batch before mutating the pools."""
     if not stream:
         raise ValueError("empty stream")
+    # before any pool is built or any draw is made
+    check_stats(source_stats, model.feature_dim, "source statistics")
     hp = hyperparams
     if class_pool is None:
         class_pool = ClassPromptPool(hp.n_c, model.input_dim, model.num_classes)

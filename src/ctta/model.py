@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import BatchStats, Matrix, SeededRng, Vector, as_matrix, as_vector, batch_stats
+from .numerics import BatchStats, Matrix, SeededRng, Vector, as_matrix, as_vector, batch_stats, check_param
 
 
 @dataclass(frozen=True)
@@ -122,8 +122,8 @@ def key_stats(model: ToyModel, batch) -> BatchStats:
 
 def make_class_means(num_classes: int, input_dim: int, rng: SeededRng, scale: float = 1.0) -> Matrix:
     """Random per-class mean vectors, rows indexed by class id."""
-    if num_classes < 1 or input_dim < 1:
-        raise ValueError("num_classes and input_dim must be positive")
+    check_param("num_classes", num_classes)
+    check_param("input_dim", input_dim)
     return rng.normal(size=(num_classes, input_dim), scale=scale)
 
 

@@ -8,7 +8,7 @@ arrays with finite entries; matrices are 2-d.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -78,7 +78,7 @@ HYPERPARAMS: dict[str, tuple[type, str | tuple[str, ...] | None]] = {
 # Stream configuration, separation certificate, world and pool snapshot
 # fields, under the same rule. Each item of ``domain_order`` is checked as
 # ``domain_order``, and each entry's ``created_at`` as ``created_at``;
-# ``theta`` serves both the config and the certificate.
+# ``theta`` serves the config, the certificate and ``make_separated``'s target.
 STREAM_PARAMS: dict[str, tuple[type, str | tuple[str, ...] | None]] = {
     "domain_order": (numbers.Integral, "[0, inf]"),
     "batches_per_domain": (numbers.Integral, "[1, inf]"),
@@ -89,7 +89,7 @@ STREAM_PARAMS: dict[str, tuple[type, str | tuple[str, ...] | None]] = {
     "theta": (numbers.Real, "(0, inf]"),
     "max_intra": (numbers.Real, "[0, inf]"),
     "min_inter": (numbers.Real, "[0, inf]"),
-    "probe_batches": (numbers.Integral, "[1, inf]"),
+    "probe_batches": (numbers.Integral, "[20, inf]"),  # per domain, to certify a separation
     "noise_std": (numbers.Real, "[0, inf)"),
     "feature_dim": (numbers.Integral, "[1, inf]"),
     "class_mean_scale": (numbers.Real, "(0, inf)"),
@@ -164,11 +164,19 @@ class Hyperparams:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Hyperparams":
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown hyperparameter keys: {sorted(unknown)}")
-        return cls(**doc)
+        return record_from_dict(cls, doc, "hyperparameter")
+
+
+def record_from_dict(cls, doc: dict, what: str):
+    """Build the dataclass ``cls`` from ``doc``, naming any unknown key and any
+    missing key that has no default; the values are checked by ``cls``."""
+    unknown = set(doc) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in doc]
+    if missing:
+        raise ValueError(f"missing {what} keys: {missing}")
+    return cls(**doc)
 
 
 @dataclass
@@ -191,6 +199,14 @@ class BatchStats:
     def concat(self) -> Vector:
         """The (mu, sigma) concatenation used as a matching key."""
         return np.concatenate((self.mu, self.sigma))
+
+
+def check_stats(stats, dim: int, name: str) -> None:
+    """``stats`` must be ``BatchStats`` over ``dim`` features; errors say ``name``."""
+    if not isinstance(stats, BatchStats):
+        raise ValueError(f"{name} must be BatchStats")
+    if stats.dim != dim:
+        raise ValueError(f"{name} must have dimension {dim} (the feature dimension), got {stats.dim}")
 
 
 def batch_stats(features) -> BatchStats:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ToyModel, check_prompted, head_logits, prompted_features
-from .numerics import BatchStats, Hyperparams, Matrix, Vector, as_matrix, as_vector
+from .numerics import BatchStats, Hyperparams, Matrix, Vector, as_matrix, as_vector, check_stats
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,7 @@ def _check_inputs(model: ToyModel, batch, p_d, class_prompts, source: BatchStats
     # The objective's one entry check: optimize_prompts makes it once per
     # batch, grad and loss once per call; the internals below trust its output.
     x, p_d, p_c = check_prompted(model, batch, p_d, class_prompts, min_rows=2)
-    if source.dim != model.feature_dim:
-        raise ValueError(
-            f"source statistics must have dimension {model.feature_dim} "
-            f"(the feature dimension), got {source.dim}"
-        )
+    check_stats(source, model.feature_dim, "source statistics")
     return x, p_d, p_c
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import BatchStats, Hyperparams, Matrix, SeededRng, Vector, as_matrix, check_param
+from .numerics import BatchStats, Hyperparams, Matrix, SeededRng, Vector, as_matrix, check_param, check_stats
 
 
 def _check_probability(arr: Matrix, name: str) -> None:
@@ -28,17 +28,19 @@ def _check_probability(arr: Matrix, name: str) -> None:
 
 
 class _BasePool:
-    """Row storage shared by both pools; ``version`` counts mutations.
+    """Row storage and snapshot schema of both pools; ``version`` counts mutations.
 
-    Each subclass checks ``capacity`` as the hyperparameter it stands for.
+    A subclass gives ``KIND``, ``CAPACITY`` (the hyperparameter it stands for),
+    ``WIDTH`` and ``KEY_FIELDS``, and checks key rows in ``_check_keys``.
     """
 
-    def __init__(self, capacity: int, prompt_dim: int, key_dim: int):
-        if prompt_dim < 1:
-            raise ValueError("prompt_dim must be >= 1")
-        self.capacity = int(capacity)
-        self.prompt_dim = int(prompt_dim)
-        self.keys: Matrix = np.empty((0, key_dim))
+    def __init__(self, capacity: int, prompt_dim: int, width: int):
+        # plain ints: the snapshot writer lays out only exact ints with repr
+        self.capacity = int(check_param(self.CAPACITY, capacity))
+        self.prompt_dim = int(check_param("prompt_dim", prompt_dim))
+        width = int(check_param(self.WIDTH, width))
+        setattr(self, self.WIDTH, width)
+        self.keys: Matrix = np.empty((0, width * len(self.KEY_FIELDS)))
         self.prompts: Matrix = np.empty((0, self.prompt_dim))
         self.created_at: np.ndarray = np.empty(0, dtype=np.int64)
         self.version = 0
@@ -58,21 +60,42 @@ class _BasePool:
             (self.created_at, np.asarray(created_at, dtype=np.int64))
         )
 
+    def to_dict(self) -> dict:
+        """The snapshot ``from_dict`` loads: one entry per row, its key split by field."""
+        w = getattr(self, self.WIDTH)
+        entries = [
+            {"prompt": p, "created_at": c}
+            for p, c in zip(self.prompts.tolist(), self.created_at.tolist())
+        ]
+        # one store per key field and row: dict(zip(names, row)) costs more,
+        # and np.hsplit costs more than the slices
+        for i, name in enumerate(self.KEY_FIELDS):
+            for entry, value in zip(entries, self.keys[:, i * w : (i + 1) * w].tolist()):
+                entry[name] = value
+        return {
+            "kind": self.KIND,
+            "capacity": self.capacity,
+            "prompt_dim": self.prompt_dim,
+            self.WIDTH: w,
+            "version": self.version,
+            "entries": entries,
+        }
+
     @classmethod
     def from_dict(cls, doc: dict):
         """Load a ``to_dict`` snapshot: the one checked way rows enter a pool.
 
-        Each field is read as one matrix and checked once for all entries; a
-        snapshot holds at most ``capacity`` entries, and its counters and
-        version are integers.
+        The constructor checks the dimensions. Each field is read as one
+        matrix and checked once for all entries; a snapshot holds at most
+        ``capacity`` entries, and its counters and version are integers.
         """
         if doc.get("kind") != cls.KIND:
             raise ValueError(f"snapshot is not a {cls.KIND} pool")
-        width = check_param(cls.WIDTH, doc[cls.WIDTH])
-        pool = cls(doc["capacity"], check_param("prompt_dim", doc["prompt_dim"]), width)
+        pool = cls(doc["capacity"], doc["prompt_dim"], doc[cls.WIDTH])
         entries = doc["entries"]
         if len(entries) > pool.capacity:
             raise ValueError(f"entries has {len(entries)} rows, more than capacity {pool.capacity}")
+        width = getattr(pool, cls.WIDTH)
         keys = np.hstack([_field(entries, name, width) for name in cls.KEY_FIELDS])
         pool._check_keys(keys)
         created_at = [check_param("created_at", e["created_at"]) for e in entries]
@@ -95,63 +118,22 @@ def _field(entries: list, name: str, width: int) -> Matrix:
 class ClassPromptPool(_BasePool):
     """Ordered class prompts keyed by pseudo-labels, capacity enforced by fusion."""
 
-    KIND, WIDTH, KEY_FIELDS = "class", "num_classes", ("key",)
-
-    def __init__(self, capacity: int, prompt_dim: int, num_classes: int):
-        if num_classes < 1:
-            raise ValueError("num_classes must be >= 1")
-        super().__init__(check_param("n_c", capacity), prompt_dim, num_classes)
-        self.num_classes = int(num_classes)
+    KIND, CAPACITY, WIDTH, KEY_FIELDS = "class", "n_c", "num_classes", ("key",)
+    num_classes: int
 
     def _check_keys(self, keys: Matrix) -> None:
         _check_probability(keys, "key")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.KIND,
-            "capacity": self.capacity,
-            "prompt_dim": self.prompt_dim,
-            "num_classes": self.num_classes,
-            "version": self.version,
-            "entries": [
-                {"key": k, "prompt": p, "created_at": c}
-                for k, p, c in zip(
-                    self.keys.tolist(), self.prompts.tolist(), self.created_at.tolist()
-                )
-            ],
-        }
 
 
 class DomainPromptPool(_BasePool):
     """Ordered domain prompts keyed by batch statistics, stored as (mu, sigma) rows."""
 
-    KIND, WIDTH, KEY_FIELDS = "domain", "feature_dim", ("mu", "sigma")
-
-    def __init__(self, capacity: int, prompt_dim: int, feature_dim: int):
-        if feature_dim < 1:
-            raise ValueError("feature_dim must be >= 1")
-        super().__init__(check_param("n_d", capacity), prompt_dim, 2 * feature_dim)
-        self.feature_dim = int(feature_dim)
+    KIND, CAPACITY, WIDTH, KEY_FIELDS = "domain", "n_d", "feature_dim", ("mu", "sigma")
+    feature_dim: int
 
     def _check_keys(self, keys: Matrix) -> None:
         if np.any(keys[:, self.feature_dim :] < 0.0):
             raise ValueError("sigma entries must be >= 0")
-
-    def to_dict(self) -> dict:
-        f = self.feature_dim
-        return {
-            "kind": self.KIND,
-            "capacity": self.capacity,
-            "prompt_dim": self.prompt_dim,
-            "feature_dim": f,
-            "version": self.version,
-            "entries": [
-                {"mu": k[:f], "sigma": k[f:], "prompt": p, "created_at": c}
-                for k, p, c in zip(
-                    self.keys.tolist(), self.prompts.tolist(), self.created_at.tolist()
-                )
-            ],
-        }
 
 
 @dataclass
@@ -282,9 +264,6 @@ def fission_domain(
     softmax(-distance / hp.tau_d); otherwise a fresh prompt is spawned, which
     also covers the very first test batch. The outcome has one row.
     """
-    if not isinstance(stats, BatchStats):
-        raise ValueError("stats must be BatchStats")
-    if stats.dim != pool.feature_dim:
-        raise ValueError("stats dimension must match pool feature_dim")
+    check_stats(stats, pool.feature_dim, "stats")
     dists = np.linalg.norm(pool.keys - stats.concat(), axis=1)[None, :]
     return _compose(pool, -dists / hp.tau_d, dists < hp.gamma_d, rng, hp)

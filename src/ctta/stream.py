@@ -14,7 +14,7 @@ from itertools import groupby, repeat
 import numpy as np
 
 from .model import ToyModel, draw_labeled_samples, key_stats
-from .numerics import Matrix, SeededRng, Vector, as_matrix, as_vector, check_param
+from .numerics import Matrix, SeededRng, Vector, as_matrix, as_vector, check_param, record_from_dict
 
 
 class StreamParseError(ValueError):
@@ -70,31 +70,16 @@ class StreamConfig:
         object.__setattr__(self, "domain_order", tuple(map(int, order)))
         if not self.domain_order:
             raise ValueError("domain_order must be nonempty")
-        for name in self.FIELDS[1:]:
-            if name != "theta" or self.theta is not None:
-                check_param(name, getattr(self, name))
-
-    FIELDS = (
-        "domain_order",
-        "batches_per_domain",
-        "batch_size",
-        "input_dim",
-        "num_classes",
-        "seed",
-        "theta",
-    )
+        for f in fields(self)[1:]:
+            if f.name != "theta" or self.theta is not None:
+                check_param(f.name, getattr(self, f.name))
 
     def to_dict(self) -> dict:
-        doc = {name: getattr(self, name) for name in self.FIELDS}
-        doc["domain_order"] = list(self.domain_order)
-        return doc
+        return {**asdict(self), "domain_order": list(self.domain_order)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "StreamConfig":
-        unknown = set(doc) - set(cls.FIELDS)
-        if unknown:
-            raise ValueError(f"unknown stream config keys: {sorted(unknown)}")
-        return cls(**doc)
+        return record_from_dict(cls, doc, "stream config")
 
 
 @dataclass
@@ -130,7 +115,7 @@ class SeparationCertificate:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SeparationCertificate":
-        return cls(**doc)
+        return record_from_dict(cls, doc, "certificate")
 
 
 def _draw_batch(spec: DomainSpec, batch_size: int, rng: SeededRng):
@@ -215,10 +200,8 @@ def make_separated(
     """
     if n_domains < 2:
         raise ValueError("need at least 2 domains to separate")
-    if theta_target <= 0:
-        raise ValueError("theta_target must be > 0")
-    if probe_batches < 20:
-        raise ValueError("certificate needs >= 20 probe batches per domain")
+    check_param("theta", theta_target)
+    check_param("probe_batches", probe_batches)
     means = as_matrix(class_means, shape=(config.num_classes, config.input_dim))
 
     raw = rng.child(1).normal(size=(n_domains - 1, config.input_dim))

@@ -158,6 +158,31 @@ def test_verify_fails_when_hypotheses_broken(generated, capsys):
     assert "hypothesis" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"seed": None}, "missing certificate keys: ['seed']"),
+        ({"margin": 1.0}, "unknown certificate keys: ['margin']"),
+    ],
+)
+def test_verify_names_a_missing_or_unknown_certificate_key(tmp_path, capsys, edit, message):
+    doc = json.loads((DEMO / "certificate.json").read_text())
+    doc.update(edit)
+    doc = {k: v for k, v in doc.items() if v is not None}
+    cert = tmp_path / "certificate.json"
+    cert.write_text(json.dumps(doc))
+    code = main(
+        [
+            "verify",
+            "--config", str(DEMO / "config.json"),
+            "--stream", str(DEMO / "stream.csv"),
+            "--certificate", str(cert),
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_gradcheck_exits_zero(capsys):
     code = main(["gradcheck", "--num-configs", "6", "--seed", "1"])
     assert code == 0
@@ -245,6 +270,7 @@ def test_demo_run_outputs_match_golden_bytes(tmp_path):
             "--seed", "7",
             "--certificate", str(DEMO / "certificate.json"),
             "--out-dir", str(tmp_path),
+            "--model-out", str(tmp_path / "model.json"),
         ]
     )
     assert code == 0
@@ -253,6 +279,7 @@ def test_demo_run_outputs_match_golden_bytes(tmp_path):
         for name in DEMO_RUN_SHA256
     }
     assert digests == DEMO_RUN_SHA256
+    assert (tmp_path / "model.json").read_bytes() == (DEMO / "model.json").read_bytes()
     # five domain boundaries, one class and one domain snapshot at each
     assert boundary_digest(tmp_path) == (10, DEMO_RUN_BOUNDARY_SHA256)
     # every snapshot reloads and writes back to the same bytes
@@ -549,7 +576,7 @@ def test_averaged_softmax_over_all_run_outputs_match_golden_bytes(tmp_path):
 
 def test_gen_stream_reproduces_the_shipped_demo_files(tmp_path):
     # the regeneration command in the README
-    stream, cert = tmp_path / "stream.csv", tmp_path / "certificate.json"
+    stream, cert, model = tmp_path / "stream.csv", tmp_path / "certificate.json", tmp_path / "model.json"
     code = main(
         [
             "gen-stream",
@@ -557,11 +584,30 @@ def test_gen_stream_reproduces_the_shipped_demo_files(tmp_path):
             "--seed", "7",
             "--out", str(stream),
             "--certificate", str(cert),
+            "--model-out", str(model),
         ]
     )
     assert code == 0
     assert stream.read_bytes() == (DEMO / "stream.csv").read_bytes()
     assert cert.read_bytes() == (DEMO / "certificate.json").read_bytes()
+    assert model.read_bytes() == (DEMO / "model.json").read_bytes()
+
+
+def test_gen_stream_rejects_too_few_probe_batches_by_name(tmp_path, capsys):
+    # the certificate loader's rule: a certificate from 19 probe batches would not load
+    code = main(
+        [
+            "gen-stream",
+            "--config", str(DEMO / "config.json"),
+            "--seed", "7",
+            "--out", str(tmp_path / "stream.csv"),
+            "--certificate", str(tmp_path / "certificate.json"),
+            "--probe-batches", "19",
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: probe_batches must be Integral in [20, inf], got 19\n"
+    assert not (tmp_path / "stream.csv").exists()
 
 
 def test_overflowing_batch_names_its_batch(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -112,7 +113,8 @@ class CountingTable(dict):
 @pytest.mark.parametrize("batches", [1, 6])
 def test_hyperparams_are_checked_once_per_run(world, monkeypatch, batches):
     # the stages read the record Hyperparams checked when it was built; in a
-    # run only the two pool constructors check a value, their capacity
+    # run only the two pool constructors check values, three each: capacity,
+    # prompt_dim and key width
     cfg, w = world
     scfg = StreamConfig(domain_order=(0,), batches_per_domain=batches, batch_size=8, input_dim=8, num_classes=3, seed=59)
     stream = generate_stream(scfg, [w.source_spec], SeededRng(59))
@@ -121,7 +123,7 @@ def test_hyperparams_are_checked_once_per_run(world, monkeypatch, batches):
     monkeypatch.setattr(numerics, "_PARAMS", table)
     result = run_ctta(w.model, stream, hp, w.source_stats, rng=SeededRng(3))
     assert len(result.metrics.rows) == batches
-    assert table.lookups == 2
+    assert table.lookups == 6
 
 
 def test_engine_never_reads_labels(world):
@@ -331,11 +333,24 @@ def test_run_rejects_empty_stream(world):
 @pytest.mark.parametrize("dim", [1, 5])
 def test_run_rejects_source_stats_of_the_wrong_dimension(dim):
     # on the demo stream (8 features) a 1-d source used to broadcast and adapt
-    # toward a wrong target, and a 5-d one to fail with numpy's unnamed error
-    stream = read_stream(Path(__file__).resolve().parent.parent / "demo" / "stream.csv")
+    # toward a wrong target, and a 5-d one to fail with numpy's unnamed error.
+    # run_ctta, and verify_lemmas through it, check before any pool is built
+    # or any draw is made, so the caller's rng has not advanced.
+    demo = Path(__file__).resolve().parent.parent / "demo"
+    stream = read_stream(demo / "stream.csv")
+    certificate = SeparationCertificate.from_dict(json.loads((demo / "certificate.json").read_text()))
     cfg = StreamConfig(domain_order=(0, 1, 2, 0, 1, 2), batch_size=16, input_dim=8, num_classes=3)
     w = build_world(cfg)
     assert w.model.feature_dim == 8
     wrong = numerics.BatchStats(np.zeros(dim), np.ones(dim))
-    with pytest.raises(ValueError, match=f"^batch 0: source statistics must have dimension 8 .*got {dim}$"):
-        run_ctta(w.model, stream, Hyperparams(n_d=6, k_steps=10), wrong, rng=SeededRng(7))
+    hp = Hyperparams(gamma_d=2.0, n_d=6, k_steps=10)
+    message = f"^source statistics must have dimension 8 .*got {dim}$"
+    untouched = SeededRng(7).normal(size=4).tolist()
+    rng = SeededRng(7)
+    with pytest.raises(ValueError, match=message):
+        run_ctta(w.model, stream, hp, wrong, rng=rng)
+    assert rng.normal(size=4).tolist() == untouched
+    rng = SeededRng(7)
+    with pytest.raises(ValueError, match=message):
+        verify_lemmas(stream, certificate, hp, w.model, wrong, rng=rng)
+    assert rng.normal(size=4).tolist() == untouched

@@ -31,6 +31,13 @@ def test_model_shapes_and_frozen_weights(world):
         model.extractor[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("num_classes, input_dim, named", [(0, 6, "num_classes"), (3, 2.5, "input_dim")])
+def test_make_class_means_checks_its_dimensions_through_the_table(num_classes, input_dim, named):
+    # a fractional dimension used to reach numpy and fail there without a name
+    with pytest.raises(ValueError, match=f"^{named} must be Integral in "):
+        make_class_means(num_classes, input_dim, SeededRng(0))
+
+
 def test_model_rejects_inconsistent_dims():
     with pytest.raises(ValueError):
         ToyModel(np.zeros((4, 3)), np.zeros((2, 5)), np.zeros(2))

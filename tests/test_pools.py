@@ -318,6 +318,34 @@ def test_pool_snapshots_reject_malformed_fields_by_name(cls, field, value, named
         cls.from_dict(doc)
 
 
+@pytest.mark.parametrize("cls", [ClassPromptPool, DomainPromptPool])
+@pytest.mark.parametrize(
+    "field, value",
+    [("prompt_dim", 4.7), ("prompt_dim", True), ("prompt_dim", 0), ("width", 2.5), ("width", 0)],
+)
+def test_pool_constructors_reject_dimensions_as_the_loader_does(cls, field, value):
+    # the constructor is the loader's check: a fractional or boolean
+    # dimension used to be truncated, and a fractional width to fail inside numpy
+    field = cls.WIDTH if field == "width" else field
+    dims = {"prompt_dim": DIM, cls.WIDTH: C, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be Integral in \\[1, inf\\], got ") as built:
+        cls(10, dims["prompt_dim"], dims[cls.WIDTH])
+    doc = cls(10, DIM, C).to_dict()
+    doc[field] = value
+    with pytest.raises(ValueError) as loaded:
+        cls.from_dict(doc)
+    assert str(loaded.value) == str(built.value)
+
+
+def test_pool_dimensions_are_plain_ints():
+    # the snapshot writer lays out exact ints only
+    for cls in (ClassPromptPool, DomainPromptPool):
+        pool = cls(np.int64(10), np.int64(DIM), np.int64(C))
+        doc = pool.to_dict()
+        assert {type(doc[k]) for k in ("capacity", "prompt_dim", pool.WIDTH)} == {int}
+        assert pool.keys.shape == (0, getattr(pool, pool.WIDTH) * len(pool.KEY_FIELDS))
+
+
 def test_pool_snapshots_reject_the_wrong_kind():
     cdoc = make_class_pool([[0.6, 0.2, 0.2]]).to_dict()
     ddoc = make_domain_pool([[0, 0, 0, 0]]).to_dict()

@@ -9,6 +9,7 @@ from ctta.model import key_stats
 from ctta.numerics import SeededRng
 from ctta.stream import (
     DomainSpec,
+    SeparationCertificate,
     StreamConfig,
     StreamParseError,
     generate_stream,
@@ -98,6 +99,35 @@ def test_make_separated_fails_when_noise_swamps_theta(world):
         make_separated(
             scfg, 2, 0.01, w.model, SeededRng(19).child(2), noise_std=0.5, class_means=w.class_means
         )
+
+
+def test_make_separated_checks_theta_and_probe_batches_through_the_table(world):
+    cfg, w = world
+    scfg = StreamConfig(domain_order=(0, 1), batch_size=16, input_dim=6, num_classes=3, seed=19, theta=4.0)
+    with pytest.raises(ValueError, match="^theta must be "):
+        make_separated(scfg, 2, 0.0, w.model, SeededRng(19), class_means=w.class_means)
+    with pytest.raises(ValueError, match="^probe_batches must be "):
+        make_separated(scfg, 2, 4.0, w.model, SeededRng(19), class_means=w.class_means, probe_batches=19)
+
+
+def test_certificate_loader_takes_the_probe_batches_rule_of_make_separated():
+    # a certificate from fewer probe batches than make_separated draws is not one it wrote
+    doc = {"theta": 4.0, "max_intra": 0.9, "min_inter": 11.7, "seed": 7}
+    assert SeparationCertificate.from_dict({**doc, "probe_batches": 20}).probe_batches == 20
+    with pytest.raises(ValueError, match=r"^probe_batches must be Integral in \[20, inf\], got 19$"):
+        SeparationCertificate.from_dict({**doc, "probe_batches": 19})
+
+
+@pytest.mark.parametrize(
+    "record", [StreamConfig(domain_order=(0, 1)), SeparationCertificate(4.0, 0.9, 11.7, 20, 7)]
+)
+def test_record_loaders_name_missing_and_unknown_keys(record):
+    doc = record.to_dict()
+    first = next(iter(doc))  # domain_order and theta: neither has a default
+    with pytest.raises(ValueError, match=f"^missing .*keys: \\['{first}'\\]$"):
+        type(record).from_dict({k: v for k, v in doc.items() if k != first})
+    with pytest.raises(ValueError, match=r"^unknown .*keys: \['bogus'\]$"):
+        type(record).from_dict({**doc, "bogus": 1})
 
 
 def test_noise_increases_intra_spread(world):
