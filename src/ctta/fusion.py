@@ -2,8 +2,11 @@
 
 A class-pool update reads one batch record: the learned prompts,
 predictions and pseudo-labels as matrices and the batch's fission outcome.
-It validates the record once, is entropy-gated, and is applied sample by
-sample. Overflow triggers a single-linkage compaction on
+It validates the record once and is entropy-gated. By default its matched
+samples are applied in waves: a sample's wave is one more than the largest
+wave of any earlier sample that shares a row with it, so no wave touches a
+row twice and each row meets its samples in sample order, with the bits of
+applying them one by one. Overflow triggers a single-linkage compaction on
 cosine distances between keys: Kruskal's algorithm takes edges in
 (weight, i, j) order from a stable argsort of the row-major upper triangle
 (light edges first, the rest only if needed) and stops once the pool's
@@ -16,6 +19,7 @@ pair. All mutation of pools happens here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -106,6 +110,59 @@ def _check_outcome(pool, outcome: FissionOutcome) -> None:
         raise ValueError("outcome candidates must be strictly ascending")
 
 
+def _waves(pos: list[int], ends: list[int], num_rows: int) -> list[int]:
+    """The wave of each sample: one more than the largest wave of any earlier
+    sample that shares a row with it, so 1 for a sample whose rows no earlier
+    sample named. Sample t names the rows ``pos[ends[t - 1]:ends[t]]`` of
+    ``range(num_rows)``.
+    """
+    last, waves, start = [0] * num_rows, [], 0
+    for end in ends:
+        if end - start == 1:  # most samples of a sparse batch; skips a comprehension's call
+            p = pos[start]
+            wave = last[p] = last[p] + 1
+        else:
+            at = pos[start:end]
+            wave = 1 + max([last[p] for p in at])
+            for p in at:
+                last[p] = wave
+        waves.append(wave)
+        start = end
+    return waves
+
+
+def _update_steps(pos: np.ndarray, sizes: np.ndarray, num_rows: int) -> list[tuple]:
+    """The steps of the sequential class update, as (sel, at) pairs in order.
+
+    Sample t's candidate entries are the next ``sizes[t]`` of ``pos``, each
+    the position of its row in a block of ``num_rows`` touched rows. A step
+    updates the rows ``at`` of the block from the entries ``sel``. Samples of
+    one wave (``_waves``) share no row, and each row meets its samples in
+    sample order, so applying the waves in turn gives the bits of applying the
+    samples in turn. A wave of one sample is a slice of the entries, over the
+    whole block when it names every touched row; the waves of a batch whose
+    samples all name every touched row are its samples, and no schedule is
+    computed for it.
+    """
+    ends = np.cumsum(sizes).tolist()
+    if pos.size == len(ends) * num_rows:
+        return [(slice(s, e), slice(None)) for s, e in zip([0] + ends[:-1], ends)]
+    wave_of = _waves(pos.tolist(), ends, num_rows)
+    entry_wave = np.repeat(wave_of, sizes)
+    order = np.argsort(entry_wave, kind="stable")
+    bounds = np.cumsum(np.bincount(entry_wave)).tolist()
+    samples_in = np.bincount(wave_of).tolist()
+    steps = []
+    for wave, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]), start=1):
+        sel = order[lo:hi]
+        if samples_in[wave] > 1:
+            steps.append((sel, pos[sel]))
+        else:
+            sel = slice(int(sel[0]), int(sel[0]) + hi - lo)
+            steps.append((sel, slice(None) if hi - lo == num_rows else pos[sel]))
+    return steps
+
+
 def update_class_pool(
     pool: ClassPromptPool, record: ClassUpdateRecord, hp: Hyperparams, *, created_at: int = 0
 ) -> ClassUpdateSummary:
@@ -120,9 +177,12 @@ def update_class_pool(
 
     ``hp.class_update`` selects between the default sequential update and
     the batch-averaged variant that blends all kept samples against the pool
-    state at batch start. The sequential update applies the samples one after
-    another, each to the values the previous ones left, on the touched rows
-    gathered once and scattered back once.
+    state at batch start. The sequential update gives each row its samples one
+    after another, each to the values the previous ones left, on the touched
+    rows gathered once and scattered back once. It applies them in waves, one
+    gathered step each: a sample joins the wave after that of the last earlier
+    sample that shared a row with it. A batch whose samples all name every
+    touched row takes one step per sample.
     """
     outcome = record.outcome
     _check_outcome(pool, outcome)
@@ -162,20 +222,20 @@ def update_class_pool(
             prompts[rows] = _mean_rows(w * learned[matched, None] + (1.0 - w) * prompts[rows])
         else:
             # The samples' inputs are scaled for the whole batch, elementwise
-            # as one sample's would be (tests/test_bitfacts.py). The recurrence
-            # then runs in sample order on one gathered block of the touched
-            # rows, viewed whole when a sample's candidates are every touched row.
+            # as one sample's would be (fact 5, tests/test_bitfacts.py). The
+            # recurrence then runs wave by wave on one gathered block of the
+            # touched rows: a wave's gathered rows carry each row's bits under
+            # the same products (fact 5), and its key normalisers are row
+            # sums over same-length rows of num_classes entries (fact 4).
             sample = np.repeat(matched, sizes)
             cf = hp.alpha_c * weights
             key_in, key_keep = cf * preds[sample], 1.0 - cf
             prompt_in, prompt_keep = weights * learned[sample], 1.0 - weights
             block_keys, block_prompts, pos = keys[rows], prompts[rows], np.searchsorted(rows, cand)
-            ends = np.cumsum(sizes).tolist()
-            for start, end in zip([0] + ends[:-1], ends):
-                at = slice(None) if end - start == len(rows) else pos[start:end]
-                new_keys = key_in[start:end] + key_keep[start:end] * block_keys[at]
+            for sel, at in _update_steps(pos, sizes, len(rows)):
+                new_keys = key_in[sel] + key_keep[sel] * block_keys[at]
                 block_keys[at] = new_keys / new_keys.sum(axis=1, keepdims=True)
-                block_prompts[at] = prompt_in[start:end] + prompt_keep[start:end] * block_prompts[at]
+                block_prompts[at] = prompt_in[sel] + prompt_keep[sel] * block_prompts[at]
             keys[rows], prompts[rows] = block_keys, block_prompts
         summary.updated = rows.tolist()
     if fissioned.size:
@@ -306,6 +366,16 @@ def update_domain_pool(
     return summary
 
 
+@lru_cache(maxsize=8)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, k=1)``, shared read-only: a saturated domain pool
+    fuses at the same size, one above its capacity, batch after batch."""
+    iu, ju = np.triu_indices(n, k=1)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
+
+
 def _fuse_core(pool: DomainPromptPool) -> tuple[int, int]:
     """Merge the closest entry pair by key distance; ties take the lowest (i, j).
 
@@ -315,7 +385,7 @@ def _fuse_core(pool: DomainPromptPool) -> tuple[int, int]:
     if n < 2:
         raise ValueError("nearest-pair fusion needs at least 2 entries")
     keys = pool.keys
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = _pair_indices(n)
     dists = np.linalg.norm(keys[iu] - keys[ju], axis=1)
     m = int(np.argmin(dists))
     i, j = int(iu[m]), int(ju[m])

@@ -168,8 +168,11 @@ class Hyperparams:
 
 
 def record_from_dict(cls, doc: dict, what: str):
-    """Build the dataclass ``cls`` from ``doc``, naming any unknown key and any
-    missing key that has no default; the values are checked by ``cls``."""
+    """Build the dataclass ``cls`` from ``doc``, a dict as a JSON object loads,
+    naming any unknown key and any missing key that has no default; the
+    values are checked by ``cls``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object")
     unknown = set(doc) - {f.name for f in fields(cls)}
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")

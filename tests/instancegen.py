@@ -166,6 +166,35 @@ def block_class_records(
     return stack_class_records(samples)
 
 
+def sparse_class_records(
+    rng: SeededRng, pool: ClassPromptPool, num_matched: int, num_fissioned: int = 0
+) -> ClassUpdateRecord:
+    """One batch record shaped like a saturating batch: ``num_matched``
+    matched samples, each naming one to three random pool rows, and
+    ``num_fissioned`` fissioned samples at random places among them. Over a
+    pool of many rows, rows recur across samples but no sample names them all.
+    """
+    size = num_matched + num_fissioned
+    fission_at = set(rng.permutation(size)[:num_fissioned].tolist())
+    samples = []
+    for t in range(size):
+        weights = None
+        if t not in fission_at:
+            idx = rng.permutation(len(pool))[: int(rng.integers(1, 4))]
+            w = rng.uniform(0.1, 1.0, size=len(idx))
+            weights = dict(zip(idx.tolist(), (w / w.sum()).tolist()))
+        outcome = make_outcome(rng.normal(size=pool.prompt_dim, scale=0.1), weights, pool.version)
+        samples.append(
+            class_record(
+                rng.normal(size=pool.prompt_dim),
+                random_prob(rng, pool.num_classes),
+                random_prob(rng, pool.num_classes),
+                outcome,
+            )
+        )
+    return stack_class_records(samples)
+
+
 def random_domain_record(
     rng: SeededRng, pool: DomainPromptPool, fission_prob: float = 0.5
 ) -> tuple[np.ndarray, BatchStats, FissionOutcome]:

@@ -12,7 +12,7 @@ from ctta.cli import _dump_json, _json_text, load_config_file, main
 from ctta.harness import Hyperparams, build_world, run_ctta
 from ctta.numerics import SeededRng
 from ctta.pools import ClassPromptPool, DomainPromptPool
-from ctta.stream import StreamConfig, read_stream, write_stream
+from ctta.stream import SeparationCertificate, StreamConfig, read_stream, write_stream
 from instancegen import load_pool
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
@@ -181,6 +181,36 @@ def test_verify_names_a_missing_or_unknown_certificate_key(tmp_path, capsys, edi
     )
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("doc", [5, "theta", []], ids=["number", "string", "list"])
+def test_verify_names_a_certificate_that_is_not_an_object(tmp_path, capsys, doc):
+    cert = tmp_path / "certificate.json"
+    cert.write_text(json.dumps(doc))
+    code = main(
+        [
+            "verify",
+            "--config", str(DEMO / "config.json"),
+            "--stream", str(DEMO / "stream.csv"),
+            "--certificate", str(cert),
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: certificate must be a JSON object\n"
+
+
+@pytest.mark.parametrize("doc", [5, "theta", []], ids=["number", "string", "list"])
+@pytest.mark.parametrize(
+    "cls, what",
+    [
+        (SeparationCertificate, "certificate"),
+        (StreamConfig, "stream config"),
+        (Hyperparams, "hyperparameter"),
+    ],
+)
+def test_record_loaders_name_a_document_that_is_not_an_object(cls, what, doc):
+    with pytest.raises(ValueError, match=f"^{what} must be a JSON object$"):
+        cls.from_dict(doc)
 
 
 def test_gradcheck_exits_zero(capsys):

@@ -9,7 +9,10 @@ from ctta.fusion import (
     PoolVersionError,
     _compact_class_pool,
     _fuse_core,
+    _pair_indices,
     _single_linkage_groups,
+    _update_steps,
+    _waves,
     update_class_pool,
     update_domain_pool,
 )
@@ -27,6 +30,7 @@ from instancegen import (
     random_domain_pool,
     random_domain_record,
     random_prob,
+    sparse_class_records,
     stack_class_records,
     stack_outcomes,
 )
@@ -418,6 +422,35 @@ def test_fuse_nearest_pair_matches_exhaustive_scan(seed):
     assert _fuse_core(pool) == best[1:]
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_fuse_with_cached_pair_indices_keeps_the_bits_of_fresh_ones(seed):
+    # the pair scan as it reads with np.triu_indices taken afresh
+    rng = SeededRng(300 + seed)
+    n = int(rng.integers(2, 30))
+    rows = domain_pool_tuples(random_domain_pool(rng, n, n, 5, 3))
+    keys = np.array([np.concatenate((mu, sigma)) for mu, sigma, _, _ in rows])
+    prompts = np.array([prompt for _, _, prompt, _ in rows])
+    iu, ju = np.triu_indices(n, k=1)
+    m = int(np.argmin(np.linalg.norm(keys[iu] - keys[ju], axis=1)))
+    i, j = int(iu[m]), int(ju[m])
+    keys[i], prompts[i] = (keys[i] + keys[j]) / 2.0, (prompts[i] + prompts[j]) / 2.0
+    entries = [(np.concatenate((mu, sigma)), prompt, c) for mu, sigma, prompt, c in rows]
+    for _ in range(2):  # the second call at this size reads the cached indices
+        pool = load_pool(DomainPromptPool(n - 1, 3, 5), entries)
+        assert _fuse_core(pool) == (i, j)
+        assert pool.keys.tobytes() == np.delete(keys, j, axis=0).tobytes()
+        assert pool.prompts.tobytes() == np.delete(prompts, j, axis=0).tobytes()
+
+
+def test_cached_pair_indices_reject_writes():
+    iu, ju = _pair_indices(5)
+    assert _pair_indices(5)[0] is iu
+    np.testing.assert_array_equal(iu, np.triu_indices(5, 1)[0])
+    for arr in (iu, ju):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+
+
 def test_domain_update_examples():
     rng = SeededRng(4)
     pool = random_domain_pool(rng, 2, 5, 3, 4)
@@ -470,25 +503,37 @@ def test_fission_overflow_triggers_single_fuse():
     "seed, batch",
     [
         pytest.param(seed, batch, id=str(seed) if batch == "random" else f"{batch}-{seed}")
-        for batch in ("random", "whole block", "alternating")
+        for batch in ("random", "whole block", "alternating", "sparse")
         for seed in range(10)
     ],
 )
 def test_update_class_pool_bitwise_matches_interpreter(seed, batch):
     # "whole block": every matched sample names every touched row;
-    # "alternating": such samples take turns with ones naming a strict subset
+    # "alternating": such samples take turns with ones naming a strict subset;
+    # "sparse": a saturating batch's shape, 32 or more matched samples of one
+    # to three candidates over 20 or more rows, which recur across waves
     rng = SeededRng(100 + seed)
     n = int(rng.integers(0, 8))
-    if batch != "random":
+    if batch == "sparse":
+        n = int(rng.integers(20, 40))
+    elif batch != "random":
         n = max(n, 2)
     capacity = int(rng.integers(max(1, n - 2), n + 6))
-    pool = random_class_pool(rng, n, capacity, 3, 4)
+    classes = 10 if batch == "sparse" else 3
+    pool = random_class_pool(rng, n, capacity, classes, 4)
     if batch == "random":
         records = random_class_records(rng, pool, int(rng.integers(1, 9)), fission_prob=0.4)
+    elif batch == "sparse":
+        records = sparse_class_records(
+            rng, pool, int(rng.integers(32, 64)), int(rng.integers(0, 8))
+        )
     else:
         records = block_class_records(rng, pool, int(rng.integers(2, 9)), batch == "alternating")
     gamma_h = float(rng.uniform(0.0, np.log(3)))
-    if batch != "random":
+    if batch == "sparse":
+        # every sample passes the gate
+        gamma_h = max(map(entropy, records.predictions)) + 1e-9
+    elif batch != "random":
         # the first two samples, whole block and then subset when alternating, pass the gate
         gamma_h = max(gamma_h, *map(entropy, records.predictions[:2])) + 1e-9
     alpha_c = float(rng.uniform(0.0, 1.0))
@@ -497,6 +542,9 @@ def test_update_class_pool_bitwise_matches_interpreter(seed, batch):
         pool, records, Hyperparams(gamma_h=gamma_h, alpha_c=alpha_c), created_at=5
     )
     assert batch == "random" or not {0, 1} & set(summary.skipped)
+    if batch == "sparse":
+        assert not summary.skipped and len(records) - len(summary.appended) >= 32
+        assert len(summary.updated) >= 20
     assert len(pool) == len(expected)
     for got_key, got_prompt, got_created, (key, prompt, created) in zip(
         pool.keys, pool.prompts, pool.created_at, expected
@@ -504,6 +552,57 @@ def test_update_class_pool_bitwise_matches_interpreter(seed, batch):
         assert got_key.tobytes() == key.tobytes()
         assert got_prompt.tobytes() == prompt.tobytes()
         assert got_created == created
+
+
+@st.composite
+def candidate_lists(draw):
+    """Each sample's candidate rows, ascending, over a block of touched rows."""
+    num_rows = draw(st.integers(min_value=1, max_value=12))
+    rows = st.sets(st.integers(min_value=0, max_value=num_rows - 1), min_size=1)
+    samples = [sorted(r) for r in draw(st.lists(rows, min_size=1, max_size=40))]
+    touched = sorted(set().union(*samples))
+    # positions in the block of the rows the batch touches
+    samples = [[touched.index(r) for r in sample] for sample in samples]
+    return samples, len(touched)
+
+
+@given(candidate_lists())
+@settings(max_examples=300, deadline=None)
+def test_update_waves_are_conflict_free_ordered_and_minimal(case):
+    samples, num_rows = case
+    sizes = np.array([len(s) for s in samples])
+    pos = np.array([p for s in samples for p in s], dtype=np.int64)
+    waves = _waves(pos.tolist(), np.cumsum(sizes).tolist(), num_rows)
+    for wave in set(waves):
+        named = [p for s, w in zip(samples, waves) if w == wave for p in s]
+        assert len(named) == len(set(named))
+    for row in range(num_rows):
+        row_waves = [w for s, w in zip(samples, waves) if row in s]
+        assert all(a < b for a, b in zip(row_waves, row_waves[1:]))
+    # longest chain of row-sharing predecessors, over every earlier sample
+    chain = []
+    for t, s in enumerate(samples):
+        chain.append(1 + max([chain[u] for u in range(t) if set(samples[u]) & set(s)], default=0))
+    assert waves == chain
+
+    # the steps apply each entry once, a row at most once per step, and each
+    # row's entries in sample order
+    entries, seen_by_row = [], {row: [] for row in range(num_rows)}
+    for sel, at in _update_steps(pos, sizes, num_rows):
+        sel = np.arange(pos.size)[sel]
+        at = np.arange(num_rows)[at]
+        assert pos[sel].tolist() == at.tolist() and len(set(at.tolist())) == len(at)
+        entries += sel.tolist()
+        for e, row in zip(sel.tolist(), at.tolist()):
+            seen_by_row[row].append(e)
+    assert sorted(entries) == list(range(pos.size))
+    assert all(seen == sorted(seen) for seen in seen_by_row.values())
+    assert len(_update_steps(pos, sizes, num_rows)) == max(waves)
+
+
+def test_update_steps_take_whole_block_slices_per_sample_when_every_sample_names_every_row():
+    sizes, pos = np.array([3, 3, 3]), np.tile(np.arange(3), 3)
+    assert _update_steps(pos, sizes, 3) == [(slice(s, s + 3), slice(None)) for s in (0, 3, 6)]
 
 
 @pytest.mark.parametrize("seed", range(10))
