@@ -1,20 +1,19 @@
 """Knowledge fusion: writing learned prompts back into the pools.
 
-A class-pool update reads one batch record: the learned prompts,
-predictions and pseudo-labels as matrices and the batch's fission outcome.
-It validates the record once and is entropy-gated. By default its matched
-samples are applied in waves: a sample's wave is one more than the largest
-wave of any earlier sample that shares a row with it, so no wave touches a
-row twice and each row meets its samples in sample order, with the bits of
-applying them one by one. Overflow triggers a single-linkage compaction on
-cosine distances between keys: Kruskal's algorithm takes edges in
-(weight, i, j) order from a stable argsort of the row-major upper triangle
-(light edges first, the rest only if needed) and stops once the pool's
-capacity of components remains, which cuts the heaviest edges of the minimum
-spanning tree. Each group of more than one row merges into its mean; groups are
-numbered, and the merged rows ordered, by their first member. Domain-pool
-updates blend keys and prompts convexly; overflow fuses the nearest entry
-pair. All mutation of pools happens here.
+A class-pool update reads one batch record: the learned prompts, predictions
+and pseudo-labels as matrices and the batch's fission outcome. It validates
+the record once and is entropy-gated. By default each row meets its matched
+samples one after another, in sample order, and no row reads another; so
+step k applies the k-th entry of every row at once, with the bits of
+applying the samples one by one. Overflow triggers a single-linkage
+compaction on cosine distances between keys: Kruskal's algorithm takes edges
+in (weight, i, j) order from a stable argsort of the row-major upper
+triangle (light edges first, the rest only if needed) and stops once the
+pool's capacity of components remains, which cuts the heaviest edges of the
+minimum spanning tree. Each group of more than one row merges into its mean;
+groups are numbered, and the merged rows ordered, by their first member.
+Domain-pool updates blend keys and prompts convexly; overflow fuses the
+nearest entry pair. All mutation of pools happens here.
 """
 from __future__ import annotations
 
@@ -110,57 +109,25 @@ def _check_outcome(pool, outcome: FissionOutcome) -> None:
         raise ValueError("outcome candidates must be strictly ascending")
 
 
-def _waves(pos: list[int], ends: list[int], num_rows: int) -> list[int]:
-    """The wave of each sample: one more than the largest wave of any earlier
-    sample that shares a row with it, so 1 for a sample whose rows no earlier
-    sample named. Sample t names the rows ``pos[ends[t - 1]:ends[t]]`` of
-    ``range(num_rows)``.
-    """
-    last, waves, start = [0] * num_rows, [], 0
-    for end in ends:
-        if end - start == 1:  # most samples of a sparse batch; skips a comprehension's call
-            p = pos[start]
-            wave = last[p] = last[p] + 1
-        else:
-            at = pos[start:end]
-            wave = 1 + max([last[p] for p in at])
-            for p in at:
-                last[p] = wave
-        waves.append(wave)
-        start = end
-    return waves
-
-
-def _update_steps(pos: np.ndarray, sizes: np.ndarray, num_rows: int) -> list[tuple]:
-    """The steps of the sequential class update, as (sel, at) pairs in order.
+def _update_order(pos: np.ndarray, sizes: np.ndarray, num_rows: int) -> tuple:
+    """The entry order and step ends of the sequential class update.
 
     Sample t's candidate entries are the next ``sizes[t]`` of ``pos``, each
-    the position of its row in a block of ``num_rows`` touched rows. A step
-    updates the rows ``at`` of the block from the entries ``sel``. Samples of
-    one wave (``_waves``) share no row, and each row meets its samples in
-    sample order, so applying the waves in turn gives the bits of applying the
-    samples in turn. A wave of one sample is a slice of the entries, over the
-    whole block when it names every touched row; the waves of a batch whose
-    samples all name every touched row are its samples, and no schedule is
-    computed for it.
+    the position of its row in a block of ``num_rows`` touched rows. Step k
+    applies the k-th entry of every row that has one, rows ascending: no step
+    names a row twice, each row meets its entries in sample order, and there
+    are as many steps as the most entries any row has, the fewest possible.
+    Returns ``order``, which lays the entries out step after step, and the end
+    of each step in that layout. When every sample names every touched row,
+    the order is the batch's own and each sample is one step.
     """
-    ends = np.cumsum(sizes).tolist()
-    if pos.size == len(ends) * num_rows:
-        return [(slice(s, e), slice(None)) for s, e in zip([0] + ends[:-1], ends)]
-    wave_of = _waves(pos.tolist(), ends, num_rows)
-    entry_wave = np.repeat(wave_of, sizes)
-    order = np.argsort(entry_wave, kind="stable")
-    bounds = np.cumsum(np.bincount(entry_wave)).tolist()
-    samples_in = np.bincount(wave_of).tolist()
-    steps = []
-    for wave, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]), start=1):
-        sel = order[lo:hi]
-        if samples_in[wave] > 1:
-            steps.append((sel, pos[sel]))
-        else:
-            sel = slice(int(sel[0]), int(sel[0]) + hi - lo)
-            steps.append((sel, slice(None) if hi - lo == num_rows else pos[sel]))
-    return steps
+    if pos.size == len(sizes) * num_rows:
+        return slice(None), list(range(num_rows, pos.size + 1, num_rows))
+    by_row = np.argsort(pos, kind="stable")
+    counts = np.bincount(pos)
+    # the rank of each entry among its row's entries, in by_row's layout
+    rank = np.arange(pos.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return by_row[np.argsort(rank, kind="stable")], np.cumsum(np.bincount(rank)).tolist()
 
 
 def update_class_pool(
@@ -179,10 +146,10 @@ def update_class_pool(
     the batch-averaged variant that blends all kept samples against the pool
     state at batch start. The sequential update gives each row its samples one
     after another, each to the values the previous ones left, on the touched
-    rows gathered once and scattered back once. It applies them in waves, one
-    gathered step each: a sample joins the wave after that of the last earlier
-    sample that shared a row with it. A batch whose samples all name every
-    touched row takes one step per sample.
+    rows gathered once and scattered back once. Step k applies the k-th entry
+    of every touched row, so there are as many steps as the most samples any
+    row has. A batch whose samples all name every touched row takes one step
+    per sample.
     """
     outcome = record.outcome
     _check_outcome(pool, outcome)
@@ -221,21 +188,27 @@ def update_class_pool(
             keys[rows] = new_keys / new_keys.sum(axis=1, keepdims=True)
             prompts[rows] = _mean_rows(w * learned[matched, None] + (1.0 - w) * prompts[rows])
         else:
-            # The samples' inputs are scaled for the whole batch, elementwise
-            # as one sample's would be (fact 5, tests/test_bitfacts.py). The
-            # recurrence then runs wave by wave on one gathered block of the
-            # touched rows: a wave's gathered rows carry each row's bits under
-            # the same products (fact 5), and its key normalisers are row
-            # sums over same-length rows of num_classes entries (fact 4).
-            sample = np.repeat(matched, sizes)
+            # The entries are laid out in step order once and their inputs
+            # scaled for the whole batch, elementwise as one sample's would
+            # be (fact 5, tests/test_bitfacts.py). The recurrence then runs
+            # step by step on one gathered block of the touched rows, each
+            # step a slice of the entries: its gathered rows carry each row's
+            # bits under the same products (fact 5), and its key normalisers
+            # are row sums over same-length rows of num_classes entries (fact 4).
+            pos = np.searchsorted(rows, cand)
+            order, ends = _update_order(pos, sizes, len(rows))
+            sample, weights, pos = np.repeat(matched, sizes)[order], weights[order], pos[order]
             cf = hp.alpha_c * weights
             key_in, key_keep = cf * preds[sample], 1.0 - cf
             prompt_in, prompt_keep = weights * learned[sample], 1.0 - weights
-            block_keys, block_prompts, pos = keys[rows], prompts[rows], np.searchsorted(rows, cand)
-            for sel, at in _update_steps(pos, sizes, len(rows)):
-                new_keys = key_in[sel] + key_keep[sel] * block_keys[at]
+            block_keys, block_prompts, lo = keys[rows], prompts[rows], 0
+            for hi in ends:
+                # a step of every touched row names them in ascending order
+                at = slice(None) if hi - lo == len(rows) else pos[lo:hi]
+                new_keys = key_in[lo:hi] + key_keep[lo:hi] * block_keys[at]
                 block_keys[at] = new_keys / new_keys.sum(axis=1, keepdims=True)
-                block_prompts[at] = prompt_in[sel] + prompt_keep[sel] * block_prompts[at]
+                block_prompts[at] = prompt_in[lo:hi] + prompt_keep[lo:hi] * block_prompts[at]
+                lo = hi
             keys[rows], prompts[rows] = block_keys, block_prompts
         summary.updated = rows.tolist()
     if fissioned.size:

@@ -378,11 +378,8 @@ def gradient_check(
     Configurations landing within ``kink_tol`` of an alignment-norm kink are
     resampled, since the subgradient convention is not comparable there.
     """
-    if num_configs < 1:
-        raise ValueError(f"num_configs must be >= 1, got {num_configs!r}")
-    for name, value in (("step", step), ("tolerance", tolerance)):
-        if not value > 0:
-            raise ValueError(f"{name} must be > 0, got {value!r}")
+    for name, value in (("num_configs", num_configs), ("step", step), ("tolerance", tolerance)):
+        check_param(name, value)
     rel_errors = []
     base = SeededRng(seed)
     for k in range(num_configs):

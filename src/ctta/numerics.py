@@ -75,10 +75,11 @@ HYPERPARAMS: dict[str, tuple[type, str | tuple[str, ...] | None]] = {
     "softmax_over_all": (bool, None),
     "class_update": (str, ("sequential", "averaged")),
 }
-# Stream configuration, separation certificate, world and pool snapshot
-# fields, under the same rule. Each item of ``domain_order`` is checked as
-# ``domain_order``, and each entry's ``created_at`` as ``created_at``;
-# ``theta`` serves the config, the certificate and ``make_separated``'s target.
+# Stream configuration, separation certificate, world, pool snapshot and
+# gradient check fields, under the same rule. Each item of ``domain_order``
+# is checked as ``domain_order``, and each entry's ``created_at`` as
+# ``created_at``; ``theta`` serves the config, the certificate and
+# ``make_separated``'s target.
 STREAM_PARAMS: dict[str, tuple[type, str | tuple[str, ...] | None]] = {
     "domain_order": (numbers.Integral, "[0, inf]"),
     "batches_per_domain": (numbers.Integral, "[1, inf]"),
@@ -97,6 +98,9 @@ STREAM_PARAMS: dict[str, tuple[type, str | tuple[str, ...] | None]] = {
     "prompt_dim": (numbers.Integral, "[1, inf]"),
     "created_at": (numbers.Integral, "[-9223372036854775808, 9223372036854775808)"),  # int64
     "version": (numbers.Integral, "[0, inf]"),
+    "num_configs": (numbers.Integral, "[1, inf]"),
+    "step": (numbers.Real, "(0, inf)"),
+    "tolerance": (numbers.Real, "(0, inf)"),
 }
 _PARAMS = {**HYPERPARAMS, **STREAM_PARAMS}
 _BOUNDS = {  # (lo, hi) of each interval

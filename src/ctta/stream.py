@@ -66,6 +66,8 @@ class StreamConfig:
     theta: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.domain_order, (list, tuple)):
+            raise ValueError(f"domain_order must be a list, got {self.domain_order!r}")
         order = tuple(check_param("domain_order", d) for d in self.domain_order)
         object.__setattr__(self, "domain_order", tuple(map(int, order)))
         if not self.domain_order:

@@ -195,6 +195,44 @@ def sparse_class_records(
     return stack_class_records(samples)
 
 
+def chain_class_records(
+    rng: SeededRng, pool: ClassPromptPool, num_matched: int, num_fissioned: int = 0
+) -> ClassUpdateRecord:
+    """One batch record whose consecutive matched samples share exactly one
+    pool row: each matched sample names two rows, and each after the first
+    names one row of the sample before and one row that sample did not name.
+    A sample's two rows have mostly met different numbers of earlier samples,
+    so the class update applies them in different steps; it always does for
+    the second matched sample. Every sample names as many rows as every other,
+    and with two matched samples or more none names every touched row.
+    ``num_fissioned`` fissioned samples fall at random places. The pool needs
+    three or more rows.
+    """
+    size = num_matched + num_fissioned
+    fission_at = set(rng.permutation(size)[:num_fissioned].tolist())
+    samples, prev = [], None
+    for t in range(size):
+        weights = None
+        if t not in fission_at:
+            if prev is None:
+                idx = rng.permutation(len(pool))[:2]
+            else:
+                fresh = rng.permutation(np.setdiff1d(np.arange(len(pool)), prev))[0]
+                idx = np.array([prev[int(rng.integers(0, 2))], fresh])
+            w = rng.uniform(0.1, 1.0, size=len(idx))
+            weights, prev = dict(zip(idx.tolist(), (w / w.sum()).tolist())), idx
+        outcome = make_outcome(rng.normal(size=pool.prompt_dim, scale=0.1), weights, pool.version)
+        samples.append(
+            class_record(
+                rng.normal(size=pool.prompt_dim),
+                random_prob(rng, pool.num_classes),
+                random_prob(rng, pool.num_classes),
+                outcome,
+            )
+        )
+    return stack_class_records(samples)
+
+
 def random_domain_record(
     rng: SeededRng, pool: DomainPromptPool, fission_prob: float = 0.5
 ) -> tuple[np.ndarray, BatchStats, FissionOutcome]:

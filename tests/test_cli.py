@@ -223,11 +223,14 @@ def test_gradcheck_exits_zero(capsys):
 @pytest.mark.parametrize(
     "flag, value, message",
     [
-        ("--num-configs", "0", "num_configs must be >= 1, got 0"),
-        ("--step", "0", "step must be > 0, got 0.0"),
-        ("--step", "nan", "step must be > 0, got nan"),
-        ("--tolerance", "-0.5", "tolerance must be > 0, got -0.5"),
+        ("--num-configs", "0", "num_configs must be Integral in [1, inf], got 0"),
+        ("--step", "0", "step must be Real in (0, inf), got 0.0"),
+        ("--step", "nan", "step must be Real in (0, inf), got nan"),
+        ("--step", "inf", "step must be Real in (0, inf), got inf"),
+        ("--tolerance", "-0.5", "tolerance must be Real in (0, inf), got -0.5"),
+        ("--tolerance", "inf", "tolerance must be Real in (0, inf), got inf"),
     ],
+    ids=["num-configs-0", "step-0", "step-nan", "step-inf", "tolerance-negative", "tolerance-inf"],
 )
 def test_gradcheck_rejects_settings_naming_them(flag, value, message, capsys):
     code = main(["gradcheck", flag, value])
@@ -370,6 +373,22 @@ def test_config_value_of_wrong_type_exits_1_naming_its_key(generated, tmp_path, 
     assert code == 1
     assert "softmax_over_all must be bool" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+    # a domain order that is not a list is named before anything is read
+    for value in (5, None, 2.5):
+        bad = write_config(tmp_path / "config.json", domain_order=value)
+        code = main(
+            [
+                "run",
+                "--config", str(bad),
+                "--stream", str(stream),
+                "--seed", "7",
+                "--out-dir", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 1
+        assert f"domain_order must be a list, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     # stream config values; verify reads the seed from the config
     for key, value, rule in [

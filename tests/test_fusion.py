@@ -11,8 +11,7 @@ from ctta.fusion import (
     _fuse_core,
     _pair_indices,
     _single_linkage_groups,
-    _update_steps,
-    _waves,
+    _update_order,
     update_class_pool,
     update_domain_pool,
 )
@@ -20,6 +19,7 @@ from ctta.numerics import BatchStats, Hyperparams, SeededRng
 from ctta.pools import ClassPromptPool, DomainPromptPool, FissionOutcome
 from instancegen import (
     block_class_records,
+    chain_class_records,
     class_pool_tuples,
     class_record,
     domain_pool_tuples,
@@ -503,7 +503,7 @@ def test_fission_overflow_triggers_single_fuse():
     "seed, batch",
     [
         pytest.param(seed, batch, id=str(seed) if batch == "random" else f"{batch}-{seed}")
-        for batch in ("random", "whole block", "alternating", "sparse")
+        for batch in ("random", "whole block", "alternating", "sparse", "chain")
         for seed in range(10)
     ],
 )
@@ -511,11 +511,15 @@ def test_update_class_pool_bitwise_matches_interpreter(seed, batch):
     # "whole block": every matched sample names every touched row;
     # "alternating": such samples take turns with ones naming a strict subset;
     # "sparse": a saturating batch's shape, 32 or more matched samples of one
-    # to three candidates over 20 or more rows, which recur across waves
+    # to three candidates over 20 or more rows, which recur across steps;
+    # "chain": consecutive matched samples share exactly one row, so some
+    # sample's entries fall in two steps
     rng = SeededRng(100 + seed)
     n = int(rng.integers(0, 8))
     if batch == "sparse":
         n = int(rng.integers(20, 40))
+    elif batch == "chain":
+        n = int(rng.integers(4, 13))
     elif batch != "random":
         n = max(n, 2)
     capacity = int(rng.integers(max(1, n - 2), n + 6))
@@ -527,10 +531,12 @@ def test_update_class_pool_bitwise_matches_interpreter(seed, batch):
         records = sparse_class_records(
             rng, pool, int(rng.integers(32, 64)), int(rng.integers(0, 8))
         )
+    elif batch == "chain":
+        records = chain_class_records(rng, pool, int(rng.integers(8, 33)), int(rng.integers(0, 4)))
     else:
         records = block_class_records(rng, pool, int(rng.integers(2, 9)), batch == "alternating")
     gamma_h = float(rng.uniform(0.0, np.log(3)))
-    if batch == "sparse":
+    if batch in ("sparse", "chain"):
         # every sample passes the gate
         gamma_h = max(map(entropy, records.predictions)) + 1e-9
     elif batch != "random":
@@ -545,6 +551,15 @@ def test_update_class_pool_bitwise_matches_interpreter(seed, batch):
     if batch == "sparse":
         assert not summary.skipped and len(records) - len(summary.appended) >= 32
         assert len(summary.updated) >= 20
+    if batch == "chain":
+        # an entry's step is the count of earlier entries of its row; some
+        # sample has entries of two steps
+        cand, offsets = records.outcome.candidates, records.outcome.offsets
+        met, split = np.zeros(n, dtype=int), False
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
+            split |= len(set(met[cand[lo:hi]].tolist())) > 1
+            met[cand[lo:hi]] += 1
+        assert not summary.skipped and split
     assert len(pool) == len(expected)
     for got_key, got_prompt, got_created, (key, prompt, created) in zip(
         pool.keys, pool.prompts, pool.created_at, expected
@@ -568,41 +583,31 @@ def candidate_lists(draw):
 
 @given(candidate_lists())
 @settings(max_examples=300, deadline=None)
-def test_update_waves_are_conflict_free_ordered_and_minimal(case):
+def test_update_order_steps_are_conflict_free_ordered_and_minimal(case):
     samples, num_rows = case
     sizes = np.array([len(s) for s in samples])
     pos = np.array([p for s in samples for p in s], dtype=np.int64)
-    waves = _waves(pos.tolist(), np.cumsum(sizes).tolist(), num_rows)
-    for wave in set(waves):
-        named = [p for s, w in zip(samples, waves) if w == wave for p in s]
-        assert len(named) == len(set(named))
-    for row in range(num_rows):
-        row_waves = [w for s, w in zip(samples, waves) if row in s]
-        assert all(a < b for a, b in zip(row_waves, row_waves[1:]))
-    # longest chain of row-sharing predecessors, over every earlier sample
-    chain = []
-    for t, s in enumerate(samples):
-        chain.append(1 + max([chain[u] for u in range(t) if set(samples[u]) & set(s)], default=0))
-    assert waves == chain
-
-    # the steps apply each entry once, a row at most once per step, and each
-    # row's entries in sample order
-    entries, seen_by_row = [], {row: [] for row in range(num_rows)}
-    for sel, at in _update_steps(pos, sizes, num_rows):
-        sel = np.arange(pos.size)[sel]
-        at = np.arange(num_rows)[at]
-        assert pos[sel].tolist() == at.tolist() and len(set(at.tolist())) == len(at)
-        entries += sel.tolist()
-        for e, row in zip(sel.tolist(), at.tolist()):
+    order, ends = _update_order(pos, sizes, num_rows)
+    order = np.arange(pos.size)[order]
+    # every entry is applied once
+    assert sorted(order.tolist()) == list(range(pos.size)) and ends[-1] == pos.size
+    seen_by_row = {row: [] for row in range(num_rows)}
+    for lo, hi in zip([0] + ends[:-1], ends):
+        step = order[lo:hi].tolist()
+        at = pos[step].tolist()
+        # no row twice, rows ascending
+        assert at == sorted(set(at))
+        for e, row in zip(step, at):
             seen_by_row[row].append(e)
-    assert sorted(entries) == list(range(pos.size))
+    # entries are laid out by sample, so each row meets its entries in sample order
     assert all(seen == sorted(seen) for seen in seen_by_row.values())
-    assert len(_update_steps(pos, sizes, num_rows)) == max(waves)
+    assert len(ends) == np.bincount(pos).max()
 
 
 def test_update_steps_take_whole_block_slices_per_sample_when_every_sample_names_every_row():
+    # the batch keeps its own order, and step t is sample t's entries over the whole block
     sizes, pos = np.array([3, 3, 3]), np.tile(np.arange(3), 3)
-    assert _update_steps(pos, sizes, 3) == [(slice(s, s + 3), slice(None)) for s in (0, 3, 6)]
+    assert _update_order(pos, sizes, 3) == (slice(None), [3, 6, 9])
 
 
 @pytest.mark.parametrize("seed", range(10))

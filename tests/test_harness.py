@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -269,6 +270,26 @@ def test_gradient_check_small_run_passes():
     assert result.passed
     assert len(result.rel_errors) == 8
     assert result.max_rel_error < 1e-4
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"num_configs": 0}, "num_configs must be Integral in [1, inf], got 0"),
+        ({"num_configs": 2.5}, "num_configs must be Integral in [1, inf], got 2.5"),
+        ({"num_configs": True}, "num_configs must be Integral in [1, inf], got True"),
+        ({"step": float("inf")}, "step must be Real in (0, inf), got inf"),
+        ({"step": -1e-5}, "step must be Real in (0, inf), got -1e-05"),
+        ({"tolerance": float("nan")}, "tolerance must be Real in (0, inf), got nan"),
+    ],
+    ids=[
+        "num-configs-0", "num-configs-float", "num-configs-bool",
+        "step-inf", "step-negative", "tolerance-nan",
+    ],
+)
+def test_gradient_check_rejects_settings_naming_them(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        gradient_check(**{"num_configs": 1, **kwargs})
 
 
 def test_hyperparams_defaults_are_the_documented_values():

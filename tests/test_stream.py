@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +235,12 @@ def test_config_round_trip_and_unknown_keys():
         StreamConfig(domain_order=(), seed=0)
     with pytest.raises(ValueError):
         StreamConfig(domain_order=(0,), batch_size=1, seed=0)
+
+
+@pytest.mark.parametrize("order", [5, None, 2.5, "012"], ids=["int", "null", "float", "string"])
+def test_config_names_a_domain_order_that_is_not_a_list(order):
+    with pytest.raises(ValueError, match=f"^domain_order must be a list, got {re.escape(repr(order))}$"):
+        StreamConfig.from_dict({"domain_order": order, "theta": 4.0})
 
 
 def test_domain_spec_validation():
