@@ -145,16 +145,12 @@ def fit_head(
     features: Matrix,
     labels: np.ndarray,
     num_classes: int,
-    *,
-    lr: float = 1.0,
-    max_iters: int = 600,
-    tol: float = 1e-6,
-    l2: float = 1e-2,
 ) -> tuple[Matrix, Vector]:
     """Multinomial logistic regression by full-batch gradient descent.
 
-    A small L2 term keeps the optimum finite when the classes are separable;
-    iteration stops once the gradient infinity-norm drops below ``tol``.
+    Unit step size, at most 600 iterations. A small L2 term (1e-2) keeps the
+    optimum finite when the classes are separable; iteration stops once the
+    gradient infinity-norm drops below 1e-6.
     """
     z = as_matrix(features, name="features")
     y = np.asarray(labels, dtype=np.int64)
@@ -163,15 +159,15 @@ def fit_head(
     onehot[np.arange(n), y] = 1.0
     w = np.zeros((num_classes, z.shape[1]))
     c = np.zeros(num_classes)
-    for _ in range(max_iters):
+    for _ in range(600):
         probs = _row_softmax(z @ w.T + c)
         delta = (probs - onehot) / n
-        gw = delta.T @ z + l2 * w
+        gw = delta.T @ z + 1e-2 * w
         gc = delta.sum(axis=0)
-        if max(np.abs(gw).max(), np.abs(gc).max()) < tol:
+        if max(np.abs(gw).max(), np.abs(gc).max()) < 1e-6:
             break
-        w -= lr * gw
-        c -= lr * gc
+        w -= gw
+        c -= gc
     return w, c
 
 
@@ -181,17 +177,15 @@ def fit_source_model(
     class_means: Matrix,
     noise_std: float,
     rng: SeededRng,
-    *,
-    n_samples: int = 400,
 ) -> ToyModel:
-    """Draw the extractor and fit the head on synthetic labeled source data.
+    """Draw the extractor and fit the head on 400 synthetic labeled source samples.
 
     The extractor is a seeded Gaussian scaled by 1/sqrt(input_dim); the head
     is fit on extracted features so the frozen model is a genuine source
     classifier rather than a random map.
     """
     extractor = rng.child(0).normal(size=(feature_dim, input_dim)) / np.sqrt(input_dim)
-    x, y = draw_labeled_samples(class_means, n_samples, noise_std, rng.child(1))
+    x, y = draw_labeled_samples(class_means, 400, noise_std, rng.child(1))
     w, c = fit_head(x @ extractor.T, y, class_means.shape[0])
     return ToyModel(extractor, w, c)
 

@@ -94,6 +94,7 @@ STREAM_PARAMS: dict[str, tuple[type, str | tuple[str, ...] | None]] = {
     "noise_std": (numbers.Real, "[0, inf)"),
     "feature_dim": (numbers.Integral, "[1, inf]"),
     "class_mean_scale": (numbers.Real, "(0, inf)"),
+    "source_samples": (numbers.Integral, "[2, inf]"),  # source statistics need a spread
     "shift_scale": (numbers.Real, "(-inf, inf)"),
     "prompt_dim": (numbers.Integral, "[1, inf]"),
     "created_at": (numbers.Integral, "[-9223372036854775808, 9223372036854775808)"),  # int64

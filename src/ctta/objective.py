@@ -186,26 +186,16 @@ def finite_diff_grad(
     def total(pd, pc):
         return loss(model, batch, pd, pc, source_stats, a, alpha_std).total
 
-    g_domain = np.zeros_like(p_d)
-    for k in range(p_d.shape[0]):
-        orig = p_d[k]
-        p_d[k] = orig + step
-        hi = total(p_d, p_c)
-        p_d[k] = orig - step
-        lo = total(p_d, p_c)
-        p_d[k] = orig
-        g_domain[k] = (hi - lo) / (2.0 * step)
-
-    g_class = np.zeros_like(p_c)
-    for t in range(p_c.shape[0]):
-        for k in range(p_c.shape[1]):
-            orig = p_c[t, k]
-            p_c[t, k] = orig + step
+    g_domain, g_class = np.zeros_like(p_d), np.zeros_like(p_c)
+    for p, g in ((p_d, g_domain), (p_c, g_class)):
+        for k in np.ndindex(p.shape):
+            orig = p[k]
+            p[k] = orig + step
             hi = total(p_d, p_c)
-            p_c[t, k] = orig - step
+            p[k] = orig - step
             lo = total(p_d, p_c)
-            p_c[t, k] = orig
-            g_class[t, k] = (hi - lo) / (2.0 * step)
+            p[k] = orig
+            g[k] = (hi - lo) / (2.0 * step)
     return g_domain, g_class
 
 

@@ -188,16 +188,14 @@ def make_separated(
     noise_std: float = 0.4,
     class_means: Matrix,
     probe_batches: int = 20,
-    inter_margin: float = 3.0,
-    intra_margin: float = 0.4,
-    max_attempts: int = 8,
 ) -> tuple[list[DomainSpec], SeparationCertificate]:
     """Construct domains certified well-separated in the model's key space.
 
     Domain 0 is unshifted; the rest shift along near-orthogonal directions,
-    scaled until every cross-domain probe pair is farther than ``theta_target``
-    while same-domain pairs stay below ``intra_margin * theta_target``. Fails
-    rather than returning an uncertified set: scaling cannot shrink the
+    scaled to put the closest pair 3 * ``theta_target`` apart in feature space
+    and doubled, up to 8 times, until every cross-domain probe pair is farther
+    than ``theta_target`` while same-domain pairs stay below 0.4 * theta.
+    Fails rather than returning an uncertified set: scaling cannot shrink the
     intra-domain spread, which is fixed by the noise level.
     """
     if n_domains < 2:
@@ -222,10 +220,10 @@ def make_separated(
     min_gap = min(pair_gaps)
     if min_gap <= 0:
         raise ValueError("degenerate shift directions under this extractor")
-    scale = inter_margin * theta_target / min_gap
+    scale = 3.0 * theta_target / min_gap
 
     ones = np.ones(config.input_dim)
-    for attempt in range(max_attempts):
+    for attempt in range(8):
         specs = [
             DomainSpec(i, scale * unit_shifts[i], ones, means, noise_std)
             for i in range(n_domains)
@@ -234,10 +232,10 @@ def make_separated(
             specs, config.batch_size, probe_batches, model, rng.child(2, attempt)
         )
         max_intra, min_inter = measure_separation(keys, owners)
-        if max_intra >= intra_margin * theta_target:
+        if max_intra >= 0.4 * theta_target:
             raise ValueError(
                 f"cannot certify: intra-domain spread {max_intra:.4g} exceeds "
-                f"{intra_margin:.2g} * theta at noise_std={noise_std}"
+                f"0.4 * theta at noise_std={noise_std}"
             )
         if min_inter > theta_target:
             cert = SeparationCertificate(
@@ -245,7 +243,7 @@ def make_separated(
             )
             return specs, cert
         scale *= 2.0
-    raise ValueError(f"separation not achieved after {max_attempts} attempts")
+    raise ValueError("separation not achieved after 8 attempts")
 
 
 _HEADER_PREFIX = ("batch_idx", "domain_id", "class_id")

@@ -272,3 +272,27 @@ def algorithm2_reference(
                 created,
             )
     return entries
+
+
+def round_index_reference(domain_seq: list[int]) -> list[int]:
+    """Round id per batch: the domain-block sequence, its repetition period, and
+    one block counter advanced wherever the domain changes."""
+    blocks: list[int] = []
+    for d in domain_seq:
+        if not blocks or blocks[-1] != d:
+            blocks.append(d)
+    n = len(blocks)
+    p = n
+    for q in range(1, n + 1):
+        if n % q == 0 and blocks == blocks[:q] * (n // q):
+            p = q
+            break
+    out = []
+    block = -1
+    prev = None
+    for d in domain_seq:
+        if d != prev:
+            block += 1
+            prev = d
+        out.append(block // p)
+    return out

@@ -229,8 +229,12 @@ def test_gradcheck_exits_zero(capsys):
         ("--step", "inf", "step must be Real in (0, inf), got inf"),
         ("--tolerance", "-0.5", "tolerance must be Real in (0, inf), got -0.5"),
         ("--tolerance", "inf", "tolerance must be Real in (0, inf), got inf"),
+        ("--seed", "-1", "seed must be Integral in [0, inf], got -1"),
     ],
-    ids=["num-configs-0", "step-0", "step-nan", "step-inf", "tolerance-negative", "tolerance-inf"],
+    ids=[
+        "num-configs-0", "step-0", "step-nan", "step-inf", "tolerance-negative", "tolerance-inf",
+        "seed-negative",
+    ],
 )
 def test_gradcheck_rejects_settings_naming_them(flag, value, message, capsys):
     code = main(["gradcheck", flag, value])
@@ -656,6 +660,26 @@ def test_gen_stream_rejects_too_few_probe_batches_by_name(tmp_path, capsys):
     )
     assert code == 1
     assert capsys.readouterr().err == "error: probe_batches must be Integral in [20, inf], got 19\n"
+    assert not (tmp_path / "stream.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "1"])
+def test_gen_stream_rejects_too_few_source_samples_by_name(value, tmp_path, capsys):
+    # the source statistics need a spread; checked before the model is fit
+    code = main(
+        [
+            "gen-stream",
+            "--config", str(DEMO / "config.json"),
+            "--seed", "7",
+            "--out", str(tmp_path / "stream.csv"),
+            "--certificate", str(tmp_path / "certificate.json"),
+            "--source-samples", value,
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: source_samples must be Integral in [2, inf], got {value}\n"
+    )
     assert not (tmp_path / "stream.csv").exists()
 
 

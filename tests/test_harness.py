@@ -4,11 +4,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ctta import numerics
 from ctta.harness import (
+    BatchMetrics,
     ClusterLedger,
     Hyperparams,
+    RunMetrics,
     build_world,
     compute_source_stats,
     gradient_check,
@@ -26,7 +30,7 @@ from ctta.stream import (
     read_stream,
 )
 from instancegen import load_pool
-from reference import two_pass_stats
+from reference import round_index_reference, two_pass_stats
 
 
 def onehot(i, n):
@@ -173,6 +177,33 @@ def test_repeating_domains_pool_sizes_stable_after_round_one():
     assert np.mean(per_round[1:]) <= per_round[0] + 0.005
 
 
+@st.composite
+def _domain_sequences(draw):
+    """A run's true domain id per batch: one block, a pattern of blocks repeated
+    with each block's length drawn anew, distinct blocks that never repeat, or
+    any ids at all."""
+    ids = st.integers(min_value=0, max_value=5)
+    lengths = st.integers(min_value=1, max_value=4)
+    kind = draw(st.sampled_from(["single", "repeated", "distinct", "free"]))
+    if kind == "single":
+        return [draw(ids)] * draw(lengths)
+    if kind == "free":
+        return draw(st.lists(ids, max_size=40))
+    if kind == "repeated":
+        blocks = draw(st.lists(ids, min_size=1, max_size=4)) * draw(lengths)
+    else:
+        blocks = draw(st.lists(ids, max_size=6, unique=True))
+    return [d for d in blocks for _ in range(draw(lengths))]
+
+
+@given(_domain_sequences())
+@example([])
+@settings(max_examples=300, deadline=None)
+def test_round_index_matches_the_block_loop(seq):
+    rows = [BatchMetrics(i, d, 0.0, 0.0, 0.0, 0, 0, 0, 0, 0) for i, d in enumerate(seq)]
+    assert RunMetrics(rows).round_index() == round_index_reference(seq)
+
+
 def test_verify_lemmas_passes_on_certified_stream():
     cfg, w, specs, cert, stream, rng = certified_setup(67, 4, batches_per_domain=8)
     hp = Hyperparams(gamma_d=cert.theta / 2, n_d=7)
@@ -234,6 +265,12 @@ def test_fusion_under_tiny_gamma_only_merges_same_cluster(seed):
     assert len(result.domain_pool) <= 6
 
 
+def test_build_world_rejects_a_bool_source_samples_by_name():
+    cfg = StreamConfig(domain_order=(0,), seed=41, input_dim=8, num_classes=3)
+    with pytest.raises(ValueError, match=r"^source_samples must be Integral in \[2, inf\], got True$"):
+        build_world(cfg, source_samples=True)
+
+
 def test_compute_source_stats_contracts(world):
     cfg, w = world
     row = np.ones(8)
@@ -281,10 +318,14 @@ def test_gradient_check_small_run_passes():
         ({"step": float("inf")}, "step must be Real in (0, inf), got inf"),
         ({"step": -1e-5}, "step must be Real in (0, inf), got -1e-05"),
         ({"tolerance": float("nan")}, "tolerance must be Real in (0, inf), got nan"),
+        ({"seed": -1}, "seed must be Integral in [0, inf], got -1"),
+        ({"seed": 1.5}, "seed must be Integral in [0, inf], got 1.5"),
+        ({"seed": True}, "seed must be Integral in [0, inf], got True"),
     ],
     ids=[
         "num-configs-0", "num-configs-float", "num-configs-bool",
         "step-inf", "step-negative", "tolerance-nan",
+        "seed-negative", "seed-float", "seed-bool",
     ],
 )
 def test_gradient_check_rejects_settings_naming_them(kwargs, message):
