@@ -40,7 +40,7 @@ def main() -> None:
         * args.shift_multiple
         * np.linalg.norm(world.source_stats.sigma)
     )
-    spec = DomainSpec(1, delta, np.ones(cfg.input_dim), world.class_means, world.source_spec.noise_std)
+    spec = DomainSpec(1, delta, world.class_means, world.source_spec.noise_std)
     stream = generate_stream(cfg, [spec], rng.child(3))
 
     hp = Hyperparams(k_steps=args.k_steps)

@@ -5,7 +5,8 @@ Subcommands: ``gen-stream`` (config to stream CSV plus certificate JSON),
 ``verify`` (certified stream to cluster-correctness verdict), ``gradcheck``
 (analytic-vs-finite-difference report), ``sweep`` (one metrics file per grid
 point of any hyperparameter). Exit codes: 0 success, 1 runtime failure or
-failed check, 2 usage error.
+failed check, 2 usage error. Errors print as ``error: <message>`` and
+warnings as ``warning: <message>``, both on stderr.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import copy
 import json
 import numbers
 import sys
+import warnings
 from array import array
 from dataclasses import fields
 from functools import lru_cache
@@ -202,8 +204,6 @@ def cmd_gen_stream(args) -> int:
             class_means=world.class_means,
             probe_batches=args.probe_batches,
         )
-    elif n_domains == 1:
-        specs = [world.source_spec]
     else:
         dirs = rng.child(2).normal(size=(n_domains - 1, sc.input_dim))
         dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -211,7 +211,6 @@ def cmd_gen_stream(args) -> int:
             DomainSpec(
                 i + 1,
                 args.shift_scale * dirs[i],
-                np.ones(sc.input_dim),
                 world.class_means,
                 args.noise_std,
             )
@@ -308,7 +307,11 @@ def _sweep_value(name: str, raw: str):
     """Parse one ``--values`` item as the type ``HYPERPARAMS`` gives ``name``."""
     kind = HYPERPARAMS[name][0]
     if kind is not bool:
-        return {numbers.Real: float, numbers.Integral: int, str: str}[kind](raw)
+        convert = {numbers.Real: float, numbers.Integral: int, str: str}[kind]
+        try:
+            return convert(raw)
+        except ValueError:
+            raise ValueError(f"{name} takes {convert.__name__} values, got {raw!r}") from None
     if raw not in _FLAG_SPELLINGS:
         raise ValueError(f"{name} takes 1/true/True or 0/false/False, got {raw!r}")
     return _FLAG_SPELLINGS[raw]
@@ -380,14 +383,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, *_) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # the caller's warning display comes back on return
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except Exception as exc:  # noqa: BLE001 - CLI boundary
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ pool's capacity of components remains, which cuts the heaviest edges of the
 minimum spanning tree. Each group of more than one row merges into its mean;
 groups are numbered, and the merged rows ordered, by their first member.
 Domain-pool updates blend keys and prompts convexly; overflow fuses the
-nearest entry pair. All mutation of pools happens here.
+nearest entry pair by the same merge. All mutation of pools happens here.
 """
 from __future__ import annotations
 
@@ -217,7 +217,7 @@ def update_class_pool(
 
     if len(pool) > pool.capacity:
         summary.compaction = _compact_class_pool(pool)
-    pool.bump()
+    pool.version += 1
     return summary
 
 
@@ -269,25 +269,14 @@ def _single_linkage_groups(dist: np.ndarray, num_groups: int) -> list[int]:
     return assignment
 
 
-def _compact_class_pool(pool: ClassPromptPool) -> list[int]:
-    """Merge an over-capacity class pool down to capacity via single linkage.
-
-    Returns the group of every row; the caller bumps the version.
-    """
-    n = len(pool)
-    if n <= pool.capacity:
-        raise ValueError("compaction requires pool size above capacity")
+def _merge_groups(pool, assignment: list[int], num_groups: int) -> None:
+    """Replace the rows by one per group, ``assignment`` numbering them by first
+    member: a singleton keeps its row, a larger group takes the mean of its keys
+    and of its prompts and its earliest ``created_at``."""
     keys, prompts, created = pool.keys, pool.prompts, pool.created_at
-    # All pairwise cosines in one product of normalised keys; class fission
-    # (pools) takes a stacked matrix-vector product per query, which has other bits.
-    normed = keys / np.linalg.norm(keys, axis=1, keepdims=True)
-    dist = 1.0 - np.clip(normed @ normed.T, -1.0, 1.0)
-    assignment = _single_linkage_groups(dist, pool.capacity)
-    members: list[list[int]] = [[] for _ in range(pool.capacity)]
+    members: list[list[int]] = [[] for _ in range(num_groups)]
     for i, g in enumerate(assignment):
         members[g].append(i)
-    # Singletons keep their row as is; only the at most n - capacity merged
-    # groups need a mean.
     first = [group[0] for group in members]
     merged_keys, merged_prompts, merged_created = keys[first], prompts[first], created[first]
     for g, group in enumerate(members):
@@ -295,8 +284,24 @@ def _compact_class_pool(pool: ClassPromptPool) -> list[int]:
             merged_keys[g] = _mean_rows(keys[group])
             merged_prompts[g] = _mean_rows(prompts[group])
             merged_created[g] = created[group].min()
-    merged_keys /= merged_keys.sum(axis=1, keepdims=True)
     pool.keys, pool.prompts, pool.created_at = merged_keys, merged_prompts, merged_created
+
+
+def _compact_class_pool(pool: ClassPromptPool) -> list[int]:
+    """Merge an over-capacity class pool down to capacity via single linkage.
+
+    Returns the group of every row; the caller advances the version.
+    """
+    n = len(pool)
+    if n <= pool.capacity:
+        raise ValueError("compaction requires pool size above capacity")
+    # All pairwise cosines in one product of normalised keys; class fission
+    # (pools) takes a stacked matrix-vector product per query, which has other bits.
+    normed = pool.keys / np.linalg.norm(pool.keys, axis=1, keepdims=True)
+    dist = 1.0 - np.clip(normed @ normed.T, -1.0, 1.0)
+    assignment = _single_linkage_groups(dist, pool.capacity)
+    _merge_groups(pool, assignment, pool.capacity)
+    pool.keys /= pool.keys.sum(axis=1, keepdims=True)
     return assignment
 
 
@@ -335,7 +340,7 @@ def update_domain_pool(
         pool.keys[idx] = cf[:, None] * stats_key + (1.0 - cf)[:, None] * pool.keys[idx]
         pool.prompts[idx] = w[:, None] * learned + (1.0 - w)[:, None] * pool.prompts[idx]
         summary.updated = idx.tolist()
-    pool.bump()
+    pool.version += 1
     return summary
 
 
@@ -352,20 +357,15 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _fuse_core(pool: DomainPromptPool) -> tuple[int, int]:
     """Merge the closest entry pair by key distance; ties take the lowest (i, j).
 
-    The caller bumps the version.
+    The caller advances the version.
     """
     n = len(pool)
     if n < 2:
         raise ValueError("nearest-pair fusion needs at least 2 entries")
-    keys = pool.keys
     iu, ju = _pair_indices(n)
-    dists = np.linalg.norm(keys[iu] - keys[ju], axis=1)
+    dists = np.linalg.norm(pool.keys[iu] - pool.keys[ju], axis=1)
     m = int(np.argmin(dists))
     i, j = int(iu[m]), int(ju[m])
-    keys[i] = _mean_rows(keys[[i, j]])
-    pool.prompts[i] = _mean_rows(pool.prompts[[i, j]])
-    pool.created_at[i] = min(pool.created_at[i], pool.created_at[j])
-    pool.keys = np.delete(keys, j, axis=0)
-    pool.prompts = np.delete(pool.prompts, j, axis=0)
-    pool.created_at = np.delete(pool.created_at, j)
+    # j joins i's group (i < j); every other row is its own group
+    _merge_groups(pool, [*range(j), i, *range(j, n - 1)], n - 1)
     return (i, j)

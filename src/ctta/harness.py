@@ -318,7 +318,6 @@ def verify_lemmas(
 @dataclass
 class GradCheckResult:
     rel_errors: list[float]
-    step: float
     tolerance: float
 
     @property
@@ -385,7 +384,7 @@ def gradient_check(
             break
         else:
             raise RuntimeError("could not sample a kink-free configuration")
-    return GradCheckResult(rel_errors, step, tolerance)
+    return GradCheckResult(rel_errors, tolerance)
 
 
 @dataclass
@@ -420,7 +419,7 @@ def build_world(
         config.num_classes, config.input_dim, rng.child(10), scale=class_mean_scale
     )
     source_spec = DomainSpec(
-        0, np.zeros(config.input_dim), np.ones(config.input_dim), means, noise_std
+        0, np.zeros(config.input_dim), means, noise_std
     )
     model = fit_source_model(
         config.input_dim,

@@ -217,6 +217,15 @@ def check_stats(stats, dim: int, name: str) -> None:
         raise ValueError(f"{name} must have dimension {dim} (the feature dimension), got {stats.dim}")
 
 
+def moments(arr: Matrix) -> tuple[Vector, Matrix, Vector]:
+    """Column mean, centred rows and population standard deviation of ``arr``."""
+    b = arr.shape[0]
+    # sum / b is mean's own arithmetic, bit for bit (tests/test_bitfacts.py, fact 6)
+    mu = arr.sum(axis=0) / b
+    centered = arr - mu
+    return mu, centered, np.sqrt((centered ** 2).sum(axis=0) / b)
+
+
 def batch_stats(features) -> BatchStats:
     """Mean and population standard deviation (divide by b) over a feature batch.
 
@@ -224,11 +233,8 @@ def batch_stats(features) -> BatchStats:
     batch whose mean or squared deviations exceed float64 is rejected by name.
     """
     arr = as_matrix(features, name="features", min_rows=2)
-    b = arr.shape[0]
     with np.errstate(over="ignore"):
-        # sum / b is mean's own arithmetic, bit for bit (tests/test_bitfacts.py, fact 6)
-        mu = arr.sum(axis=0) / b
-        sigma = np.sqrt(((arr - mu) ** 2).sum(axis=0) / b)
+        mu, _, sigma = moments(arr)
     if not (_all_finite(mu) and _all_finite(sigma)):
         raise ValueError("feature batch overflowed float64 in its mean or spread")
     return BatchStats(mu, sigma)
@@ -252,8 +258,8 @@ class SeededRng:
     def child(self, *key: int) -> "SeededRng":
         return SeededRng(self.seed, self._key + key)
 
-    def normal(self, size=None, *, loc: float = 0.0, scale: float = 1.0):
-        return self._gen.normal(loc, scale, size=size)
+    def normal(self, size=None, *, scale: float = 1.0):
+        return self._gen.normal(0.0, scale, size=size)
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
         return self._gen.uniform(low, high, size=size)

@@ -13,49 +13,47 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ToyModel, check_prompted, head_logits, prompted_features
-from .numerics import BatchStats, Hyperparams, Matrix, Vector, as_matrix, as_vector, check_stats
+from .numerics import BatchStats, Hyperparams, Matrix, Vector, as_matrix, as_vector, check_stats, moments
 
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Alignment term, entropy term, their weight, and the exact total."""
+    """Alignment term, entropy term, and the exact total."""
 
     loss_d: float
     loss_c: float
-    a: float
     total: float
+
+
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
 class AdamWState:
-    """Moment buffers and constants for one prompt (vector or stacked matrix)."""
+    """Moment buffers, step count and learning rate for one prompt (vector or stacked matrix)."""
 
     m: np.ndarray
     v: np.ndarray
     step: int
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
 
     @classmethod
-    def fresh(cls, shape, lr: float, **kwargs) -> "AdamWState":
-        return cls(np.zeros(shape), np.zeros(shape), 0, lr, **kwargs)
+    def fresh(cls, shape, lr: float) -> "AdamWState":
+        return cls(np.zeros(shape), np.zeros(shape), 0, lr)
 
 
 def adamw_step(state: AdamWState, prompt: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """One AdamW update with bias correction and decoupled weight decay."""
+    """One AdamW update with bias correction and no weight decay."""
     if prompt.shape != state.m.shape or grad.shape != state.m.shape:
         raise ValueError("prompt/grad shape must match the optimizer state")
     if not np.isfinite(grad).all():
         raise ValueError("non-finite gradient rejected")
     state.step += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = state.m / (1.0 - state.beta1 ** state.step)
-    v_hat = state.v / (1.0 - state.beta2 ** state.step)
-    return prompt - state.lr * (m_hat / (np.sqrt(v_hat) + state.eps) + state.weight_decay * prompt)
+    state.m = BETA1 * state.m + (1.0 - BETA1) * grad
+    state.v = BETA2 * state.v + (1.0 - BETA2) * grad * grad
+    m_hat = state.m / (1.0 - BETA1 ** state.step)
+    v_hat = state.v / (1.0 - BETA2 ** state.step)
+    return prompt - state.lr * (m_hat / (np.sqrt(v_hat) + EPS))
 
 
 def _check_inputs(model: ToyModel, batch, p_d, class_prompts, source: BatchStats):
@@ -81,12 +79,9 @@ def _forward_state(model: ToyModel, x: Matrix, p_d: Vector, p_c: Matrix):
 
 
 def _stats_terms(z: Matrix, source: BatchStats, alpha_std: float):
-    # sum / b is mean's own arithmetic and sqrt(v . v) is norm's, bit for bit
-    # (tests/test_bitfacts.py, facts 6 and 7), without their Python-level wrappers.
-    b = z.shape[0]
-    mu = z.sum(axis=0) / b
-    centered = z - mu
-    sigma = np.sqrt((centered ** 2).sum(axis=0) / b)
+    # sqrt(v . v) is norm's arithmetic, bit for bit (tests/test_bitfacts.py,
+    # fact 7), without its Python-level wrapper.
+    mu, centered, sigma = moments(z)
     dmu = mu - source.mu
     dsg = sigma - source.sigma
     norm_mu = math.sqrt(dmu.dot(dmu))
@@ -99,7 +94,7 @@ def _loss(model, x, p_d, p_c, source, a, alpha_std) -> LossBreakdown:
     z, _, _, ent = _forward_state(model, x, p_d, p_c)
     *_, loss_d = _stats_terms(z, source, alpha_std)
     loss_c = float(ent.sum() / ent.shape[0])  # ent.mean(), bit for bit (test_bitfacts.py, fact 6)
-    return LossBreakdown(loss_d, loss_c, a, loss_d + a * loss_c)
+    return LossBreakdown(loss_d, loss_c, loss_d + a * loss_c)
 
 
 def _grad(model, x, p_d, p_c, source, a, alpha_std) -> tuple[Vector, Matrix]:

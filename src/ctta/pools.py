@@ -48,10 +48,6 @@ class _BasePool:
     def __len__(self) -> int:
         return self.keys.shape[0]
 
-    def bump(self) -> None:
-        """Record a mutation by advancing the version."""
-        self.version += 1
-
     def _extend(self, keys: Matrix, prompts: Matrix, created_at) -> None:
         """Append rows as given, the one way a pool grows; callers check rows and version."""
         self.keys = np.concatenate((self.keys, keys))

@@ -1,9 +1,9 @@
 """Synthetic domain-shift streams and their file format.
 
-Domains are additive input shifts (with optional elementwise scaling) around
-shared class means. ``make_separated`` constructs domain sets certified to be
-well separated in the model's key-statistics space: every same-domain batch
-pair closer than a threshold that every cross-domain pair exceeds.
+Domains are additive input shifts around shared class means.
+``make_separated`` constructs domain sets certified to be well separated in
+the model's key-statistics space: every same-domain batch pair closer than a
+threshold that every cross-domain pair exceeds.
 """
 from __future__ import annotations
 
@@ -27,11 +27,10 @@ class StreamParseError(ValueError):
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """One synthetic domain: x = scale * (class_mean + noise) + shift."""
+    """One synthetic domain: x = class_mean + noise + shift."""
 
     domain_id: int
     shift: Vector
-    scale: Vector
     class_means: Matrix
     noise_std: float
 
@@ -39,9 +38,6 @@ class DomainSpec:
         object.__setattr__(self, "class_means", as_matrix(self.class_means, name="class_means"))
         dim = self.class_means.shape[1]
         object.__setattr__(self, "shift", as_vector(self.shift, dim=dim, name="shift"))
-        object.__setattr__(self, "scale", as_vector(self.scale, dim=dim, name="scale"))
-        if np.any(self.scale <= 0.0):
-            raise ValueError("scale entries must be > 0")
         check_param("noise_std", self.noise_std)
 
     @property
@@ -122,7 +118,7 @@ class SeparationCertificate:
 
 def _draw_batch(spec: DomainSpec, batch_size: int, rng: SeededRng):
     x, labels = draw_labeled_samples(spec.class_means, batch_size, spec.noise_std, rng)
-    return spec.scale * x + spec.shift, labels
+    return x + spec.shift, labels
 
 
 def generate_stream(
@@ -222,10 +218,9 @@ def make_separated(
         raise ValueError("degenerate shift directions under this extractor")
     scale = 3.0 * theta_target / min_gap
 
-    ones = np.ones(config.input_dim)
     for attempt in range(8):
         specs = [
-            DomainSpec(i, scale * unit_shifts[i], ones, means, noise_std)
+            DomainSpec(i, scale * unit_shifts[i], means, noise_std)
             for i in range(n_domains)
         ]
         keys, owners = _probe_keys(

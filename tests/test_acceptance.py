@@ -213,7 +213,7 @@ def test_criterion_5_additive_shift_recovery():
             * 5.0
             * np.linalg.norm(world.source_stats.sigma)
         )
-        spec = DomainSpec(1, delta, np.ones(8), world.class_means, NOISE)
+        spec = DomainSpec(1, delta, world.class_means, NOISE)
         stream = generate_stream(cfg, [spec], rng.child(3))
         result = run_ctta(
             world.model, stream, Hyperparams(k_steps=50), world.source_stats, rng=rng.child(4)

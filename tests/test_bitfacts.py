@@ -132,8 +132,9 @@ def test_fact5_hoisted_elementwise_products_carry_each_samples_bits(seed, b, k, 
 @given(seeds, st.integers(min_value=2, max_value=129), widths, scales)
 @settings(max_examples=60, deadline=None)
 def test_fact6_a_mean_is_its_sum_divided_by_the_count(seed, b, d, exponent):
-    # objective._stats_terms, objective._loss and numerics.batch_stats: the
-    # feature mean, the mean squared deviation and the mean entropy as sum / b
+    # numerics.moments (for batch_stats and objective._stats_terms) and
+    # objective._loss: the feature mean, the mean squared deviation and the
+    # mean entropy as sum / b
     rng = arrays(seed)
     z = rng.normal(size=(b, d)) * 2.0**exponent
     mu = z.sum(axis=0) / b

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -498,10 +499,14 @@ def test_empty_stream_is_one_error_for_every_command(generated, tmp_path, capsys
         "verify": ["--certificate", str(cert)],
         "sweep": ["--out-dir", str(tmp_path / "out"), "--param", "gamma_h", "--values", "1.0"],
     }[command]
-    with pytest.warns(UserWarning, match="zero batches"):
-        code = main(argv)
+    code = main(argv)
     assert code == 1
-    assert f"error: stream {empty} contains no batches" in capsys.readouterr().err
+    # the reader's warning, then the command's error, each on one line
+    assert capsys.readouterr().err == (
+        f"warning: stream file {empty} contains zero batches\n"
+        f"error: stream {empty} contains no batches\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_gamma_d_defaults_to_half_theta_with_certificate(generated, tmp_path, capsys):
@@ -681,6 +686,85 @@ def test_gen_stream_rejects_too_few_source_samples_by_name(value, tmp_path, caps
         f"error: source_samples must be Integral in [2, inf], got {value}\n"
     )
     assert not (tmp_path / "stream.csv").exists()
+
+
+def test_gen_stream_prints_a_warning_as_one_line(tmp_path, capsys):
+    shown = warnings.showwarning
+    code = main(
+        [
+            "gen-stream",
+            "--config", str(DEMO / "config.json"),
+            "--seed", "7",
+            "--out", str(tmp_path / "stream.csv"),
+            "--certificate", str(tmp_path / "certificate.json"),
+            "--source-samples", "5",
+        ]
+    )
+    assert code == 0
+    assert capsys.readouterr().err == (
+        "warning: only 5 source samples; 300+ recommended for stable statistics\n"
+    )
+    # an in-process caller gets its own warning display back
+    assert warnings.showwarning is shown
+
+
+# sha256 of uncertified gen-stream outputs (no theta in the config): one
+# domain, and three domains shifted along random directions by --shift-scale
+UNCERTIFIED_STREAM_SHA256 = {
+    "one-domain": "5a20634bdc0e85864e40e3947092c73000c70e758150ef7ea104bbd03644bf40",
+    "three-domains": "828ab181f4c94e3c59cfc413139688fbffc52aea8b91ad475798d22a3f099102",
+}
+
+
+@pytest.mark.parametrize(
+    "name, order, flags",
+    [("one-domain", [0, 0], []), ("three-domains", [0, 1, 2, 1], ["--shift-scale", "3.5"])],
+    ids=["one-domain", "three-domains"],
+)
+def test_uncertified_gen_stream_matches_golden_bytes(name, order, flags, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "domain_order": order,
+                "batches_per_domain": 4,
+                "batch_size": 16,
+                "input_dim": 8,
+                "num_classes": 3,
+                "seed": 0,
+            }
+        )
+    )
+    stream, cert = tmp_path / "stream.csv", tmp_path / "certificate.json"
+    argv = ["gen-stream", "--config", str(config), "--seed", "11", "--out", str(stream)]
+    code = main(argv + ["--certificate", str(cert), *flags])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert not cert.exists()
+    assert hashlib.sha256(stream.read_bytes()).hexdigest() == UNCERTIFIED_STREAM_SHA256[name]
+
+
+@pytest.mark.parametrize(
+    "param, raw, kind",
+    [("n_c", "1.5", "int"), ("gamma_h", "", "float"), ("gamma_h", "1/2", "float")],
+    ids=["n_c-1.5", "gamma_h-empty", "gamma_h-1/2"],
+)
+def test_sweep_names_the_parameter_of_a_value_that_does_not_parse(param, raw, kind, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    code = main(
+        [
+            "sweep",
+            "--config", str(DEMO / "config.json"),
+            "--stream", str(DEMO / "stream.csv"),
+            "--seed", "7",
+            "--out-dir", str(out),
+            "--param", param,
+            "--values", f"1,{raw}",
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {param} takes {kind} values, got {raw!r}\n"
+    assert not out.exists()
 
 
 def test_overflowing_batch_names_its_batch(tmp_path, capsys):

@@ -124,13 +124,13 @@ def test_update_rejects_stale_outcomes():
     rng = SeededRng(3)
     pool = random_class_pool(rng, 3, 10, 3, 5)
     recs = random_class_records(rng, pool, 2, fission_prob=0.0)
-    pool.bump()
+    pool.version += 1
     with pytest.raises(PoolVersionError):
         update_class_pool(pool, recs, Hyperparams(gamma_h=10.0, alpha_c=0.1))
 
     dpool = random_domain_pool(rng, 3, 10, 4, 5)
     rec = random_domain_record(rng, dpool, fission_prob=0.0)
-    dpool.bump()
+    dpool.version += 1
     with pytest.raises(PoolVersionError):
         update_domain_pool(dpool, *rec, Hyperparams(alpha_d=0.1))
 

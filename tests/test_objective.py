@@ -160,7 +160,7 @@ def test_adamw_rejects_nan_gradient():
 
 def test_adamw_matches_reference_recurrence():
     rng = SeededRng(21)
-    state = AdamWState.fresh(3, lr=0.05, weight_decay=0.01)
+    state = AdamWState.fresh(3, lr=0.05)
     prompt = rng.normal(size=3)
     m = np.zeros(3)
     v = np.zeros(3)
@@ -172,7 +172,7 @@ def test_adamw_matches_reference_recurrence():
         v = 0.999 * v + 0.001 * g * g
         m_hat = m / (1 - 0.9**t)
         v_hat = v / (1 - 0.999**t)
-        ref = ref - 0.05 * (m_hat / (np.sqrt(v_hat) + 1e-8) + 0.01 * ref)
+        ref = ref - 0.05 * (m_hat / (np.sqrt(v_hat) + 1e-8))
         np.testing.assert_allclose(prompt, ref, rtol=1e-12)
 
 

@@ -31,7 +31,7 @@ def world():
 
 def test_noise_free_single_class_stream_is_the_class_mean():
     means = np.array([[1.0, 2.0, 3.0]])
-    spec = DomainSpec(0, np.zeros(3), np.ones(3), means, 0.0)
+    spec = DomainSpec(0, np.zeros(3), means, 0.0)
     cfg = StreamConfig(domain_order=(0,), batches_per_domain=2, batch_size=4, input_dim=3, num_classes=1, seed=0)
     batches = generate_stream(cfg, [spec], SeededRng(0))
     assert len(batches) == 2
@@ -42,7 +42,7 @@ def test_noise_free_single_class_stream_is_the_class_mean():
 
 def test_generation_is_deterministic_in_the_seed(world):
     cfg, w = world
-    spec = DomainSpec(0, np.zeros(6), np.ones(6), w.class_means, 0.4)
+    spec = DomainSpec(0, np.zeros(6), w.class_means, 0.4)
     scfg = StreamConfig(domain_order=(0, 0), batches_per_domain=3, batch_size=8, input_dim=6, num_classes=3, seed=3)
     a = generate_stream(scfg, [spec], SeededRng(scfg.seed))
     b = generate_stream(scfg, [spec], SeededRng(scfg.seed))
@@ -54,8 +54,8 @@ def test_generation_is_deterministic_in_the_seed(world):
 def test_shifted_domain_moves_key_means_by_extractor_shift(world):
     cfg, w = world
     delta = SeededRng(9).normal(size=6)
-    base = DomainSpec(0, np.zeros(6), np.ones(6), w.class_means, 0.4)
-    shifted = DomainSpec(1, delta, np.ones(6), w.class_means, 0.4)
+    base = DomainSpec(0, np.zeros(6), w.class_means, 0.4)
+    shifted = DomainSpec(1, delta, w.class_means, 0.4)
     scfg = StreamConfig(domain_order=(0,), batches_per_domain=100, batch_size=16, input_dim=6, num_classes=3, seed=11)
     rng_a = SeededRng(42)
     rng_b = SeededRng(42)
@@ -153,7 +153,7 @@ def test_measure_separation_trivial_geometry():
 
 def test_stream_round_trip_bit_identical(tmp_path, world):
     cfg, w = world
-    spec = DomainSpec(0, np.zeros(6), np.ones(6), w.class_means, 0.4)
+    spec = DomainSpec(0, np.zeros(6), w.class_means, 0.4)
     scfg = StreamConfig(domain_order=(0, 0), batches_per_domain=2, batch_size=5, input_dim=6, num_classes=3, seed=29)
     batches = generate_stream(scfg, [spec], SeededRng(29))
     p1 = tmp_path / "s1.csv"
@@ -246,11 +246,9 @@ def test_config_names_a_domain_order_that_is_not_a_list(order):
 def test_domain_spec_validation():
     means = np.zeros((2, 3))
     with pytest.raises(ValueError):
-        DomainSpec(0, np.zeros(3), np.zeros(3), means, 0.1)  # scale must be positive
+        DomainSpec(0, np.zeros(2), means, 0.1)  # shift dim mismatch
     with pytest.raises(ValueError):
-        DomainSpec(0, np.zeros(2), np.ones(3), means, 0.1)  # shift dim mismatch
-    with pytest.raises(ValueError):
-        DomainSpec(0, np.zeros(3), np.ones(3), means, -0.1)
+        DomainSpec(0, np.zeros(3), means, -0.1)
 
 
 def _data_lines(text: str) -> list[str]:
@@ -295,7 +293,7 @@ def test_batch_parser_matches_line_parser_bit_for_bit(tmp_path, monkeypatch, wor
         path.write_text(_odd_values_stream())
     else:
         cfg, w = world
-        spec = DomainSpec(0, np.zeros(6), np.ones(6), w.class_means, 0.4)
+        spec = DomainSpec(0, np.zeros(6), w.class_means, 0.4)
         scfg = StreamConfig(
             domain_order=(0, 0, 0), batches_per_domain=3, batch_size=2, input_dim=6,
             num_classes=3, seed=3,
