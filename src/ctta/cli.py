@@ -135,7 +135,7 @@ def _dump_json(doc: dict, path, memo: dict | None = None) -> None:
 
 
 def _setup_args(parser: argparse.ArgumentParser, *, adapt: bool = True, seed_required: bool = True):
-    """The flags ``_setup`` reads, apart from a command's own certificate and gamma_d."""
+    """The flags ``_setup`` reads, apart from a command's own certificate."""
     parser.add_argument("--config", required=True)
     if adapt:
         parser.add_argument("--stream", required=True)
@@ -151,8 +151,8 @@ def _setup(args, *, adapt: bool = True) -> tuple:
 
     Loads the config, lets ``--seed`` override its seed and builds the world.
     A command that adapts over a stream also loads its certificate, takes
-    ``gamma_d`` from ``--gamma-d``, else the config, else half the
-    certificate's theta, builds the Hyperparams and reads a non-empty stream.
+    ``gamma_d`` from the config, else half the certificate's theta, builds
+    the Hyperparams and reads a non-empty stream.
     Returns (stream config, world, hyperparameter doc, Hyperparams,
     certificate, stream), the last three None when not adapting.
     """
@@ -165,9 +165,7 @@ def _setup(args, *, adapt: bool = True) -> tuple:
         if args.certificate:
             with open(args.certificate, encoding="utf-8") as fh:
                 certificate = SeparationCertificate.from_dict(json.load(fh))
-        if args.gamma_d is not None:
-            hp_doc["gamma_d"] = args.gamma_d
-        elif "gamma_d" not in hp_doc and certificate is not None:
+        if "gamma_d" not in hp_doc and certificate is not None:
             hp_doc["gamma_d"] = certificate.theta / 2.0
         hp = Hyperparams.from_dict(hp_doc)
     world = build_world(
@@ -232,8 +230,6 @@ def cmd_gen_stream(args) -> int:
 
 def cmd_run(args) -> int:
     sc, world, _, hp, _, stream = _setup(args)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     # each boundary keeps copies of the pool arrays; JSON is laid out at the end
     boundaries: list[tuple[int, ClassPromptPool, DomainPromptPool]] = []
     prev_domain: list[int | None] = [None]
@@ -252,6 +248,9 @@ def cmd_run(args) -> int:
         rng=SeededRng(sc.seed).child(4),
         on_batch_start=on_batch_start,
     )
+    # a run whose adaptation fails writes nothing
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.csv").write_text(result.metrics.to_csv(), encoding="utf-8")
     _dump_json(result.metrics.summary(), out / "summary.json")
     # fusion merges rows and leaves most of them as they were, so each pool's
@@ -357,14 +356,12 @@ def build_parser() -> argparse.ArgumentParser:
     _setup_args(p)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--certificate", default=None)
-    p.add_argument("--gamma-d", type=float, default=None)
     p.add_argument("--model-out", default=None)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("verify", help="check cluster correctness on a certified stream")
     _setup_args(p, seed_required=False)
     p.add_argument("--certificate", required=True)
-    p.add_argument("--gamma-d", type=float, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gradcheck", help="analytic gradient vs central finite differences")
@@ -379,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--param", required=True)
     p.add_argument("--values", required=True)
-    p.set_defaults(func=cmd_sweep, certificate=None, gamma_d=None)
+    p.set_defaults(func=cmd_sweep, certificate=None)
     return parser
 
 

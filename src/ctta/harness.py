@@ -174,7 +174,6 @@ class RunResult:
     metrics: RunMetrics
     class_pool: ClassPromptPool
     domain_pool: DomainPromptPool
-    ledger: ClusterLedger | None = None
 
 
 def compute_source_stats(model: ToyModel, samples) -> BatchStats:
@@ -255,7 +254,7 @@ def run_ctta(
                 compacted_c=int(class_summary.compaction is not None),
             )
         )
-    return RunResult(metrics, class_pool, domain_pool, ledger)
+    return RunResult(metrics, class_pool, domain_pool)
 
 
 @dataclass

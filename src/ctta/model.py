@@ -105,9 +105,18 @@ def forward(model: ToyModel, batch, domain_prompt, class_prompts) -> tuple[Matri
 
 
 def pseudo_labels(model: ToyModel, batch) -> Matrix:
-    """Prompt-free predictions, one probability row per sample."""
+    """Prompt-free predictions, one probability row per sample.
+
+    A finite batch whose features or logits exceed float64 is rejected by
+    name. Any non-finite feature makes every probability of its row
+    non-finite, so ``key_stats``' product of a batch that passed is finite.
+    """
     x = as_matrix(batch, shape=(None, model.input_dim), name="batch", min_rows=1)
-    return _row_softmax(head_logits(model, x @ model.extractor.T))
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs = _row_softmax(head_logits(model, x @ model.extractor.T))
+    if not np.isfinite(probs).all():
+        raise ValueError("feature batch overflowed float64 in its prompt-free predictions")
+    return probs
 
 
 def key_stats(model: ToyModel, batch) -> BatchStats:

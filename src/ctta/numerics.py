@@ -107,8 +107,6 @@ _PARAMS = {**HYPERPARAMS, **STREAM_PARAMS}
 _BOUNDS = {  # (lo, hi) of each interval
     k: tuple(map(float, r[1:-1].split(","))) for k, (_, r) in _PARAMS.items() if isinstance(r, str)
 }
-# exact types pass without the abstract-class check, the slow part of isinstance
-_EXACT = {numbers.Real: (float, int), numbers.Integral: (int,), bool: (bool,), str: (str,)}
 
 
 def check_param(name: str, value):
@@ -118,9 +116,7 @@ def check_param(name: str, value):
     nothing else, not an Integral or a Real.
     """
     kind, allowed = _PARAMS[name]
-    ok = type(value) in _EXACT[kind] or (
-        isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
-    )
+    ok = isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
     if ok and isinstance(allowed, tuple):
         ok = value in allowed
     elif ok and allowed is not None:

@@ -207,9 +207,8 @@ def _compose(
         else:
             num = np.exp(shifted.take(flat))
         per_row = counts[matched]
-        sizes = set(per_row.tolist())
-        for k in sizes:
-            rows = matched if len(sizes) == 1 else matched[per_row == k]
+        for k in set(per_row.tolist()):
+            rows = matched[per_row == k]
             at = offsets[rows][:, None] + np.arange(k)
             e = num[at]
             w = e / (totals[rows] if hp.softmax_over_all else e).sum(axis=1)[:, None]
@@ -220,10 +219,7 @@ def _compose(
 
 def _check_pseudo_labels(pseudo_labels, num_classes: int) -> Matrix:
     """Coerce to a (b, C) matrix whose rows are finite probability vectors."""
-    y = np.asarray(pseudo_labels, dtype=np.float64)
-    if y.size == 0 and y.ndim == 1:
-        y = y.reshape(0, num_classes)
-    y = as_matrix(y, shape=(None, num_classes), name="pseudo_label")
+    y = as_matrix(pseudo_labels, shape=(None, num_classes), name="pseudo_label")
     _check_probability(y, "pseudo_label")
     return y
 

@@ -142,15 +142,16 @@ def test_verify_passes_on_certified_stream(generated):
     assert code == 0
 
 
-def test_verify_fails_when_hypotheses_broken(generated, capsys):
+def test_verify_fails_when_hypotheses_broken(generated, tmp_path, capsys):
     root, config, stream, cert = generated
+    # gamma_d far above the certificate's theta
+    config = write_config(tmp_path / "config.json", gamma_d=1000.0)
     code = main(
         [
             "verify",
             "--config", str(config),
             "--stream", str(stream),
             "--certificate", str(cert),
-            "--gamma-d", "1000.0",
             "--noise-std", "0.4",
             "--class-mean-scale", "1.0",
         ]
@@ -511,24 +512,29 @@ def test_empty_stream_is_one_error_for_every_command(generated, tmp_path, capsys
 
 def test_gamma_d_defaults_to_half_theta_with_certificate(generated, tmp_path, capsys):
     root, config, stream, cert = generated
-    out = tmp_path / "run"
-    code = main(
-        [
-            "run",
-            "--config", str(config),
-            "--stream", str(stream),
-            "--seed", "7",
-            "--out-dir", str(out),
-            "--certificate", str(cert),
-            "--noise-std", "0.4",
-            "--class-mean-scale", "1.0",
-        ]
-    )
-    assert code == 0
+
+    def domain_fissions(config, out):
+        code = main(
+            [
+                "run",
+                "--config", str(config),
+                "--stream", str(stream),
+                "--seed", "7",
+                "--out-dir", str(out),
+                "--certificate", str(cert),
+                "--noise-std", "0.4",
+                "--class-mean-scale", "1.0",
+            ]
+        )
+        assert code == 0
+        rows = (out / "metrics.csv").read_text().splitlines()[1:]
+        return sum(int(r.split(",")[8]) for r in rows)
+
     # with gamma_d = theta/2 on a certified stream, each domain fissions once
-    rows = (out / "metrics.csv").read_text().splitlines()[1:]
-    fissioned = [int(r.split(",")[8]) for r in rows]
-    assert sum(fissioned) == 3
+    assert domain_fissions(config, tmp_path / "run") == 3
+    # a gamma_d in the config wins over the certificate: every domain matches the first
+    wide = write_config(tmp_path / "config.json", gamma_d=1000.0)
+    assert domain_fissions(wide, tmp_path / "wide") == 1
 
 
 # sha256 of a run whose class pool overflows and compacts on most batches,
@@ -767,11 +773,22 @@ def test_sweep_names_the_parameter_of_a_value_that_does_not_parse(param, raw, ki
     assert not out.exists()
 
 
-def test_overflowing_batch_names_its_batch(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "scale, where",
+    [
+        (1e155, "mean or spread"),  # the squared deviations overflow
+        (3e307, "mean or spread"),  # the softmax's shifted logits overflow too
+        (5e307, "prompt-free predictions"),  # the features overflow
+    ],
+    ids=["1e155", "3e307", "5e307"],
+)
+def test_overflowing_batch_names_its_batch(tmp_path, capsys, scale, where):
     batches = read_stream(DEMO / "stream.csv")
-    batches[5].samples = batches[5].samples * 1e155
+    batches[5].samples = batches[5].samples * scale
+    assert np.isfinite(batches[5].samples).all()
     stream = tmp_path / "overflow.csv"
     write_stream(batches, stream)
+    out = tmp_path / "out"
     code = main(
         [
             "run",
@@ -779,12 +796,14 @@ def test_overflowing_batch_names_its_batch(tmp_path, capsys):
             "--stream", str(stream),
             "--seed", "7",
             "--certificate", str(DEMO / "certificate.json"),
-            "--out-dir", str(tmp_path / "out"),
+            "--out-dir", str(out),
         ]
     )
     assert code == 1
+    # one error line and no numpy warning before it
     err = capsys.readouterr().err
-    assert "error: batch 5: feature batch overflowed float64 in its mean or spread" in err
+    assert err == f"error: batch 5: feature batch overflowed float64 in its {where}\n"
+    assert not out.exists()
 
     hp_doc, sc_doc = load_config_file(DEMO / "config.json")
     world = build_world(StreamConfig.from_dict(dict(sc_doc, seed=7)))

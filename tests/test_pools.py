@@ -129,6 +129,10 @@ def test_fission_class_validates_inputs():
     rng = SeededRng(0)
     with pytest.raises(ValueError):
         fission_class_batch(pool, [[0.5, 0.6, 0.2]], HP, rng)  # not a distribution
+    # labels are a (b, C) matrix, also when there are none
+    with pytest.raises(ValueError, match=r"^pseudo_label must be 2-d, got shape \(0,\)$"):
+        fission_class_batch(pool, [], HP, rng)
+    assert len(fission_class_batch(pool, np.empty((0, C)), HP, rng)) == 0
     # the matching constants are checked once, when Hyperparams is built
     with pytest.raises(ValueError, match="gamma_c"):
         Hyperparams(gamma_c=1.5)  # out of range
