@@ -248,7 +248,9 @@ def cmd_run(args) -> int:
         rng=SeededRng(sc.seed).child(4),
         on_batch_start=on_batch_start,
     )
-    # a run whose adaptation fails writes nothing
+    # a run whose adaptation or model file fails writes no output directory
+    if args.model_out:
+        save_model(world.model, args.model_out, seed=sc.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.csv").write_text(result.metrics.to_csv(), encoding="utf-8")
@@ -262,8 +264,6 @@ def cmd_run(args) -> int:
         _dump_json(domain_pool.to_dict(), out / f"pools_domain_boundary_{idx}.json", domain_memo)
     _dump_json(result.class_pool.to_dict(), out / "pools_class_final.json", class_memo)
     _dump_json(result.domain_pool.to_dict(), out / "pools_domain_final.json", domain_memo)
-    if args.model_out:
-        save_model(world.model, args.model_out, seed=sc.seed)
     print(
         f"ran {len(stream)} batches: overall error "
         f"{result.metrics.overall_error():.4f}, outputs in {out}"
@@ -324,12 +324,14 @@ def cmd_sweep(args) -> int:
         (raw, Hyperparams.from_dict({**hp_doc, args.param: _sweep_value(args.param, raw)}))
         for raw in args.values.split(",")
     ]
+    # every grid point runs before the output directory is made
+    results = [
+        (raw, run_ctta(world.model, stream, hp, world.source_stats, rng=SeededRng(sc.seed).child(4)))
+        for raw, hp in points
+    ]
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for raw, hp in points:
-        result = run_ctta(
-            world.model, stream, hp, world.source_stats, rng=SeededRng(sc.seed).child(4)
-        )
+    for raw, result in results:
         tag = f"{args.param}_{raw}"
         (out / f"metrics_{tag}.csv").write_text(result.metrics.to_csv(), encoding="utf-8")
         _dump_json(result.metrics.summary(), out / f"summary_{tag}.json")

@@ -93,7 +93,7 @@ def _check_outcome(pool, outcome: FissionOutcome) -> None:
         offsets.shape != (len(outcome.composed) + 1,)
         or offsets[0] != 0
         or offsets[-1] != cand.size
-        or (np.diff(offsets) < 0).any()
+        or (offsets[1:] < offsets[:-1]).any()
     ):
         raise ValueError("outcome offsets must rise from 0 to the candidate count, one per row")
     if not cand.size:
@@ -102,7 +102,7 @@ def _check_outcome(pool, outcome: FissionOutcome) -> None:
         missing = cand[(cand < 0) | (cand >= len(pool))][0]
         raise PoolVersionError(f"outcome references missing pool index {missing}")
     # One pass over all rows; the step into the next row is exempt.
-    ascending = np.diff(cand) > 0
+    ascending = cand[1:] > cand[:-1]
     starts = offsets[1:-1]
     ascending[starts[(starts > 0) & (starts < cand.size)] - 1] = True
     if not ascending.all():
@@ -163,19 +163,19 @@ def update_class_pool(
     ent = -(preds * np.log(np.where(preds > 0.0, preds, 1.0))).sum(axis=1)
 
     gated, fissioned_rows = ent > hp.gamma_h, outcome.fissioned
-    summary = ClassUpdateSummary(skipped=np.flatnonzero(gated).tolist())
-    fissioned = np.flatnonzero(~gated & fissioned_rows)
-    matched = np.flatnonzero(~gated & ~fissioned_rows)
+    summary = ClassUpdateSummary(skipped=gated.nonzero()[0].tolist())
+    fissioned = (~gated & fissioned_rows).nonzero()[0]
+    matched = (~gated & ~fissioned_rows).nonzero()[0]
     keys, prompts = pool.keys, pool.prompts
     if matched.size:
-        counts = np.diff(outcome.offsets)
+        counts = outcome.offsets[1:] - outcome.offsets[:-1]
         kept = np.repeat(~gated, counts)
         sizes = counts[matched]
         cand = outcome.candidates[kept]
         weights = outcome.weights[kept][:, None]
         hit = np.zeros(len(pool), dtype=bool)
         hit[cand] = True
-        rows = np.flatnonzero(hit)
+        rows = hit.nonzero()[0]
         if hp.class_update == "averaged":
             # Each touched row blends every kept sample against its own
             # batch-start value (weight 0 where the row was not a candidate),
@@ -190,26 +190,32 @@ def update_class_pool(
         else:
             # The entries are laid out in step order once and their inputs
             # scaled for the whole batch, elementwise as one sample's would
-            # be (fact 5, tests/test_bitfacts.py). The recurrence then runs
-            # step by step on one gathered block of the touched rows, each
-            # step a slice of the entries: its gathered rows carry each row's
-            # bits under the same products (fact 5), and its key normalisers
-            # are row sums over same-length rows of num_classes entries (fact 4).
+            # be (fact 5, tests/test_bitfacts.py), keys then prompts side by
+            # side. The recurrence then runs step by step on one gathered
+            # (rows, C + d) block of the touched rows, each step a slice of
+            # the entries: in + keep * row on every column at once, then the
+            # key columns divided in place by their row sums, which are the
+            # contiguous keys' sums (facts 4 and 8).
             pos = np.searchsorted(rows, cand)
             order, ends = _update_order(pos, sizes, len(rows))
             sample, weights, pos = np.repeat(matched, sizes)[order], weights[order], pos[order]
-            cf = hp.alpha_c * weights
-            key_in, key_keep = cf * preds[sample], 1.0 - cf
-            prompt_in, prompt_keep = weights * learned[sample], 1.0 - weights
-            block_keys, block_prompts, lo = keys[rows], prompts[rows], 0
+            # per column: alpha_c * w on the keys, w on the prompts
+            coef = np.concatenate((hp.alpha_c * weights, weights), axis=1)
+            coef = np.repeat(coef, (num_classes, dim), axis=1)
+            inp, keep = coef * np.concatenate((preds, learned), axis=1)[sample], 1.0 - coef
+            block, lo = np.concatenate((keys[rows], prompts[rows]), axis=1), 0
             for hi in ends:
                 # a step of every touched row names them in ascending order
-                at = slice(None) if hi - lo == len(rows) else pos[lo:hi]
-                new_keys = key_in[lo:hi] + key_keep[lo:hi] * block_keys[at]
-                block_keys[at] = new_keys / new_keys.sum(axis=1, keepdims=True)
-                block_prompts[at] = prompt_in[lo:hi] + prompt_keep[lo:hi] * block_prompts[at]
+                whole = hi - lo == len(rows)
+                step = block if whole else block[pos[lo:hi]]
+                np.multiply(keep[lo:hi], step, out=step)
+                np.add(inp[lo:hi], step, out=step)
+                step_keys = step[:, :num_classes]
+                step_keys /= step_keys.sum(axis=1, keepdims=True)
+                if not whole:
+                    block[pos[lo:hi]] = step
                 lo = hi
-            keys[rows], prompts[rows] = block_keys, block_prompts
+            keys[rows], prompts[rows] = block[:, :num_classes], block[:, num_classes:]
         summary.updated = rows.tolist()
     if fissioned.size:
         summary.appended = list(range(len(pool), len(pool) + len(fissioned)))
@@ -272,19 +278,21 @@ def _single_linkage_groups(dist: np.ndarray, num_groups: int) -> list[int]:
 def _merge_groups(pool, assignment: list[int], num_groups: int) -> None:
     """Replace the rows by one per group, ``assignment`` numbering them by first
     member: a singleton keeps its row, a larger group takes the mean of its keys
-    and of its prompts and its earliest ``created_at``."""
-    keys, prompts, created = pool.keys, pool.prompts, pool.created_at
+    and of its prompts, one column-wise mean of the rows side by side, and its
+    earliest ``created_at``."""
+    width, created = pool.keys.shape[1], pool.created_at
+    rows = np.concatenate((pool.keys, pool.prompts), axis=1)
     members: list[list[int]] = [[] for _ in range(num_groups)]
     for i, g in enumerate(assignment):
         members[g].append(i)
     first = [group[0] for group in members]
-    merged_keys, merged_prompts, merged_created = keys[first], prompts[first], created[first]
+    merged, merged_created = rows[first], created[first]
     for g, group in enumerate(members):
         if len(group) > 1:
-            merged_keys[g] = _mean_rows(keys[group])
-            merged_prompts[g] = _mean_rows(prompts[group])
+            merged[g] = _mean_rows(rows[group])
             merged_created[g] = created[group].min()
-    pool.keys, pool.prompts, pool.created_at = merged_keys, merged_prompts, merged_created
+    pool.keys, pool.prompts = merged[:, :width].copy(), merged[:, width:].copy()
+    pool.created_at = merged_created
 
 
 def _compact_class_pool(pool: ClassPromptPool) -> list[int]:

@@ -193,7 +193,7 @@ def _compose(
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     fresh = counts == 0
-    matched = np.flatnonzero(counts)
+    matched = counts.nonzero()[0]
     composed = np.empty((len(counts), pool.prompt_dim))
     if fresh.any():
         composed[fresh] = rng.normal(size=(int(fresh.sum()), pool.prompt_dim)) * hp.init_scale

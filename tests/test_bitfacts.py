@@ -6,7 +6,7 @@ row's bits. Likewise the objective and the batch statistics may skip numpy's
 Python-level mean and norm only where the bare arithmetic gives their bits. Each fact below names the engine code that relies on it; a numpy
 or BLAS change that breaks one fails here, by name, before it fails in the
 golden bytes. Shapes span the engine's: candidate counts and prompt widths
-below 80, batches below 130, classes below 40.
+below 80, batches up to 130, classes up to 40.
 """
 import math
 
@@ -151,3 +151,26 @@ def test_fact7_a_vector_norm_is_the_root_of_its_self_dot(seed, d, exponent):
     # objective._stats_terms: the mean and spread distances as sqrt(v . v)
     v = arrays(seed).normal(size=d) * 2.0**exponent
     assert math.sqrt(v.dot(v)) == float(np.linalg.norm(v))
+
+
+@given(
+    seeds,
+    st.integers(min_value=1, max_value=130),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=64),
+    scales,
+)
+@settings(max_examples=100, deadline=None)
+def test_fact8_a_row_sum_over_leading_columns_equals_its_contiguous_copys(seed, n, c, d, exponent):
+    # fusion.update_class_pool: the keys are the first c columns of one
+    # (rows, c + d) block and are normalised in place there, as a separate
+    # contiguous key matrix would be; c spans both sides of numpy's 8-wide
+    # unrolled sum
+    rng = arrays(seed)
+    block = rng.uniform(0.0, 1.0, size=(n, c + d)) * 2.0**exponent
+    keys, contiguous = block[:, :c], block[:, :c].copy()
+    sums = keys.sum(axis=1, keepdims=True)
+    assert sums.tobytes() == contiguous.sum(axis=1, keepdims=True).tobytes()
+    quotient = contiguous / sums
+    keys /= sums
+    assert keys.tobytes() == quotient.tobytes()

@@ -816,6 +816,47 @@ def test_overflowing_batch_names_its_batch(tmp_path, capsys, scale, where):
     assert str(exc.value.__cause__).startswith("feature batch overflowed")
 
 
+def test_failed_sweep_makes_no_output_directory_and_leaves_one_that_exists(tmp_path, capsys):
+    batches = read_stream(DEMO / "stream.csv")
+    batches[5].samples = batches[5].samples * 1e155
+    stream = tmp_path / "overflow.csv"
+    write_stream(batches, stream)
+    out = tmp_path / "sweep"
+
+    def sweep():
+        argv = ["sweep", "--config", str(DEMO / "config.json"), "--stream", str(stream)]
+        argv += ["--seed", "7", "--out-dir", str(out), "--param", "gamma_h", "--values", "1.0,2.0"]
+        return main(argv)
+
+    error = "error: batch 5: feature batch overflowed float64 in its mean or spread\n"
+    assert sweep() == 1
+    assert capsys.readouterr().err == error
+    assert not out.exists()
+    out.mkdir()
+    (out / "kept.txt").write_text("kept")
+    assert sweep() == 1
+    assert capsys.readouterr().err == error
+    assert [p.name for p in out.iterdir()] == ["kept.txt"]
+
+
+def test_run_with_an_unwritable_model_path_makes_no_output_directory(tmp_path, capsys):
+    out, model = tmp_path / "out", tmp_path / "missing" / "model.json"
+    code = main(
+        [
+            "run",
+            "--config", str(DEMO / "config.json"),
+            "--stream", str(DEMO / "stream.csv"),
+            "--seed", "7",
+            "--certificate", str(DEMO / "certificate.json"),
+            "--out-dir", str(out),
+            "--model-out", str(model),
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{model}'\n"
+    assert not out.exists() and not model.parent.exists()
+
+
 _EDGE_FLOATS = [-0.0, 5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf]
 _json_floats = st.floats() | st.sampled_from(_EDGE_FLOATS)
 _json_scalars = (

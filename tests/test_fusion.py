@@ -659,3 +659,24 @@ def test_capacity_invariants_after_updates():
         rec = random_domain_record(rng, dpool, fission_prob=1.0)
         update_domain_pool(dpool, *rec, Hyperparams(alpha_d=0.1))
         assert len(dpool) <= dpool.capacity
+
+
+def test_pool_arrays_stay_contiguous_after_updates_compaction_and_fusion():
+    def contiguous(pool):
+        return all(a.flags.c_contiguous and a.flags.owndata for a in (pool.keys, pool.prompts))
+
+    rng = SeededRng(7)
+    pool = random_class_pool(rng, 6, 20, 3, 4)
+    records = block_class_records(rng, pool, 6, True)
+    summary = update_class_pool(pool, records, Hyperparams(gamma_h=10.0, alpha_c=0.3))
+    assert summary.updated and summary.compaction is None and contiguous(pool)
+
+    pool = random_class_pool(rng, 5, 5, 3, 4)
+    records = random_class_records(rng, pool, 4, fission_prob=1.0)
+    summary = update_class_pool(pool, records, Hyperparams(gamma_h=10.0, alpha_c=0.1))
+    assert summary.compaction is not None and contiguous(pool)
+
+    dpool = random_domain_pool(rng, 3, 3, 3, 4)
+    rec = random_domain_record(rng, dpool, fission_prob=1.0)
+    assert update_domain_pool(dpool, *rec, Hyperparams(alpha_d=0.1)).fused_pair is not None
+    assert contiguous(dpool)
