@@ -185,6 +185,10 @@ def _setup(args, *, adapt: bool = True) -> tuple:
 def cmd_gen_stream(args) -> int:
     check_param("shift_scale", args.shift_scale)
     sc, world, *_ = _setup(args, adapt=False)
+    # every output path is checked before the first write, so a failed call writes nothing
+    for path in filter(None, (args.out, sc.theta is not None and args.certificate, args.model_out)):
+        if Path(path).is_dir() or not Path(path).parent.is_dir():
+            raise ValueError(f"cannot write {path}: not a file in an existing directory")
     rng = SeededRng(sc.seed)
     n_domains = len(set(sc.domain_order))
     if sorted(set(sc.domain_order)) != list(range(n_domains)):
@@ -319,10 +323,14 @@ def _sweep_value(name: str, raw: str):
 def cmd_sweep(args) -> int:
     if args.param not in HYPERPARAMS:
         raise ValueError(f"unknown hyperparameter {args.param!r}")
+    raws = args.values.split(",")
+    for i, raw in enumerate(raws):
+        if raw in raws[:i]:
+            raise ValueError(f"--values repeats {raw!r}")
     sc, world, hp_doc, _, _, stream = _setup(args)
     points = [
         (raw, Hyperparams.from_dict({**hp_doc, args.param: _sweep_value(args.param, raw)}))
-        for raw in args.values.split(",")
+        for raw in raws
     ]
     # every grid point runs before the output directory is made
     results = [

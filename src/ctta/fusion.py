@@ -18,11 +18,10 @@ nearest entry pair by the same merge. All mutation of pools happens here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .numerics import BatchStats, Hyperparams, Matrix, Vector, as_matrix, as_vector, check_stats
+from .numerics import BatchStats, Hyperparams, Matrix, Vector, as_matrix, as_vector, check_stats, row_norms
 from .pools import ClassPromptPool, DomainPromptPool, FissionOutcome
 
 
@@ -123,11 +122,11 @@ def _update_order(pos: np.ndarray, sizes: np.ndarray, num_rows: int) -> tuple:
     """
     if pos.size == len(sizes) * num_rows:
         return slice(None), list(range(num_rows, pos.size + 1, num_rows))
-    by_row = np.argsort(pos, kind="stable")
+    by_row = pos.argsort(kind="stable")
     counts = np.bincount(pos)
     # the rank of each entry among its row's entries, in by_row's layout
-    rank = np.arange(pos.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    return by_row[np.argsort(rank, kind="stable")], np.cumsum(np.bincount(rank)).tolist()
+    rank = np.arange(pos.size) - (counts.cumsum() - counts).repeat(counts)
+    return by_row[rank.argsort(kind="stable")], np.bincount(rank).cumsum().tolist()
 
 
 def update_class_pool(
@@ -160,7 +159,7 @@ def update_class_pool(
     # One of two entropy forms: the predictions come from model._row_softmax
     # and may hold exact zeros, hence the guard. The objective's entropy reads
     # its own log-softmax instead, which has other bits.
-    ent = -(preds * np.log(np.where(preds > 0.0, preds, 1.0))).sum(axis=1)
+    ent = -np.add.reduce(preds * np.log(np.where(preds > 0.0, preds, 1.0)), 1)
 
     gated, fissioned_rows = ent > hp.gamma_h, outcome.fissioned
     summary = ClassUpdateSummary(skipped=gated.nonzero()[0].tolist())
@@ -169,7 +168,7 @@ def update_class_pool(
     keys, prompts = pool.keys, pool.prompts
     if matched.size:
         counts = outcome.offsets[1:] - outcome.offsets[:-1]
-        kept = np.repeat(~gated, counts)
+        kept = (~gated).repeat(counts)
         sizes = counts[matched]
         cand = outcome.candidates[kept]
         weights = outcome.weights[kept][:, None]
@@ -196,22 +195,23 @@ def update_class_pool(
             # the entries: in + keep * row on every column at once, then the
             # key columns divided in place by their row sums, which are the
             # contiguous keys' sums (facts 4 and 8).
-            pos = np.searchsorted(rows, cand)
+            pos = rows.searchsorted(cand)
             order, ends = _update_order(pos, sizes, len(rows))
-            sample, weights, pos = np.repeat(matched, sizes)[order], weights[order], pos[order]
+            sample, weights, pos = matched.repeat(sizes)[order], weights[order], pos[order]
             # per column: alpha_c * w on the keys, w on the prompts
             coef = np.concatenate((hp.alpha_c * weights, weights), axis=1)
-            coef = np.repeat(coef, (num_classes, dim), axis=1)
+            coef = coef.repeat((num_classes, dim), axis=1)
             inp, keep = coef * np.concatenate((preds, learned), axis=1)[sample], 1.0 - coef
             block, lo = np.concatenate((keys[rows], prompts[rows]), axis=1), 0
+            block_keys = block[:, :num_classes]
             for hi in ends:
                 # a step of every touched row names them in ascending order
                 whole = hi - lo == len(rows)
                 step = block if whole else block[pos[lo:hi]]
                 np.multiply(keep[lo:hi], step, out=step)
                 np.add(inp[lo:hi], step, out=step)
-                step_keys = step[:, :num_classes]
-                step_keys /= step_keys.sum(axis=1, keepdims=True)
+                step_keys = block_keys if whole else step[:, :num_classes]
+                step_keys /= np.add.reduce(step_keys, 1, keepdims=True)
                 if not whole:
                     block[pos[lo:hi]] = step
                 lo = hi
@@ -225,6 +225,20 @@ def update_class_pool(
         summary.compaction = _compact_class_pool(pool)
     pool.version += 1
     return summary
+
+
+_TRIANGLE = np.zeros((0, 0), dtype=bool)
+
+
+def _upper(n: int) -> np.ndarray:
+    """The strict upper triangle of an (n, n) matrix, a read-only slice of one
+    boolean mask that both merges share, rebuilt at exactly ``n`` when a larger
+    ``n`` arrives. Row-major, its cells are ``np.triu_indices(n, 1)`` in order."""
+    global _TRIANGLE
+    if _TRIANGLE.shape[0] < n:
+        _TRIANGLE = np.triu(np.ones((n, n), dtype=bool), 1)
+        _TRIANGLE.setflags(write=False)
+    return _TRIANGLE[:n, :n]
 
 
 def _single_linkage_groups(dist: np.ndarray, num_groups: int) -> list[int]:
@@ -246,53 +260,49 @@ def _single_linkage_groups(dist: np.ndarray, num_groups: int) -> list[int]:
             x = parent[x]
         return x
 
-    iu, ju = np.triu_indices(n, 1)
-    weights = dist[iu, ju]
+    weights = dist[_upper(n)]
     k = 8 * (n - num_groups) + 64
     if k < weights.size:
         light = weights <= np.partition(weights, k - 1)[k - 1]
-        tiers = [np.flatnonzero(light), np.flatnonzero(~light)]
+        tiers = [light.nonzero()[0], (~light).nonzero()[0]]
     else:
         tiers = [np.arange(weights.size)]
+    # row i's first edge is i * n - i * (i + 1) / 2; its edge e joins i and e - starts[i] + i + 1
+    starts = np.arange(n) * np.arange(2 * n - 1, n - 1, -1) // 2
     components = n
     for edges in tiers:
-        for e in edges[np.argsort(weights[edges], kind="stable")].tolist():
+        edges = edges[weights[edges].argsort(kind="stable")]
+        iu = starts.searchsorted(edges, "right") - 1
+        for i, j in zip(iu.tolist(), (edges - starts[iu] + iu + 1).tolist()):
             if components <= num_groups:
                 break
-            ri, rj = find(int(iu[e])), find(int(ju[e]))
+            ri, rj = find(i), find(j)
             if ri != rj:
                 parent[ri] = rj
                 components -= 1
         if components <= num_groups:
             break
     group_of_root: dict[int, int] = {}
-    assignment = []
-    for i in range(n):
-        r = find(i)
-        if r not in group_of_root:
-            group_of_root[r] = len(group_of_root)
-        assignment.append(group_of_root[r])
-    return assignment
+    return [group_of_root.setdefault(find(i), len(group_of_root)) for i in range(n)]
 
 
-def _merge_groups(pool, assignment: list[int], num_groups: int) -> None:
+def _merge_groups(pool, assignment: np.ndarray) -> None:
     """Replace the rows by one per group, ``assignment`` numbering them by first
     member: a singleton keeps its row, a larger group takes the mean of its keys
-    and of its prompts, one column-wise mean of the rows side by side, and its
-    earliest ``created_at``."""
-    width, created = pool.keys.shape[1], pool.created_at
-    rows = np.concatenate((pool.keys, pool.prompts), axis=1)
-    members: list[list[int]] = [[] for _ in range(num_groups)]
-    for i, g in enumerate(assignment):
-        members[g].append(i)
-    first = [group[0] for group in members]
-    merged, merged_created = rows[first], created[first]
-    for g, group in enumerate(members):
-        if len(group) > 1:
-            merged[g] = _mean_rows(rows[group])
-            merged_created[g] = created[group].min()
+    and of its prompts side by side, and its earliest ``created_at``. Each group
+    starts at its first member and takes one gathered add per member rank, so
+    its sum runs in member order, as ``_mean_rows``' does (test_bitfacts.py, fact 9)."""
+    width, rows = pool.keys.shape[1], np.concatenate((pool.keys, pool.prompts), axis=1)
+    members = assignment.argsort(kind="stable")
+    counts = np.bincount(assignment)
+    starts = counts.cumsum() - counts
+    merged = rows[members[starts]]
+    for rank in range(1, counts.max()):
+        groups = (counts > rank).nonzero()[0]
+        merged[groups] += rows[members[starts[groups] + rank]]
+    merged /= counts[:, None]
     pool.keys, pool.prompts = merged[:, :width].copy(), merged[:, width:].copy()
-    pool.created_at = merged_created
+    pool.created_at = np.minimum.reduceat(pool.created_at[members], starts)
 
 
 def _compact_class_pool(pool: ClassPromptPool) -> list[int]:
@@ -300,16 +310,15 @@ def _compact_class_pool(pool: ClassPromptPool) -> list[int]:
 
     Returns the group of every row; the caller advances the version.
     """
-    n = len(pool)
-    if n <= pool.capacity:
+    if len(pool) <= pool.capacity:
         raise ValueError("compaction requires pool size above capacity")
     # All pairwise cosines in one product of normalised keys; class fission
     # (pools) takes a stacked matrix-vector product per query, which has other bits.
-    normed = pool.keys / np.linalg.norm(pool.keys, axis=1, keepdims=True)
+    normed = pool.keys / row_norms(pool.keys, keepdims=True)
     dist = 1.0 - np.clip(normed @ normed.T, -1.0, 1.0)
     assignment = _single_linkage_groups(dist, pool.capacity)
-    _merge_groups(pool, assignment, pool.capacity)
-    pool.keys /= pool.keys.sum(axis=1, keepdims=True)
+    _merge_groups(pool, np.array(assignment))
+    pool.keys /= np.add.reduce(pool.keys, 1, keepdims=True)
     return assignment
 
 
@@ -352,16 +361,6 @@ def update_domain_pool(
     return summary
 
 
-@lru_cache(maxsize=8)
-def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(n, k=1)``, shared read-only: a saturated domain pool
-    fuses at the same size, one above its capacity, batch after batch."""
-    iu, ju = np.triu_indices(n, k=1)
-    iu.setflags(write=False)
-    ju.setflags(write=False)
-    return iu, ju
-
-
 def _fuse_core(pool: DomainPromptPool) -> tuple[int, int]:
     """Merge the closest entry pair by key distance; ties take the lowest (i, j).
 
@@ -370,10 +369,11 @@ def _fuse_core(pool: DomainPromptPool) -> tuple[int, int]:
     n = len(pool)
     if n < 2:
         raise ValueError("nearest-pair fusion needs at least 2 entries")
-    iu, ju = _pair_indices(n)
-    dists = np.linalg.norm(pool.keys[iu] - pool.keys[ju], axis=1)
-    m = int(np.argmin(dists))
+    iu, ju = _upper(n).nonzero()
+    m = int(row_norms(pool.keys[iu] - pool.keys[ju]).argmin())
     i, j = int(iu[m]), int(ju[m])
     # j joins i's group (i < j); every other row is its own group
-    _merge_groups(pool, [*range(j), i, *range(j, n - 1)], n - 1)
+    assignment = np.arange(n) - (np.arange(n) >= j)
+    assignment[j] = i
+    _merge_groups(pool, assignment)
     return (i, j)

@@ -237,7 +237,7 @@ def run_ctta(
             ledger.on_domain_update(batch.batch_index, batch.domain_id, domain_summary)
 
         predicted = probs.argmax(axis=1)
-        error_rate = float(np.mean(predicted != batch.class_ids))
+        error_rate = np.count_nonzero(predicted != batch.class_ids) / len(predicted)
         metrics.rows.append(
             BatchMetrics(
                 batch_idx=batch.batch_index,

@@ -63,9 +63,9 @@ def _row_softmax(logits: Matrix) -> Matrix:
     # One of three softmax forms, and the one the pools read. The objective
     # takes a log-softmax and class fission sums each row's candidates alone
     # (pools._compose); each gives other bits than this one.
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - np.maximum.reduce(logits, 1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / np.add.reduce(e, 1, keepdims=True)
 
 
 def head_logits(model: ToyModel, features: Matrix) -> Matrix:

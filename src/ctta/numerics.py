@@ -3,7 +3,9 @@
 Everything here is pure: array coercion and checks, the parameter table
 with its one validator and the ``Hyperparams`` record it checks, batch
 statistics, plus a seeded random source. Vectors are 1-d float64 numpy
-arrays with finite entries; matrices are 2-d.
+arrays with finite entries; matrices are 2-d. On the batch path, reductions
+call their ufunc's ``reduce`` and index helpers their array methods, not numpy's
+costlier Python wrappers of the same C kernels (tests/test_bitfacts.py, fact 10).
 """
 from __future__ import annotations
 
@@ -193,7 +195,7 @@ class BatchStats:
     def __post_init__(self):
         self.mu = as_vector(self.mu, name="mu")
         self.sigma = as_vector(self.sigma, dim=self.mu.shape[0], name="sigma")
-        if np.any(self.sigma < 0.0):
+        if (self.sigma < 0.0).any():
             raise ValueError("sigma entries must be >= 0")
 
     @property
@@ -213,13 +215,18 @@ def check_stats(stats, dim: int, name: str) -> None:
         raise ValueError(f"{name} must have dimension {dim} (the feature dimension), got {stats.dim}")
 
 
+def row_norms(x: Matrix, keepdims: bool = False) -> np.ndarray:
+    """``np.linalg.norm(x, axis=1, keepdims=keepdims)``, by its own arithmetic (fact 10)."""
+    return np.sqrt(np.add.reduce(x * x, 1, keepdims=keepdims))
+
+
 def moments(arr: Matrix) -> tuple[Vector, Matrix, Vector]:
     """Column mean, centred rows and population standard deviation of ``arr``."""
     b = arr.shape[0]
     # sum / b is mean's own arithmetic, bit for bit (tests/test_bitfacts.py, fact 6)
-    mu = arr.sum(axis=0) / b
+    mu = np.add.reduce(arr, 0) / b
     centered = arr - mu
-    return mu, centered, np.sqrt((centered ** 2).sum(axis=0) / b)
+    return mu, centered, np.sqrt(np.add.reduce(centered ** 2, 0) / b)
 
 
 def batch_stats(features) -> BatchStats:

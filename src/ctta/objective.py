@@ -72,10 +72,10 @@ def _forward_state(model: ToyModel, x: Matrix, p_d: Vector, p_c: Matrix):
     # forms, model._row_softmax (whose probabilities the pools read) and
     # pools._compose (each row's candidates summed alone), give other bits,
     # and so does the zero-guarded entropy of the fusion gate.
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - np.maximum.reduce(logits, 1, keepdims=True)
+    logp = shifted - np.log(np.add.reduce(np.exp(shifted), 1, keepdims=True))
     probs = np.exp(logp)
-    return z, probs, logp, -(probs * logp).sum(axis=1)
+    return z, probs, logp, -np.add.reduce(probs * logp, 1)
 
 
 def _stats_terms(z: Matrix, source: BatchStats, alpha_std: float):
@@ -113,7 +113,7 @@ def _grad(model, x, p_d, p_c, source, a, alpha_std) -> tuple[Vector, Matrix]:
     dz += (a / b) * (g_logits @ model.head_weight)
 
     g_class = dz @ model.extractor
-    g_domain = g_class.sum(axis=0)
+    g_domain = np.add.reduce(g_class, 0)
     return g_domain, g_class
 
 

@@ -14,14 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import BatchStats, Hyperparams, Matrix, SeededRng, Vector, as_matrix, check_param, check_stats
+from .numerics import BatchStats, Hyperparams, Matrix, SeededRng, Vector, as_matrix, check_param
+from .numerics import check_stats, row_norms
 
 
 def _check_probability(arr: Matrix, name: str) -> None:
     """Each row of the matrix ``arr`` must be a distribution."""
     if arr.size and float(arr.min()) < 0.0:
         raise ValueError(f"{name} must be nonnegative")
-    sums = arr.sum(axis=1)
+    sums = np.add.reduce(arr, 1)
     off = np.abs(sums - 1.0) > 1e-6
     if off.any():
         raise ValueError(f"{name} must sum to 1, got {sums[off][0]}")
@@ -128,7 +129,7 @@ class DomainPromptPool(_BasePool):
     feature_dim: int
 
     def _check_keys(self, keys: Matrix) -> None:
-        if np.any(keys[:, self.feature_dim :] < 0.0):
+        if (keys[:, self.feature_dim :] < 0.0).any():
             raise ValueError("sigma entries must be >= 0")
 
 
@@ -187,11 +188,11 @@ def _compose(
     whole rows in one call and ``objective._forward_state`` takes a
     log-softmax; summing each row's candidates on its own gives other bits.
     """
-    flat = np.flatnonzero(mask)
+    flat = mask.ravel().nonzero()[0]
     cand = flat % mask.shape[1]
-    counts = mask.sum(axis=1)
+    counts = np.add.reduce(mask, 1)
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
+    counts.cumsum(out=offsets[1:])
     fresh = counts == 0
     matched = counts.nonzero()[0]
     composed = np.empty((len(counts), pool.prompt_dim))
@@ -200,7 +201,7 @@ def _compose(
     weights = np.empty(flat.size)
     if matched.size:
         top = scores if hp.softmax_over_all else np.where(mask, scores, -np.inf)
-        shifted = scores - top.max(axis=1, keepdims=True)
+        shifted = scores - np.maximum.reduce(top, 1, keepdims=True)
         if hp.softmax_over_all:
             totals = np.exp(shifted)
             num = totals.take(flat)
@@ -211,17 +212,10 @@ def _compose(
             rows = matched[per_row == k]
             at = offsets[rows][:, None] + np.arange(k)
             e = num[at]
-            w = e / (totals[rows] if hp.softmax_over_all else e).sum(axis=1)[:, None]
+            w = e / np.add.reduce(totals[rows] if hp.softmax_over_all else e, 1)[:, None]
             weights[at] = w
             composed[rows] = np.matmul(w[:, None, :], pool.prompts.take(cand[at], axis=0))[:, 0]
     return FissionOutcome(composed, offsets, cand, weights, pool.version)
-
-
-def _check_pseudo_labels(pseudo_labels, num_classes: int) -> Matrix:
-    """Coerce to a (b, C) matrix whose rows are finite probability vectors."""
-    y = as_matrix(pseudo_labels, shape=(None, num_classes), name="pseudo_label")
-    _check_probability(y, "pseudo_label")
-    return y
 
 
 def fission_class_batch(
@@ -235,14 +229,15 @@ def fission_class_batch(
     spawned. The pseudo-labels are validated once for the whole batch; the
     outcome has one row per sample, in sample order.
     """
-    labels = _check_pseudo_labels(pseudo_labels, pool.num_classes)
+    labels = as_matrix(pseudo_labels, shape=(None, pool.num_classes), name="pseudo_label")
+    _check_probability(labels, "pseudo_label")
     keys, col = pool.keys, labels[:, :, None]
     # Stacked products: slice t is keys @ y and y @ y with their one-row bits,
     # which a row of labels @ keys.T lacks (tests/test_bitfacts.py). Compaction's
     # cosine (fusion) takes one product of normalised keys; it has other bits.
     dots = np.matmul(keys[None], col)[:, :, 0]
     sq = np.matmul(labels[:, None, :], col)[:, 0, 0]
-    sims = dots / (np.linalg.norm(keys, axis=1) * np.sqrt(sq)[:, None])
+    sims = dots / (row_norms(keys) * np.sqrt(sq)[:, None])
     return _compose(pool, sims / hp.tau_c, sims > hp.gamma_c, rng, hp)
 
 
@@ -257,5 +252,5 @@ def fission_domain(
     also covers the very first test batch. The outcome has one row.
     """
     check_stats(stats, pool.feature_dim, "stats")
-    dists = np.linalg.norm(pool.keys - stats.concat(), axis=1)[None, :]
+    dists = row_norms(pool.keys - stats.concat())[None, :]
     return _compose(pool, -dists / hp.tau_d, dists < hp.gamma_d, rng, hp)

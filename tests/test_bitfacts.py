@@ -2,11 +2,12 @@
 
 The pools are pinned bit for bit to one-sample interpreters (tests/reference.py),
 so a batched expression may replace a per-row loop only where it carries each
-row's bits. Likewise the objective and the batch statistics may skip numpy's
-Python-level mean and norm only where the bare arithmetic gives their bits. Each fact below names the engine code that relies on it; a numpy
-or BLAS change that breaks one fails here, by name, before it fails in the
-golden bytes. Shapes span the engine's: candidate counts and prompt widths
-below 80, batches up to 130, classes up to 40.
+row's bits. Likewise the batch path may skip numpy's Python-level mean, norm
+and reduction wrappers only where the bare arithmetic gives their bits. Each
+fact below names the engine code that relies on it; a numpy or BLAS change
+that breaks one fails here, by name, before it fails in the golden bytes.
+Shapes span the engine's: candidate counts and prompt widths below 80,
+batches up to 130, classes up to 40.
 """
 import math
 
@@ -174,3 +175,56 @@ def test_fact8_a_row_sum_over_leading_columns_equals_its_contiguous_copys(seed, 
     quotient = contiguous / sums
     keys /= sums
     assert keys.tobytes() == quotient.tobytes()
+
+
+@given(seeds, st.integers(min_value=1, max_value=130), widths, scales)
+@settings(max_examples=100, deadline=None)
+def test_fact9_gathered_sums_and_count_quotients_equal_row_by_row_means(seed, n, w, exponent):
+    # fusion._merge_groups: every group's rank-r member is added to its sum in
+    # one gathered add, rank after rank, and the sums are divided by an int64
+    # count column, where fusion._mean_rows adds row by row and divides by len
+    rng = arrays(seed)
+    rows = rng.normal(size=(n, w)) * 2.0 ** rng.integers(exponent - 20, exponent + 20, size=(n, 1))
+    members, sizes = rng.permutation(n), []  # groups of 1 to 8 rows
+    while sum(sizes) < n:
+        sizes.append(min(int(rng.integers(1, 9)), n - sum(sizes)))
+    counts = np.array(sizes)
+    starts = np.cumsum(counts) - counts
+    merged = rows[members[starts]]
+    for rank in range(1, counts.max()):
+        groups = np.flatnonzero(counts > rank)
+        merged[groups] += rows[members[starts[groups] + rank]]
+    merged /= counts[:, None]
+    for g, (start, m) in enumerate(zip(starts.tolist(), counts.tolist())):
+        acc = rows[members[start]].copy()
+        for r in rows[members[start + 1 : start + m]]:
+            acc += r
+        assert merged[g].tobytes() == (acc / m).tobytes()
+
+
+@given(seeds, st.integers(min_value=1, max_value=130), widths, st.integers(min_value=0, max_value=8), scales)
+@settings(max_examples=100, deadline=None)
+def test_fact10_norms_and_method_reductions_equal_their_ufunc_reduce(seed, n, w, pad, exponent):
+    # numerics.row_norms (for class and domain fission, compaction and domain
+    # fusion) and every reduction on the batch path: the Python wrappers run
+    # the same C kernels on the same operands, also on a column slice of a
+    # wider matrix as the class update's key normaliser reads it
+    rng = arrays(seed)
+    wide = rng.normal(size=(n, w + pad)) * 2.0**exponent
+    for x in (wide, wide[:, :w]):
+        for keepdims in (False, True):
+            norm = np.linalg.norm(x, axis=1, keepdims=keepdims)
+            assert norm.tobytes() == np.sqrt(np.add.reduce(x * x, 1, keepdims=keepdims)).tobytes()
+            for axis in (0, 1):
+                assert x.sum(axis=axis, keepdims=keepdims).tobytes() == (
+                    np.add.reduce(x, axis, keepdims=keepdims).tobytes()
+                )
+                assert x.max(axis=axis, keepdims=keepdims).tobytes() == (
+                    np.maximum.reduce(x, axis, keepdims=keepdims).tobytes()
+                )
+        assert x.min().tobytes() == np.minimum.reduce(x, None).tobytes()
+        mask = x > 0.0
+        assert np.add.reduce(mask, 1).tobytes() == mask.sum(axis=1).tobytes()
+        assert mask.any() == np.any(mask) and mask.all() == np.all(mask)
+        # harness.run_ctta's error rate: the mean of a mask is its exact count over its length
+        assert np.count_nonzero(mask[0]) / len(mask[0]) == float(np.mean(mask[0]))

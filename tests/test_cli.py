@@ -857,6 +857,32 @@ def test_run_with_an_unwritable_model_path_makes_no_output_directory(tmp_path, c
     assert not out.exists() and not model.parent.exists()
 
 
+@pytest.mark.parametrize("bad", ["--out", "--certificate", "--model-out"])
+def test_gen_stream_with_an_unwritable_output_writes_nothing(bad, tmp_path, capsys):
+    paths = {
+        "--out": tmp_path / "stream.csv",
+        "--certificate": tmp_path / "certificate.json",
+        "--model-out": tmp_path / "model.json",
+    }
+    paths[bad] = tmp_path / "missing" / paths[bad].name
+    argv = ["gen-stream", "--config", str(DEMO / "config.json"), "--seed", "7"]
+    code = main(argv + [str(x) for flag, path in paths.items() for x in (flag, path)])
+    assert code == 1
+    assert capsys.readouterr() == (
+        "", f"error: cannot write {paths[bad]}: not a file in an existing directory\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_rejects_a_repeated_value_before_any_point_runs(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", str(DEMO / "config.json"), "--stream", str(DEMO / "stream.csv")]
+    argv += ["--seed", "7", "--out-dir", str(out), "--param", "gamma_h", "--values", "1.0,2.0,1.0"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: --values repeats '1.0'\n")
+    assert not out.exists()
+
+
 _EDGE_FLOATS = [-0.0, 5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf]
 _json_floats = st.floats() | st.sampled_from(_EDGE_FLOATS)
 _json_scalars = (

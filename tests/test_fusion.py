@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctta import fusion
 from ctta.fusion import (
     PoolVersionError,
     _compact_class_pool,
     _fuse_core,
-    _pair_indices,
+    _merge_groups,
     _single_linkage_groups,
     _update_order,
+    _upper,
     update_class_pool,
     update_domain_pool,
 )
@@ -35,6 +37,7 @@ from instancegen import (
     stack_outcomes,
 )
 from reference import (
+    _sequential_mean,
     algorithm1_reference,
     algorithm2_reference,
     entropy,
@@ -435,20 +438,86 @@ def test_fuse_with_cached_pair_indices_keeps_the_bits_of_fresh_ones(seed):
     i, j = int(iu[m]), int(ju[m])
     keys[i], prompts[i] = (keys[i] + keys[j]) / 2.0, (prompts[i] + prompts[j]) / 2.0
     entries = [(np.concatenate((mu, sigma)), prompt, c) for mu, sigma, prompt, c in rows]
-    for _ in range(2):  # the second call at this size reads the cached indices
+    for _ in range(2):  # both calls take their pairs from the one shared triangle mask
         pool = load_pool(DomainPromptPool(n - 1, 3, 5), entries)
         assert _fuse_core(pool) == (i, j)
         assert pool.keys.tobytes() == np.delete(keys, j, axis=0).tobytes()
         assert pool.prompts.tobytes() == np.delete(prompts, j, axis=0).tobytes()
 
 
-def test_cached_pair_indices_reject_writes():
-    iu, ju = _pair_indices(5)
-    assert _pair_indices(5)[0] is iu
-    np.testing.assert_array_equal(iu, np.triu_indices(5, 1)[0])
-    for arr in (iu, ju):
+def test_shared_triangle_equals_triu_and_rejects_writes():
+    # up, down, past the largest size so far and down again: every size
+    # slices one mask, rebuilt only for a larger size and then at exactly it
+    largest = fusion._TRIANGLE.shape[0]
+    for n in (5, 130, 7, 300, 2):
+        upper = _upper(n)
+        np.testing.assert_array_equal(upper, np.triu(np.ones((n, n), dtype=bool), 1))
+        largest = max(largest, n)
+        assert upper.base is fusion._TRIANGLE and fusion._TRIANGLE.shape == (largest, largest)
         with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 1
+            upper[0, n - 1] = False
+    # the pairs a domain fusion scans are np.triu_indices', from the shared mask
+    assert _upper(5).base is _upper(5).base
+    for got, want in zip(_upper(5).nonzero(), np.triu_indices(5, 1)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_single_linkage_groups_join_the_rows_of_each_sorted_edge():
+    # each edge's rows come from its position in the triangle; at n - 1
+    # groups only the lightest edge joins, at n // 2 half the rows do
+    rng = np.random.default_rng(22)
+    for n in (5, 130, 7, 300, 2):
+        dist = rng.uniform(size=(n, n))
+        dist = dist + dist.T
+        for num_groups in {n - 1, max(1, n // 2)}:
+            expected = kruskal_single_linkage_reference(dist, num_groups)
+            assert _single_linkage_groups(dist, num_groups) == expected
+
+
+def first_member_numbering(rng, n: int, p_new: float, largest: int) -> list[int]:
+    """A random grouping of n rows, numbered by first member, of at most
+    ``largest`` members per group: each row opens a new group with
+    probability ``p_new`` (or when every group is full), else joins an open one."""
+    assignment, sizes = [], []
+    for _ in range(n):
+        open_groups = [g for g, size in enumerate(sizes) if size < largest]
+        if not open_groups or rng.uniform() < p_new:
+            sizes.append(0)
+            open_groups = [len(sizes) - 1]
+        g = open_groups[int(rng.integers(len(open_groups)))]
+        sizes[g] += 1
+        assignment.append(g)
+    return assignment
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=60),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=120, deadline=None)
+def test_merge_groups_equals_one_sequential_mean_per_group(seed, n, p_new):
+    # the interpreter: each group's rows summed one by one in member order,
+    # then divided by the count; a singleton keeps its row
+    rng = np.random.default_rng(seed)
+    f, d = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+    assignment = first_member_numbering(rng, n, p_new, 8)
+    keys = rng.normal(size=(n, 2 * f)) * 2.0 ** rng.integers(-30, 30, size=(n, 1))
+    keys[:, f:] = np.abs(keys[:, f:])
+    prompts = rng.normal(size=(n, d)) * 2.0 ** rng.integers(-30, 30, size=(n, 1))
+    created = rng.integers(-50, 50, size=n).tolist()
+    pool = load_pool(DomainPromptPool(n, d, f), list(zip(keys, prompts, created)))
+    _merge_groups(pool, np.array(assignment))
+    groups = [[i for i, g in enumerate(assignment) if g == k] for k in range(max(assignment) + 1)]
+
+    def merged(rows):
+        return np.array([_sequential_mean([rows[i] for i in m]) if len(m) > 1 else rows[m[0]] for m in groups])
+
+    want_keys, want_prompts = merged(keys), merged(prompts)
+    assert pool.keys.tobytes() == want_keys.tobytes()
+    assert pool.prompts.tobytes() == want_prompts.tobytes()
+    assert pool.created_at.tolist() == [min(created[i] for i in m) for m in groups]
+    assert all(a.flags.c_contiguous and a.flags.owndata for a in (pool.keys, pool.prompts))
 
 
 def test_domain_update_examples():
