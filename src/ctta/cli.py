@@ -141,9 +141,6 @@ def _setup_args(parser: argparse.ArgumentParser, *, adapt: bool = True, seed_req
         parser.add_argument("--stream", required=True)
     parser.add_argument("--seed", type=int, required=seed_required, default=None)
     parser.add_argument("--noise-std", type=float, default=0.4)
-    parser.add_argument("--feature-dim", type=int, default=None)
-    parser.add_argument("--class-mean-scale", type=float, default=1.0)
-    parser.add_argument("--source-samples", type=int, default=300)
 
 
 def _setup(args, *, adapt: bool = True) -> tuple:
@@ -168,13 +165,7 @@ def _setup(args, *, adapt: bool = True) -> tuple:
         if "gamma_d" not in hp_doc and certificate is not None:
             hp_doc["gamma_d"] = certificate.theta / 2.0
         hp = Hyperparams.from_dict(hp_doc)
-    world = build_world(
-        sc,
-        feature_dim=args.feature_dim,
-        noise_std=args.noise_std,
-        class_mean_scale=args.class_mean_scale,
-        source_samples=args.source_samples,
-    )
+    world = build_world(sc, noise_std=args.noise_std)
     if adapt:
         stream = read_stream(args.stream)
         if not stream:
@@ -182,13 +173,23 @@ def _setup(args, *, adapt: bool = True) -> tuple:
     return sc, world, hp_doc, hp, certificate, stream
 
 
+def _check_outputs(files, out_dir=None) -> None:
+    """Fail before the first write, so that a failed command writes nothing:
+    each given file path must name a file in an existing directory, and
+    ``out_dir`` a directory that exists or can be made."""
+    for path in filter(None, files):
+        if Path(path).is_dir() or not Path(path).parent.is_dir():
+            raise ValueError(f"cannot write {path}: not a file in an existing directory")
+    if out_dir is not None:
+        found = next(p for p in (Path(out_dir), *Path(out_dir).parents) if p.exists())
+        if not found.is_dir():
+            raise ValueError(f"cannot make {out_dir}: {found} is not a directory")
+
+
 def cmd_gen_stream(args) -> int:
     check_param("shift_scale", args.shift_scale)
     sc, world, *_ = _setup(args, adapt=False)
-    # every output path is checked before the first write, so a failed call writes nothing
-    for path in filter(None, (args.out, sc.theta is not None and args.certificate, args.model_out)):
-        if Path(path).is_dir() or not Path(path).parent.is_dir():
-            raise ValueError(f"cannot write {path}: not a file in an existing directory")
+    _check_outputs((args.out, sc.theta is not None and args.certificate, args.model_out))
     rng = SeededRng(sc.seed)
     n_domains = len(set(sc.domain_order))
     if sorted(set(sc.domain_order)) != list(range(n_domains)):
@@ -204,7 +205,6 @@ def cmd_gen_stream(args) -> int:
             rng.child(2),
             noise_std=args.noise_std,
             class_means=world.class_means,
-            probe_batches=args.probe_batches,
         )
     else:
         dirs = rng.child(2).normal(size=(n_domains - 1, sc.input_dim))
@@ -234,6 +234,7 @@ def cmd_gen_stream(args) -> int:
 
 def cmd_run(args) -> int:
     sc, world, _, hp, _, stream = _setup(args)
+    _check_outputs((args.model_out,), args.out_dir)
     # each boundary keeps copies of the pool arrays; JSON is laid out at the end
     boundaries: list[tuple[int, ClassPromptPool, DomainPromptPool]] = []
     prev_domain: list[int | None] = [None]
@@ -303,21 +304,13 @@ def cmd_gradcheck(args) -> int:
     return 0 if result.passed else 1
 
 
-_FLAG_SPELLINGS = {"1": True, "true": True, "True": True, "0": False, "false": False, "False": False}
-
-
 def _sweep_value(name: str, raw: str):
     """Parse one ``--values`` item as the type ``HYPERPARAMS`` gives ``name``."""
-    kind = HYPERPARAMS[name][0]
-    if kind is not bool:
-        convert = {numbers.Real: float, numbers.Integral: int, str: str}[kind]
-        try:
-            return convert(raw)
-        except ValueError:
-            raise ValueError(f"{name} takes {convert.__name__} values, got {raw!r}") from None
-    if raw not in _FLAG_SPELLINGS:
-        raise ValueError(f"{name} takes 1/true/True or 0/false/False, got {raw!r}")
-    return _FLAG_SPELLINGS[raw]
+    convert = {numbers.Real: float, numbers.Integral: int}[HYPERPARAMS[name][0]]
+    try:
+        return convert(raw)
+    except ValueError:
+        raise ValueError(f"{name} takes {convert.__name__} values, got {raw!r}") from None
 
 
 def cmd_sweep(args) -> int:
@@ -357,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     _setup_args(p, adapt=False)
     p.add_argument("--out", required=True)
     p.add_argument("--certificate", default="certificate.json")
-    p.add_argument("--probe-batches", type=int, default=20)
     p.add_argument("--shift-scale", type=float, default=2.0)
     p.add_argument("--model-out", default=None)
     p.set_defaults(func=cmd_gen_stream)

@@ -2,10 +2,10 @@
 
 A class-pool update reads one batch record: the learned prompts, predictions
 and pseudo-labels as matrices and the batch's fission outcome. It validates
-the record once and is entropy-gated. By default each row meets its matched
-samples one after another, in sample order, and no row reads another; so
-step k applies the k-th entry of every row at once, with the bits of
-applying the samples one by one. Overflow triggers a single-linkage
+the record once and is entropy-gated. Each row meets its matched samples
+one after another, in sample order, and no row reads another; so step k
+applies the k-th entry of every row at once, with the bits of applying the
+samples one by one. Overflow triggers a single-linkage
 compaction on cosine distances between keys: Kruskal's algorithm takes edges
 in (weight, i, j) order from a stable argsort of the row-major upper
 triangle (light edges first, the rest only if needed) and stops once the
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import BatchStats, Hyperparams, Matrix, Vector, as_matrix, as_vector, check_stats, row_norms
+from .numerics import BatchStats, Hyperparams, Matrix, as_matrix, as_vector, check_stats, row_norms
 from .pools import ClassPromptPool, DomainPromptPool, FissionOutcome
 
 
@@ -62,14 +62,6 @@ class DomainUpdateSummary:
     appended_index: int | None = None
     updated: list[int] = field(default_factory=list)
     fused_pair: tuple[int, int] | None = None
-
-
-def _mean_rows(rows) -> Vector:
-    """Arithmetic mean with a fixed sequential accumulation order."""
-    acc = rows[0].copy()
-    for r in rows[1:]:
-        acc += r
-    return acc / len(rows)
 
 
 def _check_outcome(pool, outcome: FissionOutcome) -> None:
@@ -141,14 +133,11 @@ def update_class_pool(
     weight. If the pool ends above capacity, a spanning-tree compaction
     merges it down to exactly the capacity.
 
-    ``hp.class_update`` selects between the default sequential update and
-    the batch-averaged variant that blends all kept samples against the pool
-    state at batch start. The sequential update gives each row its samples one
-    after another, each to the values the previous ones left, on the touched
-    rows gathered once and scattered back once. Step k applies the k-th entry
-    of every touched row, so there are as many steps as the most samples any
-    row has. A batch whose samples all name every touched row takes one step
-    per sample.
+    Each row meets its samples one after another, each to the values the
+    previous ones left, on the touched rows gathered once and scattered back
+    once. Step k applies the k-th entry of every touched row, so there are as
+    many steps as the most samples any row has. A batch whose samples all
+    name every touched row takes one step per sample.
     """
     outcome = record.outcome
     _check_outcome(pool, outcome)
@@ -175,47 +164,35 @@ def update_class_pool(
         hit = np.zeros(len(pool), dtype=bool)
         hit[cand] = True
         rows = hit.nonzero()[0]
-        if hp.class_update == "averaged":
-            # Each touched row blends every kept sample against its own
-            # batch-start value (weight 0 where the row was not a candidate),
-            # in sample order.
-            dense = np.zeros((len(matched), len(pool)))
-            dense[np.repeat(np.arange(len(matched)), sizes), cand] = weights[:, 0]
-            w = dense[:, rows, None]
-            cf = hp.alpha_c * w
-            new_keys = _mean_rows(cf * preds[matched, None] + (1.0 - cf) * keys[rows])
-            keys[rows] = new_keys / new_keys.sum(axis=1, keepdims=True)
-            prompts[rows] = _mean_rows(w * learned[matched, None] + (1.0 - w) * prompts[rows])
-        else:
-            # The entries are laid out in step order once and their inputs
-            # scaled for the whole batch, elementwise as one sample's would
-            # be (fact 5, tests/test_bitfacts.py), keys then prompts side by
-            # side. The recurrence then runs step by step on one gathered
-            # (rows, C + d) block of the touched rows, each step a slice of
-            # the entries: in + keep * row on every column at once, then the
-            # key columns divided in place by their row sums, which are the
-            # contiguous keys' sums (facts 4 and 8).
-            pos = rows.searchsorted(cand)
-            order, ends = _update_order(pos, sizes, len(rows))
-            sample, weights, pos = matched.repeat(sizes)[order], weights[order], pos[order]
-            # per column: alpha_c * w on the keys, w on the prompts
-            coef = np.concatenate((hp.alpha_c * weights, weights), axis=1)
-            coef = coef.repeat((num_classes, dim), axis=1)
-            inp, keep = coef * np.concatenate((preds, learned), axis=1)[sample], 1.0 - coef
-            block, lo = np.concatenate((keys[rows], prompts[rows]), axis=1), 0
-            block_keys = block[:, :num_classes]
-            for hi in ends:
-                # a step of every touched row names them in ascending order
-                whole = hi - lo == len(rows)
-                step = block if whole else block[pos[lo:hi]]
-                np.multiply(keep[lo:hi], step, out=step)
-                np.add(inp[lo:hi], step, out=step)
-                step_keys = block_keys if whole else step[:, :num_classes]
-                step_keys /= np.add.reduce(step_keys, 1, keepdims=True)
-                if not whole:
-                    block[pos[lo:hi]] = step
-                lo = hi
-            keys[rows], prompts[rows] = block[:, :num_classes], block[:, num_classes:]
+        # The entries are laid out in step order once and their inputs scaled
+        # for the whole batch, elementwise as one sample's would be (fact 5,
+        # tests/test_bitfacts.py), keys then prompts side by side. The
+        # recurrence then runs step by step on one gathered (rows, C + d)
+        # block of the touched rows, each step a slice of the entries:
+        # in + keep * row on every column at once, then the key columns
+        # divided in place by their row sums, which are the contiguous keys'
+        # sums (facts 4 and 8).
+        pos = rows.searchsorted(cand)
+        order, ends = _update_order(pos, sizes, len(rows))
+        sample, weights, pos = matched.repeat(sizes)[order], weights[order], pos[order]
+        # per column: alpha_c * w on the keys, w on the prompts
+        coef = np.concatenate((hp.alpha_c * weights, weights), axis=1)
+        coef = coef.repeat((num_classes, dim), axis=1)
+        inp, keep = coef * np.concatenate((preds, learned), axis=1)[sample], 1.0 - coef
+        block, lo = np.concatenate((keys[rows], prompts[rows]), axis=1), 0
+        block_keys = block[:, :num_classes]
+        for hi in ends:
+            # a step of every touched row names them in ascending order
+            whole = hi - lo == len(rows)
+            step = block if whole else block[pos[lo:hi]]
+            np.multiply(keep[lo:hi], step, out=step)
+            np.add(inp[lo:hi], step, out=step)
+            step_keys = block_keys if whole else step[:, :num_classes]
+            step_keys /= np.add.reduce(step_keys, 1, keepdims=True)
+            if not whole:
+                block[pos[lo:hi]] = step
+            lo = hi
+        keys[rows], prompts[rows] = block[:, :num_classes], block[:, num_classes:]
         summary.updated = rows.tolist()
     if fissioned.size:
         summary.appended = list(range(len(pool), len(pool) + len(fissioned)))
@@ -291,7 +268,7 @@ def _merge_groups(pool, assignment: np.ndarray) -> None:
     member: a singleton keeps its row, a larger group takes the mean of its keys
     and of its prompts side by side, and its earliest ``created_at``. Each group
     starts at its first member and takes one gathered add per member rank, so
-    its sum runs in member order, as ``_mean_rows``' does (test_bitfacts.py, fact 9)."""
+    its sum runs row by row in member order (test_bitfacts.py, fact 9)."""
     width, rows = pool.keys.shape[1], np.concatenate((pool.keys, pool.prompts), axis=1)
     members = assignment.argsort(kind="stable")
     counts = np.bincount(assignment)

@@ -396,36 +396,16 @@ class World:
     source_spec: DomainSpec
 
 
-def build_world(
-    config: StreamConfig,
-    *,
-    feature_dim: int | None = None,
-    noise_std: float = 0.4,
-    class_mean_scale: float = 1.0,
-    source_samples: int = 300,
-) -> World:
+def build_world(config: StreamConfig, *, noise_std: float = 0.4) -> World:
     """Deterministically construct the source model and statistics from the config seed.
 
-    ``noise_std`` (checked by the source ``DomainSpec``), ``feature_dim``,
-    ``class_mean_scale`` and ``source_samples`` are checked before any draw.
+    Unit-scale class means, a feature width equal to ``config.input_dim`` and
+    300 source samples. ``noise_std`` is checked by the source ``DomainSpec``
+    before the model is fit.
     """
-    if feature_dim is not None:
-        check_param("feature_dim", feature_dim)
-    check_param("class_mean_scale", class_mean_scale)
-    check_param("source_samples", source_samples)
     rng = SeededRng(config.seed)
-    means = make_class_means(
-        config.num_classes, config.input_dim, rng.child(10), scale=class_mean_scale
-    )
-    source_spec = DomainSpec(
-        0, np.zeros(config.input_dim), means, noise_std
-    )
-    model = fit_source_model(
-        config.input_dim,
-        feature_dim if feature_dim is not None else config.input_dim,
-        means,
-        noise_std,
-        rng.child(11),
-    )
-    src_x, _ = draw_labeled_samples(means, source_samples, noise_std, rng.child(12))
+    means = make_class_means(config.num_classes, config.input_dim, rng.child(10))
+    source_spec = DomainSpec(0, np.zeros(config.input_dim), means, noise_std)
+    model = fit_source_model(config.input_dim, config.input_dim, means, noise_std, rng.child(11))
+    src_x, _ = draw_labeled_samples(means, 300, noise_std, rng.child(12))
     return World(model, means, compute_source_stats(model, src_x), source_spec)

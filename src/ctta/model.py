@@ -129,11 +129,11 @@ def key_stats(model: ToyModel, batch) -> BatchStats:
     return batch_stats(x @ model.extractor.T)
 
 
-def make_class_means(num_classes: int, input_dim: int, rng: SeededRng, scale: float = 1.0) -> Matrix:
-    """Random per-class mean vectors, rows indexed by class id."""
+def make_class_means(num_classes: int, input_dim: int, rng: SeededRng) -> Matrix:
+    """Random unit-scale per-class mean vectors, rows indexed by class id."""
     check_param("num_classes", num_classes)
     check_param("input_dim", input_dim)
-    return rng.normal(size=(num_classes, input_dim), scale=scale)
+    return rng.normal(size=(num_classes, input_dim))
 
 
 def draw_labeled_samples(

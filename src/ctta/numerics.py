@@ -57,8 +57,8 @@ def as_matrix(
 
 
 # The type and range of every hyperparameter, stated here and nowhere else.
-# A range is an interval over the extended reals, or the tuple of allowed values.
-HYPERPARAMS: dict[str, tuple[type, str | tuple[str, ...] | None]] = {
+# A range is an interval over the extended reals.
+HYPERPARAMS: dict[str, tuple[type, str | None]] = {
     "gamma_d": (numbers.Real, "(0, inf]"),
     "gamma_c": (numbers.Real, "(-1, 1)"),
     "gamma_h": (numbers.Real, "[0, inf]"),
@@ -74,15 +74,13 @@ HYPERPARAMS: dict[str, tuple[type, str | tuple[str, ...] | None]] = {
     "lr_class": (numbers.Real, "[0, inf]"),
     "k_steps": (numbers.Integral, "[0, inf]"),
     "init_scale": (numbers.Real, "[0, inf]"),
-    "softmax_over_all": (bool, None),
-    "class_update": (str, ("sequential", "averaged")),
 }
 # Stream configuration, separation certificate, world, pool snapshot and
 # gradient check fields, under the same rule. Each item of ``domain_order``
 # is checked as ``domain_order``, and each entry's ``created_at`` as
 # ``created_at``; ``theta`` serves the config, the certificate and
 # ``make_separated``'s target.
-STREAM_PARAMS: dict[str, tuple[type, str | tuple[str, ...] | None]] = {
+STREAM_PARAMS: dict[str, tuple[type, str | None]] = {
     "domain_order": (numbers.Integral, "[0, inf]"),
     "batches_per_domain": (numbers.Integral, "[1, inf]"),
     "batch_size": (numbers.Integral, "[2, inf]"),
@@ -95,8 +93,6 @@ STREAM_PARAMS: dict[str, tuple[type, str | tuple[str, ...] | None]] = {
     "probe_batches": (numbers.Integral, "[20, inf]"),  # per domain, to certify a separation
     "noise_std": (numbers.Real, "[0, inf)"),
     "feature_dim": (numbers.Integral, "[1, inf]"),
-    "class_mean_scale": (numbers.Real, "(0, inf)"),
-    "source_samples": (numbers.Integral, "[2, inf]"),  # source statistics need a spread
     "shift_scale": (numbers.Real, "(-inf, inf)"),
     "prompt_dim": (numbers.Integral, "[1, inf]"),
     "created_at": (numbers.Integral, "[-9223372036854775808, 9223372036854775808)"),  # int64
@@ -107,21 +103,19 @@ STREAM_PARAMS: dict[str, tuple[type, str | tuple[str, ...] | None]] = {
 }
 _PARAMS = {**HYPERPARAMS, **STREAM_PARAMS}
 _BOUNDS = {  # (lo, hi) of each interval
-    k: tuple(map(float, r[1:-1].split(","))) for k, (_, r) in _PARAMS.items() if isinstance(r, str)
+    k: tuple(map(float, r[1:-1].split(","))) for k, (_, r) in _PARAMS.items() if r is not None
 }
 
 
 def check_param(name: str, value):
     """Return ``value`` if it has the type and range the table gives ``name``.
 
-    The table is ``HYPERPARAMS`` plus ``STREAM_PARAMS``. A bool is a flag and
-    nothing else, not an Integral or a Real.
+    The table is ``HYPERPARAMS`` plus ``STREAM_PARAMS``. A bool is neither an
+    Integral nor a Real.
     """
     kind, allowed = _PARAMS[name]
-    ok = isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
-    if ok and isinstance(allowed, tuple):
-        ok = value in allowed
-    elif ok and allowed is not None:
+    ok = isinstance(value, kind) and not isinstance(value, bool)
+    if ok and allowed is not None:
         lo, hi = _BOUNDS[name]
         ok = (lo < value if allowed[0] == "(" else lo <= value) and (
             value < hi if allowed[-1] == ")" else value <= hi
@@ -155,15 +149,10 @@ class Hyperparams:
     lr_class: float = 0.001
     k_steps: int = 1
     init_scale: float = 0.01
-    softmax_over_all: bool = False
-    class_update: str = "sequential"
 
     def __post_init__(self):
         for f in fields(self):
             check_param(f.name, getattr(self, f.name))
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Hyperparams":

@@ -200,19 +200,15 @@ def _compose(
         composed[fresh] = rng.normal(size=(int(fresh.sum()), pool.prompt_dim)) * hp.init_scale
     weights = np.empty(flat.size)
     if matched.size:
-        top = scores if hp.softmax_over_all else np.where(mask, scores, -np.inf)
+        top = np.where(mask, scores, -np.inf)
         shifted = scores - np.maximum.reduce(top, 1, keepdims=True)
-        if hp.softmax_over_all:
-            totals = np.exp(shifted)
-            num = totals.take(flat)
-        else:
-            num = np.exp(shifted.take(flat))
+        num = np.exp(shifted.take(flat))
         per_row = counts[matched]
         for k in set(per_row.tolist()):
             rows = matched[per_row == k]
             at = offsets[rows][:, None] + np.arange(k)
             e = num[at]
-            w = e / np.add.reduce(totals[rows] if hp.softmax_over_all else e, 1)[:, None]
+            w = e / np.add.reduce(e, 1)[:, None]
             weights[at] = w
             composed[rows] = np.matmul(w[:, None, :], pool.prompts.take(cand[at], axis=0))[:, 0]
     return FissionOutcome(composed, offsets, cand, weights, pool.version)

@@ -72,9 +72,6 @@ class StreamConfig:
             if f.name != "theta" or self.theta is not None:
                 check_param(f.name, getattr(self, f.name))
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "domain_order": list(self.domain_order)}
-
     @classmethod
     def from_dict(cls, doc: dict) -> "StreamConfig":
         return record_from_dict(cls, doc, "stream config")
@@ -148,13 +145,17 @@ def generate_stream(
     return batches
 
 
+# per domain: the fewest that SeparationCertificate.from_dict accepts
+PROBE_BATCHES = 20
+
+
 def _probe_keys(
-    specs: list[DomainSpec], batch_size: int, probe_batches: int, model: ToyModel, rng: SeededRng
+    specs: list[DomainSpec], batch_size: int, model: ToyModel, rng: SeededRng
 ) -> tuple[np.ndarray, np.ndarray]:
     keys = []
     owners = []
     for spec in specs:
-        for _ in range(probe_batches):
+        for _ in range(PROBE_BATCHES):
             x, _ = _draw_batch(spec, batch_size, rng)
             keys.append(key_stats(model, x).concat())
             owners.append(spec.domain_id)
@@ -183,21 +184,20 @@ def make_separated(
     *,
     noise_std: float = 0.4,
     class_means: Matrix,
-    probe_batches: int = 20,
 ) -> tuple[list[DomainSpec], SeparationCertificate]:
     """Construct domains certified well-separated in the model's key space.
 
     Domain 0 is unshifted; the rest shift along near-orthogonal directions,
     scaled to put the closest pair 3 * ``theta_target`` apart in feature space
-    and doubled, up to 8 times, until every cross-domain probe pair is farther
-    than ``theta_target`` while same-domain pairs stay below 0.4 * theta.
+    and doubled, up to 8 times, until every cross-domain pair of probe keys
+    (``PROBE_BATCHES`` batches per domain) is farther than ``theta_target``
+    while same-domain pairs stay below 0.4 * theta.
     Fails rather than returning an uncertified set: scaling cannot shrink the
     intra-domain spread, which is fixed by the noise level.
     """
     if n_domains < 2:
         raise ValueError("need at least 2 domains to separate")
     check_param("theta", theta_target)
-    check_param("probe_batches", probe_batches)
     means = as_matrix(class_means, shape=(config.num_classes, config.input_dim))
 
     raw = rng.child(1).normal(size=(n_domains - 1, config.input_dim))
@@ -223,9 +223,7 @@ def make_separated(
             DomainSpec(i, scale * unit_shifts[i], means, noise_std)
             for i in range(n_domains)
         ]
-        keys, owners = _probe_keys(
-            specs, config.batch_size, probe_batches, model, rng.child(2, attempt)
-        )
+        keys, owners = _probe_keys(specs, config.batch_size, model, rng.child(2, attempt))
         max_intra, min_inter = measure_separation(keys, owners)
         if max_intra >= 0.4 * theta_target:
             raise ValueError(
@@ -233,10 +231,9 @@ def make_separated(
                 f"0.4 * theta at noise_std={noise_std}"
             )
         if min_inter > theta_target:
-            cert = SeparationCertificate(
-                theta_target, max_intra, min_inter, probe_batches, rng.seed
+            return specs, SeparationCertificate(
+                theta_target, max_intra, min_inter, PROBE_BATCHES, rng.seed
             )
-            return specs, cert
         scale *= 2.0
     raise ValueError("separation not achieved after 8 attempts")
 

@@ -144,17 +144,14 @@ def kruskal_single_linkage_reference(dist: np.ndarray, num_groups: int) -> list[
     return assignment
 
 
-def class_fission_reference(
-    keys, prompts, pseudo_labels, gamma_c, tau_c, rng, init_scale, softmax_over_all=False
-):
+def class_fission_reference(keys, prompts, pseudo_labels, gamma_c, tau_c, rng, init_scale):
     """Sample-by-sample class fission, straight from the matching rule.
 
     For each pseudo-label y: cosine similarities ``K @ y / (|k| |y|)``, the
     indices strictly above ``gamma_c`` as candidates, softmax(sim / tau_c)
-    weights normalised over the candidates (or over every row), and their
-    blend of prompts; a sample without candidates draws a fresh prompt from
-    ``rng``, in sample order. Returns one (candidates, weights, prompt)
-    triple per sample.
+    weights normalised over the candidates, and their blend of prompts; a
+    sample without candidates draws a fresh prompt from ``rng``, in sample
+    order. Returns one (candidates, weights, prompt) triple per sample.
     """
     norms = np.linalg.norm(keys, axis=1)
     out = []
@@ -165,12 +162,8 @@ def class_fission_reference(
             out.append((cand, np.empty(0), rng.normal(size=prompts.shape[1]) * init_scale))
             continue
         scores = sims / tau_c
-        if softmax_over_all:
-            e = np.exp(scores - scores.max())
-            w = e[cand] / e.sum()
-        else:
-            e = np.exp(scores[cand] - scores[cand].max())
-            w = e / e.sum()
+        e = np.exp(scores[cand] - scores[cand].max())
+        w = e / e.sum()
         out.append((cand, w, w @ prompts[cand]))
     return out
 

@@ -39,7 +39,6 @@ from reference import (
 )
 
 NOISE = 0.4
-MEAN_SCALE = 1.0
 THETA = 4.0
 
 
@@ -58,7 +57,7 @@ def certified_world(n_domains):
         seed=1000 + n_domains,
         theta=THETA,
     )
-    return build_world(cfg, noise_std=NOISE, class_mean_scale=MEAN_SCALE)
+    return build_world(cfg, noise_std=NOISE)
 
 
 @pytest.fixture(scope="session")
@@ -108,7 +107,7 @@ def repeating_run():
         seed=2024,
         theta=THETA,
     )
-    world = build_world(cfg, noise_std=NOISE, class_mean_scale=MEAN_SCALE)
+    world = build_world(cfg, noise_std=NOISE)
     rng = SeededRng(cfg.seed)
     start = time.perf_counter()
     specs, cert = make_separated(
@@ -204,7 +203,7 @@ def test_criterion_5_additive_shift_recovery():
             num_classes=3,
             seed=seed,
         )
-        world = build_world(cfg, noise_std=NOISE, class_mean_scale=MEAN_SCALE)
+        world = build_world(cfg, noise_std=NOISE)
         rng = SeededRng(cfg.seed)
         direction = rng.child(2).normal(size=8)
         delta = (
@@ -327,7 +326,6 @@ def test_criterion_8_determinism_and_format(tmp_path):
                 "--out", str(stream_path),
                 "--certificate", str(cert_path),
                 "--noise-std", str(NOISE),
-                "--class-mean-scale", str(MEAN_SCALE),
             ]
         )
         == 0
@@ -345,7 +343,6 @@ def test_criterion_8_determinism_and_format(tmp_path):
                     "--out-dir", str(out),
                     "--certificate", str(cert_path),
                     "--noise-std", str(NOISE),
-                    "--class-mean-scale", str(MEAN_SCALE),
                 ]
             )
             == 0

@@ -50,7 +50,6 @@ def generated(tmp_path_factory):
             "--out", str(stream),
             "--certificate", str(cert),
             "--noise-std", "0.4",
-            "--class-mean-scale", "1.0",
         ]
     )
     assert code == 0
@@ -81,7 +80,6 @@ def test_run_twice_is_byte_identical(generated, tmp_path):
                 "--out-dir", str(out),
                 "--certificate", str(cert),
                 "--noise-std", "0.4",
-                "--class-mean-scale", "1.0",
             ]
         )
         assert code == 0
@@ -105,7 +103,6 @@ def test_run_writes_metrics_with_contracted_header(generated, tmp_path):
             "--out-dir", str(out),
             "--certificate", str(cert),
             "--noise-std", "0.4",
-            "--class-mean-scale", "1.0",
         ]
     )
     lines = (out / "metrics.csv").read_text().splitlines()
@@ -136,7 +133,6 @@ def test_verify_passes_on_certified_stream(generated):
             "--stream", str(stream),
             "--certificate", str(cert),
             "--noise-std", "0.4",
-            "--class-mean-scale", "1.0",
         ]
     )
     assert code == 0
@@ -153,7 +149,6 @@ def test_verify_fails_when_hypotheses_broken(generated, tmp_path, capsys):
             "--stream", str(stream),
             "--certificate", str(cert),
             "--noise-std", "0.4",
-            "--class-mean-scale", "1.0",
         ]
     )
     assert code == 1
@@ -257,7 +252,6 @@ def test_sweep_writes_one_metrics_file_per_point(generated, tmp_path):
             "--param", "gamma_h",
             "--values", "0.5,2.0",
             "--noise-std", "0.4",
-            "--class-mean-scale", "1.0",
         ]
     )
     assert code == 0
@@ -366,7 +360,7 @@ def test_missing_stream_file_exits_1(generated, tmp_path, capsys):
 
 def test_config_value_of_wrong_type_exits_1_naming_its_key(generated, tmp_path, capsys):
     root, config, stream, cert = generated
-    bad = write_config(tmp_path / "config.json", softmax_over_all="false")
+    bad = write_config(tmp_path / "config.json", n_c=6.0)
     code = main(
         [
             "run",
@@ -377,7 +371,7 @@ def test_config_value_of_wrong_type_exits_1_naming_its_key(generated, tmp_path, 
         ]
     )
     assert code == 1
-    assert "softmax_over_all must be bool" in capsys.readouterr().err
+    assert "n_c must be Integral in [1, inf], got 6.0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
     # a domain order that is not a list is named before anything is read
@@ -419,10 +413,6 @@ def test_config_value_of_wrong_type_exits_1_naming_its_key(generated, tmp_path, 
         ("--noise-std", "nan", "noise_std must be Real in [0, inf), got nan"),
         ("--noise-std", "-0.1", "noise_std must be Real in [0, inf), got -0.1"),
         ("--noise-std", "inf", "noise_std must be Real in [0, inf), got inf"),
-        ("--feature-dim", "0", "feature_dim must be Integral in [1, inf], got 0"),
-        ("--class-mean-scale", "nan", "class_mean_scale must be Real in (0, inf), got nan"),
-        ("--class-mean-scale", "-1", "class_mean_scale must be Real in (0, inf), got -1.0"),
-        ("--class-mean-scale", "0", "class_mean_scale must be Real in (0, inf), got 0.0"),
         ("--shift-scale", "nan", "shift_scale must be Real in (-inf, inf), got nan"),
         ("--shift-scale", "inf", "shift_scale must be Real in (-inf, inf), got inf"),
     ]:
@@ -460,38 +450,10 @@ def test_config_value_of_wrong_type_exits_1_naming_its_key(generated, tmp_path, 
         assert not (tmp_path / "out").exists()
 
 
-def test_sweep_reads_flag_spellings_and_rejects_others(generated, tmp_path, capsys):
-    root, config, stream, cert = generated
-
-    def sweep(out, values):
-        return main(
-            [
-                "sweep",
-                "--config", str(config),
-                "--stream", str(stream),
-                "--seed", "7",
-                "--out-dir", str(out),
-                "--param", "softmax_over_all",
-                "--values", values,
-            ]
-        )
-
-    out, raws = tmp_path / "ok", ("1", "true", "True", "0", "false", "False")
-    assert sweep(out, ",".join(raws)) == 0
-    metrics = {raw: (out / f"metrics_softmax_over_all_{raw}.csv").read_bytes() for raw in raws}
-    assert metrics["1"] == metrics["true"] == metrics["True"]
-    assert metrics["0"] == metrics["false"] == metrics["False"]
-    assert metrics["1"] != metrics["0"]
-    capsys.readouterr()
-
-    assert sweep(tmp_path / "bad", "yes,flase") == 1
-    assert "'yes'" in capsys.readouterr().err
-    assert not (tmp_path / "bad").exists()
-
-
 @pytest.mark.parametrize("command", ["run", "verify", "sweep"])
 def test_empty_stream_is_one_error_for_every_command(generated, tmp_path, capsys, command):
     root, config, stream, cert = generated
+    shown = warnings.showwarning
     empty = tmp_path / "empty.csv"
     empty.write_text(stream.read_text().splitlines()[0] + "\n")
     argv = [command, "--config", str(config), "--stream", str(empty), "--seed", "7"]
@@ -508,6 +470,8 @@ def test_empty_stream_is_one_error_for_every_command(generated, tmp_path, capsys
         f"error: stream {empty} contains no batches\n"
     )
     assert not (tmp_path / "out").exists()
+    # an in-process caller gets its own warning display back
+    assert warnings.showwarning is shown
 
 
 def test_gamma_d_defaults_to_half_theta_with_certificate(generated, tmp_path, capsys):
@@ -523,7 +487,6 @@ def test_gamma_d_defaults_to_half_theta_with_certificate(generated, tmp_path, ca
                 "--out-dir", str(out),
                 "--certificate", str(cert),
                 "--noise-std", "0.4",
-                "--class-mean-scale", "1.0",
             ]
         )
         assert code == 0
@@ -587,14 +550,14 @@ def test_saturating_run_outputs_match_golden_bytes(tmp_path):
     assert boundary_digest(out) == (10, SATURATING_RUN_BOUNDARY_SHA256)
 
 
-# sha256 of a run with batch-averaged class updates and softmax weights over
-# the whole pool, measured with numpy 2.4.6 before fission outcomes moved from
-# {index: weight} dicts to candidate and weight arrays.
+# sha256 of a run whose class and domain pools both match on most batches and
+# whose class pool compacts, measured with numpy 2.4.6. The test's name is that
+# of the two modes this config selected until they were deleted.
 AVERAGED_RUN_SHA256 = {
-    "metrics.csv": "8d67c2c1b40cec8f042694acda4f9c08d17e0093d8603078abd472d88c4932a6",
-    "summary.json": "12891cf67db3daae2bcc3020f26446ccd57aa7d77e1ed40d2883f979f386419e",
-    "pools_class_final.json": "f10633fbfe5e0fb177e14b71f23409d86964bf9345609a28ed50684d4891b648",
-    "pools_domain_final.json": "f2571eea87507f61c4f431895e6ba276c29db791a816dc0764b47b804f03f8f1",
+    "metrics.csv": "96709258667e9a60518234bfa188388f00ed6918cc5acaa3ccfbd13197139626",
+    "summary.json": "e02fa94b5cb715e281c4ef4b88eea1747ceb3817edf41ca12a515bd2d379be53",
+    "pools_class_final.json": "dbc2af691c57117e3bba04de79155472206f1bed5b5c54d340feac4054715378",
+    "pools_domain_final.json": "20328eb2b076ab66dd9ed75dd9b2938f355cf0ea7954a14ecca8021e6efd2cfb",
 }
 
 
@@ -614,8 +577,6 @@ def test_averaged_softmax_over_all_run_outputs_match_golden_bytes(tmp_path):
                 "gamma_d": 2.0,
                 "n_d": 6,
                 "k_steps": 1,
-                "class_update": "averaged",
-                "softmax_over_all": True,
             }
         )
     )
@@ -627,7 +588,8 @@ def test_averaged_softmax_over_all_run_outputs_match_golden_bytes(tmp_path):
         ["run", "--config", str(config), "--stream", str(stream), "--out-dir", str(out), *world]
     )
     assert code == 0
-    # both pools match on most batches, so both weighting paths are exercised
+    # both pools match on most batches, so both candidate softmaxes and the
+    # sequential class update run on most batches
     rows = (out / "metrics.csv").read_text().splitlines()[1:]
     assert sum(int(r.split(",")[8]) for r in rows) < len(rows)
     assert sum(int(r.split(",")[9]) for r in rows) < 16 * len(rows)
@@ -655,63 +617,6 @@ def test_gen_stream_reproduces_the_shipped_demo_files(tmp_path):
     assert stream.read_bytes() == (DEMO / "stream.csv").read_bytes()
     assert cert.read_bytes() == (DEMO / "certificate.json").read_bytes()
     assert model.read_bytes() == (DEMO / "model.json").read_bytes()
-
-
-def test_gen_stream_rejects_too_few_probe_batches_by_name(tmp_path, capsys):
-    # the certificate loader's rule: a certificate from 19 probe batches would not load
-    code = main(
-        [
-            "gen-stream",
-            "--config", str(DEMO / "config.json"),
-            "--seed", "7",
-            "--out", str(tmp_path / "stream.csv"),
-            "--certificate", str(tmp_path / "certificate.json"),
-            "--probe-batches", "19",
-        ]
-    )
-    assert code == 1
-    assert capsys.readouterr().err == "error: probe_batches must be Integral in [20, inf], got 19\n"
-    assert not (tmp_path / "stream.csv").exists()
-
-
-@pytest.mark.parametrize("value", ["-1", "0", "1"])
-def test_gen_stream_rejects_too_few_source_samples_by_name(value, tmp_path, capsys):
-    # the source statistics need a spread; checked before the model is fit
-    code = main(
-        [
-            "gen-stream",
-            "--config", str(DEMO / "config.json"),
-            "--seed", "7",
-            "--out", str(tmp_path / "stream.csv"),
-            "--certificate", str(tmp_path / "certificate.json"),
-            "--source-samples", value,
-        ]
-    )
-    assert code == 1
-    assert capsys.readouterr().err == (
-        f"error: source_samples must be Integral in [2, inf], got {value}\n"
-    )
-    assert not (tmp_path / "stream.csv").exists()
-
-
-def test_gen_stream_prints_a_warning_as_one_line(tmp_path, capsys):
-    shown = warnings.showwarning
-    code = main(
-        [
-            "gen-stream",
-            "--config", str(DEMO / "config.json"),
-            "--seed", "7",
-            "--out", str(tmp_path / "stream.csv"),
-            "--certificate", str(tmp_path / "certificate.json"),
-            "--source-samples", "5",
-        ]
-    )
-    assert code == 0
-    assert capsys.readouterr().err == (
-        "warning: only 5 source samples; 300+ recommended for stable statistics\n"
-    )
-    # an in-process caller gets its own warning display back
-    assert warnings.showwarning is shown
 
 
 # sha256 of uncertified gen-stream outputs (no theta in the config): one
@@ -853,8 +758,67 @@ def test_run_with_an_unwritable_model_path_makes_no_output_directory(tmp_path, c
         ]
     )
     assert code == 1
-    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{model}'\n"
+    assert capsys.readouterr().err == (
+        f"error: cannot write {model}: not a file in an existing directory\n"
+    )
     assert not out.exists() and not model.parent.exists()
+
+
+def test_run_whose_output_directory_cannot_be_made_writes_no_model(tmp_path, capsys):
+    # the output directory would sit under a plain file; both paths are
+    # checked before the model file is written
+    (tmp_path / "afile").write_text("")
+    out, model = tmp_path / "afile" / "out", tmp_path / "m.json"
+    code = main(
+        [
+            "run",
+            "--config", str(DEMO / "config.json"),
+            "--stream", str(DEMO / "stream.csv"),
+            "--seed", "7",
+            "--certificate", str(DEMO / "certificate.json"),
+            "--out-dir", str(out),
+            "--model-out", str(model),
+        ]
+    )
+    assert code == 1
+    outs, err = capsys.readouterr()
+    assert outs == "" and err.count("\n") == 1 and err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+
+@pytest.mark.parametrize("key, value", [("softmax_over_all", False), ("class_update", "sequential")])
+def test_removed_config_keys_are_unknown(key, value, tmp_path, capsys):
+    config = write_config(tmp_path / "config.json", **{key: value})
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(config), "--stream", str(DEMO / "stream.csv"), "--seed", "7"]
+    assert main(argv + ["--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: unknown config keys rejected: [{key!r}]\n"
+    assert not out.exists()
+
+
+_REMOVED_FLAGS = [
+    (command, flag, value)
+    for command in ("gen-stream", "run", "verify", "sweep")
+    for flag, value in (("--feature-dim", "8"), ("--class-mean-scale", "1.0"), ("--source-samples", "300"))
+] + [("gen-stream", "--probe-batches", "20")]
+
+
+@pytest.mark.parametrize("command, flag, value", _REMOVED_FLAGS)
+def test_removed_world_flags_are_usage_errors(command, flag, value, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [command, "--config", str(DEMO / "config.json"), "--seed", "7", flag, value]
+    stream = ["--stream", str(DEMO / "stream.csv")]
+    argv += {
+        "gen-stream": ["--out", str(out)],
+        "run": [*stream, "--out-dir", str(out)],
+        "verify": [*stream, "--certificate", str(DEMO / "certificate.json")],
+        "sweep": [*stream, "--out-dir", str(out), "--param", "gamma_h", "--values", "1.0"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("bad", ["--out", "--certificate", "--model-out"])

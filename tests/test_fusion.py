@@ -697,23 +697,6 @@ def test_update_domain_pool_bitwise_matches_interpreter(seed):
         assert got_created == created
 
 
-def test_averaged_mode_blends_against_batch_start_state():
-    pool = load_pool(ClassPromptPool(10, 2, 2), [([0.5, 0.5], [1.0, 1.0], 0)])
-    p1 = np.array([3.0, 0.0])
-    p2 = np.array([0.0, 3.0])
-    recs = stack_class_records(
-        [
-            matched_record(pool, p1, onehot(0, 2), onehot(0, 2), {0: 1.0}),
-            matched_record(pool, p2, onehot(1, 2), onehot(1, 2), {0: 1.0}),
-        ]
-    )
-    hp = Hyperparams(gamma_h=10.0, alpha_c=0.0, class_update="averaged")
-    update_class_pool(pool, recs, hp)
-    # both samples blend against the original prompt [1,1]:
-    # mean of (1.0*p1 + 0.0*[1,1]) and (1.0*p2 + 0.0*[1,1]) = [1.5, 1.5]
-    np.testing.assert_allclose(pool.prompts[0], [1.5, 1.5], atol=1e-15)
-
-
 def test_capacity_invariants_after_updates():
     rng = SeededRng(6)
     pool = random_class_pool(rng, 5, 5, 3, 4)

@@ -1,4 +1,5 @@
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ DEMO_STREAM = Path(__file__).resolve().parent.parent / "demo" / "stream.csv"
 @pytest.fixture(scope="module")
 def world():
     cfg = StreamConfig(domain_order=(0,), seed=5, input_dim=6, num_classes=3)
-    return cfg, build_world(cfg, noise_std=0.4, class_mean_scale=1.0)
+    return cfg, build_world(cfg, noise_std=0.4)
 
 
 def test_noise_free_single_class_stream_is_the_class_mean():
@@ -78,7 +79,7 @@ def test_make_separated_certificate_is_the_oracle(world):
     )
     assert cert.valid
     assert cert.max_intra < 4.0 < cert.min_inter
-    assert cert.probe_batches >= 20
+    assert cert.probe_batches == 20
     assert len(specs) == 4
 
 
@@ -102,13 +103,11 @@ def test_make_separated_fails_when_noise_swamps_theta(world):
         )
 
 
-def test_make_separated_checks_theta_and_probe_batches_through_the_table(world):
+def test_make_separated_checks_theta_through_the_table(world):
     cfg, w = world
     scfg = StreamConfig(domain_order=(0, 1), batch_size=16, input_dim=6, num_classes=3, seed=19, theta=4.0)
     with pytest.raises(ValueError, match="^theta must be "):
         make_separated(scfg, 2, 0.0, w.model, SeededRng(19), class_means=w.class_means)
-    with pytest.raises(ValueError, match="^probe_batches must be "):
-        make_separated(scfg, 2, 4.0, w.model, SeededRng(19), class_means=w.class_means, probe_batches=19)
 
 
 def test_certificate_loader_takes_the_probe_batches_rule_of_make_separated():
@@ -123,7 +122,7 @@ def test_certificate_loader_takes_the_probe_batches_rule_of_make_separated():
     "record", [StreamConfig(domain_order=(0, 1)), SeparationCertificate(4.0, 0.9, 11.7, 20, 7)]
 )
 def test_record_loaders_name_missing_and_unknown_keys(record):
-    doc = record.to_dict()
+    doc = asdict(record)
     first = next(iter(doc))  # domain_order and theta: neither has a default
     with pytest.raises(ValueError, match=f"^missing .*keys: \\['{first}'\\]$"):
         type(record).from_dict({k: v for k, v in doc.items() if k != first})
@@ -228,7 +227,7 @@ def test_read_stream_parse_errors_carry_line_numbers(tmp_path):
 
 def test_config_round_trip_and_unknown_keys():
     cfg = StreamConfig(domain_order=(0, 1), seed=3, theta=2.5)
-    assert StreamConfig.from_dict(cfg.to_dict()) == cfg
+    assert StreamConfig.from_dict(asdict(cfg)) == cfg
     with pytest.raises(ValueError, match="unknown"):
         StreamConfig.from_dict({"domain_order": [0], "bogus": 1})
     with pytest.raises(ValueError):
