@@ -15,7 +15,6 @@ from .harness import (
     RunResult,
     World,
     build_world,
-    compute_source_stats,
     gradient_check,
     run_ctta,
     verify_lemmas,

@@ -293,9 +293,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    result = gradient_check(
-        args.num_configs, step=args.step, tolerance=args.tolerance, seed=args.seed
-    )
+    result = gradient_check(args.num_configs, seed=args.seed)
     print(
         f"gradcheck: {len(result.rel_errors)} configs, "
         f"max relative error {result.max_rel_error:.3e} "
@@ -321,6 +319,7 @@ def cmd_sweep(args) -> int:
         if raw in raws[:i]:
             raise ValueError(f"--values repeats {raw!r}")
     sc, world, hp_doc, _, _, stream = _setup(args)
+    _check_outputs((), args.out_dir)
     points = [
         (raw, Hyperparams.from_dict({**hp_doc, args.param: _sweep_value(args.param, raw)}))
         for raw in raws
@@ -368,8 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="analytic gradient vs central finite differences")
     p.add_argument("--num-configs", type=int, default=50)
-    p.add_argument("--step", type=float, default=1e-5)
-    p.add_argument("--tolerance", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 

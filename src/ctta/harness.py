@@ -7,7 +7,6 @@ metrics and the observer ledger; the adaptation step itself sees samples only.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from itertools import groupby
 
@@ -25,7 +24,7 @@ from .model import (
     pseudo_labels,
 )
 from .numerics import (
-    BatchStats, Hyperparams, Matrix, SeededRng, as_matrix, batch_stats, check_param, check_stats,
+    BatchStats, Hyperparams, Matrix, SeededRng, batch_stats, check_param, check_stats,
 )
 from .objective import finite_diff_grad, grad, optimize_prompts
 from .pools import ClassPromptPool, DomainPromptPool, FissionOutcome, fission_class_batch, fission_domain
@@ -176,16 +175,6 @@ class RunResult:
     domain_pool: DomainPromptPool
 
 
-def compute_source_stats(model: ToyModel, samples) -> BatchStats:
-    """Prompt-free feature statistics of unlabeled source samples."""
-    x = as_matrix(samples, shape=(None, model.input_dim), name="source samples", min_rows=2)
-    if x.shape[0] < 300:
-        warnings.warn(
-            f"only {x.shape[0]} source samples; 300+ recommended for stable statistics"
-        )
-    return key_stats(model, x)
-
-
 def run_ctta(
     model: ToyModel,
     stream: list[LabeledBatch],
@@ -314,6 +303,9 @@ def verify_lemmas(
     return LemmaReport(status, [], ledger.violations, len(stream), n_domains, result.metrics)
 
 
+GRADCHECK_TOLERANCE = 1e-4
+
+
 @dataclass
 class GradCheckResult:
     rel_errors: list[float]
@@ -328,22 +320,16 @@ class GradCheckResult:
         return self.max_rel_error < self.tolerance
 
 
-def gradient_check(
-    num_configs: int = 50,
-    *,
-    step: float = 1e-5,
-    tolerance: float = 1e-4,
-    seed: int = 0,
-) -> GradCheckResult:
+def gradient_check(num_configs: int = 50, *, seed: int = 0) -> GradCheckResult:
     """Compare analytic gradients with central differences on random setups.
 
-    Configurations landing within 1e-6 of an alignment-norm kink are
-    resampled, since the subgradient convention is not comparable there.
+    The differences take ``finite_diff_grad``'s default step; the check passes
+    when every relative error is below ``GRADCHECK_TOLERANCE``. Configurations
+    landing within 1e-6 of an alignment-norm kink are resampled, since the
+    subgradient convention is not comparable there.
     """
-    for name, value in (
-        ("num_configs", num_configs), ("step", step), ("tolerance", tolerance), ("seed", seed)
-    ):
-        check_param(name, value)
+    check_param("num_configs", num_configs)
+    check_param("seed", seed)
     rel_errors = []
     base = SeededRng(seed)
     for k in range(num_configs):
@@ -374,16 +360,14 @@ def gradient_check(
             ):
                 continue
             ga_d, ga_c = grad(model, x, p_d, p_c, source, a, alpha_std)
-            gf_d, gf_c = finite_diff_grad(
-                model, x, p_d, p_c, source, a, alpha_std, step=step
-            )
+            gf_d, gf_c = finite_diff_grad(model, x, p_d, p_c, source, a, alpha_std)
             scale = max(np.abs(gf_d).max(), np.abs(gf_c).max(), 1e-12)
             err = max(np.abs(ga_d - gf_d).max(), np.abs(ga_c - gf_c).max())
             rel_errors.append(float(err / scale))
             break
         else:
             raise RuntimeError("could not sample a kink-free configuration")
-    return GradCheckResult(rel_errors, tolerance)
+    return GradCheckResult(rel_errors, GRADCHECK_TOLERANCE)
 
 
 @dataclass
@@ -406,6 +390,6 @@ def build_world(config: StreamConfig, *, noise_std: float = 0.4) -> World:
     rng = SeededRng(config.seed)
     means = make_class_means(config.num_classes, config.input_dim, rng.child(10))
     source_spec = DomainSpec(0, np.zeros(config.input_dim), means, noise_std)
-    model = fit_source_model(config.input_dim, config.input_dim, means, noise_std, rng.child(11))
+    model = fit_source_model(config.input_dim, means, noise_std, rng.child(11))
     src_x, _ = draw_labeled_samples(means, 300, noise_std, rng.child(12))
-    return World(model, means, compute_source_stats(model, src_x), source_spec)
+    return World(model, means, key_stats(model, src_x), source_spec)

@@ -181,18 +181,15 @@ def fit_head(
 
 
 def fit_source_model(
-    input_dim: int,
-    feature_dim: int,
-    class_means: Matrix,
-    noise_std: float,
-    rng: SeededRng,
+    feature_dim: int, class_means: Matrix, noise_std: float, rng: SeededRng
 ) -> ToyModel:
     """Draw the extractor and fit the head on 400 synthetic labeled source samples.
 
-    The extractor is a seeded Gaussian scaled by 1/sqrt(input_dim); the head
-    is fit on extracted features so the frozen model is a genuine source
-    classifier rather than a random map.
+    The extractor is a seeded Gaussian over the class means' width, scaled
+    by 1/sqrt(width); the head is fit on extracted features so the frozen
+    model is a genuine source classifier rather than a random map.
     """
+    input_dim = class_means.shape[1]
     extractor = rng.child(0).normal(size=(feature_dim, input_dim)) / np.sqrt(input_dim)
     x, y = draw_labeled_samples(class_means, 400, noise_std, rng.child(1))
     w, c = fit_head(x @ extractor.T, y, class_means.shape[0])

@@ -58,7 +58,7 @@ def as_matrix(
 
 # The type and range of every hyperparameter, stated here and nowhere else.
 # A range is an interval over the extended reals.
-HYPERPARAMS: dict[str, tuple[type, str | None]] = {
+HYPERPARAMS: dict[str, tuple[type, str]] = {
     "gamma_d": (numbers.Real, "(0, inf]"),
     "gamma_c": (numbers.Real, "(-1, 1)"),
     "gamma_h": (numbers.Real, "[0, inf]"),
@@ -66,21 +66,21 @@ HYPERPARAMS: dict[str, tuple[type, str | None]] = {
     "alpha_c": (numbers.Real, "[0, 1]"),
     "tau_d": (numbers.Real, "(0, inf]"),
     "tau_c": (numbers.Real, "(0, inf]"),
-    "a": (numbers.Real, None),
-    "alpha_std": (numbers.Real, None),
+    "a": (numbers.Real, "[0, inf)"),
+    "alpha_std": (numbers.Real, "[0, inf)"),
     "n_d": (numbers.Integral, "[1, inf]"),
     "n_c": (numbers.Integral, "[1, inf]"),
-    "lr_domain": (numbers.Real, "[0, inf]"),
-    "lr_class": (numbers.Real, "[0, inf]"),
+    "lr_domain": (numbers.Real, "[0, inf)"),
+    "lr_class": (numbers.Real, "[0, inf)"),
     "k_steps": (numbers.Integral, "[0, inf]"),
-    "init_scale": (numbers.Real, "[0, inf]"),
+    "init_scale": (numbers.Real, "[0, inf)"),
 }
 # Stream configuration, separation certificate, world, pool snapshot and
 # gradient check fields, under the same rule. Each item of ``domain_order``
 # is checked as ``domain_order``, and each entry's ``created_at`` as
 # ``created_at``; ``theta`` serves the config, the certificate and
 # ``make_separated``'s target.
-STREAM_PARAMS: dict[str, tuple[type, str | None]] = {
+STREAM_PARAMS: dict[str, tuple[type, str]] = {
     "domain_order": (numbers.Integral, "[0, inf]"),
     "batches_per_domain": (numbers.Integral, "[1, inf]"),
     "batch_size": (numbers.Integral, "[2, inf]"),
@@ -98,13 +98,9 @@ STREAM_PARAMS: dict[str, tuple[type, str | None]] = {
     "created_at": (numbers.Integral, "[-9223372036854775808, 9223372036854775808)"),  # int64
     "version": (numbers.Integral, "[0, inf]"),
     "num_configs": (numbers.Integral, "[1, inf]"),
-    "step": (numbers.Real, "(0, inf)"),
-    "tolerance": (numbers.Real, "(0, inf)"),
 }
 _PARAMS = {**HYPERPARAMS, **STREAM_PARAMS}
-_BOUNDS = {  # (lo, hi) of each interval
-    k: tuple(map(float, r[1:-1].split(","))) for k, (_, r) in _PARAMS.items() if r is not None
-}
+_BOUNDS = {k: tuple(map(float, r[1:-1].split(","))) for k, (_, r) in _PARAMS.items()}  # (lo, hi)
 
 
 def check_param(name: str, value):
@@ -114,15 +110,14 @@ def check_param(name: str, value):
     Integral nor a Real.
     """
     kind, allowed = _PARAMS[name]
-    ok = isinstance(value, kind) and not isinstance(value, bool)
-    if ok and allowed is not None:
-        lo, hi = _BOUNDS[name]
-        ok = (lo < value if allowed[0] == "(" else lo <= value) and (
-            value < hi if allowed[-1] == ")" else value <= hi
-        )
-    if not ok:
-        rule = kind.__name__ + ("" if allowed is None else f" in {allowed}")
-        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    lo, hi = _BOUNDS[name]
+    if not (
+        isinstance(value, kind)
+        and not isinstance(value, bool)
+        and (lo < value if allowed[0] == "(" else lo <= value)
+        and (value < hi if allowed[-1] == ")" else value <= hi)
+    ):
+        raise ValueError(f"{name} must be {kind.__name__} in {allowed}, got {value!r}")
     return value
 
 

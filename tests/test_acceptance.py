@@ -133,9 +133,10 @@ def test_criterion_1_lemma_suite(lemma_suite):
 
 def test_criterion_2_gradient_correctness():
     start = time.perf_counter()
-    result = gradient_check(50, step=1e-5, tolerance=1e-4, seed=0)
+    result = gradient_check(50, seed=0)
     elapsed = time.perf_counter() - start
     assert len(result.rel_errors) == 50
+    assert result.tolerance == 1e-4
     assert result.max_rel_error < 1e-4, f"max rel error {result.max_rel_error:.2e}"
     assert elapsed < 10.0
     announce(2, "gradient vs central differences", elapsed, f"max rel err {result.max_rel_error:.1e}")

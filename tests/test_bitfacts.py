@@ -100,7 +100,8 @@ def test_fact4_stacked_blends_carry_each_rows_bits(seed, g, k, d):
 @settings(max_examples=60, deadline=None)
 def test_fact4_gathered_row_sums_equal_each_rows_own_sum(seed, q, k, n):
     # pools._compose: a group's normalisers are one row sum of its gathered
-    # candidates, num[at].sum(axis=1), or of its full rows under softmax_over_all
+    # candidates, num[at].sum(axis=1); a gathered block of whole rows,
+    # totals[rows].sum(axis=1), keeps each row's own sum as well
     rng = arrays(seed)
     counts = rng.integers(0, 2, size=q) * k  # rows of k candidates among empty ones
     offsets = np.concatenate(([0], np.cumsum(counts)))
@@ -182,7 +183,7 @@ def test_fact8_a_row_sum_over_leading_columns_equals_its_contiguous_copys(seed, 
 def test_fact9_gathered_sums_and_count_quotients_equal_row_by_row_means(seed, n, w, exponent):
     # fusion._merge_groups: every group's rank-r member is added to its sum in
     # one gathered add, rank after rank, and the sums are divided by an int64
-    # count column, where fusion._mean_rows adds row by row and divides by len
+    # count column; a row-by-row mean adds each group's rows and divides by len
     rng = arrays(seed)
     rows = rng.normal(size=(n, w)) * 2.0 ** rng.integers(exponent - 20, exponent + 20, size=(n, 1))
     members, sizes = rng.permutation(n), []  # groups of 1 to 8 rows

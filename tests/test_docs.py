@@ -18,6 +18,9 @@ REMOVED = [
     "--class-mean-scale",
     "--source-samples",
     "--probe-batches",
+    "--step",
+    "--tolerance",
+    "compute_source_stats",
 ]
 
 

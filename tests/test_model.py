@@ -20,7 +20,7 @@ from reference import softmax, two_pass_stats
 def world():
     rng = SeededRng(3)
     means = make_class_means(3, 6, rng.child(0))
-    model = fit_source_model(6, 5, means, 0.3, rng.child(1))
+    model = fit_source_model(5, means, 0.3, rng.child(1))
     return model, means, rng
 
 
