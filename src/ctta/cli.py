@@ -173,13 +173,34 @@ def _setup(args, *, adapt: bool = True) -> tuple:
     return sc, world, hp_doc, hp, certificate, stream
 
 
-def _check_outputs(files, out_dir=None) -> None:
-    """Fail before the first write, so that a failed command writes nothing:
-    each given file path must name a file in an existing directory, and
-    ``out_dir`` a directory that exists or can be made."""
-    for path in filter(None, files):
-        if Path(path).is_dir() or not Path(path).parent.is_dir():
+def _same_file_key(path):
+    # an existing file is known by its inode, so that links and other
+    # spellings of its path match; a file yet to be written by its real path
+    try:
+        st = Path(path).stat()
+    except FileNotFoundError:
+        return Path(path).resolve()
+    return st.st_dev, st.st_ino
+
+
+def _check_outputs(args, outputs, inputs=(), out_dir=None) -> None:
+    """Fail before the first write, so that a failed command writes nothing
+    and writes over none of its inputs. ``outputs`` and ``inputs`` are flags
+    of ``args``, false ones skipped. Each output flag that is set must name a
+    file in an existing directory, and not the file of an input flag or of
+    another output flag; ``out_dir`` must be a directory that exists or can
+    be made."""
+    named = {}
+    for flag in filter(None, (*inputs, *outputs)):
+        path = getattr(args, flag[2:].replace("-", "_"))
+        if not path:
+            continue
+        if flag in outputs and (Path(path).is_dir() or not Path(path).parent.is_dir()):
             raise ValueError(f"cannot write {path}: not a file in an existing directory")
+        key = _same_file_key(path)
+        if flag in outputs and key in named:
+            raise ValueError(f"cannot write {path}: {flag} names the same file as {named[key]}")
+        named.setdefault(key, flag)
     if out_dir is not None:
         found = next(p for p in (Path(out_dir), *Path(out_dir).parents) if p.exists())
         if not found.is_dir():
@@ -189,7 +210,9 @@ def _check_outputs(files, out_dir=None) -> None:
 def cmd_gen_stream(args) -> int:
     check_param("shift_scale", args.shift_scale)
     sc, world, *_ = _setup(args, adapt=False)
-    _check_outputs((args.out, sc.theta is not None and args.certificate, args.model_out))
+    # without a theta no certificate is written
+    outputs = ("--out", sc.theta is not None and "--certificate", "--model-out")
+    _check_outputs(args, outputs, ("--config",))
     rng = SeededRng(sc.seed)
     n_domains = len(set(sc.domain_order))
     if sorted(set(sc.domain_order)) != list(range(n_domains)):
@@ -234,7 +257,7 @@ def cmd_gen_stream(args) -> int:
 
 def cmd_run(args) -> int:
     sc, world, _, hp, _, stream = _setup(args)
-    _check_outputs((args.model_out,), args.out_dir)
+    _check_outputs(args, ("--model-out",), ("--config", "--stream", "--certificate"), args.out_dir)
     # each boundary keeps copies of the pool arrays; JSON is laid out at the end
     boundaries: list[tuple[int, ClassPromptPool, DomainPromptPool]] = []
     prev_domain: list[int | None] = [None]
@@ -319,7 +342,7 @@ def cmd_sweep(args) -> int:
         if raw in raws[:i]:
             raise ValueError(f"--values repeats {raw!r}")
     sc, world, hp_doc, _, _, stream = _setup(args)
-    _check_outputs((), args.out_dir)
+    _check_outputs(args, (), out_dir=args.out_dir)
     points = [
         (raw, Hyperparams.from_dict({**hp_doc, args.param: _sweep_value(args.param, raw)}))
         for raw in raws

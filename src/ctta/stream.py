@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import asdict, dataclass, fields
-from itertools import groupby, repeat
+from itertools import groupby
 
 import numpy as np
 
@@ -242,20 +242,51 @@ _HEADER_PREFIX = ("batch_idx", "domain_id", "class_id")
 _INT64 = np.iinfo(np.int64)
 
 
+def _written_width(batches: list[LabeledBatch]) -> int:
+    """The feature width of batches that ``read_stream`` reads back: 2-d
+    samples of one width of at least 1, finite, at least 2 rows and one class
+    id per row, in strictly ascending batch index. Raises ValueError naming
+    the first batch that breaks a rule."""
+    dim = 0
+    prev = None
+    for batch in batches:
+        samples, idx = batch.samples, batch.batch_index
+        if samples.ndim != 2:
+            raise ValueError(f"batch {idx}: samples must be 2-d, got shape {samples.shape}")
+        rows, width = samples.shape
+        dim = dim or width
+        if not width:
+            raise ValueError(f"batch {idx}: samples have no features")
+        if width != dim:
+            raise ValueError(f"batch {idx}: {width} features, the first batch has {dim}")
+        if rows < 2:
+            raise ValueError(f"batch {idx}: {rows} rows; a batch needs at least 2")
+        if batch.class_ids.shape != (rows,):
+            shape = batch.class_ids.shape
+            raise ValueError(f"batch {idx}: class ids of shape {shape} for {rows} rows")
+        if not np.isfinite(samples).all():
+            raise ValueError(f"batch {idx}: non-finite feature value")
+        if prev is not None and idx <= prev:
+            raise ValueError(f"batch {idx}: batch index not above the previous {prev}")
+        prev = idx
+    return dim
+
+
 def write_stream(batches: list[LabeledBatch], path) -> None:
-    """Write batches as CSV with 9-significant-digit floats."""
-    if batches:
-        dim = batches[0].samples.shape[1]
-    else:
-        dim = 0
+    """Write batches as CSV with 9-significant-digit floats. Batches that
+    ``read_stream`` would not read back raise ValueError before the file is
+    opened."""
+    dim = _written_width(batches)
     header = ",".join(list(_HEADER_PREFIX) + [f"f{k}" for k in range(dim)])
+    # '%.9g' % x is format(x, '.9g') for every float64 (fact 11)
+    row_format = ",".join(["%.9g"] * dim)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for batch in batches:
             lead = f"{batch.batch_index},{batch.domain_id},"
             fh.write(
                 "".join(
-                    f"{lead}{cls},{','.join(map(format, row, repeat('.9g')))}\n"
+                    f"{lead}{cls},{row_format % tuple(row)}\n"
                     for row, cls in zip(batch.samples.tolist(), batch.class_ids.tolist())
                 )
             )

@@ -3,7 +3,8 @@
 These deliberately re-derive results by the most literal route available:
 plain loops over the published matching and update rules, naive
 agglomerative single linkage, a Kruskal that sorts Python edge tuples,
-two-pass statistics, exhaustive pair scans.
+two-pass statistics, exhaustive pair scans, one ``format`` call per
+written float.
 They share only array coercion and arithmetic with the implementation under
 test. The vector softmax, entropy, cosine and Euclidean distance below are
 the textbook formulas the engine's batched forms are checked against.
@@ -11,6 +12,7 @@ the textbook formulas the engine's batched forms are checked against.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -289,3 +291,22 @@ def round_index_reference(domain_seq: list[int]) -> list[int]:
             prev = d
         out.append(block // p)
     return out
+
+
+def write_stream_reference(batches, path) -> None:
+    """The stream writer as it was with one ``format(x, '.9g')`` per value."""
+    if batches:
+        dim = batches[0].samples.shape[1]
+    else:
+        dim = 0
+    header = ",".join(["batch_idx", "domain_id", "class_id"] + [f"f{k}" for k in range(dim)])
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for batch in batches:
+            lead = f"{batch.batch_index},{batch.domain_id},"
+            fh.write(
+                "".join(
+                    f"{lead}{cls},{','.join(map(format, row, repeat('.9g')))}\n"
+                    for row, cls in zip(batch.samples.tolist(), batch.class_ids.tolist())
+                )
+            )

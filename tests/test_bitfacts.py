@@ -1,4 +1,5 @@
-"""Bit-level facts about numpy and its BLAS that the engine's batched forms rely on.
+"""Bit-level facts about numpy and its BLAS that the engine's batched forms rely on,
+and one about Python's float text that the stream writer relies on.
 
 The pools are pinned bit for bit to one-sample interpreters (tests/reference.py),
 so a batched expression may replace a per-row loop only where it carries each
@@ -12,7 +13,7 @@ batches up to 130, classes up to 40.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctta.numerics import SeededRng
@@ -229,3 +230,18 @@ def test_fact10_norms_and_method_reductions_equal_their_ufunc_reduce(seed, n, w,
         assert mask.any() == np.any(mask) and mask.all() == np.all(mask)
         # harness.run_ctta's error rate: the mean of a mask is its exact count over its length
         assert np.count_nonzero(mask[0]) / len(mask[0]) == float(np.mean(mask[0]))
+
+
+@given(st.floats())
+@settings(max_examples=500, deadline=None)
+@example(-0.0)
+@example(5e-324)
+@example(1.7976931348623157e308)
+@example(-1.7976931348623157e308)
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+def test_fact11_percent_format_writes_a_float_as_format_does(x):
+    # stream.write_stream formats a row with one '%.9g' per value in one
+    # %-format; both forms call PyOS_double_to_string(x, 'g', 9, 0)
+    assert "%.9g" % x == format(x, ".9g")

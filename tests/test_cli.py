@@ -647,6 +647,32 @@ def test_uncertified_gen_stream_matches_golden_bytes(name, order, flags, tmp_pat
     assert hashlib.sha256(stream.read_bytes()).hexdigest() == UNCERTIFIED_STREAM_SHA256[name]
 
 
+# sha256 of the saturate benchmark workload's seed-1 stream; CI's cmp pins
+# only the d=8 demo stream
+SATURATE_STREAM_SHA256 = "80d1c04ae127a61a35a41caed8817b58545c56835ff77920b1ad5badb81d2d68"
+
+
+def test_saturate_gen_stream_matches_golden_bytes(tmp_path, capsys):
+    # uncertified, as in the benchmark: no theta
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "domain_order": list(range(5)) * 10,
+                "batches_per_domain": 3,
+                "batch_size": 64,
+                "input_dim": 32,
+                "num_classes": 10,
+            }
+        )
+    )
+    stream = tmp_path / "stream.csv"
+    argv = ["gen-stream", "--config", str(config), "--seed", "1", "--noise-std", "1.5"]
+    assert main(argv + ["--out", str(stream)]) == 0
+    assert capsys.readouterr() == (f"wrote 150 batches to {stream}\n", "")
+    assert hashlib.sha256(stream.read_bytes()).hexdigest() == SATURATE_STREAM_SHA256
+
+
 @pytest.mark.parametrize(
     "param, raw, kind",
     [("n_c", "1.5", "int"), ("gamma_h", "", "float"), ("gamma_h", "1/2", "float")],
@@ -877,6 +903,65 @@ def test_gen_stream_with_an_unwritable_output_writes_nothing(bad, tmp_path, caps
     assert code == 1
     assert capsys.readouterr() == (
         "", f"error: cannot write {paths[bad]}: not a file in an existing directory\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+# (command, output flag, the earlier flag whose file it names): an input's
+# file, or one that another output names
+_SAME_FILE = [
+    ("run", "--model-out", "--stream"),
+    ("run", "--model-out", "--config"),
+    ("run", "--model-out", "--certificate"),
+    ("gen-stream", "--out", "--config"),
+    ("gen-stream", "--certificate", "--out"),
+    ("gen-stream", "--model-out", "--out"),
+    ("gen-stream", "--model-out", "--certificate"),
+]
+
+
+@pytest.mark.parametrize("spelling", ["dotted", "hard link"])
+@pytest.mark.parametrize("command, flag, other", _SAME_FILE)
+def test_an_output_naming_an_input_or_another_output_writes_nothing(
+    command, flag, other, spelling, tmp_path, capsys
+):
+    # every named file exists, the outputs as on a rerun, so that a link to
+    # the other flag's file can be made
+    names = {
+        "--config": "config.json",
+        "--stream": "stream.csv",
+        "--certificate": "certificate.json",
+        "--out": "out.csv",
+        "--model-out": "model.json",
+    }
+    flags = ["--config", "--stream" if command == "run" else "--out", "--certificate", "--model-out"]
+    paths = {f: tmp_path / names[f] for f in flags}
+    for f, path in paths.items():
+        demo = DEMO / names[f]
+        path.write_bytes(demo.read_bytes() if demo.exists() else b"kept")
+    if spelling == "dotted":
+        paths[flag] = f"{tmp_path}/./{names[other]}"
+    else:
+        paths[flag] = tmp_path / "link"
+        paths[flag].hardlink_to(paths[other])
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    argv = [command, "--seed", "7", *(x for f, path in paths.items() for x in (f, str(path)))]
+    if command == "run":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", f"error: cannot write {paths[flag]}: {flag} names the same file as {other}\n"
+    )
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_gen_stream_with_every_output_on_one_new_file_writes_nothing(tmp_path, capsys):
+    path = tmp_path / "s.csv"
+    argv = ["gen-stream", "--config", str(DEMO / "config.json"), "--seed", "7"]
+    argv += ["--out", str(path), "--certificate", str(path), "--model-out", str(path)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", f"error: cannot write {path}: --certificate names the same file as --out\n"
     )
     assert list(tmp_path.iterdir()) == []
 

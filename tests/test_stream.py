@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctta import stream as stream_module
 from ctta.harness import build_world
@@ -11,6 +13,7 @@ from ctta.model import key_stats
 from ctta.numerics import SeededRng
 from ctta.stream import (
     DomainSpec,
+    LabeledBatch,
     SeparationCertificate,
     StreamConfig,
     StreamParseError,
@@ -20,6 +23,7 @@ from ctta.stream import (
     read_stream,
     write_stream,
 )
+from reference import write_stream_reference
 
 DEMO_STREAM = Path(__file__).resolve().parent.parent / "demo" / "stream.csv"
 
@@ -166,6 +170,83 @@ def test_stream_round_trip_bit_identical(tmp_path, world):
         assert a.samples.tobytes() == b.samples.tobytes()
         np.testing.assert_array_equal(a.class_ids, b.class_ids)
         assert (a.domain_id, a.batch_index) == (b.domain_id, b.batch_index)
+
+
+# finite floats only: the writer refuses the rest
+_AWKWARD_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [
+        -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+        -1.7976931348623157e308, 0.1, 1e16, 123456789.5, 9.9999999995e-5,
+    ]
+)
+
+
+@st.composite
+def _writable_batches(draw):
+    dim = draw(st.integers(min_value=1, max_value=40))
+    sizes = draw(st.lists(st.integers(min_value=2, max_value=8), min_size=1, max_size=4))
+    gaps = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=len(sizes), max_size=len(sizes)))
+    batches = []
+    for rows, index in zip(sizes, np.cumsum(gaps).tolist()):
+        values = draw(st.lists(_AWKWARD_FLOATS, min_size=rows * dim, max_size=rows * dim))
+        class_ids = draw(st.lists(st.integers(min_value=0, max_value=9), min_size=rows, max_size=rows))
+        samples = np.array(values, dtype=np.float64).reshape(rows, dim)
+        domain = draw(st.integers(min_value=0, max_value=4))
+        batches.append(LabeledBatch(samples, np.array(class_ids, dtype=np.int64), domain, index))
+    return batches
+
+
+@given(_writable_batches())
+@settings(max_examples=60, deadline=None)
+def test_write_stream_writes_the_reference_writers_bytes(tmp_path_factory, batches):
+    # one %-format per row against one format() call per value (fact 11)
+    folder = tmp_path_factory.mktemp("written")
+    write_stream(batches, folder / "stream.csv")
+    write_stream_reference(batches, folder / "reference.csv")
+    assert (folder / "stream.csv").read_bytes() == (folder / "reference.csv").read_bytes()
+    # and read_stream reads it back, batch for batch
+    shapes = [(b.batch_index, b.domain_id, b.samples.shape) for b in read_stream(folder / "stream.csv")]
+    assert shapes == [(b.batch_index, b.domain_id, b.samples.shape) for b in batches]
+
+
+def _batch(index, samples, class_ids=None):
+    samples = np.asarray(samples, dtype=np.float64)
+    if class_ids is None:
+        class_ids = np.zeros(len(samples), dtype=np.int64)
+    return LabeledBatch(samples, np.asarray(class_ids, dtype=np.int64), 0, index)
+
+
+_GOOD = np.arange(6.0).reshape(3, 2)
+# batch lists that read_stream would not read back, and the batch named
+UNWRITABLE = {
+    "1-d samples": ([_batch(0, _GOOD), _batch(1, np.arange(3.0), [0, 0, 0])], 1),
+    "ragged widths": ([_batch(0, _GOOD), _batch(1, np.ones((3, 3)))], 1),
+    "width 0": ([_batch(0, np.ones((3, 0)))], 0),
+    "nan": ([_batch(0, _GOOD), _batch(4, np.where(_GOOD == 5.0, np.nan, _GOOD))], 4),
+    "-inf": ([_batch(2, np.where(_GOOD == 1.0, -np.inf, _GOOD))], 2),
+    "1-row batch": ([_batch(0, _GOOD), _batch(1, _GOOD[:1])], 1),
+    "3 ids for 2 rows": ([_batch(0, _GOOD[:2], [0, 1, 2])], 0),
+    "2 ids for 3 rows": ([_batch(0, _GOOD, [0, 1])], 0),
+    "2-d class ids": ([_batch(0, _GOOD, [[0], [1], [2]])], 0),
+    "descending indices": ([_batch(5, _GOOD), _batch(3, _GOOD)], 3),
+    "repeated index": ([_batch(5, _GOOD), _batch(5, _GOOD)], 5),
+}
+
+
+@pytest.mark.parametrize("name", list(UNWRITABLE))
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_write_stream_refuses_what_read_stream_would_not_read_back(tmp_path, name, existing):
+    batches, index = UNWRITABLE[name]
+    path = tmp_path / "stream.csv"
+    if existing:
+        path.write_bytes(DEMO_STREAM.read_bytes())
+    with pytest.raises(ValueError, match=rf"^batch {index}: "):
+        write_stream(batches, path)
+    # the file is neither created nor truncated
+    if existing:
+        assert path.read_bytes() == DEMO_STREAM.read_bytes()
+    else:
+        assert not path.exists()
 
 
 def test_read_stream_empty_file_warns(tmp_path):
