@@ -14,6 +14,9 @@ import argparse
 import copy
 import json
 import numbers
+import os
+import secrets
+import stat
 import sys
 import warnings
 from array import array
@@ -173,46 +176,88 @@ def _setup(args, *, adapt: bool = True) -> tuple:
     return sc, world, hp_doc, hp, certificate, stream
 
 
-def _same_file_key(path):
-    # an existing file is known by its inode, so that links and other
-    # spellings of its path match; a file yet to be written by its real path
+def _file_key(path) -> tuple:
+    """``(key, mode)`` of ``path``. An existing file is known by its inode, so
+    that links and other spellings of its path match; a file yet to be
+    written is known by its real path, with mode None."""
     try:
-        st = Path(path).stat()
-    except FileNotFoundError:
-        return Path(path).resolve()
-    return st.st_dev, st.st_ino
+        st = os.stat(path)
+    except OSError:
+        return Path(path).resolve(), None
+    return (st.st_dev, st.st_ino), st.st_mode
 
 
-def _check_outputs(args, outputs, inputs=(), out_dir=None) -> None:
-    """Fail before the first write, so that a failed command writes nothing
-    and writes over none of its inputs. ``outputs`` and ``inputs`` are flags
-    of ``args``, false ones skipped. Each output flag that is set must name a
-    file in an existing directory, and not the file of an input flag or of
-    another output flag; ``out_dir`` must be a directory that exists or can
-    be made."""
-    named = {}
-    for flag in filter(None, (*inputs, *outputs)):
-        path = getattr(args, flag[2:].replace("-", "_"))
-        if not path:
-            continue
-        if flag in outputs and (Path(path).is_dir() or not Path(path).parent.is_dir()):
-            raise ValueError(f"cannot write {path}: not a file in an existing directory")
-        key = _same_file_key(path)
-        if flag in outputs and key in named:
-            raise ValueError(f"cannot write {path}: {flag} names the same file as {named[key]}")
-        named.setdefault(key, flag)
+def _in_out_dir(out_dir, name: str, write) -> tuple:
+    """The plan entry of the fixed file ``name`` in ``--out-dir``."""
+    return f"{name} in --out-dir", Path(out_dir) / name, write
+
+
+def _run_files(out_dir, suffix: str, result_of) -> list:
+    """The plan entries of one run's ``metrics<suffix>.csv`` and
+    ``summary<suffix>.json`` in ``--out-dir``, written from ``result_of()``."""
+    csv = lambda path: Path(path).write_text(result_of().metrics.to_csv(), encoding="utf-8")
+    summary = lambda path: _dump_json(result_of().metrics.summary(), path)
+    return [
+        _in_out_dir(out_dir, f"metrics{suffix}.csv", csv),
+        _in_out_dir(out_dir, f"summary{suffix}.json", summary),
+    ]
+
+
+def _check_plan(plan, inputs, out_dir=None) -> None:
+    """Check a command's output plan, ``(label, path, writer)`` entries, once
+    its inputs are read. ``out_dir`` must be a directory or one that can be made.
+    Each path must name a new or regular file in an existing directory or in
+    ``out_dir``: publishing replaces it, which must not befall a directory, a
+    device or a FIFO. Nor may it be the file of an input, ``(flag, path or
+    None)``, or of an earlier entry."""
     if out_dir is not None:
         found = next(p for p in (Path(out_dir), *Path(out_dir).parents) if p.exists())
         if not found.is_dir():
             raise ValueError(f"cannot make {out_dir}: {found} is not a directory")
+    named = {_file_key(path)[0]: flag for flag, path in reversed(inputs) if path}
+    for label, path, _ in plan:
+        key, mode = _file_key(path)
+        home = Path(path).parent
+        if mode is not None and not stat.S_ISREG(mode):
+            raise ValueError(f"cannot write {path}: {label} is not a regular file")
+        if mode is None and not (home.is_dir() or out_dir is not None and home == Path(out_dir)):
+            raise ValueError(f"cannot write {path}: not a file in an existing directory")
+        if key in named:
+            raise ValueError(f"cannot write {path}: {label} names the same file as {named[key]}")
+        named[key] = label
+
+
+def _publish(plan) -> None:
+    """Write a checked plan. Each writer fills a temporary file in the nearest
+    existing directory above its destination, so on the same filesystem; only
+    then is each file's directory made (only ``--out-dir`` can be missing) and
+    the file moved into place whole, in plan order. On any failure every
+    staged file is removed."""
+    staged = []
+    try:
+        for _, path, write in plan:
+            home = next(p for p in Path(path).parents if p.is_dir())
+            staged.append(home / f".{Path(path).name}.{secrets.token_hex(8)}.tmp")
+            write(staged[-1])
+        for (_, path, _), tmp in zip(plan, staged):
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 def cmd_gen_stream(args) -> int:
     check_param("shift_scale", args.shift_scale)
     sc, world, *_ = _setup(args, adapt=False)
-    # without a theta no certificate is written
-    outputs = ("--out", sc.theta is not None and "--certificate", "--model-out")
-    _check_outputs(args, outputs, ("--config",))
+    # the writers run in _publish, after the draws that bind what they write
+    plan = [("--out", args.out, lambda path: write_stream(batches, path))]
+    if sc.theta is not None:  # without a theta no certificate is written
+        plan.append(("--certificate", args.certificate, lambda path: _dump_json(certificate.to_dict(), path)))
+    if args.model_out:
+        plan.append(("--model-out", args.model_out, lambda path: save_model(world.model, path, seed=sc.seed)))
+    _check_plan(plan, [("--config", args.config)])
     rng = SeededRng(sc.seed)
     n_domains = len(set(sc.domain_order))
     if sorted(set(sc.domain_order)) != list(range(n_domains)):
@@ -242,32 +287,40 @@ def cmd_gen_stream(args) -> int:
             for i in range(n_domains - 1)
         ]
     batches = generate_stream(sc, specs, rng.child(3))
-    write_stream(batches, args.out)
+    _publish(plan)
     print(f"wrote {len(batches)} batches to {args.out}")
     if certificate is not None:
-        _dump_json(certificate.to_dict(), args.certificate)
         print(
             f"certificate: theta={certificate.theta:g} "
             f"max_intra={certificate.max_intra:.6g} min_inter={certificate.min_inter:.6g}"
         )
-    if args.model_out:
-        save_model(world.model, args.model_out, seed=sc.seed)
     return 0
 
 
 def cmd_run(args) -> int:
     sc, world, _, hp, _, stream = _setup(args)
-    _check_outputs(args, ("--model-out",), ("--config", "--stream", "--certificate"), args.out_dir)
-    # each boundary keeps copies of the pool arrays; JSON is laid out at the end
-    boundaries: list[tuple[int, ClassPromptPool, DomainPromptPool]] = []
-    prev_domain: list[int | None] = [None]
+    # both pools are copied before each batch that starts a new domain
+    starts = {b.batch_index for a, b in zip(stream, stream[1:]) if b.domain_id != a.domain_id}
+    pools: dict[str, tuple[ClassPromptPool, DomainPromptPool]] = {}
 
     def on_batch_start(batch, class_pool, domain_pool):
-        if prev_domain[0] is not None and batch.domain_id != prev_domain[0]:
-            pools = copy.deepcopy((class_pool, domain_pool))
-            boundaries.append((batch.batch_index, *pools))
-        prev_domain[0] = batch.domain_id
+        if batch.batch_index in starts:
+            pools[f"boundary_{batch.batch_index}"] = copy.deepcopy((class_pool, domain_pool))
 
+    # the writers run in _publish, after the run that binds result
+    plan = []
+    if args.model_out:
+        plan.append(("--model-out", args.model_out, lambda path: save_model(world.model, path, seed=sc.seed)))
+    plan += _run_files(args.out_dir, "", lambda: result)
+    # fusion merges rows and leaves most of them as they were, so each pool's
+    # snapshots are written in batch order, each reusing its predecessor's rows
+    memos = ({}, {})
+    for when in [*(f"boundary_{i}" for i in sorted(starts)), "final"]:
+        for i, kind in enumerate(("class", "domain")):
+            write = lambda path, when=when, i=i: _dump_json(pools[when][i].to_dict(), path, memos[i])
+            plan.append(_in_out_dir(args.out_dir, f"pools_{kind}_{when}.json", write))
+    inputs = [("--config", args.config), ("--stream", args.stream), ("--certificate", args.certificate)]
+    _check_plan(plan, inputs, args.out_dir)
     result = run_ctta(
         world.model,
         stream,
@@ -276,25 +329,11 @@ def cmd_run(args) -> int:
         rng=SeededRng(sc.seed).child(4),
         on_batch_start=on_batch_start,
     )
-    # a run whose adaptation or model file fails writes no output directory
-    if args.model_out:
-        save_model(world.model, args.model_out, seed=sc.seed)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "metrics.csv").write_text(result.metrics.to_csv(), encoding="utf-8")
-    _dump_json(result.metrics.summary(), out / "summary.json")
-    # fusion merges rows and leaves most of them as they were, so each pool's
-    # snapshots are written in batch order, each reusing its predecessor's rows
-    class_memo: dict = {}
-    domain_memo: dict = {}
-    for idx, class_pool, domain_pool in boundaries:
-        _dump_json(class_pool.to_dict(), out / f"pools_class_boundary_{idx}.json", class_memo)
-        _dump_json(domain_pool.to_dict(), out / f"pools_domain_boundary_{idx}.json", domain_memo)
-    _dump_json(result.class_pool.to_dict(), out / "pools_class_final.json", class_memo)
-    _dump_json(result.domain_pool.to_dict(), out / "pools_domain_final.json", domain_memo)
+    pools["final"] = (result.class_pool, result.domain_pool)
+    _publish(plan)
     print(
         f"ran {len(stream)} batches: overall error "
-        f"{result.metrics.overall_error():.4f}, outputs in {out}"
+        f"{result.metrics.overall_error():.4f}, outputs in {Path(args.out_dir)}"
     )
     return 0
 
@@ -342,22 +381,18 @@ def cmd_sweep(args) -> int:
         if raw in raws[:i]:
             raise ValueError(f"--values repeats {raw!r}")
     sc, world, hp_doc, _, _, stream = _setup(args)
-    _check_outputs(args, (), out_dir=args.out_dir)
-    points = [
-        (raw, Hyperparams.from_dict({**hp_doc, args.param: _sweep_value(args.param, raw)}))
+    points = {
+        f"{args.param}_{raw}": Hyperparams.from_dict({**hp_doc, args.param: _sweep_value(args.param, raw)})
         for raw in raws
-    ]
-    # every grid point runs before the output directory is made
-    results = [
-        (raw, run_ctta(world.model, stream, hp, world.source_stats, rng=SeededRng(sc.seed).child(4)))
-        for raw, hp in points
-    ]
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for raw, result in results:
-        tag = f"{args.param}_{raw}"
-        (out / f"metrics_{tag}.csv").write_text(result.metrics.to_csv(), encoding="utf-8")
-        _dump_json(result.metrics.summary(), out / f"summary_{tag}.json")
+    }
+    # the writers run in _publish, after every point has run
+    results = {}
+    plan = [e for tag in points for e in _run_files(args.out_dir, f"_{tag}", lambda tag=tag: results[tag])]
+    _check_plan(plan, [("--config", args.config), ("--stream", args.stream)], args.out_dir)
+    for tag, hp in points.items():
+        results[tag] = run_ctta(world.model, stream, hp, world.source_stats, rng=SeededRng(sc.seed).child(4))
+    _publish(plan)
+    for tag, result in results.items():
         print(f"{tag}: overall error {result.metrics.overall_error():.4f}")
     return 0
 

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import BatchStats, Matrix, SeededRng, Vector, as_matrix, as_vector, batch_stats, check_param
+from .numerics import BatchStats, Matrix, SeededRng, Vector, as_matrix, as_vector, batch_stats, check_keys
+from .numerics import check_param
 
 
 @dataclass(frozen=True)
@@ -196,6 +197,9 @@ def fit_source_model(
     return ToyModel(extractor, w, c)
 
 
+_MODEL_KEYS = ("input_dim", "feature_dim", "num_classes", "seed", "extractor", "head_weight", "head_bias")
+
+
 def save_model(model: ToyModel, path, *, seed: int | None = None) -> None:
     """Write a JSON snapshot (dims, weights, optional seed); exact float round-trip."""
     doc = {
@@ -213,11 +217,16 @@ def save_model(model: ToyModel, path, *, seed: int | None = None) -> None:
 
 
 def load_model(path) -> ToyModel:
+    """Read a ``save_model`` snapshot. A missing or unknown key, a dimension
+    that is not a positive int and a seed that is neither an int nor null
+    fail by name."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    model = ToyModel(
-        as_matrix(doc["extractor"], shape=(doc["feature_dim"], doc["input_dim"])),
-        as_matrix(doc["head_weight"], shape=(doc["num_classes"], doc["feature_dim"])),
-        as_vector(doc["head_bias"], dim=doc["num_classes"]),
+        doc = check_keys(json.load(fh), "model", _MODEL_KEYS, _MODEL_KEYS)
+    if doc["seed"] is not None:
+        check_param("seed", doc["seed"])
+    d, f, c = (check_param(key, doc[key]) for key in ("input_dim", "feature_dim", "num_classes"))
+    return ToyModel(
+        as_matrix(doc["extractor"], shape=(f, d), name="extractor"),
+        as_matrix(doc["head_weight"], shape=(c, f), name="head_weight"),
+        as_vector(doc["head_bias"], dim=c, name="head_bias"),
     )
-    return model

@@ -154,19 +154,26 @@ class Hyperparams:
         return record_from_dict(cls, doc, "hyperparameter")
 
 
-def record_from_dict(cls, doc: dict, what: str):
-    """Build the dataclass ``cls`` from ``doc``, a dict as a JSON object loads,
-    naming any unknown key and any missing key that has no default; the
-    values are checked by ``cls``."""
+def check_keys(doc, what: str, names, required) -> dict:
+    """``doc`` if it is a dict, as a JSON object loads, with no key outside
+    ``names`` and every key of ``required``; else a ValueError naming the
+    first fault."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object")
-    unknown = set(doc) - {f.name for f in fields(cls)}
+    unknown = set(doc) - set(names)
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
-    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in doc]
+    missing = [name for name in required if name not in doc]
     if missing:
         raise ValueError(f"missing {what} keys: {missing}")
-    return cls(**doc)
+    return doc
+
+
+def record_from_dict(cls, doc: dict, what: str):
+    """Build the dataclass ``cls`` from ``doc`` by ``check_keys``: a key may
+    be left out only if it has a default. The values are checked by ``cls``."""
+    required = [f.name for f in fields(cls) if f.default is MISSING]
+    return cls(**check_keys(doc, what, [f.name for f in fields(cls)], required))
 
 
 @dataclass

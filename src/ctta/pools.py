@@ -95,18 +95,27 @@ class _BasePool:
         width = getattr(pool, cls.WIDTH)
         keys = np.hstack([_field(entries, name, width) for name in cls.KEY_FIELDS])
         pool._check_keys(keys)
-        created_at = [check_param("created_at", e["created_at"]) for e in entries]
+        created_at = [check_param("created_at", c) for c in _column(entries, "created_at")]
         pool._extend(keys, _field(entries, "prompt", pool.prompt_dim), created_at)
         pool.version = check_param("version", doc["version"])
         return pool
+
+
+def _column(entries: list, name: str) -> list:
+    """Field ``name`` of every snapshot entry, in entry order."""
+    missing = [i for i, e in enumerate(entries) if name not in e]
+    if missing:
+        raise ValueError(f"{name} missing from entry {missing[0]}")
+    return [e[name] for e in entries]
 
 
 def _field(entries: list, name: str, width: int) -> Matrix:
     """Field ``name`` of every snapshot entry as one ``(len(entries), width)`` matrix."""
     if not entries:
         return np.empty((0, width))
+    column = _column(entries, name)
     try:
-        rows = np.array([e[name] for e in entries], dtype=np.float64)
+        rows = np.array(column, dtype=np.float64)
     except ValueError as err:  # ragged rows, or entries that are not numbers
         raise ValueError(f"{name} rows must be numbers of one length: {err}") from None
     return as_matrix(rows, shape=(None, width), name=name)

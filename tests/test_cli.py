@@ -1,12 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import os
+import stat
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from ctta.cli import _dump_json, _json_text, load_config_file, main
@@ -973,6 +978,217 @@ def test_sweep_rejects_a_repeated_value_before_any_point_runs(tmp_path, capsys):
     assert main(argv) == 1
     assert capsys.readouterr() == ("", "error: --values repeats '1.0'\n")
     assert not out.exists()
+
+
+def _tree(root: Path) -> dict:
+    """Every path under ``root``: a file's bytes, or None for a directory."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+def test_run_onto_its_own_stream_in_out_dir_writes_nothing(tmp_path, capsys):
+    # the stream is the file that run's fixed metrics.csv would replace
+    out = tmp_path / "out"
+    out.mkdir()
+    stream = out / "metrics.csv"
+    stream.write_bytes((DEMO / "stream.csv").read_bytes())
+    before = _tree(tmp_path)
+    argv = ["run", "--config", str(DEMO / "config.json"), "--stream", str(stream), "--seed", "7"]
+    assert main(argv + ["--out-dir", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: cannot write {stream}: metrics.csv in --out-dir names the same file as --stream\n"
+    )
+    assert _tree(tmp_path) == before
+
+
+def test_sweep_onto_its_own_stream_in_out_dir_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    stream = out / "metrics_n_d_4.csv"
+    stream.write_bytes((DEMO / "stream.csv").read_bytes())
+    before = _tree(tmp_path)
+    argv = ["sweep", "--config", str(DEMO / "config.json"), "--stream", str(stream), "--seed", "7"]
+    assert main(argv + ["--out-dir", str(out), "--param", "n_d", "--values", "4,5"]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: cannot write {stream}: metrics_n_d_4.csv in --out-dir names the same file as --stream\n"
+    )
+    assert _tree(tmp_path) == before
+
+
+def test_run_whose_fixed_output_is_a_directory_writes_no_model(tmp_path, capsys):
+    out, model = tmp_path / "out", tmp_path / "m.json"
+    (out / "summary.json").mkdir(parents=True)
+    argv = ["run", "--config", str(DEMO / "config.json"), "--stream", str(DEMO / "stream.csv")]
+    argv += ["--seed", "7", "--out-dir", str(out), "--model-out", str(model)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", f"error: cannot write {out / 'summary.json'}: summary.json in --out-dir is not a regular file\n"
+    )
+    assert _tree(tmp_path) == {"out": None, "out/summary.json": None}
+
+
+def test_an_output_that_is_a_fifo_is_refused_not_replaced(tmp_path, capsys):
+    # publishing replaces a file; a FIFO or device such as /dev/null would go
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    argv = ["gen-stream", "--config", str(DEMO / "config.json"), "--seed", "7"]
+    argv += ["--out", str(tmp_path / "s.csv"), "--certificate", str(tmp_path / "c.json")]
+    argv += ["--model-out", str(fifo)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: cannot write {fifo}: --model-out is not a regular file\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"] and stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+def test_a_writer_failing_partway_leaves_every_file_as_it_was(tmp_path, monkeypatch, capsys):
+    # a rerun into an existing output directory: the model and metrics.csv are
+    # staged before summary.json's writer fails, and neither replaces its file
+    argv = ["run", "--config", str(DEMO / "config.json"), "--stream", str(DEMO / "stream.csv")]
+    argv += ["--seed", "7", "--out-dir", str(tmp_path / "out"), "--model-out", str(tmp_path / "m.json")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    for path in tmp_path.rglob("*.*"):
+        path.write_bytes(b"kept")
+    before = _tree(tmp_path)
+
+    def full(doc, path, memo=None):
+        Path(path).write_text("half")
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr("ctta.cli._dump_json", full)
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: No space left on device\n")
+    assert _tree(tmp_path) == before
+
+
+@pytest.fixture(scope="module")
+def demo_run():
+    """One real run of the demo stream, which the property below replays in
+    place of ``run_ctta`` so that each case costs a setup and the writes."""
+    hp_doc, sc_doc = load_config_file(DEMO / "config.json")
+    world = build_world(StreamConfig.from_dict(dict(sc_doc, seed=7)))
+    stream = read_stream(DEMO / "stream.csv")
+    return run_ctta(world.model, stream, Hyperparams.from_dict(hp_doc), world.source_stats, rng=SeededRng(7))
+
+
+def _disk_full(*args):
+    raise OSError("disk full")
+
+
+_DEMO_NAMES = {"--config": "config.json", "--stream": "stream.csv", "--certificate": "certificate.json"}
+# every file a command writes in --out-dir for the demo inputs; the demo
+# stream changes domain at batches 10, 20, 30, 40 and 50
+_FIXED = {
+    "run": ["metrics.csv", "summary.json"] + [
+        f"pools_{kind}_{when}.json"
+        for when in [*(f"boundary_{i}" for i in range(10, 60, 10)), "final"]
+        for kind in ("class", "domain")
+    ],
+    "sweep": [
+        f"{kind}_gamma_h_{v}.{ext}" for v in ("1.0", "2.0") for kind, ext in (("metrics", "csv"), ("summary", "json"))
+    ],
+}
+_OUTPUT_FLAGS = {"gen-stream": ["--out", "--certificate", "--model-out"], "run": ["--model-out"], "sweep": []}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_every_command_writes_its_whole_plan_or_nothing(demo_run, data):
+    # Layouts: each output flag names a fresh file, an existing file or
+    # directory, a file in a missing directory, an input's file, another
+    # output's file or (run) a fixed name in --out-dir, or --model-out is
+    # unset. --out-dir is fresh, existing, a file or under a file; in an
+    # existing one a few fixed names are files, directories or an input's
+    # file. Half the cases draw only layouts that must be written. A drawn
+    # writer may fail while staging.
+    def replay(model, stream, hp, source_stats, *, rng, on_batch_start=None):
+        for batch in stream:
+            if on_batch_start is not None:
+                on_batch_start(batch, demo_run.class_pool, demo_run.domain_pool)
+        return demo_run
+
+    command = data.draw(st.sampled_from(["gen-stream", "run", "sweep"]))
+    writable = data.draw(st.booleans())
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        out_dir, ok = root / "out", True
+        inputs = {flag: root / name for flag, name in _DEMO_NAMES.items()}
+        if command == "gen-stream":
+            inputs = {"--config": inputs["--config"]}
+        elif command == "sweep":
+            del inputs["--certificate"]
+        if command != "gen-stream":
+            layouts = ["fresh", "existing", "file", "under file"]
+            layout = data.draw(st.sampled_from(layouts[: 2 if writable else 4]))
+            if layout == "file":
+                out_dir.write_text("")
+            elif layout == "under file":
+                (root / "afile").write_text("")
+                out_dir = root / "afile" / "out"
+            elif layout == "existing":
+                out_dir.mkdir()
+                for name in data.draw(st.lists(st.sampled_from(_FIXED[command]), max_size=3, unique=True)):
+                    states = ["file", "directory", "input"]
+                    state = data.draw(st.sampled_from(states[: 1 if writable else 3]))
+                    if state == "input":
+                        inputs[data.draw(st.sampled_from(sorted(inputs)))] = out_dir / name
+                    elif state == "file":
+                        (out_dir / name).write_text("old")
+                    else:
+                        (out_dir / name).mkdir()
+                    ok = ok and state == "file"
+            ok = ok and layout in ("fresh", "existing")
+        for flag, path in inputs.items():
+            path.write_bytes((DEMO / _DEMO_NAMES[flag]).read_bytes())
+        outputs = {}
+        for flag in _OUTPUT_FLAGS[command]:
+            kinds = ["fresh", "file", "directory", "no directory", "input", "output", "fixed"]
+            kinds = kinds[: 2 if writable else 7 if command == "run" else 6]
+            if flag == "--model-out":  # the one optional output
+                kinds.insert(0, "unset")
+            kind = data.draw(st.sampled_from(kinds))
+            if kind == "unset":
+                continue
+            if kind == "output" and not outputs:
+                kind = "fresh"
+            ok = ok and kind in ("fresh", "file")
+            if kind in ("input", "output"):
+                path = data.draw(st.sampled_from(sorted((inputs if kind == "input" else outputs).values())))
+            elif kind == "fixed":
+                path = out_dir / data.draw(st.sampled_from(_FIXED["run"]))
+            else:
+                path = root / ("missing/" if kind == "no directory" else "") / f"{kind}{flag}"
+            if kind == "file":
+                path.write_text("old")
+            elif kind == "directory":
+                path.mkdir()
+            outputs[flag] = path
+        fail = data.draw(st.integers(0, 3)) == 0
+        argv = [command, "--seed", "7", *(x for f, p in {**inputs, **outputs}.items() for x in (f, str(p)))]
+        if command != "gen-stream":
+            argv += ["--out-dir", str(out_dir)]
+        if command == "sweep":
+            argv += ["--param", "gamma_h", "--values", "1.0,2.0"]
+        event(f"{command} {'writes' if ok and not fail else 'fails'}")
+        before = _tree(root)
+        err = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
+            mp.setattr("ctta.cli.run_ctta", replay)
+            if fail:  # the first JSON file of every plan follows another entry
+                mp.setattr("ctta.cli._dump_json", _disk_full)
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
+        after = _tree(root)
+        if ok and not fail:
+            assert (code, err.getvalue()) == (0, "")
+            planned = {p.relative_to(root).as_posix() for p in outputs.values()}
+            planned |= {(out_dir / name).relative_to(root).as_posix() for name in _FIXED.get(command, [])}
+            assert planned <= {path for path, content in after.items() if content is not None}
+            changed = {path for path in after if path not in before or after[path] != before[path]}
+            assert changed <= planned | {"out"}
+            assert set(before) <= set(after)
+        else:
+            assert code == 1
+            assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: ")
+            assert after == before
 
 
 _EDGE_FLOATS = [-0.0, 5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf]

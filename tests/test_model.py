@@ -1,3 +1,7 @@
+import json
+from dataclasses import MISSING
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +18,8 @@ from ctta.model import (
 )
 from ctta.numerics import SeededRng
 from reference import softmax, two_pass_stats
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +139,51 @@ def test_model_snapshot_round_trip(tmp_path, world):
     save_model(model, path, seed=3)
     loaded = load_model(path)
     assert loaded.weight_bytes() == model.weight_bytes()
+    save_model(model, path)  # no seed: null
+    assert load_model(path).weight_bytes() == model.weight_bytes()
+
+
+def test_shipped_demo_model_loads():
+    model = load_model(DEMO / "model.json")
+    assert (model.input_dim, model.feature_dim, model.num_classes) == (8, 8, 3)
+
+
+def _edit(doc, key, value):
+    doc = dict(doc)
+    if value is MISSING:
+        del doc[key]
+    else:
+        doc[key] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: _edit(d, "head_bias", MISSING), "missing model keys: ['head_bias']"),
+        (lambda d: _edit(d, "input_dim", MISSING), "missing model keys: ['input_dim']"),
+        (lambda d: _edit(d, "junk", 1), "unknown model keys: ['junk']"),
+        (lambda d: _edit(_edit(d, "seed", "abc"), "junk", 1), "unknown model keys: ['junk']"),
+        (lambda d: _edit(d, "seed", "abc"), "seed must be Integral in [0, inf], got 'abc'"),
+        (lambda d: _edit(d, "seed", 1.5), "seed must be Integral in [0, inf], got 1.5"),
+        (lambda d: _edit(d, "seed", True), "seed must be Integral in [0, inf], got True"),
+        (lambda d: _edit(d, "feature_dim", "8"), "feature_dim must be Integral in [1, inf], got '8'"),
+        (lambda d: 5, "model must be a JSON object"),
+        (lambda d: [d], "model must be a JSON object"),
+    ],
+    ids=[
+        "no-head_bias", "no-input_dim", "unknown", "unknown-and-bad-seed", "seed-str",
+        "seed-float", "seed-bool", "dim-str", "number", "list",
+    ],
+)
+def test_bad_model_documents_fail_naming_the_key(tmp_path, edit, message):
+    # each of these used to raise KeyError or TypeError, or to load
+    doc = json.loads((DEMO / "model.json").read_text())
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(edit(doc)))
+    with pytest.raises(ValueError) as exc:
+        load_model(path)
+    assert str(exc.value) == message
 
 
 def test_weights_unchanged_by_forward_passes(world):

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import MISSING, replace
 
 import numpy as np
 import pytest
@@ -296,6 +296,12 @@ def test_pools_reject_prompts_of_the_wrong_dimension():
         ("prompt", [1.0], "prompt"),
         (0, [1.0], 0),
         (-1, [1.0], -1),
+        # an entry without the field: a class prompt or key, a domain
+        # prompt, mu or sigma, or either pool's counter
+        ("prompt", MISSING, "prompt"),
+        (0, MISSING, 0),
+        (-1, MISSING, -1),
+        ("created_at", MISSING, "created_at"),
     ],
 )
 def test_pool_snapshots_reject_malformed_fields_by_name(cls, field, value, named):
@@ -307,7 +313,10 @@ def test_pool_snapshots_reject_malformed_fields_by_name(cls, field, value, named
     if isinstance(field, int):  # an index into the pool's key fields
         field = named = cls.KEY_FIELDS[field]
     entry = doc["entries"][1]
-    (entry if field in entry else doc)[field] = value
+    if value is MISSING:
+        del entry[field]
+    else:
+        (entry if field in entry else doc)[field] = value
     with pytest.raises(ValueError, match=f"^{named} "):
         cls.from_dict(doc)
 
