@@ -35,7 +35,7 @@ from .harness import (
     verify_lemmas,
 )
 from .model import save_model
-from .numerics import HYPERPARAMS, SeededRng, check_param
+from .numerics import HYPERPARAMS, SeededRng, check_keys, check_param
 from .pools import ClassPromptPool, DomainPromptPool
 from .stream import (
     DomainSpec,
@@ -49,16 +49,11 @@ from .stream import (
 
 def load_config_file(path) -> tuple[dict, dict]:
     """Split a config JSON into hyperparameter and stream-config dicts."""
+    stream_keys = [f.name for f in fields(StreamConfig)]
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("config must be a JSON object")
-    stream_keys = {f.name for f in fields(StreamConfig)}
-    unknown = set(doc) - set(HYPERPARAMS) - stream_keys
-    if unknown:
-        raise ValueError(f"unknown config keys rejected: {sorted(unknown)}")
+        doc = check_keys(json.load(fh), "config", [*HYPERPARAMS, *stream_keys], ())
     hp_doc = {k: v for k, v in doc.items() if k in HYPERPARAMS}
-    sc_doc = {k: v for k, v in doc.items() if k in stream_keys}
+    sc_doc = {k: v for k, v in doc.items() if k not in HYPERPARAMS}
     return hp_doc, sc_doc
 
 
@@ -149,14 +144,17 @@ def _setup_args(parser: argparse.ArgumentParser, *, adapt: bool = True, seed_req
 def _setup(args, *, adapt: bool = True) -> tuple:
     """The one start of ``gen-stream``, ``run``, ``verify`` and ``sweep``.
 
-    Loads the config, lets ``--seed`` override its seed and builds the world.
-    A command that adapts over a stream also loads its certificate, takes
-    ``gamma_d`` from the config, else half the certificate's theta, builds
-    the Hyperparams and reads a non-empty stream.
-    Returns (stream config, world, hyperparameter doc, Hyperparams,
-    certificate, stream), the last three None when not adapting.
+    Loads the config and lets ``--seed`` override its seed. A command that
+    adapts over a stream also loads its certificate, takes ``gamma_d`` from
+    the config, else half the certificate's theta, builds the Hyperparams and
+    reads a non-empty stream. The command builds the world once its output
+    plan is checked.
+    Returns (stream config, hyperparameter doc, Hyperparams, certificate,
+    stream, the ``(flag, path)`` of each file read), the Hyperparams,
+    certificate and stream None when not adapting.
     """
     hp_doc, sc_doc = load_config_file(args.config)
+    inputs = [("--config", args.config)]
     if args.seed is not None:
         sc_doc["seed"] = args.seed
     sc = StreamConfig.from_dict(sc_doc)
@@ -168,12 +166,11 @@ def _setup(args, *, adapt: bool = True) -> tuple:
         if "gamma_d" not in hp_doc and certificate is not None:
             hp_doc["gamma_d"] = certificate.theta / 2.0
         hp = Hyperparams.from_dict(hp_doc)
-    world = build_world(sc, noise_std=args.noise_std)
-    if adapt:
         stream = read_stream(args.stream)
         if not stream:
             raise ValueError(f"stream {args.stream} contains no batches")
-    return sc, world, hp_doc, hp, certificate, stream
+        inputs += [("--stream", args.stream), ("--certificate", args.certificate)]
+    return sc, hp_doc, hp, certificate, stream, inputs
 
 
 def _file_key(path) -> tuple:
@@ -250,19 +247,19 @@ def _publish(plan) -> None:
 
 def cmd_gen_stream(args) -> int:
     check_param("shift_scale", args.shift_scale)
-    sc, world, *_ = _setup(args, adapt=False)
+    sc, *_, inputs = _setup(args, adapt=False)
+    n_domains = len(set(sc.domain_order))
+    if sorted(set(sc.domain_order)) != list(range(n_domains)):
+        raise ValueError("domain_order ids must be 0..N-1")
     # the writers run in _publish, after the draws that bind what they write
     plan = [("--out", args.out, lambda path: write_stream(batches, path))]
     if sc.theta is not None:  # without a theta no certificate is written
         plan.append(("--certificate", args.certificate, lambda path: _dump_json(certificate.to_dict(), path)))
     if args.model_out:
         plan.append(("--model-out", args.model_out, lambda path: save_model(world.model, path, seed=sc.seed)))
-    _check_plan(plan, [("--config", args.config)])
+    _check_plan(plan, inputs)
+    world = build_world(sc, noise_std=args.noise_std)
     rng = SeededRng(sc.seed)
-    n_domains = len(set(sc.domain_order))
-    if sorted(set(sc.domain_order)) != list(range(n_domains)):
-        raise ValueError("domain_order ids must be 0..N-1")
-
     certificate = None
     if sc.theta is not None:
         specs, certificate = make_separated(
@@ -298,7 +295,7 @@ def cmd_gen_stream(args) -> int:
 
 
 def cmd_run(args) -> int:
-    sc, world, _, hp, _, stream = _setup(args)
+    sc, _, hp, _, stream, inputs = _setup(args)
     # both pools are copied before each batch that starts a new domain
     starts = {b.batch_index for a, b in zip(stream, stream[1:]) if b.domain_id != a.domain_id}
     pools: dict[str, tuple[ClassPromptPool, DomainPromptPool]] = {}
@@ -319,8 +316,8 @@ def cmd_run(args) -> int:
         for i, kind in enumerate(("class", "domain")):
             write = lambda path, when=when, i=i: _dump_json(pools[when][i].to_dict(), path, memos[i])
             plan.append(_in_out_dir(args.out_dir, f"pools_{kind}_{when}.json", write))
-    inputs = [("--config", args.config), ("--stream", args.stream), ("--certificate", args.certificate)]
     _check_plan(plan, inputs, args.out_dir)
+    world = build_world(sc, noise_std=args.noise_std)
     result = run_ctta(
         world.model,
         stream,
@@ -339,7 +336,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    sc, world, _, hp, certificate, stream = _setup(args)
+    sc, _, hp, certificate, stream, _ = _setup(args)
+    world = build_world(sc, noise_std=args.noise_std)
     report = verify_lemmas(
         stream, certificate, hp, world.model, world.source_stats, rng=SeededRng(sc.seed).child(4)
     )
@@ -380,7 +378,7 @@ def cmd_sweep(args) -> int:
     for i, raw in enumerate(raws):
         if raw in raws[:i]:
             raise ValueError(f"--values repeats {raw!r}")
-    sc, world, hp_doc, _, _, stream = _setup(args)
+    sc, hp_doc, _, _, stream, inputs = _setup(args)
     points = {
         f"{args.param}_{raw}": Hyperparams.from_dict({**hp_doc, args.param: _sweep_value(args.param, raw)})
         for raw in raws
@@ -388,7 +386,8 @@ def cmd_sweep(args) -> int:
     # the writers run in _publish, after every point has run
     results = {}
     plan = [e for tag in points for e in _run_files(args.out_dir, f"_{tag}", lambda tag=tag: results[tag])]
-    _check_plan(plan, [("--config", args.config), ("--stream", args.stream)], args.out_dir)
+    _check_plan(plan, inputs, args.out_dir)
+    world = build_world(sc, noise_std=args.noise_std)
     for tag, hp in points.items():
         results[tag] = run_ctta(world.model, stream, hp, world.source_stats, rng=SeededRng(sc.seed).child(4))
     _publish(plan)

@@ -323,7 +323,7 @@ class GradCheckResult:
 def gradient_check(num_configs: int = 50, *, seed: int = 0) -> GradCheckResult:
     """Compare analytic gradients with central differences on random setups.
 
-    The differences take ``finite_diff_grad``'s default step; the check passes
+    The differences take steps of ``objective.FD_STEP``; the check passes
     when every relative error is below ``GRADCHECK_TOLERANCE``. Configurations
     landing within 1e-6 of an alignment-norm kink are resampled, since the
     subgradient convention is not comparable there.

@@ -200,8 +200,8 @@ def fit_source_model(
 _MODEL_KEYS = ("input_dim", "feature_dim", "num_classes", "seed", "extractor", "head_weight", "head_bias")
 
 
-def save_model(model: ToyModel, path, *, seed: int | None = None) -> None:
-    """Write a JSON snapshot (dims, weights, optional seed); exact float round-trip."""
+def save_model(model: ToyModel, path, *, seed: int) -> None:
+    """Write a JSON snapshot (dims, weights, the world's seed); exact float round-trip."""
     doc = {
         "input_dim": model.input_dim,
         "feature_dim": model.feature_dim,
@@ -218,12 +218,11 @@ def save_model(model: ToyModel, path, *, seed: int | None = None) -> None:
 
 def load_model(path) -> ToyModel:
     """Read a ``save_model`` snapshot. A missing or unknown key, a dimension
-    that is not a positive int and a seed that is neither an int nor null
+    that is not a positive int and a seed that is not an int of at least 0
     fail by name."""
     with open(path, encoding="utf-8") as fh:
         doc = check_keys(json.load(fh), "model", _MODEL_KEYS, _MODEL_KEYS)
-    if doc["seed"] is not None:
-        check_param("seed", doc["seed"])
+    check_param("seed", doc["seed"])
     d, f, c = (check_param(key, doc[key]) for key in ("input_dim", "feature_dim", "num_classes"))
     return ToyModel(
         as_matrix(doc["extractor"], shape=(f, d), name="extractor"),

@@ -25,7 +25,10 @@ def _all_finite(arr: np.ndarray) -> bool:
 
 def as_vector(values, dim: int | None = None, name: str = "vector") -> Vector:
     """Coerce to a finite 1-d float64 array, optionally checking its dimension."""
-    arr = np.asarray(values, dtype=np.float64)
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as err:  # not numbers, ragged or past float64
+        raise ValueError(f"{name} must be an array of numbers: {err}") from None
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-d, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
@@ -43,7 +46,10 @@ def as_matrix(
     A ``None`` in ``shape`` leaves that axis unchecked; a batch of samples is
     ``shape=(None, dim)`` with ``min_rows`` of at least 1.
     """
-    arr = np.asarray(values, dtype=np.float64)
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as err:  # not numbers, ragged or past float64
+        raise ValueError(f"{name} must be an array of numbers: {err}") from None
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-d, got shape {arr.shape}")
     rows, cols = shape or (None, None)

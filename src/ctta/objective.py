@@ -26,6 +26,7 @@ class LossBreakdown:
 
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+FD_STEP = 1e-5  # finite_diff_grad's central-difference step
 
 
 @dataclass
@@ -168,8 +169,6 @@ def finite_diff_grad(
     source_stats: BatchStats,
     a: float,
     alpha_std: float,
-    *,
-    step: float = 1e-5,
 ) -> tuple[Vector, Matrix]:
     """Central-difference gradients of the total loss; the checking oracle.
 
@@ -185,12 +184,12 @@ def finite_diff_grad(
     for p, g in ((p_d, g_domain), (p_c, g_class)):
         for k in np.ndindex(p.shape):
             orig = p[k]
-            p[k] = orig + step
+            p[k] = orig + FD_STEP
             hi = total(p_d, p_c)
-            p[k] = orig - step
+            p[k] = orig - FD_STEP
             lo = total(p_d, p_c)
             p[k] = orig
-            g[k] = (hi - lo) / (2.0 * step)
+            g[k] = (hi - lo) / (2.0 * FD_STEP)
     return g_domain, g_class
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import BatchStats, Hyperparams, Matrix, SeededRng, Vector, as_matrix, check_param
+from .numerics import BatchStats, Hyperparams, Matrix, SeededRng, Vector, as_matrix, check_keys, check_param
 from .numerics import check_stats, row_norms
 
 
@@ -82,42 +82,36 @@ class _BasePool:
     def from_dict(cls, doc: dict):
         """Load a ``to_dict`` snapshot: the one checked way rows enter a pool.
 
-        The constructor checks the dimensions. Each field is read as one
-        matrix and checked once for all entries; a snapshot holds at most
-        ``capacity`` entries, and its counters and version are integers.
+        ``check_keys`` checks the snapshot's keys and each entry's, and the
+        constructor the dimensions. Each field is read as one matrix and
+        checked once for all entries; a snapshot holds at most ``capacity``
+        entries, and its counters and version are integers.
         """
-        if doc.get("kind") != cls.KIND:
+        if not isinstance(doc, dict) or doc.get("kind") != cls.KIND:
             raise ValueError(f"snapshot is not a {cls.KIND} pool")
+        names = ("kind", "capacity", "prompt_dim", cls.WIDTH, "version", "entries")
+        check_keys(doc, "snapshot", names, names)
         pool = cls(doc["capacity"], doc["prompt_dim"], doc[cls.WIDTH])
         entries = doc["entries"]
+        if not isinstance(entries, list):
+            raise ValueError(f"entries must be a JSON array, got {entries!r}")
         if len(entries) > pool.capacity:
             raise ValueError(f"entries has {len(entries)} rows, more than capacity {pool.capacity}")
+        entry_names = ("prompt", "created_at", *cls.KEY_FIELDS)
+        for i, entry in enumerate(entries):
+            check_keys(entry, f"entry {i}", entry_names, entry_names)
         width = getattr(pool, cls.WIDTH)
         keys = np.hstack([_field(entries, name, width) for name in cls.KEY_FIELDS])
         pool._check_keys(keys)
-        created_at = [check_param("created_at", c) for c in _column(entries, "created_at")]
+        created_at = [check_param("created_at", e["created_at"]) for e in entries]
         pool._extend(keys, _field(entries, "prompt", pool.prompt_dim), created_at)
         pool.version = check_param("version", doc["version"])
         return pool
 
 
-def _column(entries: list, name: str) -> list:
-    """Field ``name`` of every snapshot entry, in entry order."""
-    missing = [i for i, e in enumerate(entries) if name not in e]
-    if missing:
-        raise ValueError(f"{name} missing from entry {missing[0]}")
-    return [e[name] for e in entries]
-
-
 def _field(entries: list, name: str, width: int) -> Matrix:
     """Field ``name`` of every snapshot entry as one ``(len(entries), width)`` matrix."""
-    if not entries:
-        return np.empty((0, width))
-    column = _column(entries, name)
-    try:
-        rows = np.array(column, dtype=np.float64)
-    except ValueError as err:  # ragged rows, or entries that are not numbers
-        raise ValueError(f"{name} rows must be numbers of one length: {err}") from None
+    rows = [e[name] for e in entries] if entries else np.empty((0, width))
     return as_matrix(rows, shape=(None, width), name=name)
 
 

@@ -338,7 +338,7 @@ def test_unknown_config_keys_exit_1(tmp_path, capsys):
         ["gen-stream", "--config", str(config), "--seed", "1", "--out", str(tmp_path / "s.csv")]
     )
     assert code == 1
-    assert "unknown config keys" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: unknown config keys: ['mystery']\n"
 
 
 def test_missing_stream_file_exits_1(generated, tmp_path, capsys):
@@ -823,6 +823,42 @@ def test_sweep_whose_output_directory_cannot_be_made_runs_no_point(tmp_path, mon
     assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
 
+_MISSING_DIR = "not a file in an existing directory"
+_REFUSED = {
+    # one refused output per command: a file in a missing directory, or an
+    # --out-dir under a plain file
+    "gen-stream": (
+        ["--out", "s.csv", "--certificate", "nodir/c.json"],
+        f"error: cannot write nodir/c.json: {_MISSING_DIR}\n",
+    ),
+    "run": (
+        ["--out-dir", "out", "--model-out", "nodir/m.json"],
+        f"error: cannot write nodir/m.json: {_MISSING_DIR}\n",
+    ),
+    "sweep": (
+        ["--out-dir", "afile/sweep", "--param", "gamma_h", "--values", "1.0"],
+        "error: cannot make afile/sweep: afile is not a directory\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REFUSED))
+def test_a_refused_output_fails_before_the_source_fit(command, tmp_path, monkeypatch, capsys):
+    # the inputs and the output plan are checked before build_world fits the model
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("")
+    calls = []
+    monkeypatch.setattr("ctta.cli.build_world", lambda *a, **k: calls.append(a))
+    argv = [command, "--config", str(DEMO / "config.json"), "--seed", "7"]
+    if command != "gen-stream":
+        argv += ["--stream", str(DEMO / "stream.csv")]
+    flags, error = _REFUSED[command]
+    assert main(argv + flags) == 1
+    assert capsys.readouterr() == ("", error)
+    assert calls == []
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+
 _BAD_WEIGHTS = [
     (key, value, shown)
     for key in ("a", "alpha_std")
@@ -858,7 +894,7 @@ def test_removed_config_keys_are_unknown(key, value, tmp_path, capsys):
     out = tmp_path / "out"
     argv = ["run", "--config", str(config), "--stream", str(DEMO / "stream.csv"), "--seed", "7"]
     assert main(argv + ["--out-dir", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: unknown config keys rejected: [{key!r}]\n"
+    assert capsys.readouterr().err == f"error: unknown config keys: [{key!r}]\n"
     assert not out.exists()
 
 

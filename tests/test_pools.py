@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import MISSING, replace
 
 import numpy as np
@@ -297,7 +298,8 @@ def test_pools_reject_prompts_of_the_wrong_dimension():
         (0, [1.0], 0),
         (-1, [1.0], -1),
         # an entry without the field: a class prompt or key, a domain
-        # prompt, mu or sigma, or either pool's counter
+        # prompt, mu or sigma, or either pool's counter; the whole message
+        # names the entry and the field
         ("prompt", MISSING, "prompt"),
         (0, MISSING, 0),
         (-1, MISSING, -1),
@@ -313,12 +315,57 @@ def test_pool_snapshots_reject_malformed_fields_by_name(cls, field, value, named
     if isinstance(field, int):  # an index into the pool's key fields
         field = named = cls.KEY_FIELDS[field]
     entry = doc["entries"][1]
+    expected = f"^{named} "
     if value is MISSING:
         del entry[field]
+        expected = re.escape(f"missing entry 1 keys: [{field!r}]") + "$"
     else:
         (entry if field in entry else doc)[field] = value
-    with pytest.raises(ValueError, match=f"^{named} "):
+    with pytest.raises(ValueError, match=expected):
         cls.from_dict(doc)
+
+
+def _set(doc, value, *path):
+    """``doc`` with the item at ``path`` set to ``value``, or removed if MISSING."""
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if value is MISSING:
+        del node[last]
+    else:
+        node[last] = value
+    return doc
+
+
+# each of these raised KeyError, TypeError or AttributeError, or loaded
+_MALFORMED_SNAPSHOTS = {
+    "no-capacity": (lambda d: _set(d, MISSING, "capacity"), "missing snapshot keys: ['capacity']"),
+    "no-entries": (lambda d: _set(d, MISSING, "entries"), "missing snapshot keys: ['entries']"),
+    "no-version": (lambda d: _set(d, MISSING, "version"), "missing snapshot keys: ['version']"),
+    "entries-int": (lambda d: _set(d, 3, "entries"), "entries must be a JSON array, got 3"),
+    "entry-int": (lambda d: _set(d, 3, "entries", 1), "entry 1 must be a JSON object"),
+    "list-document": (lambda d: [d], None),  # None: the wrong-kind message
+    "unknown-key": (lambda d: _set(d, 1, "junk"), "unknown snapshot keys: ['junk']"),
+    "unknown-entry-key": (lambda d: _set(d, 1, "entries", 1, "junk"), "unknown entry 1 keys: ['junk']"),
+    "dict-in-row": (
+        lambda d: _set(d, {}, "entries", 1, "prompt", 0),
+        "prompt must be an array of numbers: float() argument must be a string or a real number, not 'dict'",
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", [ClassPromptPool, DomainPromptPool])
+@pytest.mark.parametrize("case", sorted(_MALFORMED_SNAPSHOTS))
+def test_malformed_snapshot_documents_fail_by_name(cls, case):
+    if cls is ClassPromptPool:
+        doc = make_class_pool([[0.6, 0.2, 0.2], [0.2, 0.6, 0.2]]).to_dict()
+    else:
+        doc = make_domain_pool([[0, 0, 0, 0], [1, 0, 0, 0]]).to_dict()
+    edit, message = _MALFORMED_SNAPSHOTS[case]
+    with pytest.raises(ValueError) as exc:
+        cls.from_dict(edit(doc))
+    assert str(exc.value) == (message or f"snapshot is not a {cls.KIND} pool")
 
 
 @pytest.mark.parametrize("cls", [ClassPromptPool, DomainPromptPool])
