@@ -20,7 +20,7 @@ import stat
 import sys
 import warnings
 from array import array
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -145,10 +145,11 @@ def _setup(args, *, adapt: bool = True) -> tuple:
     """The one start of ``gen-stream``, ``run``, ``verify`` and ``sweep``.
 
     Loads the config and lets ``--seed`` override its seed. A command that
-    adapts over a stream also loads its certificate, takes ``gamma_d`` from
-    the config, else half the certificate's theta, builds the Hyperparams and
-    reads a non-empty stream. The command builds the world once its output
-    plan is checked.
+    adapts over a stream also loads its certificate, whose seed is the default
+    of ``--seed`` and must equal the run's; takes ``gamma_d`` from the config,
+    else half the certificate's theta; builds the Hyperparams; and reads a
+    non-empty stream, which must fit the config (``_check_stream``). The
+    command builds the world once its output plan is checked.
     Returns (stream config, hyperparameter doc, Hyperparams, certificate,
     stream, the ``(flag, path)`` of each file read), the Hyperparams,
     certificate and stream None when not adapting.
@@ -163,14 +164,35 @@ def _setup(args, *, adapt: bool = True) -> tuple:
         if args.certificate:
             with open(args.certificate, encoding="utf-8") as fh:
                 certificate = SeparationCertificate.from_dict(json.load(fh))
+            if args.seed is None:
+                sc = replace(sc, seed=certificate.seed)
+            if certificate.seed != sc.seed:
+                seeds = f"seed {certificate.seed}, not at the run's seed {sc.seed}"
+                raise ValueError(f"certificate {args.certificate} was measured at {seeds}")
         if "gamma_d" not in hp_doc and certificate is not None:
             hp_doc["gamma_d"] = certificate.theta / 2.0
         hp = Hyperparams.from_dict(hp_doc)
         stream = read_stream(args.stream)
         if not stream:
             raise ValueError(f"stream {args.stream} contains no batches")
+        _check_stream(stream, sc, args.stream)
         inputs += [("--stream", args.stream), ("--certificate", args.certificate)]
     return sc, hp_doc, hp, certificate, stream, inputs
+
+
+def _check_stream(stream, sc: StreamConfig, path) -> None:
+    """The stream at ``path`` must have the config's ``input_dim`` features
+    and class ids in ``[0, num_classes)``; errors name its first batch at fault."""
+    for batch in stream:
+        ids, width = batch.class_ids, batch.samples.shape[1]
+        outside = ids[(ids < 0) | (ids >= sc.num_classes)]
+        if width != sc.input_dim:
+            fault = f"{width} features, the config's input_dim is {sc.input_dim}"
+        elif outside.size:
+            fault = f"class id {outside[0]}, outside [0, {sc.num_classes})"
+        else:
+            continue
+        raise ValueError(f"stream {path}: batch {batch.batch_index} has {fault}")
 
 
 def _file_key(path) -> tuple:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import BatchStats, Hyperparams, Matrix, as_matrix, as_vector, check_stats, row_norms
+from .numerics import BatchStats, Hyperparams, Matrix, as_array, check_stats, row_norms
 from .pools import ClassPromptPool, DomainPromptPool, FissionOutcome
 
 
@@ -142,9 +142,9 @@ def update_class_pool(
     outcome = record.outcome
     _check_outcome(pool, outcome)
     b, dim, num_classes = len(outcome), pool.prompt_dim, pool.num_classes
-    learned = as_matrix(record.learned_prompts, shape=(b, dim), name="learned prompts")
-    preds = as_matrix(record.predictions, shape=(b, num_classes), name="predictions")
-    labels = as_matrix(record.pseudo_labels, shape=(b, num_classes), name="pseudo labels")
+    learned = as_array(record.learned_prompts, (b, dim), "learned prompts")
+    preds = as_array(record.predictions, (b, num_classes), "predictions")
+    labels = as_array(record.pseudo_labels, (b, num_classes), "pseudo labels")
     # One of two entropy forms: the predictions come from model._row_softmax
     # and may hold exact zeros, hence the guard. The objective's entropy reads
     # its own log-softmax instead, which has other bits.
@@ -318,7 +318,7 @@ def update_domain_pool(
     _check_outcome(pool, outcome)
     if len(outcome) != 1:
         raise ValueError(f"a domain update takes a one-row outcome, got {len(outcome)} rows")
-    learned = as_vector(learned_prompt, dim=pool.prompt_dim, name="learned prompt")
+    learned = as_array(learned_prompt, (pool.prompt_dim,), "learned prompt")
     check_stats(stats, pool.feature_dim, "stats")
 
     summary = DomainUpdateSummary(fissioned=bool(outcome.fissioned[0]))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import BatchStats, Matrix, SeededRng, Vector, as_matrix, as_vector, batch_stats, check_keys
+from .numerics import BatchStats, Matrix, SeededRng, Vector, as_array, batch_stats, check_keys
 from .numerics import check_param
 
 
@@ -24,20 +24,12 @@ class ToyModel:
     head_bias: Vector      # (num_classes,)
 
     def __post_init__(self):
-        a = as_matrix(self.extractor, name="extractor")
-        w = as_matrix(self.head_weight, name="head_weight")
-        c = as_vector(self.head_bias, name="head_bias")
-        if w.shape[1] != a.shape[0]:
-            raise ValueError(
-                f"head expects feature dim {w.shape[1]}, extractor produces {a.shape[0]}"
-            )
-        if c.shape[0] != w.shape[0]:
-            raise ValueError("head bias dimension must match class count")
-        for arr in (a, w, c):
+        a = as_array(self.extractor, (None, None), "extractor")
+        w = as_array(self.head_weight, (None, a.shape[0]), "head_weight")
+        c = as_array(self.head_bias, w.shape[:1], "head_bias")
+        for key, arr in (("extractor", a), ("head_weight", w), ("head_bias", c)):
             arr.setflags(write=False)
-        object.__setattr__(self, "extractor", a)
-        object.__setattr__(self, "head_weight", w)
-        object.__setattr__(self, "head_bias", c)
+            object.__setattr__(self, key, arr)
 
     @property
     def input_dim(self) -> int:
@@ -78,14 +70,9 @@ def check_prompted(model: ToyModel, batch, domain_prompt, class_prompts, *, min_
     """Coerce a batch and its prompts: (b, d) samples with at least ``min_rows``
     rows, one d-vector domain prompt and one d-row class prompt per sample."""
     d = model.input_dim
-    x = as_matrix(batch, shape=(None, d), name="batch", min_rows=min_rows)
-    p_d = as_vector(domain_prompt, dim=d, name="domain prompt")
-    p_c = as_matrix(class_prompts, shape=(None, d), name="class prompts")
-    if p_c.shape[0] != x.shape[0]:
-        raise ValueError(
-            f"need one class prompt per sample: got {p_c.shape[0]} for batch of {x.shape[0]}"
-        )
-    return x, p_d, p_c
+    x = as_array(batch, (None, d), "batch", min_rows)
+    p_d = as_array(domain_prompt, (d,), "domain prompt")
+    return x, p_d, as_array(class_prompts, (x.shape[0], d), "class prompts")
 
 
 def prompted_features(model: ToyModel, x: Matrix, p_d: Vector, p_c: Matrix) -> Matrix:
@@ -112,7 +99,7 @@ def pseudo_labels(model: ToyModel, batch) -> Matrix:
     name. Any non-finite feature makes every probability of its row
     non-finite, so ``key_stats``' product of a batch that passed is finite.
     """
-    x = as_matrix(batch, shape=(None, model.input_dim), name="batch", min_rows=1)
+    x = as_array(batch, (None, model.input_dim), "batch", 1)
     with np.errstate(over="ignore", invalid="ignore"):
         probs = _row_softmax(head_logits(model, x @ model.extractor.T))
     if not np.isfinite(probs).all():
@@ -126,7 +113,7 @@ def key_stats(model: ToyModel, batch) -> BatchStats:
     Deliberately independent of any prompt so matching can precede prompt
     composition.
     """
-    x = as_matrix(batch, shape=(None, model.input_dim), name="batch", min_rows=2)
+    x = as_array(batch, (None, model.input_dim), "batch", 2)
     return batch_stats(x @ model.extractor.T)
 
 
@@ -141,7 +128,7 @@ def draw_labeled_samples(
     class_means: Matrix, n: int, noise_std: float, rng: SeededRng
 ) -> tuple[Matrix, np.ndarray]:
     """Balanced labeled draw around the class means: source samples and stream batches."""
-    means = as_matrix(class_means, name="class_means")
+    means = as_array(class_means, (None, None), "class_means")
     num_classes = means.shape[0]
     labels = np.array([k % num_classes for k in range(n)], dtype=np.int64)
     labels = rng.permutation(labels)
@@ -162,7 +149,7 @@ def fit_head(
     optimum finite when the classes are separable; iteration stops once the
     gradient infinity-norm drops below 1e-6.
     """
-    z = as_matrix(features, name="features")
+    z = as_array(features, (None, None), "features")
     y = np.asarray(labels, dtype=np.int64)
     n = z.shape[0]
     onehot = np.zeros((n, num_classes))
@@ -225,7 +212,7 @@ def load_model(path) -> ToyModel:
     check_param("seed", doc["seed"])
     d, f, c = (check_param(key, doc[key]) for key in ("input_dim", "feature_dim", "num_classes"))
     return ToyModel(
-        as_matrix(doc["extractor"], shape=(f, d), name="extractor"),
-        as_matrix(doc["head_weight"], shape=(c, f), name="head_weight"),
-        as_vector(doc["head_bias"], dim=c, name="head_bias"),
+        as_array(doc["extractor"], (f, d), "extractor"),
+        as_array(doc["head_weight"], (c, f), "head_weight"),
+        as_array(doc["head_bias"], (c,), "head_bias"),
     )

@@ -19,42 +19,42 @@ Matrix = np.ndarray
 
 
 def _all_finite(arr: np.ndarray) -> bool:
-    # exact and silent: a fast sum would overflow, and warn, on large finite values
-    return bool(np.isfinite(arr).all())
+    # exact and silent: a fast sum would overflow, and warn, on large finite
+    # values; counting skips the ufunc machinery of ``.all()``
+    return np.count_nonzero(np.isfinite(arr)) == arr.size
 
 
-def as_vector(values, dim: int | None = None, name: str = "vector") -> Vector:
-    """Coerce to a finite 1-d float64 array, optionally checking its dimension."""
-    try:
-        arr = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as err:  # not numbers, ragged or past float64
-        raise ValueError(f"{name} must be an array of numbers: {err}") from None
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be 1-d, got shape {arr.shape}")
-    if dim is not None and arr.shape[0] != dim:
-        raise ValueError(f"{name} must have dimension {dim}, got {arr.shape[0]}")
-    if not _all_finite(arr):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
+def is_number(value, kind=numbers.Real) -> bool:
+    """The one number rule of scalars and array items: an instance of
+    ``kind`` that is not a bool, so never a string or a JSON ``true``."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def as_matrix(
-    values, shape: tuple[int | None, int | None] | None = None, name: str = "matrix", min_rows: int = 0
-) -> Matrix:
-    """Coerce to a finite 2-d float64 array, optionally checking its shape.
+def as_array(values, shape: tuple, name: str, min_rows: int = 0) -> np.ndarray:
+    """Coerce to a finite float64 array of ``len(shape)`` dimensions.
 
     A ``None`` in ``shape`` leaves that axis unchecked; a batch of samples is
-    ``shape=(None, dim)`` with ``min_rows`` of at least 1.
+    ``shape=(None, dim)`` with ``min_rows`` of at least 1. An ndarray needs a
+    float or integer dtype; any other input, such as JSON rows, must hold
+    items that pass ``is_number``.
     """
-    try:
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind not in "fiu":
+            raise ValueError(f"{name} must be an array of numbers, got dtype {values.dtype}")
         arr = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as err:  # not numbers, ragged or past float64
-        raise ValueError(f"{name} must be an array of numbers: {err}") from None
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be 2-d, got shape {arr.shape}")
-    rows, cols = shape or (None, None)
-    if (rows is not None and arr.shape[0] != rows) or (cols is not None and arr.shape[1] != cols):
-        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+    else:
+        try:
+            arr = np.asarray(values, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as err:  # not numbers, ragged or past float64
+            raise ValueError(f"{name} must be an array of numbers: {err}") from None
+        for item in np.asarray(values, dtype=object).ravel():
+            if not is_number(item):  # numpy reads "0.5" and True as numbers
+                raise ValueError(f"{name} must be an array of numbers, got {item!r}")
+    if arr.ndim != len(shape):
+        raise ValueError(f"{name} must be {len(shape)}-d, got shape {arr.shape}")
+    for want, got in zip(shape, arr.shape):
+        if want is not None and want != got:
+            raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
     if arr.shape[0] < min_rows:
         raise ValueError(f"{name} has {arr.shape[0]} rows, needs at least {min_rows}")
     if not _all_finite(arr):
@@ -112,14 +112,13 @@ _BOUNDS = {k: tuple(map(float, r[1:-1].split(","))) for k, (_, r) in _PARAMS.ite
 def check_param(name: str, value):
     """Return ``value`` if it has the type and range the table gives ``name``.
 
-    The table is ``HYPERPARAMS`` plus ``STREAM_PARAMS``. A bool is neither an
-    Integral nor a Real.
+    The table is ``HYPERPARAMS`` plus ``STREAM_PARAMS``; the type is checked
+    by ``is_number``.
     """
     kind, allowed = _PARAMS[name]
     lo, hi = _BOUNDS[name]
     if not (
-        isinstance(value, kind)
-        and not isinstance(value, bool)
+        is_number(value, kind)
         and (lo < value if allowed[0] == "(" else lo <= value)
         and (value < hi if allowed[-1] == ")" else value <= hi)
     ):
@@ -190,8 +189,8 @@ class BatchStats:
     sigma: Vector
 
     def __post_init__(self):
-        self.mu = as_vector(self.mu, name="mu")
-        self.sigma = as_vector(self.sigma, dim=self.mu.shape[0], name="sigma")
+        self.mu = as_array(self.mu, (None,), "mu")
+        self.sigma = as_array(self.sigma, self.mu.shape, "sigma")
         if (self.sigma < 0.0).any():
             raise ValueError("sigma entries must be >= 0")
 
@@ -232,7 +231,7 @@ def batch_stats(features) -> BatchStats:
     Requires at least two vectors; one sample cannot define a spread. A finite
     batch whose mean or squared deviations exceed float64 is rejected by name.
     """
-    arr = as_matrix(features, name="features", min_rows=2)
+    arr = as_array(features, (None, None), "features", min_rows=2)
     with np.errstate(over="ignore"):
         mu, _, sigma = moments(arr)
     if not (_all_finite(mu) and _all_finite(sigma)):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ToyModel, check_prompted, head_logits, prompted_features
-from .numerics import BatchStats, Hyperparams, Matrix, Vector, as_matrix, as_vector, check_stats, moments
+from .numerics import BatchStats, Hyperparams, Matrix, Vector, as_array, check_stats, moments
 
 
 @dataclass(frozen=True)
@@ -174,8 +174,8 @@ def finite_diff_grad(
 
     Only calls :func:`loss`, never the analytic gradient path.
     """
-    p_d = as_vector(p_d, name="domain prompt").copy()
-    p_c = as_matrix(class_prompts, name="class prompts").copy()
+    p_d = as_array(p_d, (None,), "domain prompt").copy()
+    p_c = as_array(class_prompts, (None, None), "class prompts").copy()
 
     def total(pd, pc):
         return loss(model, batch, pd, pc, source_stats, a, alpha_std).total

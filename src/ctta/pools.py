@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import BatchStats, Hyperparams, Matrix, SeededRng, Vector, as_matrix, check_keys, check_param
+from .numerics import BatchStats, Hyperparams, Matrix, SeededRng, Vector, as_array, check_keys, check_param
 from .numerics import check_stats, row_norms
 
 
@@ -112,7 +112,7 @@ class _BasePool:
 def _field(entries: list, name: str, width: int) -> Matrix:
     """Field ``name`` of every snapshot entry as one ``(len(entries), width)`` matrix."""
     rows = [e[name] for e in entries] if entries else np.empty((0, width))
-    return as_matrix(rows, shape=(None, width), name=name)
+    return as_array(rows, (None, width), name)
 
 
 class ClassPromptPool(_BasePool):
@@ -228,7 +228,7 @@ def fission_class_batch(
     spawned. The pseudo-labels are validated once for the whole batch; the
     outcome has one row per sample, in sample order.
     """
-    labels = as_matrix(pseudo_labels, shape=(None, pool.num_classes), name="pseudo_label")
+    labels = as_array(pseudo_labels, (None, pool.num_classes), "pseudo_label")
     _check_probability(labels, "pseudo_label")
     keys, col = pool.keys, labels[:, :, None]
     # Stacked products: slice t is keys @ y and y @ y with their one-row bits,

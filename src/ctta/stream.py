@@ -14,7 +14,7 @@ from itertools import groupby
 import numpy as np
 
 from .model import ToyModel, draw_labeled_samples, key_stats
-from .numerics import Matrix, SeededRng, Vector, as_matrix, as_vector, check_param, record_from_dict
+from .numerics import Matrix, SeededRng, Vector, as_array, check_param, record_from_dict
 
 
 class StreamParseError(ValueError):
@@ -35,9 +35,8 @@ class DomainSpec:
     noise_std: float
 
     def __post_init__(self):
-        object.__setattr__(self, "class_means", as_matrix(self.class_means, name="class_means"))
-        dim = self.class_means.shape[1]
-        object.__setattr__(self, "shift", as_vector(self.shift, dim=dim, name="shift"))
+        object.__setattr__(self, "class_means", as_array(self.class_means, (None, None), "class_means"))
+        object.__setattr__(self, "shift", as_array(self.shift, self.class_means.shape[1:], "shift"))
         check_param("noise_std", self.noise_std)
 
     @property
@@ -198,7 +197,7 @@ def make_separated(
     if n_domains < 2:
         raise ValueError("need at least 2 domains to separate")
     check_param("theta", theta_target)
-    means = as_matrix(class_means, shape=(config.num_classes, config.input_dim))
+    means = as_array(class_means, (config.num_classes, config.input_dim), "class_means")
 
     raw = rng.child(1).normal(size=(n_domains - 1, config.input_dim))
     if n_domains - 1 <= config.input_dim:
@@ -243,33 +242,23 @@ _INT64 = np.iinfo(np.int64)
 
 
 def _written_width(batches: list[LabeledBatch]) -> int:
-    """The feature width of batches that ``read_stream`` reads back: 2-d
-    samples of one width of at least 1, finite, at least 2 rows and one class
-    id per row, in strictly ascending batch index. Raises ValueError naming
-    the first batch that breaks a rule."""
-    dim = 0
-    prev = None
+    """The feature width of batches that ``read_stream`` reads back: finite
+    ``as_array`` samples of at least 2 rows and of one width of at least 1,
+    one class id per row, in strictly ascending batch index. Raises
+    ValueError naming the first batch that breaks a rule."""
+    dim = prev = None
     for batch in batches:
-        samples, idx = batch.samples, batch.batch_index
-        if samples.ndim != 2:
-            raise ValueError(f"batch {idx}: samples must be 2-d, got shape {samples.shape}")
-        rows, width = samples.shape
-        dim = dim or width
-        if not width:
+        idx = batch.batch_index
+        rows, dim = as_array(batch.samples, (None, dim), f"batch {idx}: samples", 2).shape
+        if not dim:
             raise ValueError(f"batch {idx}: samples have no features")
-        if width != dim:
-            raise ValueError(f"batch {idx}: {width} features, the first batch has {dim}")
-        if rows < 2:
-            raise ValueError(f"batch {idx}: {rows} rows; a batch needs at least 2")
         if batch.class_ids.shape != (rows,):
             shape = batch.class_ids.shape
             raise ValueError(f"batch {idx}: class ids of shape {shape} for {rows} rows")
-        if not np.isfinite(samples).all():
-            raise ValueError(f"batch {idx}: non-finite feature value")
         if prev is not None and idx <= prev:
             raise ValueError(f"batch {idx}: batch index not above the previous {prev}")
         prev = idx
-    return dim
+    return dim or 0
 
 
 def write_stream(batches: list[LabeledBatch], path) -> None:

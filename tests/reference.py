@@ -16,12 +16,12 @@ from itertools import repeat
 
 import numpy as np
 
-from ctta.numerics import Vector, as_vector
+from ctta.numerics import Vector, as_array
 
 
 def softmax(logits) -> Vector:
     """Numerically stable softmax of a logit vector (max-subtraction trick)."""
-    x = as_vector(logits, name="logits")
+    x = as_array(logits, (None,), "logits")
     if x.shape[0] < 1:
         raise ValueError("softmax needs dimension >= 1")
     shifted = x - x.max()
@@ -31,7 +31,7 @@ def softmax(logits) -> Vector:
 
 def entropy(probs) -> float:
     """Shannon entropy -sum(p ln p) in nats, with 0 ln 0 taken as 0."""
-    p = as_vector(probs, name="probs")
+    p = as_array(probs, (None,), "probs")
     if np.any(p < 0.0):
         raise ValueError("entropy requires nonnegative entries")
     total = p.sum()
@@ -43,8 +43,8 @@ def entropy(probs) -> float:
 
 def cosine_sim(a, b) -> float:
     """Cosine similarity, clipped into [-1, 1]; undefined for zero-norm inputs."""
-    va = as_vector(a, name="a")
-    vb = as_vector(b, dim=va.shape[0], name="b")
+    va = as_array(a, (None,), "a")
+    vb = as_array(b, va.shape, "b")
     na = np.linalg.norm(va)
     nb = np.linalg.norm(vb)
     if na == 0.0 or nb == 0.0:
@@ -54,8 +54,8 @@ def cosine_sim(a, b) -> float:
 
 def euclid(a, b) -> float:
     """Euclidean distance between two equal-dimension vectors."""
-    va = as_vector(a, name="a")
-    vb = as_vector(b, dim=va.shape[0], name="b")
+    va = as_array(a, (None,), "a")
+    vb = as_array(b, va.shape, "b")
     return float(np.linalg.norm(va - vb))
 
 

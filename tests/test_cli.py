@@ -859,6 +859,56 @@ def test_a_refused_output_fails_before_the_source_fit(command, tmp_path, monkeyp
     assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
 
+def _refused_before_the_fit(tmp_path, monkeypatch, capsys, argv, error):
+    """``main(argv)`` exits 1 with ``error`` as its one stderr line, before
+    the source fit and without making its ``--out-dir``."""
+    calls = []
+    monkeypatch.setattr("ctta.cli.build_world", lambda *a, **k: calls.append(a))
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", error)
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+def _demo_argv(command, tmp_path, config=DEMO / "config.json"):
+    argv = [command, "--config", str(config), "--stream", str(DEMO / "stream.csv")]
+    if command == "run":
+        argv += ["--seed", "7", "--out-dir", str(tmp_path / "out")]
+    return argv + ["--certificate", str(DEMO / "certificate.json")]
+
+
+def test_a_config_with_fewer_classes_than_the_stream_is_refused(tmp_path, monkeypatch, capsys):
+    # it used to score every sample of class 2 against a model that cannot predict it
+    config = write_config(tmp_path / "config.json", num_classes=2)
+    error = f"error: stream {DEMO / 'stream.csv'}: batch 0 has class id 2, outside [0, 2)\n"
+    _refused_before_the_fit(tmp_path, monkeypatch, capsys, _demo_argv("run", tmp_path, config), error)
+
+
+def test_a_config_of_another_width_than_the_stream_is_refused_before_the_fit(tmp_path, monkeypatch, capsys):
+    # it used to fit the source model first and then fail on batch 0's shape
+    config = write_config(tmp_path / "config.json", input_dim=5)
+    error = f"error: stream {DEMO / 'stream.csv'}: batch 0 has 8 features, the config's input_dim is 5\n"
+    _refused_before_the_fit(tmp_path, monkeypatch, capsys, _demo_argv("run", tmp_path, config), error)
+
+
+def test_verify_refuses_a_certificate_measured_at_another_seed(tmp_path, monkeypatch, capsys):
+    # it used to pass at seed 8 with the certificate measured at seed 7
+    cert = DEMO / "certificate.json"
+    error = f"error: certificate {cert} was measured at seed 7, not at the run's seed 8\n"
+    argv = _demo_argv("verify", tmp_path) + ["--seed", "8"]
+    _refused_before_the_fit(tmp_path, monkeypatch, capsys, argv, error)
+
+
+def test_verify_without_a_seed_takes_the_certificates_seed(tmp_path, monkeypatch, capsys):
+    # it used to build the world of the config's seed 0
+    seeds = []
+    real = build_world
+    monkeypatch.setattr("ctta.cli.build_world", lambda sc, **k: seeds.append(sc.seed) or real(sc, **k))
+    assert main(_demo_argv("verify", tmp_path)) == 0
+    assert seeds == [7]
+    assert capsys.readouterr().out.startswith("verify: status=pass ")
+
+
 _BAD_WEIGHTS = [
     (key, value, shown)
     for key in ("a", "alpha_std")

@@ -1,6 +1,7 @@
 """Every JSON input either loads to a value that writes back to itself or
 fails with one ValueError: the config, certificate and model files, and a
-demo run's class and domain pool snapshots."""
+demo run's class and domain pool snapshots. An array item that is a string
+or a bool always fails."""
 import copy
 import json
 import warnings
@@ -144,6 +145,13 @@ def test_every_json_input_loads_to_itself_or_fails_with_one_value_error(document
     doc = copy.deepcopy(docs[name])
     for _ in range(data.draw(st.integers(0, 3))):  # none: the document as written
         doc = _edit(data, doc)
+    # last, so that no later edit removes it: one array item replaced by a
+    # string or a bool, which numpy would read as a number
+    rows = [(row, keys) for row, keys in _numbers({"doc": doc}, []) if isinstance(row, list)]
+    refused = bool(rows) and data.draw(st.integers(0, 3)) == 0
+    if refused:
+        row, keys = data.draw(st.sampled_from(rows))
+        row[data.draw(st.sampled_from(keys))] = data.draw(st.sampled_from(["0.5", True]))
     path = root / f"{name}.json"
     path.write_text(json.dumps(doc))
     with warnings.catch_warnings():
@@ -153,6 +161,7 @@ def test_every_json_input_loads_to_itself_or_fails_with_one_value_error(document
         except ValueError:
             event(f"{name} refused")
             return
+        assert not refused, "a string or bool array item loaded"
         event(f"{name} loaded")
         save(value, path)
         text = path.read_text()

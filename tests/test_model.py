@@ -177,18 +177,21 @@ _NOT_A_DICT = "float() argument must be a string or a real number, not 'dict'"
             lambda d: _edit(d, "head_bias", [10**400, 0.0, 0.0]),
             "head_bias must be an array of numbers: int too large to convert to float",
         ),
+        # numpy reads these as [0.5, 1.0, 1000.0]; check_param refuses each as a scalar
+        (lambda d: _edit(d, "head_bias", ["0.5", True, " 1e3 "]), "head_bias must be an array of numbers, got '0.5'"),
         (lambda d: 5, "model must be a JSON object"),
         (lambda d: [d], "model must be a JSON object"),
     ],
     ids=[
         "no-head_bias", "no-input_dim", "unknown", "unknown-and-bad-seed", "seed-str",
         "seed-float", "seed-bool", "seed-null", "dim-str", "dict-matrix", "dict-in-row", "int-past-float64",
+        "str-and-bool-items",
         "number", "list",
     ],
 )
 def test_bad_model_documents_fail_naming_the_key(tmp_path, edit, message):
     # each of these used to raise KeyError or TypeError, or to load; a null
-    # seed used to load
+    # seed and string or bool array items used to load
     doc = json.loads((DEMO / "model.json").read_text())
     path = tmp_path / "model.json"
     path.write_text(json.dumps(edit(doc)))

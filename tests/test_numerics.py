@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctta.numerics import BatchStats, SeededRng, as_matrix, as_vector, batch_stats
+from ctta.numerics import BatchStats, SeededRng, as_array, batch_stats
 from reference import cosine_sim, entropy, euclid, euclid_direct, softmax, two_pass_stats
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -94,13 +94,13 @@ def test_finite_checks_are_exact_and_silent_on_huge_finite_values():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # whose sum overflows, yet every entry is finite
-        assert as_matrix(huge).tobytes() == huge.tobytes()
-        assert as_vector(huge[:, 0]).tobytes() == huge[:, 0].tobytes()
+        assert as_array(huge, (None, None), "matrix").tobytes() == huge.tobytes()
+        assert as_array(huge[:, 0], (None,), "vector").tobytes() == huge[:, 0].tobytes()
         for bad in (np.inf, -np.inf, np.nan):
             with pytest.raises(ValueError, match="non-finite"):
-                as_matrix(np.vstack((huge, [[bad]])))
+                as_array(np.vstack((huge, [[bad]])), (None, None), "matrix")
             with pytest.raises(ValueError, match="non-finite"):
-                as_vector(np.append(huge[:, 0], bad))
+                as_array(np.append(huge[:, 0], bad), (None,), "vector")
 
 
 def test_batch_stats_matches_two_pass_oracle():

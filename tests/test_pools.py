@@ -369,6 +369,32 @@ def test_malformed_snapshot_documents_fail_by_name(cls, case):
 
 
 @pytest.mark.parametrize("cls", [ClassPromptPool, DomainPromptPool])
+@pytest.mark.parametrize("field, item", [("prompt", True), ("key", "0.5")], ids=["prompt-true", "key-str"])
+def test_snapshot_rows_take_numbers_by_the_scalars_rule(cls, field, item):
+    # numpy read each of these as the number it replaces (1.0 and 0.5), so
+    # the snapshot loaded; check_param refuses a bool or string scalar
+    if cls is ClassPromptPool:
+        doc = make_class_pool([[1, 0, 0], [0, 1, 1]]).to_dict()  # entry 1's key: [0.0, 0.5, 0.5]
+    else:
+        doc = make_domain_pool([[0, 0, 0, 0], [0.5, 0, 0, 0]]).to_dict()
+    field = cls.KEY_FIELDS[0] if field == "key" else field
+    row = doc["entries"][1][field]
+    row[row.index(1.0 if item is True else 0.5)] = item
+    with pytest.raises(ValueError) as exc:
+        cls.from_dict(doc)
+    assert str(exc.value) == f"{field} must be an array of numbers, got {item!r}"
+
+
+def test_fission_class_refuses_bool_pseudo_labels():
+    # a bool one-hot matrix used to be read as 0.0 and 1.0
+    pool = make_class_pool([[0.6, 0.2, 0.2]])
+    labels = np.eye(C, dtype=bool)
+    with pytest.raises(ValueError) as exc:
+        fission_class_batch(pool, labels, HP, SeededRng(0))
+    assert str(exc.value) == "pseudo_label must be an array of numbers, got dtype bool"
+
+
+@pytest.mark.parametrize("cls", [ClassPromptPool, DomainPromptPool])
 @pytest.mark.parametrize(
     "field, value",
     [("prompt_dim", 4.7), ("prompt_dim", True), ("prompt_dim", 0), ("width", 2.5), ("width", 0)],
