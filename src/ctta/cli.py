@@ -25,8 +25,6 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-import numpy as np
-
 from .harness import (
     Hyperparams,
     build_world,
@@ -35,7 +33,7 @@ from .harness import (
     verify_lemmas,
 )
 from .model import save_model
-from .numerics import HYPERPARAMS, SeededRng, check_keys, check_param
+from .numerics import HYPERPARAMS, SeededRng, check_keys, check_param, row_norms
 from .pools import ClassPromptPool, DomainPromptPool
 from .stream import (
     DomainSpec,
@@ -295,7 +293,7 @@ def cmd_gen_stream(args) -> int:
         )
     else:
         dirs = rng.child(2).normal(size=(n_domains - 1, sc.input_dim))
-        dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+        dirs = dirs / row_norms(dirs, keepdims=True)
         specs = [world.source_spec] + [
             DomainSpec(
                 i + 1,

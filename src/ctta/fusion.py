@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import BatchStats, Hyperparams, Matrix, as_array, check_stats, row_norms
+from .numerics import BatchStats, Hyperparams, Matrix, as_array, check_stats, row_norms, upper_triangle
 from .pools import ClassPromptPool, DomainPromptPool, FissionOutcome
 
 
@@ -145,9 +145,7 @@ def update_class_pool(
     learned = as_array(record.learned_prompts, (b, dim), "learned prompts")
     preds = as_array(record.predictions, (b, num_classes), "predictions")
     labels = as_array(record.pseudo_labels, (b, num_classes), "pseudo labels")
-    # One of two entropy forms: the predictions come from model._row_softmax
-    # and may hold exact zeros, hence the guard. The objective's entropy reads
-    # its own log-softmax instead, which has other bits.
+    # zero-guarded: predictions may hold exact zeros (numerics: second forms)
     ent = -np.add.reduce(preds * np.log(np.where(preds > 0.0, preds, 1.0)), 1)
 
     gated, fissioned_rows = ent > hp.gamma_h, outcome.fissioned
@@ -204,20 +202,6 @@ def update_class_pool(
     return summary
 
 
-_TRIANGLE = np.zeros((0, 0), dtype=bool)
-
-
-def _upper(n: int) -> np.ndarray:
-    """The strict upper triangle of an (n, n) matrix, a read-only slice of one
-    boolean mask that both merges share, rebuilt at exactly ``n`` when a larger
-    ``n`` arrives. Row-major, its cells are ``np.triu_indices(n, 1)`` in order."""
-    global _TRIANGLE
-    if _TRIANGLE.shape[0] < n:
-        _TRIANGLE = np.triu(np.ones((n, n), dtype=bool), 1)
-        _TRIANGLE.setflags(write=False)
-    return _TRIANGLE[:n, :n]
-
-
 def _single_linkage_groups(dist: np.ndarray, num_groups: int) -> list[int]:
     """Kruskal-style union of ascending edges until ``num_groups`` components remain.
 
@@ -237,7 +221,7 @@ def _single_linkage_groups(dist: np.ndarray, num_groups: int) -> list[int]:
             x = parent[x]
         return x
 
-    weights = dist[_upper(n)]
+    weights = dist[upper_triangle(n)]
     k = 8 * (n - num_groups) + 64
     if k < weights.size:
         light = weights <= np.partition(weights, k - 1)[k - 1]
@@ -289,8 +273,7 @@ def _compact_class_pool(pool: ClassPromptPool) -> list[int]:
     """
     if len(pool) <= pool.capacity:
         raise ValueError("compaction requires pool size above capacity")
-    # All pairwise cosines in one product of normalised keys; class fission
-    # (pools) takes a stacked matrix-vector product per query, which has other bits.
+    # all pairwise cosines in one product of normalised keys (numerics: second forms)
     normed = pool.keys / row_norms(pool.keys, keepdims=True)
     dist = 1.0 - np.clip(normed @ normed.T, -1.0, 1.0)
     assignment = _single_linkage_groups(dist, pool.capacity)
@@ -346,7 +329,7 @@ def _fuse_core(pool: DomainPromptPool) -> tuple[int, int]:
     n = len(pool)
     if n < 2:
         raise ValueError("nearest-pair fusion needs at least 2 entries")
-    iu, ju = _upper(n).nonzero()
+    iu, ju = upper_triangle(n).nonzero()
     m = int(row_norms(pool.keys[iu] - pool.keys[ju]).argmin())
     i, j = int(iu[m]), int(ju[m])
     # j joins i's group (i < j); every other row is its own group

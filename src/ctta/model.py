@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import BatchStats, Matrix, SeededRng, Vector, as_array, batch_stats, check_keys
-from .numerics import check_param
+from .numerics import BatchStats, Matrix, SeededRng, Vector, all_finite, as_array, batch_stats
+from .numerics import check_keys, check_param, softmax_rows
 
 
 @dataclass(frozen=True)
@@ -52,15 +52,6 @@ class ToyModel:
         )
 
 
-def _row_softmax(logits: Matrix) -> Matrix:
-    # One of three softmax forms, and the one the pools read. The objective
-    # takes a log-softmax and class fission sums each row's candidates alone
-    # (pools._compose); each gives other bits than this one.
-    shifted = logits - np.maximum.reduce(logits, 1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.add.reduce(e, 1, keepdims=True)
-
-
 def head_logits(model: ToyModel, features: Matrix) -> Matrix:
     """Logits of the frozen head on a batch of extracted features."""
     return features @ model.head_weight.T + model.head_bias
@@ -89,7 +80,7 @@ def forward(model: ToyModel, batch, domain_prompt, class_prompts) -> tuple[Matri
     the alignment loss statistics are computed from.
     """
     z = prompted_features(model, *check_prompted(model, batch, domain_prompt, class_prompts))
-    return z, _row_softmax(head_logits(model, z))
+    return z, softmax_rows(head_logits(model, z))
 
 
 def pseudo_labels(model: ToyModel, batch) -> Matrix:
@@ -101,8 +92,8 @@ def pseudo_labels(model: ToyModel, batch) -> Matrix:
     """
     x = as_array(batch, (None, model.input_dim), "batch", 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        probs = _row_softmax(head_logits(model, x @ model.extractor.T))
-    if not np.isfinite(probs).all():
+        probs = softmax_rows(head_logits(model, x @ model.extractor.T))
+    if not all_finite(probs):
         raise ValueError("feature batch overflowed float64 in its prompt-free predictions")
     return probs
 
@@ -157,7 +148,7 @@ def fit_head(
     w = np.zeros((num_classes, z.shape[1]))
     c = np.zeros(num_classes)
     for _ in range(600):
-        probs = _row_softmax(z @ w.T + c)
+        probs = softmax_rows(z @ w.T + c)
         delta = (probs - onehot) / n
         gw = delta.T @ z + 1e-2 * w
         gc = delta.sum(axis=0)

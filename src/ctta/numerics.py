@@ -1,11 +1,22 @@
 """Deterministic numeric primitives shared by the adaptation engine.
 
-Everything here is pure: array coercion and checks, the parameter table
-with its one validator and the ``Hyperparams`` record it checks, batch
-statistics, plus a seeded random source. Vectors are 1-d float64 numpy
-arrays with finite entries; matrices are 2-d. On the batch path, reductions
-call their ufunc's ``reduce`` and index helpers their array methods, not numpy's
-costlier Python wrappers of the same C kernels (tests/test_bitfacts.py, fact 10).
+Everything here is pure: array coercion and the finiteness test, the
+parameter table with its one validator and the ``Hyperparams`` record it
+checks, batch statistics, the row softmax, row norms and the pair index, plus
+a seeded random source. Vectors are 1-d float64 numpy arrays with finite
+entries; matrices are 2-d. On the batch path, reductions call their ufunc's
+``reduce`` and index helpers their array methods, not numpy's costlier Python
+wrappers of the same C kernels (tests/test_bitfacts.py, fact 10).
+
+Each formula has one implementation here. Four second forms stay, each
+because its bits differ from the first form's and outputs are pinned to both:
+
+- the objective's log-softmax, whose entropy reads finite logs;
+- the fusion gate's entropy, guarded against the exact zeros that the
+  probabilities of hand-built records may hold;
+- class fission's stacked cosine (fact 4), beside compaction's Gram cosine;
+- ``make_separated``'s 1-d shift gaps, ``sqrt(v . v)`` (fact 7), which set
+  the shifts of every certified stream.
 """
 from __future__ import annotations
 
@@ -18,7 +29,8 @@ Vector = np.ndarray
 Matrix = np.ndarray
 
 
-def _all_finite(arr: np.ndarray) -> bool:
+def all_finite(arr: np.ndarray) -> bool:
+    """Whether every entry of ``arr`` is finite."""
     # exact and silent: a fast sum would overflow, and warn, on large finite
     # values; counting skips the ufunc machinery of ``.all()``
     return np.count_nonzero(np.isfinite(arr)) == arr.size
@@ -57,7 +69,7 @@ def as_array(values, shape: tuple, name: str, min_rows: int = 0) -> np.ndarray:
             raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
     if arr.shape[0] < min_rows:
         raise ValueError(f"{name} has {arr.shape[0]} rows, needs at least {min_rows}")
-    if not _all_finite(arr):
+    if not all_finite(arr):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -212,8 +224,31 @@ def check_stats(stats, dim: int, name: str) -> None:
 
 
 def row_norms(x: Matrix, keepdims: bool = False) -> np.ndarray:
-    """``np.linalg.norm(x, axis=1, keepdims=keepdims)``, by its own arithmetic (fact 10)."""
+    """The Euclidean norm of each row, with the bits of numpy's ``linalg.norm``
+    over axis 1 (fact 10)."""
     return np.sqrt(np.add.reduce(x * x, 1, keepdims=keepdims))
+
+
+def softmax_rows(logits: Matrix) -> Matrix:
+    """The softmax of each row of ``logits``, shifted by the row's max."""
+    shifted = logits - np.maximum.reduce(logits, 1, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.add.reduce(e, 1, keepdims=True)
+
+
+_TRIANGLE = np.zeros((0, 0), dtype=bool)
+
+
+def upper_triangle(n: int) -> np.ndarray:
+    """The strict upper triangle of an (n, n) matrix, the one pair index: a
+    read-only slice of one shared boolean mask, rebuilt at exactly ``n`` when a
+    larger ``n`` arrives. Row-major, its cells are ``np.triu_indices(n, 1)`` in
+    order, so ``upper_triangle(n).nonzero()`` lists the pairs (i < j)."""
+    global _TRIANGLE
+    if _TRIANGLE.shape[0] < n:
+        _TRIANGLE = np.triu(np.ones((n, n), dtype=bool), 1)
+        _TRIANGLE.setflags(write=False)
+    return _TRIANGLE[:n, :n]
 
 
 def moments(arr: Matrix) -> tuple[Vector, Matrix, Vector]:
@@ -234,7 +269,7 @@ def batch_stats(features) -> BatchStats:
     arr = as_array(features, (None, None), "features", min_rows=2)
     with np.errstate(over="ignore"):
         mu, _, sigma = moments(arr)
-    if not (_all_finite(mu) and _all_finite(sigma)):
+    if not (all_finite(mu) and all_finite(sigma)):
         raise ValueError("feature batch overflowed float64 in its mean or spread")
     return BatchStats(mu, sigma)
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ToyModel, check_prompted, head_logits, prompted_features
-from .numerics import BatchStats, Hyperparams, Matrix, Vector, as_array, check_stats, moments
+from .numerics import BatchStats, Hyperparams, Matrix, Vector, all_finite, as_array, check_stats
+from .numerics import moments
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ def adamw_step(state: AdamWState, prompt: np.ndarray, grad: np.ndarray) -> np.nd
     """One AdamW update with bias correction and no weight decay."""
     if prompt.shape != state.m.shape or grad.shape != state.m.shape:
         raise ValueError("prompt/grad shape must match the optimizer state")
-    if not np.isfinite(grad).all():
+    if not all_finite(grad):
         raise ValueError("non-finite gradient rejected")
     state.step += 1
     state.m = BETA1 * state.m + (1.0 - BETA1) * grad
@@ -69,10 +70,7 @@ def _forward_state(model: ToyModel, x: Matrix, p_d: Vector, p_c: Matrix):
     # x, p_d and p_c come from _check_inputs, so nothing is coerced here.
     z = prompted_features(model, x, p_d, p_c)
     logits = head_logits(model, z)
-    # A log-softmax, so the entropy reads finite logs. The other two softmax
-    # forms, model._row_softmax (whose probabilities the pools read) and
-    # pools._compose (each row's candidates summed alone), give other bits,
-    # and so does the zero-guarded entropy of the fusion gate.
+    # a log-softmax, so the entropy reads finite logs (numerics: second forms)
     shifted = logits - np.maximum.reduce(logits, 1, keepdims=True)
     logp = shifted - np.log(np.add.reduce(np.exp(shifted), 1, keepdims=True))
     probs = np.exp(logp)

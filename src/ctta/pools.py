@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import BatchStats, Hyperparams, Matrix, SeededRng, Vector, as_array, check_keys, check_param
-from .numerics import check_stats, row_norms
+from .numerics import check_stats, row_norms, softmax_rows
 
 
 def _check_probability(arr: Matrix, name: str) -> None:
@@ -181,15 +181,11 @@ def _compose(
 ) -> FissionOutcome:
     """Blend each row's candidate prompts by softmax(scores), or spawn one if none matched.
 
-    Exponentials are taken for the whole batch at once. Rows with the same
-    candidate count k form one group, never padded: its normalisers are one
-    row sum of a (g, k) block and its blends one stacked vector-matrix
-    product, both with the bits of a one-row call. Fresh prompts come from one
-    draw in row order, which equals one draw per row (tests/test_bitfacts.py).
-
-    This is one of three softmax forms. ``model._row_softmax`` normalises
-    whole rows in one call and ``objective._forward_state`` takes a
-    log-softmax; summing each row's candidates on its own gives other bits.
+    Rows with the same candidate count k form one group, never padded: its
+    weights are ``softmax_rows`` of its gathered (g, k) scores and its blends
+    one stacked vector-matrix product, both with the bits of a one-row call.
+    Fresh prompts come from one draw in row order, which equals one draw per
+    row (tests/test_bitfacts.py).
     """
     flat = mask.ravel().nonzero()[0]
     cand = flat % mask.shape[1]
@@ -197,23 +193,20 @@ def _compose(
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     counts.cumsum(out=offsets[1:])
     fresh = counts == 0
-    matched = counts.nonzero()[0]
     composed = np.empty((len(counts), pool.prompt_dim))
     if fresh.any():
         composed[fresh] = rng.normal(size=(int(fresh.sum()), pool.prompt_dim)) * hp.init_scale
     weights = np.empty(flat.size)
-    if matched.size:
-        top = np.where(mask, scores, -np.inf)
-        shifted = scores - np.maximum.reduce(top, 1, keepdims=True)
-        num = np.exp(shifted.take(flat))
-        per_row = counts[matched]
-        for k in set(per_row.tolist()):
-            rows = matched[per_row == k]
-            at = offsets[rows][:, None] + np.arange(k)
-            e = num[at]
-            w = e / np.add.reduce(e, 1)[:, None]
-            weights[at] = w
-            composed[rows] = np.matmul(w[:, None, :], pool.prompts.take(cand[at], axis=0))[:, 0]
+    matched = counts.nonzero()[0]
+    per_row = counts[matched]
+    for k in set(per_row.tolist()):
+        rows = matched[per_row == k]
+        at = offsets[rows][:, None] + np.arange(k)
+        # max and exp act on each row of the gathered block as on that row's
+        # candidates alone (fact 12), and its row sums are each row's own (fact 4)
+        w = softmax_rows(scores.take(flat[at]))
+        weights[at] = w
+        composed[rows] = np.matmul(w[:, None, :], pool.prompts.take(cand[at], axis=0))[:, 0]
     return FissionOutcome(composed, offsets, cand, weights, pool.version)
 
 
@@ -232,8 +225,7 @@ def fission_class_batch(
     _check_probability(labels, "pseudo_label")
     keys, col = pool.keys, labels[:, :, None]
     # Stacked products: slice t is keys @ y and y @ y with their one-row bits,
-    # which a row of labels @ keys.T lacks (tests/test_bitfacts.py). Compaction's
-    # cosine (fusion) takes one product of normalised keys; it has other bits.
+    # which a row of labels @ keys.T lacks (tests/test_bitfacts.py, facts 1 and 4)
     dots = np.matmul(keys[None], col)[:, :, 0]
     sq = np.matmul(labels[:, None, :], col)[:, 0, 0]
     sims = dots / (row_norms(keys) * np.sqrt(sq)[:, None])

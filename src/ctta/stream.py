@@ -7,6 +7,7 @@ threshold that every cross-domain pair exceeds.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import asdict, dataclass, fields
 from itertools import groupby
@@ -14,7 +15,8 @@ from itertools import groupby
 import numpy as np
 
 from .model import ToyModel, draw_labeled_samples, key_stats
-from .numerics import Matrix, SeededRng, Vector, as_array, check_param, record_from_dict
+from .numerics import Matrix, SeededRng, Vector, all_finite, as_array, check_param, record_from_dict
+from .numerics import row_norms, upper_triangle
 
 
 class StreamParseError(ValueError):
@@ -163,11 +165,10 @@ def _probe_keys(
 
 def measure_separation(keys: np.ndarray, owners: np.ndarray) -> tuple[float, float]:
     """Max same-domain and min cross-domain pairwise key distance."""
-    diff = keys[:, None, :] - keys[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
-    same = owners[:, None] == owners[None, :]
-    off_diag = ~np.eye(len(owners), dtype=bool)
-    intra = dist[same & off_diag]
+    iu, ju = upper_triangle(len(owners)).nonzero()
+    dist = row_norms(keys[iu] - keys[ju])
+    same = owners[iu] == owners[ju]
+    intra = dist[same]
     inter = dist[~same]
     max_intra = float(intra.max()) if intra.size else 0.0
     min_inter = float(inter.min()) if inter.size else np.inf
@@ -204,15 +205,12 @@ def make_separated(
         q, _ = np.linalg.qr(raw.T)
         dirs = q.T[: n_domains - 1]
     else:
-        dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        dirs = raw / row_norms(raw, keepdims=True)
     unit_shifts = np.vstack([np.zeros(config.input_dim), dirs])
     feat_shifts = unit_shifts @ model.extractor.T
-    pair_gaps = [
-        float(np.linalg.norm(feat_shifts[i] - feat_shifts[j]))
-        for i in range(n_domains)
-        for j in range(i + 1, n_domains)
-    ]
-    min_gap = min(pair_gaps)
+    iu, ju = upper_triangle(n_domains).nonzero()
+    # 1-d norms, not row_norms: these bits set every certified shift (numerics: second forms)
+    min_gap = min(math.sqrt(v.dot(v)) for v in feat_shifts[iu] - feat_shifts[ju])
     if min_gap <= 0:
         raise ValueError("degenerate shift directions under this extractor")
     scale = 3.0 * theta_target / min_gap
@@ -306,6 +304,8 @@ def read_stream(path) -> list[LabeledBatch]:
     if len(lines) == 1:
         warnings.warn(f"stream file {path} contains zero batches")
         return []
+    if not dim:
+        raise StreamParseError(1, "header has no feature columns")
 
     data = lines[1:]
     batches: list[LabeledBatch] = []
@@ -346,7 +346,7 @@ def _parse_batch(rows: list[str], dim: int) -> LabeledBatch | None:
         samples = table[:, 3:].astype(np.float64)
     except (ValueError, OverflowError):
         return None
-    if len(domains) != 1 or not np.isfinite(samples).all():
+    if len(domains) != 1 or not all_finite(samples):
         return None
     return LabeledBatch(samples, class_ids, domains.pop(), index)
 
@@ -387,7 +387,7 @@ def _parse_lines(lines: list[str], dim: int) -> list[LabeledBatch]:
         if not _INT64.min <= cls <= _INT64.max:
             # class ids are stored as int64; int() accepts any size
             raise StreamParseError(lineno, f"class_id {cls} outside int64")
-        if not all(np.isfinite(feats)):
+        if not all_finite(np.array(feats)):
             raise StreamParseError(lineno, "non-finite feature value")
         if idx != cur_idx:
             if cur_idx is not None and idx <= cur_idx:

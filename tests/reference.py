@@ -6,7 +6,8 @@ agglomerative single linkage, a Kruskal that sorts Python edge tuples,
 two-pass statistics, exhaustive pair scans, one ``format`` call per
 written float.
 They share only array coercion and arithmetic with the implementation under
-test. The vector softmax, entropy, cosine and Euclidean distance below are
+test, and domain fission's distance: ``numerics.row_norms`` of one row. The
+vector softmax, entropy, cosine and Euclidean distance below are
 the textbook formulas the engine's batched forms are checked against.
 """
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import repeat
 
 import numpy as np
 
-from ctta.numerics import Vector, as_array
+from ctta.numerics import Vector, as_array, row_norms
 
 
 def softmax(logits) -> Vector:
@@ -168,6 +169,48 @@ def class_fission_reference(keys, prompts, pseudo_labels, gamma_c, tau_c, rng, i
         w = e / e.sum()
         out.append((cand, w, w @ prompts[cand]))
     return out
+
+
+def domain_fission_reference(entries, stats, prompt_dim, gamma_d, tau_d, rng, init_scale):
+    """Entry-by-entry domain fission, straight from the matching rule.
+
+    ``entries`` is a list of (mu, sigma, prompt, created_at) tuples. For each
+    entry: the distance between its concatenated (mu, sigma) and the batch's,
+    as the engine's ``row_norms`` of that one difference row; the entries
+    strictly below ``gamma_d`` as candidates, softmax(-distance / tau_d)
+    weights normalised over the candidates, and their blend of prompts. With
+    no candidate a fresh ``prompt_dim`` prompt is drawn from ``rng``. Returns
+    one (candidates, weights, prompt) triple.
+    """
+    query = np.concatenate((stats.mu, stats.sigma))
+    cand, dists = [], []
+    for i, (mu, sigma, _, _) in enumerate(entries):
+        d = row_norms((np.concatenate((mu, sigma)) - query)[None, :])[0]
+        if d < gamma_d:
+            cand.append(i)
+            dists.append(d)
+    if not cand:
+        return cand, np.empty(0), rng.normal(size=prompt_dim) * init_scale
+    scores = -np.array(dists) / tau_d
+    e = np.exp(scores - scores.max())
+    w = e / e.sum()
+    return cand, w, w @ np.array([entries[i][2] for i in cand])
+
+
+def measure_separation_reference(keys, owners) -> tuple[float, float]:
+    """Max same-domain and min cross-domain key distance by an exhaustive scan
+    of every ordered pair, each distance ``sqrt(sum((a - b) ** 2))``."""
+    max_intra, min_inter = 0.0, math.inf
+    for i, a in enumerate(keys):
+        for j, b in enumerate(keys):
+            if i == j:
+                continue
+            d = float(np.sqrt(((a - b) ** 2).sum()))
+            if owners[i] == owners[j]:
+                max_intra = max(max_intra, d)
+            else:
+                min_inter = min(min_inter, d)
+    return max_intra, min_inter
 
 
 def partition_sets(groups_or_assignment) -> set[frozenset]:

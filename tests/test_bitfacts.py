@@ -245,3 +245,29 @@ def test_fact11_percent_format_writes_a_float_as_format_does(x):
     # stream.write_stream formats a row with one '%.9g' per value in one
     # %-format; both forms call PyOS_double_to_string(x, 'g', 9, 0)
     assert "%.9g" % x == format(x, ".9g")
+
+
+@given(seeds, batches, st.integers(min_value=1, max_value=79), st.integers(min_value=-20, max_value=9))
+@settings(max_examples=100, deadline=None)
+def test_fact12_a_gathered_blocks_max_and_exp_equal_the_whole_matrixs(seed, q, n, exponent):
+    # pools._compose: each candidate-count group takes softmax_rows of its
+    # gathered (g, k) scores; each row's shift and exponentials must be those
+    # of its candidates taken alone, as class_fission_reference takes them
+    rng = arrays(seed)
+    scores = rng.normal(size=(q, n)) * 2.0**exponent
+    mask = rng.uniform(size=(q, n)) < rng.uniform()
+    flat = np.flatnonzero(mask)
+    counts = mask.sum(axis=1)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    masked_max = np.where(mask, scores, -np.inf).max(axis=1)
+    shifted = scores - masked_max[:, None]  # <= 0 at every candidate
+    # the non-candidates are capped at 0 so that the whole matrix's exp stays finite
+    whole, candidates = np.exp(np.minimum(shifted, 0.0)), np.exp(shifted.take(flat))
+    for k in set(counts[counts > 0].tolist()):
+        rows = np.flatnonzero(counts == k)
+        at = offsets[rows][:, None] + np.arange(k)
+        block = scores.take(flat[at])
+        assert np.maximum.reduce(block, 1).tobytes() == masked_max[rows].tobytes()
+        gathered = np.exp(shifted.take(flat[at]))
+        assert gathered.tobytes() == whole.take(flat[at]).tobytes()
+        assert gathered.tobytes() == candidates[at].tobytes()

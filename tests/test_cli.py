@@ -891,6 +891,17 @@ def test_a_config_of_another_width_than_the_stream_is_refused_before_the_fit(tmp
     _refused_before_the_fit(tmp_path, monkeypatch, capsys, _demo_argv("run", tmp_path, config), error)
 
 
+def test_a_stream_without_feature_columns_is_refused_at_its_header(tmp_path, monkeypatch, capsys):
+    # it used to read into width-0 batches and fail on batch 0's width
+    stream = tmp_path / "stream.csv"
+    lines = (DEMO / "stream.csv").read_text().splitlines()
+    stream.write_text("".join(",".join(line.split(",")[:3]) + "\n" for line in lines))
+    argv = ["run", "--config", str(DEMO / "config.json"), "--stream", str(stream), "--seed", "7"]
+    argv += ["--out-dir", str(tmp_path / "out")]
+    error = "error: line 1: header has no feature columns\n"
+    _refused_before_the_fit(tmp_path, monkeypatch, capsys, argv, error)
+
+
 def test_verify_refuses_a_certificate_measured_at_another_seed(tmp_path, monkeypatch, capsys):
     # it used to pass at seed 8 with the certificate measured at seed 7
     cert = DEMO / "certificate.json"

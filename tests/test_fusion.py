@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctta import fusion
+from ctta import numerics
 from ctta.fusion import (
     PoolVersionError,
     _compact_class_pool,
@@ -13,11 +13,10 @@ from ctta.fusion import (
     _merge_groups,
     _single_linkage_groups,
     _update_order,
-    _upper,
     update_class_pool,
     update_domain_pool,
 )
-from ctta.numerics import BatchStats, Hyperparams, SeededRng
+from ctta.numerics import BatchStats, Hyperparams, SeededRng, upper_triangle
 from ctta.pools import ClassPromptPool, DomainPromptPool, FissionOutcome
 from instancegen import (
     block_class_records,
@@ -448,17 +447,17 @@ def test_fuse_with_cached_pair_indices_keeps_the_bits_of_fresh_ones(seed):
 def test_shared_triangle_equals_triu_and_rejects_writes():
     # up, down, past the largest size so far and down again: every size
     # slices one mask, rebuilt only for a larger size and then at exactly it
-    largest = fusion._TRIANGLE.shape[0]
+    largest = numerics._TRIANGLE.shape[0]
     for n in (5, 130, 7, 300, 2):
-        upper = _upper(n)
+        upper = upper_triangle(n)
         np.testing.assert_array_equal(upper, np.triu(np.ones((n, n), dtype=bool), 1))
         largest = max(largest, n)
-        assert upper.base is fusion._TRIANGLE and fusion._TRIANGLE.shape == (largest, largest)
+        assert upper.base is numerics._TRIANGLE and numerics._TRIANGLE.shape == (largest, largest)
         with pytest.raises(ValueError, match="read-only"):
             upper[0, n - 1] = False
     # the pairs a domain fusion scans are np.triu_indices', from the shared mask
-    assert _upper(5).base is _upper(5).base
-    for got, want in zip(_upper(5).nonzero(), np.triu_indices(5, 1)):
+    assert upper_triangle(5).base is upper_triangle(5).base
+    for got, want in zip(upper_triangle(5).nonzero(), np.triu_indices(5, 1)):
         np.testing.assert_array_equal(got, want)
 
 

@@ -15,8 +15,8 @@ from ctta.pools import (
     fission_class_batch,
     fission_domain,
 )
-from instancegen import load_pool, random_class_pool, random_prob
-from reference import class_fission_reference, cosine_sim
+from instancegen import domain_pool_tuples, load_pool, random_class_pool, random_domain_pool, random_prob
+from reference import class_fission_reference, cosine_sim, domain_fission_reference
 
 DIM = 5
 C = 3
@@ -473,3 +473,39 @@ def test_fission_class_batch_bitwise_matches_literal_reference(seed, sharp):
         assert any(0 < len(cand) < n for cand, _, _ in want)
     if seed == 8:
         assert [len(cand) for cand, _, _ in want] == [3, 0, 1, 2, 3, 1]
+
+
+# sharp: tau_d = 0.001 puts nearly all weight on the nearest candidate;
+# flat: tau_d = 1000 weighs the candidates nearly evenly
+@pytest.mark.parametrize("sharp", [False, True])
+@pytest.mark.parametrize("case", ["empty", "all match", "no match", "mixed"])
+@pytest.mark.parametrize("seed", range(3))
+def test_fission_domain_bitwise_matches_literal_reference(seed, case, sharp):
+    rng = SeededRng(500 + seed)
+    n = 0 if case == "empty" else int(rng.integers(2, 21))
+    feature_dim = int(rng.integers(1, 9))
+    pool = random_domain_pool(rng, n, 30, feature_dim, 6)
+    stats = BatchStats(rng.normal(size=feature_dim), np.abs(rng.normal(size=feature_dim)))
+    dists = np.sort(np.linalg.norm(pool.keys - stats.concat(), axis=1))
+    if case == "all match":
+        gamma_d = np.inf
+    elif case == "no match":
+        gamma_d = dists[0] / 2
+    elif case == "mixed":  # between the two middle distances
+        gamma_d = (dists[n // 2 - 1] + dists[n // 2]) / 2
+    else:
+        gamma_d = 1.0
+    tau_d = 0.001 if sharp else 1000.0
+    engine_rng, reference_rng = SeededRng(seed), SeededRng(seed)
+    got = fission_domain(pool, stats, replace(HP, gamma_d=gamma_d, tau_d=tau_d), engine_rng)
+    cand, w, composed = domain_fission_reference(
+        domain_pool_tuples(pool), stats, pool.prompt_dim, gamma_d, tau_d, reference_rng, HP.init_scale
+    )
+    assert len(got) == 1 and got.pool_version == pool.version
+    assert got.candidates.tolist() == cand
+    assert got.fissioned[0] == (not cand)
+    assert got.weights.tobytes() == w.tobytes()
+    assert got.composed[0].tobytes() == composed.tobytes()
+    # both sides drew the same fresh prompts, if any, so their generators agree afterwards
+    assert engine_rng._gen.bit_generator.state == reference_rng._gen.bit_generator.state
+    assert len(cand) == {"empty": 0, "all match": n, "no match": 0, "mixed": n // 2}[case]

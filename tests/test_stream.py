@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from ctta import stream as stream_module
@@ -24,7 +24,7 @@ from ctta.stream import (
     read_stream,
     write_stream,
 )
-from reference import write_stream_reference
+from reference import measure_separation_reference, write_stream_reference
 
 DEMO_STREAM = Path(__file__).resolve().parent.parent / "demo" / "stream.csv"
 
@@ -155,6 +155,35 @@ def test_measure_separation_trivial_geometry():
     assert min_inter == pytest.approx(4.9)
 
 
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 40),
+    st.integers(1, 12),
+    st.sampled_from(["one owner", "distinct owners", "some owners"]),
+    st.integers(-150, 150),
+)
+@settings(max_examples=80, deadline=None)
+@example(0, 1, 3, "one owner", 0)
+@example(1, 9, 4, "one owner", 0)
+@example(2, 9, 4, "distinct owners", 0)
+def test_measure_separation_matches_exhaustive_pair_scan(seed, m, f, layout, exponent):
+    # keys scaled by powers of two whose squares stay finite
+    rng = np.random.default_rng(seed)
+    keys = rng.normal(size=(m, f)) * 2.0**exponent
+    owners = {
+        "one owner": np.zeros(m, dtype=np.int64),
+        "distinct owners": rng.permutation(m),
+        "some owners": rng.integers(0, 4, size=m),
+    }[layout]
+    got = measure_separation(keys, owners)
+    want = measure_separation_reference(keys, owners)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    if layout == "one owner":
+        assert got[1] == np.inf
+    if layout == "distinct owners":
+        assert got[0] == 0.0
+
+
 def test_stream_round_trip_bit_identical(tmp_path, world):
     cfg, w = world
     spec = DomainSpec(0, np.zeros(6), w.class_means, 0.4)
@@ -270,6 +299,20 @@ def test_read_stream_empty_file_warns(tmp_path):
     with pytest.warns(UserWarning, match="zero batches"):
         assert read_stream(path) == []
     path.write_text("batch_idx,domain_id,class_id,f0,f1\n")
+    with pytest.warns(UserWarning, match="zero batches"):
+        assert read_stream(path) == []
+
+
+def test_read_stream_refuses_a_header_without_feature_columns(tmp_path):
+    # data rows under it once read into width-0 batches, which write_stream refuses
+    path = tmp_path / "no-features.csv"
+    path.write_text("batch_idx,domain_id,class_id\n0,0,1\n0,0,2\n")
+    with pytest.raises(StreamParseError, match="^line 1: header has no feature columns$") as err:
+        read_stream(path)
+    assert err.value.line == 1
+    # without data rows it is the header write_stream gives zero batches
+    write_stream([], path)
+    assert path.read_text() == "batch_idx,domain_id,class_id\n"
     with pytest.warns(UserWarning, match="zero batches"):
         assert read_stream(path) == []
 
@@ -459,6 +502,10 @@ STREAM_EDITS = {
         (3, "expected 11 fields, got 12"),
     ),
     "no final newline": (lambda L: L[:-1], None),
+    "no feature columns": (
+        lambda L: [",".join(line.split(",")[:3]) for line in L],
+        (1, "header has no feature columns"),
+    ),
 }
 
 
