@@ -25,15 +25,9 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .harness import (
-    Hyperparams,
-    build_world,
-    gradient_check,
-    run_ctta,
-    verify_lemmas,
-)
+from .harness import build_world, gradient_check, run_ctta, verify_lemmas
 from .model import save_model
-from .numerics import HYPERPARAMS, SeededRng, check_keys, check_param, row_norms
+from .numerics import HYPERPARAMS, Hyperparams, SeededRng, check_keys, check_param, row_norms
 from .pools import ClassPromptPool, DomainPromptPool
 from .stream import (
     DomainSpec,
@@ -45,11 +39,23 @@ from .stream import (
     write_stream,
 )
 
+
+def _parsed(what: str, path, parse=None):
+    """``parse(path)``, by default the file's JSON document. A ValueError of
+    the parse, such as a position in the file, is prefixed ``<what> <path>: ``."""
+    try:
+        if parse is not None:
+            return parse(path)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:
+        raise ValueError(f"{what} {path}: {exc}") from exc
+
+
 def load_config_file(path) -> tuple[dict, dict]:
     """Split a config JSON into hyperparameter and stream-config dicts."""
     stream_keys = [f.name for f in fields(StreamConfig)]
-    with open(path, encoding="utf-8") as fh:
-        doc = check_keys(json.load(fh), "config", [*HYPERPARAMS, *stream_keys], ())
+    doc = check_keys(_parsed("config", path), "config", [*HYPERPARAMS, *stream_keys], ())
     hp_doc = {k: v for k, v in doc.items() if k in HYPERPARAMS}
     sc_doc = {k: v for k, v in doc.items() if k not in HYPERPARAMS}
     return hp_doc, sc_doc
@@ -160,8 +166,7 @@ def _setup(args, *, adapt: bool = True) -> tuple:
     certificate = hp = stream = None
     if adapt:
         if args.certificate:
-            with open(args.certificate, encoding="utf-8") as fh:
-                certificate = SeparationCertificate.from_dict(json.load(fh))
+            certificate = SeparationCertificate.from_dict(_parsed("certificate", args.certificate))
             if args.seed is None:
                 sc = replace(sc, seed=certificate.seed)
             if certificate.seed != sc.seed:
@@ -170,7 +175,7 @@ def _setup(args, *, adapt: bool = True) -> tuple:
         if "gamma_d" not in hp_doc and certificate is not None:
             hp_doc["gamma_d"] = certificate.theta / 2.0
         hp = Hyperparams.from_dict(hp_doc)
-        stream = read_stream(args.stream)
+        stream = _parsed("stream", args.stream, read_stream)
         if not stream:
             raise ValueError(f"stream {args.stream} contains no batches")
         _check_stream(stream, sc, args.stream)

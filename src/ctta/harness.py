@@ -175,6 +175,18 @@ class RunResult:
     domain_pool: DomainPromptPool
 
 
+def _checked_pool(keyword: str, given, new):
+    """``given``, else ``new``; a given pool must have ``new``'s capacity,
+    prompt width and key width."""
+    if given is None:
+        return new
+    for name in ("capacity", "prompt_dim", new.WIDTH):
+        got, want = getattr(given, name, None), getattr(new, name)
+        if got != want:
+            raise ValueError(f"{keyword} has {name} {got}, the run's is {want}")
+    return given
+
+
 def run_ctta(
     model: ToyModel,
     stream: list[LabeledBatch],
@@ -190,13 +202,13 @@ def run_ctta(
     """Adapt online over the stream, scoring each batch before mutating the pools."""
     if not stream:
         raise ValueError("empty stream")
-    # before any pool is built or any draw is made
+    # before any draw is made; a given pool must have the shape of a new one
     check_stats(source_stats, model.feature_dim, "source statistics")
     hp = hyperparams
-    if class_pool is None:
-        class_pool = ClassPromptPool(hp.n_c, model.input_dim, model.num_classes)
-    if domain_pool is None:
-        domain_pool = DomainPromptPool(hp.n_d, model.input_dim, model.feature_dim)
+    new = ClassPromptPool(hp.n_c, model.input_dim, model.num_classes)
+    class_pool = _checked_pool("class_pool", class_pool, new)
+    new = DomainPromptPool(hp.n_d, model.input_dim, model.feature_dim)
+    domain_pool = _checked_pool("domain_pool", domain_pool, new)
     metrics = RunMetrics()
 
     for batch in stream:

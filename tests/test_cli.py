@@ -898,8 +898,74 @@ def test_a_stream_without_feature_columns_is_refused_at_its_header(tmp_path, mon
     stream.write_text("".join(",".join(line.split(",")[:3]) + "\n" for line in lines))
     argv = ["run", "--config", str(DEMO / "config.json"), "--stream", str(stream), "--seed", "7"]
     argv += ["--out-dir", str(tmp_path / "out")]
-    error = "error: line 1: header has no feature columns\n"
+    error = f"error: stream {stream}: line 1: header has no feature columns\n"
     _refused_before_the_fit(tmp_path, monkeypatch, capsys, argv, error)
+
+
+def test_a_stream_that_is_not_utf8_is_refused_naming_the_file(tmp_path, monkeypatch, capsys):
+    stream = tmp_path / "stream.csv"
+    stream.write_bytes(b"\x89PNG\r\n")
+    argv = ["run", "--config", str(DEMO / "config.json"), "--stream", str(stream), "--seed", "7"]
+    argv += ["--out-dir", str(tmp_path / "out")]
+    error = f"error: stream {stream}: 'utf-8' codec can't decode byte 0x89 in position 0: invalid start byte\n"
+    _refused_before_the_fit(tmp_path, monkeypatch, capsys, argv, error)
+
+
+def test_a_certificate_that_is_not_json_is_refused_naming_the_file(tmp_path, monkeypatch, capsys):
+    cert = tmp_path / "certificate.json"
+    cert.write_text('{\n  "theta": ,\n}\n')
+    argv = _demo_argv("run", tmp_path)[:-1] + [str(cert)]
+    error = f"error: certificate {cert}: Expecting value: line 2 column 12 (char 13)\n"
+    _refused_before_the_fit(tmp_path, monkeypatch, capsys, argv, error)
+
+
+@pytest.mark.parametrize("command", ["gen-stream", "run", "verify", "sweep"])
+def test_a_config_that_is_not_json_is_refused_naming_the_file(command, tmp_path, monkeypatch, capsys):
+    # the decoder's position used to print alone: "error: Expecting value: ..."
+    config = tmp_path / "config.json"
+    config.write_text('{\n  "seed": ,\n}\n')
+    argv = {
+        "gen-stream": ["gen-stream", "--config", str(config), "--seed", "7", "--out", str(tmp_path / "out")],
+        "run": _demo_argv("run", tmp_path, config),
+        "verify": _demo_argv("verify", tmp_path, config),
+        "sweep": ["sweep", "--config", str(config), "--stream", str(DEMO / "stream.csv"), "--seed", "7"]
+        + ["--out-dir", str(tmp_path / "out"), "--param", "gamma_h", "--values", "1.0"],
+    }[command]
+    error = f"error: config {config}: Expecting value: line 2 column 11 (char 12)\n"
+    _refused_before_the_fit(tmp_path, monkeypatch, capsys, argv, error)
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_gen_stream_refuses_domain_ids_that_are_not_0_to_n(tmp_path, capsys):
+    config = write_config(tmp_path / "config.json", domain_order=[0, 2, 0])
+    argv = ["gen-stream", "--config", str(config), "--seed", "7", "--out", str(tmp_path / "s.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: domain_order ids must be 0..N-1\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_sweep_refuses_an_unknown_hyperparameter(tmp_path, capsys):
+    argv = ["sweep", "--config", str(DEMO / "config.json"), "--stream", str(DEMO / "stream.csv"), "--seed", "7"]
+    argv += ["--out-dir", str(tmp_path / "out"), "--param", "theta", "--values", "1.0"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: unknown hyperparameter 'theta'\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_prints_each_violation_and_exits_1_under_a_forged_certificate(tmp_path, capsys):
+    # theta 1000 passes the hypotheses and sets gamma_d to 500, so the first
+    # batch of domain 1 matches domain 0's prompt
+    cert = tmp_path / "certificate.json"
+    doc = json.loads((DEMO / "certificate.json").read_text())
+    cert.write_text(json.dumps({**doc, "theta": 1000.0, "min_inter": 2000.0}))
+    assert main(_demo_argv("verify", tmp_path)[:-1] + [str(cert)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:3] == [
+        "verify: status=lemma_violation batches=60 domains=3",
+        "  violation: batch 10: first encounter of domain 1 matched existing prompts instead of fissioning",
+        "  violation: batch 10: matched entry 0 of domain 0 while in domain 1",
+    ]
+    assert len(out) > 3 and all(line.startswith("  violation: batch ") for line in out[1:])
 
 
 def test_verify_refuses_a_certificate_measured_at_another_seed(tmp_path, monkeypatch, capsys):

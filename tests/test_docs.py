@@ -1,6 +1,10 @@
-"""README drift: the configuration table and the flags it documents match the code."""
+"""README drift: the configuration table, the flags and the package layout it
+documents match the code."""
 import argparse
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -8,7 +12,8 @@ from ctta.cli import build_parser
 from ctta.numerics import HYPERPARAMS
 from ctta.stream import StreamConfig
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 # settings that were removed from the config and the CLI
 REMOVED = [
@@ -55,3 +60,19 @@ def test_readme_names_every_long_flag():
 
 def test_readme_names_no_removed_setting():
     assert [name for name in REMOVED if name in README] == []
+
+
+def test_the_package_root_holds_no_names_and_loads_no_module():
+    # each name has one import path, its own module, so a patched module
+    # attribute (ctta.harness.run_ctta) has no alias at the root
+    code = (
+        "import sys, ctta; "
+        "print(sorted(m for m in sys.modules if m.startswith('ctta.')), "
+        "sorted(n for n in vars(ctta) if not n.startswith('__')))"
+    )
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "[] []\n"

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctta import numerics
+from ctta.fusion import DomainUpdateSummary
 from ctta.harness import (
     BatchMetrics,
     ClusterLedger,
@@ -398,3 +399,54 @@ def test_run_rejects_source_stats_of_the_wrong_dimension(dim):
     with pytest.raises(ValueError, match=message):
         verify_lemmas(stream, certificate, hp, w.model, wrong, rng=rng)
     assert rng.normal(size=4).tolist() == untouched
+
+
+def _two_source_batches(w):
+    scfg = StreamConfig(domain_order=(0,), batches_per_domain=2, batch_size=8, input_dim=8, num_classes=3, seed=61)
+    return generate_stream(scfg, [w.source_spec], SeededRng(61))
+
+
+@pytest.mark.parametrize(
+    "keyword, pool, message",
+    [
+        ("class_pool", ClassPromptPool(5, 8, 3), "class_pool has capacity 5, the run's is 100"),
+        ("class_pool", ClassPromptPool(100, 4, 3), "class_pool has prompt_dim 4, the run's is 8"),
+        ("class_pool", ClassPromptPool(100, 8, 2), "class_pool has num_classes 2, the run's is 3"),
+        ("domain_pool", DomainPromptPool(7, 8, 8), "domain_pool has capacity 7, the run's is 20"),
+        ("domain_pool", DomainPromptPool(20, 8, 3), "domain_pool has feature_dim 3, the run's is 8"),
+    ],
+    ids=["class-capacity", "class-prompt-dim", "class-key-width", "domain-capacity", "domain-key-width"],
+)
+def test_run_refuses_a_given_pool_that_disagrees_with_the_run(world, keyword, pool, message):
+    # a small class pool used to run at its own capacity and compact; a pool
+    # of the wrong width failed only at batch 0, blaming the batch. The check
+    # comes before any draw, so the caller's rng has not advanced.
+    cfg, w = world
+    untouched = SeededRng(7).normal(size=4).tolist()
+    rng = SeededRng(7)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_ctta(w.model, _two_source_batches(w), Hyperparams(), w.source_stats, rng=rng, **{keyword: pool})
+    assert rng.normal(size=4).tolist() == untouched
+
+
+def test_verify_lemmas_names_an_invalid_certificate_and_gamma_d_not_below_theta(world):
+    cfg, w = world
+    certificate = SeparationCertificate(4.0, 5.0, 3.0, 20, 61)  # max_intra above theta
+    hp = Hyperparams(gamma_d=4.0, n_d=2)
+    report = verify_lemmas(_two_source_batches(w), certificate, hp, w.model, w.source_stats, rng=SeededRng(0))
+    assert report.status == "hypothesis_violation"
+    assert report.hypothesis_issues == [
+        "certificate invalid: max_intra=5, theta=4, min_inter=3",
+        "gamma_d=4 must be below theta=4",
+    ]
+    assert report.violations == [] and report.metrics is None
+
+
+def test_ledger_names_a_fusion_of_entries_of_two_domains():
+    ledger = ClusterLedger(entry_labels=[0, 1])
+    # a same-domain fusion passes: the new entry 2 of domain 1 into entry 1
+    ledger.on_domain_update(6, 1, DomainUpdateSummary(fissioned=True, appended_index=2, fused_pair=(1, 2)))
+    assert ledger.violations == [] and ledger.entry_labels == [0, 1]
+    ledger.on_domain_update(7, 1, DomainUpdateSummary(fissioned=True, appended_index=2, fused_pair=(0, 2)))
+    assert ledger.violations == ["batch 7: fused entries of domains 0 and 1"]
+    assert ledger.entry_labels == [0, 1]

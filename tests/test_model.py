@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ctta import model as model_module
 from ctta.model import (
     ToyModel,
     draw_labeled_samples,
+    fit_head,
     fit_source_model,
     forward,
     key_stats,
@@ -131,6 +133,17 @@ def test_source_model_classifies_source_data(world):
     x, y = draw_labeled_samples(means, 900, 0.3, rng.child(10))
     predicted = pseudo_labels(model, x).argmax(axis=1)
     assert (predicted != y).mean() < 0.12
+
+
+def test_fit_head_stops_at_a_zero_gradient(monkeypatch):
+    # with one class every probability is 1 and the start's gradient is 0, so
+    # the fit stops after one of its 600 iterations
+    calls = []
+    real = model_module.softmax_rows
+    monkeypatch.setattr(model_module, "softmax_rows", lambda z: calls.append(z) or real(z))
+    w, c = fit_head(SeededRng(0).normal(size=(10, 4)), np.zeros(10, dtype=np.int64), 1)
+    assert len(calls) == 1
+    assert w.tolist() == [[0.0] * 4] and c.tolist() == [0.0]
 
 
 def test_model_snapshot_round_trip(tmp_path, world):

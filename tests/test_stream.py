@@ -88,6 +88,37 @@ def test_make_separated_certificate_is_the_oracle(world):
     assert len(specs) == 4
 
 
+def test_make_separated_with_more_domains_than_orthogonal_directions():
+    # 3 shifted domains in 2 dimensions: unit directions, not QR columns
+    cfg = StreamConfig(domain_order=(0, 1, 2, 3), input_dim=2, num_classes=2, seed=1, theta=4.0)
+    w = build_world(cfg)
+    specs, cert = make_separated(cfg, 4, 4.0, w.model, SeededRng(1).child(2), class_means=w.class_means)
+    assert cert.valid and len(specs) == 4
+    norms = [float(np.linalg.norm(s.shift)) for s in specs]
+    assert norms[0] == 0.0
+    assert norms[1:] == pytest.approx([norms[1]] * 3, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "domains, order, message",
+    [
+        ([(0, 6, 3), (0, 6, 3)], (0,), "duplicate domain ids"),
+        ([(0, 4, 3)], (0,), "domain input_dim must match config"),
+        ([(0, 6, 2)], (0,), "domain class count must match config"),
+        ([(0, 6, 3), (1, 6, 3)], (0, 1, 3), r"domain_order references unknown domains \[3\]"),
+    ],
+    ids=["duplicate-id", "input-dim", "class-count", "unknown-domain"],
+)
+def test_generate_stream_refuses_domains_that_do_not_fit_the_config(domains, order, message):
+    specs = [DomainSpec(i, np.zeros(dim), np.zeros((classes, dim)), 0.4) for i, dim, classes in domains]
+    cfg = StreamConfig(domain_order=order, batches_per_domain=1, batch_size=4, input_dim=6, num_classes=3)
+    rng = SeededRng(0)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        generate_stream(cfg, specs, rng)
+    # refused before the first batch is drawn
+    assert rng.normal(size=2).tolist() == SeededRng(0).normal(size=2).tolist()
+
+
 def test_make_separated_zero_noise_has_tiny_intra(world):
     cfg, w = world
     scfg = StreamConfig(domain_order=(0, 1), batch_size=16, input_dim=6, num_classes=3, seed=17, theta=2.0)
@@ -315,6 +346,13 @@ def test_read_stream_refuses_a_header_without_feature_columns(tmp_path):
     assert path.read_text() == "batch_idx,domain_id,class_id\n"
     with pytest.warns(UserWarning, match="zero batches"):
         assert read_stream(path) == []
+
+
+def test_read_stream_names_a_bad_feature_column(tmp_path):
+    path = tmp_path / "renamed.csv"
+    path.write_text("batch_idx,domain_id,class_id,f0,g1\n0,0,1,0.5,0.5\n0,0,2,0.5,0.5\n")
+    with pytest.raises(StreamParseError, match="^line 1: bad feature column name 'g1'$"):
+        read_stream(path)
 
 
 def test_read_stream_parse_errors_carry_line_numbers(tmp_path):
