@@ -1,19 +1,20 @@
 """Knowledge fusion: writing learned prompts back into the pools.
 
-A class-pool update reads one batch record: the learned prompts, predictions
-and pseudo-labels as matrices and the batch's fission outcome. It validates
-the record once and is entropy-gated. Each row meets its matched samples
-one after another, in sample order, and no row reads another; so step k
-applies the k-th entry of every row at once, with the bits of applying the
-samples one by one. Overflow triggers a single-linkage
-compaction on cosine distances between keys: Kruskal's algorithm takes edges
-in (weight, i, j) order from a stable argsort of the row-major upper
-triangle (light edges first, the rest only if needed) and stops once the
-pool's capacity of components remains, which cuts the heaviest edges of the
-minimum spanning tree. Each group of more than one row merges into its mean;
-groups are numbered, and the merged rows ordered, by their first member.
-Domain-pool updates blend keys and prompts convexly; overflow fuses the
-nearest entry pair by the same merge. All mutation of pools happens here.
+Both pools share one write path. A matched update blends each candidate row
+toward its input, ``inp + keep * row``, with coefficient ``alpha * w`` on the
+key columns and ``w`` on the prompt columns; only the class pool then
+renormalises its keys. A class-pool update reads one validated, entropy-gated
+batch record. Each row meets its matched samples in sample order and no row
+reads another, so step k applies the k-th entry of every row at once, with
+the bits of applying the samples one by one; a domain update is one step.
+A pool over capacity merges greedily by single linkage: Kruskal's algorithm
+takes edges in (weight, i, j) order from a stable argsort of the row-major
+upper triangle (light edges first, the rest only if needed) and stops at the
+target count of components, which cuts the heaviest edges of the minimum
+spanning tree. The class pool compacts to capacity on cosine distances; a
+domain append that overflows merges the nearest pair by Euclidean distance,
+ties to the lowest (i, j). Each group merges into its mean, groups numbered
+by their first member. All mutation of pools happens here.
 """
 from __future__ import annotations
 
@@ -121,6 +122,36 @@ def _update_order(pos: np.ndarray, sizes: np.ndarray, num_rows: int) -> tuple:
     return by_row[rank.argsort(kind="stable")], np.bincount(rank).cumsum().tolist()
 
 
+def _blend_rows(pool, rows, alpha, weights, inputs, pos, ends, normalise) -> None:
+    """Blend ``inputs`` convexly into the pool's ``rows``: entry e has weight
+    ``weights[e]`` and input row ``inputs[e]`` (keys then prompts; one row
+    broadcasts). Step s applies the entries up to ``ends[s]`` to the block rows
+    at ``pos``, or to the whole block if it names every row; with ``normalise``
+    it then divides the key columns by their row sums."""
+    # The inputs are scaled at once, elementwise as one sample's would be
+    # (fact 5, tests/test_bitfacts.py), and the rows gathered and scattered
+    # once; the key columns' row sums are the contiguous keys' (facts 4, 8).
+    width = pool.keys.shape[1]
+    coef = np.concatenate((alpha * weights, weights), axis=1)
+    coef = coef.repeat((width, pool.prompts.shape[1]), axis=1)
+    inp, keep = coef * inputs, 1.0 - coef
+    block, lo = np.concatenate((pool.keys[rows], pool.prompts[rows]), axis=1), 0
+    block_keys = block[:, :width]
+    for hi in ends:
+        # a step of every touched row names them in ascending order
+        whole = hi - lo == len(rows)
+        step = block if whole else block[pos[lo:hi]]
+        np.multiply(keep[lo:hi], step, out=step)
+        np.add(inp[lo:hi], step, out=step)
+        if normalise:
+            step_keys = block_keys if whole else step[:, :width]
+            step_keys /= np.add.reduce(step_keys, 1, keepdims=True)
+        if not whole:
+            block[pos[lo:hi]] = step
+        lo = hi
+    pool.keys[rows], pool.prompts[rows] = block[:, :width], block[:, width:]
+
+
 def update_class_pool(
     pool: ClassPromptPool, record: ClassUpdateRecord, hp: Hyperparams, *, created_at: int = 0
 ) -> ClassUpdateSummary:
@@ -130,14 +161,9 @@ def update_class_pool(
     Fissioned samples append a (pseudo-label, learned prompt) entry; matched
     samples update every candidate entry convexly, keys with coefficient
     ``hp.alpha_c * weight`` (renormalized to sum 1) and prompts with the raw
-    weight. If the pool ends above capacity, a spanning-tree compaction
-    merges it down to exactly the capacity.
-
-    Each row meets its samples one after another, each to the values the
-    previous ones left, on the touched rows gathered once and scattered back
-    once. Step k applies the k-th entry of every touched row, so there are as
-    many steps as the most samples any row has. A batch whose samples all
-    name every touched row takes one step per sample.
+    weight, each row meeting its samples in sample order. If the pool ends
+    above capacity, a spanning-tree compaction merges it down to exactly the
+    capacity.
     """
     outcome = record.outcome
     _check_outcome(pool, outcome)
@@ -152,45 +178,20 @@ def update_class_pool(
     summary = ClassUpdateSummary(skipped=gated.nonzero()[0].tolist())
     fissioned = (~gated & fissioned_rows).nonzero()[0]
     matched = (~gated & ~fissioned_rows).nonzero()[0]
-    keys, prompts = pool.keys, pool.prompts
     if matched.size:
         counts = outcome.offsets[1:] - outcome.offsets[:-1]
         kept = (~gated).repeat(counts)
         sizes = counts[matched]
         cand = outcome.candidates[kept]
-        weights = outcome.weights[kept][:, None]
         hit = np.zeros(len(pool), dtype=bool)
         hit[cand] = True
         rows = hit.nonzero()[0]
-        # The entries are laid out in step order once and their inputs scaled
-        # for the whole batch, elementwise as one sample's would be (fact 5,
-        # tests/test_bitfacts.py), keys then prompts side by side. The
-        # recurrence then runs step by step on one gathered (rows, C + d)
-        # block of the touched rows, each step a slice of the entries:
-        # in + keep * row on every column at once, then the key columns
-        # divided in place by their row sums, which are the contiguous keys'
-        # sums (facts 4 and 8).
         pos = rows.searchsorted(cand)
         order, ends = _update_order(pos, sizes, len(rows))
-        sample, weights, pos = matched.repeat(sizes)[order], weights[order], pos[order]
-        # per column: alpha_c * w on the keys, w on the prompts
-        coef = np.concatenate((hp.alpha_c * weights, weights), axis=1)
-        coef = coef.repeat((num_classes, dim), axis=1)
-        inp, keep = coef * np.concatenate((preds, learned), axis=1)[sample], 1.0 - coef
-        block, lo = np.concatenate((keys[rows], prompts[rows]), axis=1), 0
-        block_keys = block[:, :num_classes]
-        for hi in ends:
-            # a step of every touched row names them in ascending order
-            whole = hi - lo == len(rows)
-            step = block if whole else block[pos[lo:hi]]
-            np.multiply(keep[lo:hi], step, out=step)
-            np.add(inp[lo:hi], step, out=step)
-            step_keys = block_keys if whole else step[:, :num_classes]
-            step_keys /= np.add.reduce(step_keys, 1, keepdims=True)
-            if not whole:
-                block[pos[lo:hi]] = step
-            lo = hi
-        keys[rows], prompts[rows] = block[:, :num_classes], block[:, num_classes:]
+        sample = matched.repeat(sizes)[order]
+        inputs = np.concatenate((preds, learned), axis=1)[sample]
+        weights = outcome.weights[kept][order][:, None]
+        _blend_rows(pool, rows, hp.alpha_c, weights, inputs, pos[order], ends, True)
         summary.updated = rows.tolist()
     if fissioned.size:
         summary.appended = list(range(len(pool), len(pool) + len(fissioned)))
@@ -202,17 +203,27 @@ def update_class_pool(
     return summary
 
 
-def _single_linkage_groups(dist: np.ndarray, num_groups: int) -> list[int]:
+def _single_linkage_groups(weights: np.ndarray, n: int, num_groups: int) -> list[int]:
     """Kruskal-style union of ascending edges until ``num_groups`` components remain.
 
-    Equivalent to building the MST and deleting its heaviest edges. The upper
-    triangle is laid out row-major, i.e. in (i, j) order, so a stable argsort
-    of its weights visits edges in (weight, i, j) order, ties included. The
-    union usually stops after a handful of edges, so only the edges up to a
-    partition threshold are sorted first; the heavier ones are sorted only if
-    the union runs past them. Groups are numbered by their first member.
+    ``weights`` holds the edge weights of the strict upper triangle of ``n``
+    rows, laid out row-major, i.e. in (i, j) order, so a stable argsort of it
+    visits edges in (weight, i, j) order, ties included. Equivalent to
+    building the MST and deleting its heaviest edges. At ``n - 1`` groups
+    only the first lightest edge joins. Otherwise the union usually stops
+    after a handful of edges, so only the edges up to a partition threshold
+    are sorted first; the heavier ones are sorted only if the union runs past
+    them. Groups are numbered by their first member.
     """
-    n = dist.shape[0]
+    # row i's first edge is i * n - i * (i + 1) / 2; its edge e joins i and e - starts[i] + i + 1
+    starts = np.arange(n) * np.arange(2 * n - 1, n - 1, -1) // 2
+    if num_groups == n - 1:
+        # Kruskal's first union is the triangle's first minimum (i, j): row j joins i's group
+        e = int(weights.argmin())
+        i = int(starts.searchsorted(e, "right")) - 1
+        groups = list(range(n - 1))
+        groups.insert(e - int(starts[i]) + i + 1, i)
+        return groups
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -221,15 +232,12 @@ def _single_linkage_groups(dist: np.ndarray, num_groups: int) -> list[int]:
             x = parent[x]
         return x
 
-    weights = dist[upper_triangle(n)]
     k = 8 * (n - num_groups) + 64
     if k < weights.size:
         light = weights <= np.partition(weights, k - 1)[k - 1]
         tiers = [light.nonzero()[0], (~light).nonzero()[0]]
     else:
         tiers = [np.arange(weights.size)]
-    # row i's first edge is i * n - i * (i + 1) / 2; its edge e joins i and e - starts[i] + i + 1
-    starts = np.arange(n) * np.arange(2 * n - 1, n - 1, -1) // 2
     components = n
     for edges in tiers:
         edges = edges[weights[edges].argsort(kind="stable")]
@@ -274,9 +282,9 @@ def _compact_class_pool(pool: ClassPromptPool) -> list[int]:
     if len(pool) <= pool.capacity:
         raise ValueError("compaction requires pool size above capacity")
     # all pairwise cosines in one product of normalised keys (numerics: second forms)
-    normed = pool.keys / row_norms(pool.keys, keepdims=True)
-    dist = 1.0 - np.clip(normed @ normed.T, -1.0, 1.0)
-    assignment = _single_linkage_groups(dist, pool.capacity)
+    n, normed = len(pool), pool.keys / row_norms(pool.keys, keepdims=True)
+    dist = 1.0 - np.clip((normed @ normed.T)[upper_triangle(n)], -1.0, 1.0)
+    assignment = _single_linkage_groups(dist, n, pool.capacity)
     _merge_groups(pool, np.array(assignment))
     pool.keys /= np.add.reduce(pool.keys, 1, keepdims=True)
     return assignment
@@ -294,9 +302,10 @@ def update_domain_pool(
     """Write one learned domain prompt back into the pool.
 
     A fissioned prompt appends a new (stats, prompt) entry, fusing the
-    nearest pair if that overflows the capacity; a matched prompt updates
-    every candidate convexly, statistics with coefficient ``hp.alpha_d * weight``
-    and prompts with the raw weight.
+    nearest pair by the class pool's single-linkage merge if that overflows
+    the capacity; a matched prompt updates every candidate by the class
+    pool's convex blend, statistics with coefficient ``hp.alpha_d * weight``
+    and prompts with the raw weight, keys not renormalised.
     """
     _check_outcome(pool, outcome)
     if len(outcome) != 1:
@@ -308,32 +317,19 @@ def update_domain_pool(
     stats_key = stats.concat()
     if summary.fissioned:
         pool._extend(stats_key[None, :], learned[None, :], [created_at])
-        summary.appended_index = len(pool) - 1
-        if len(pool) > pool.capacity:
-            summary.fused_pair = _fuse_core(pool)
+        n = len(pool)
+        summary.appended_index = n - 1
+        if n > pool.capacity:
+            iu, ju = upper_triangle(n).nonzero()
+            groups = _single_linkage_groups(row_norms(pool.keys[iu] - pool.keys[ju]), n, n - 1)
+            _merge_groups(pool, np.array(groups))
+            # the one row that joined an earlier group, and that group
+            j = next(r for r, g in enumerate(groups) if g != r)
+            summary.fused_pair = (groups[j], j)
     else:
-        idx, w = outcome.candidates, outcome.weights
-        cf = hp.alpha_d * w
-        pool.keys[idx] = cf[:, None] * stats_key + (1.0 - cf)[:, None] * pool.keys[idx]
-        pool.prompts[idx] = w[:, None] * learned + (1.0 - w)[:, None] * pool.prompts[idx]
+        idx = outcome.candidates
+        inputs = np.concatenate((stats_key, learned))
+        _blend_rows(pool, idx, hp.alpha_d, outcome.weights[:, None], inputs, None, [len(idx)], False)
         summary.updated = idx.tolist()
     pool.version += 1
     return summary
-
-
-def _fuse_core(pool: DomainPromptPool) -> tuple[int, int]:
-    """Merge the closest entry pair by key distance; ties take the lowest (i, j).
-
-    The caller advances the version.
-    """
-    n = len(pool)
-    if n < 2:
-        raise ValueError("nearest-pair fusion needs at least 2 entries")
-    iu, ju = upper_triangle(n).nonzero()
-    m = int(row_norms(pool.keys[iu] - pool.keys[ju]).argmin())
-    i, j = int(iu[m]), int(ju[m])
-    # j joins i's group (i < j); every other row is its own group
-    assignment = np.arange(n) - (np.arange(n) >= j)
-    assignment[j] = i
-    _merge_groups(pool, assignment)
-    return (i, j)

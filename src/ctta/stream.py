@@ -188,12 +188,13 @@ def make_separated(
     """Construct domains certified well-separated in the model's key space.
 
     Domain 0 is unshifted; the rest shift along near-orthogonal directions,
-    scaled to put the closest pair 3 * ``theta_target`` apart in feature space
-    and doubled, up to 8 times, until every cross-domain pair of probe keys
-    (``PROBE_BATCHES`` batches per domain) is farther than ``theta_target``
-    while same-domain pairs stay below 0.4 * theta.
-    Fails rather than returning an uncertified set: scaling cannot shrink the
-    intra-domain spread, which is fixed by the noise level.
+    scaled to put the closest pair 3 * ``theta_target`` apart in feature space.
+    The set is certified when every cross-domain pair of probe keys
+    (``PROBE_BATCHES`` batches per domain) is farther than ``theta_target`` and
+    every same-domain pair closer than 0.4 * theta; otherwise it fails rather
+    than return an uncertified set. The intra-domain spread is fixed by the
+    noise level, and below 0.4 * theta it leaves keys of domains 3 theta apart
+    well over theta apart.
     """
     if n_domains < 2:
         raise ValueError("need at least 2 domains to separate")
@@ -215,24 +216,17 @@ def make_separated(
         raise ValueError("degenerate shift directions under this extractor")
     scale = 3.0 * theta_target / min_gap
 
-    for attempt in range(8):
-        specs = [
-            DomainSpec(i, scale * unit_shifts[i], means, noise_std)
-            for i in range(n_domains)
-        ]
-        keys, owners = _probe_keys(specs, config.batch_size, model, rng.child(2, attempt))
-        max_intra, min_inter = measure_separation(keys, owners)
-        if max_intra >= 0.4 * theta_target:
-            raise ValueError(
-                f"cannot certify: intra-domain spread {max_intra:.4g} exceeds "
-                f"0.4 * theta at noise_std={noise_std}"
-            )
-        if min_inter > theta_target:
-            return specs, SeparationCertificate(
-                theta_target, max_intra, min_inter, PROBE_BATCHES, rng.seed
-            )
-        scale *= 2.0
-    raise ValueError("separation not achieved after 8 attempts")
+    specs = [DomainSpec(i, scale * unit_shifts[i], means, noise_std) for i in range(n_domains)]
+    keys, owners = _probe_keys(specs, config.batch_size, model, rng.child(2, 0))
+    max_intra, min_inter = measure_separation(keys, owners)
+    if max_intra >= 0.4 * theta_target:
+        raise ValueError(
+            f"cannot certify: intra-domain spread {max_intra:.4g} exceeds "
+            f"0.4 * theta at noise_std={noise_std}"
+        )
+    if min_inter <= theta_target:
+        raise ValueError(f"cannot certify: closest domains {min_inter:.4g} apart, not above theta")
+    return specs, SeparationCertificate(theta_target, max_intra, min_inter, PROBE_BATCHES, rng.seed)
 
 
 _HEADER_PREFIX = ("batch_idx", "domain_id", "class_id")

@@ -9,7 +9,6 @@ from ctta import numerics
 from ctta.fusion import (
     PoolVersionError,
     _compact_class_pool,
-    _fuse_core,
     _merge_groups,
     _single_linkage_groups,
     _update_order,
@@ -320,6 +319,12 @@ def test_mst_compact_matches_bruteforce_single_linkage(seed):
     assert partition_sets(dict(enumerate(assignment))) == partition_sets(expected)
 
 
+def linkage(dist, num_groups):
+    """``_single_linkage_groups`` on the upper-triangle weights of ``dist``."""
+    n = dist.shape[0]
+    return _single_linkage_groups(dist[upper_triangle(n)], n, num_groups)
+
+
 def cosine_distances(keys):
     normed = keys / np.linalg.norm(keys, axis=1, keepdims=True)
     return 1.0 - np.clip(normed @ normed.T, -1.0, 1.0)
@@ -350,7 +355,7 @@ def test_single_linkage_groups_match_kruskal_reference_under_ties(seed):
     dist = np.round(cosine_distances(keys), 2)
     for num_groups in {1, max(1, n // 2), n - 1, n}:
         expected = kruskal_single_linkage_reference(dist, num_groups)
-        assert _single_linkage_groups(dist, num_groups) == expected
+        assert linkage(dist, num_groups) == expected
 
 
 def test_single_linkage_groups_continue_past_the_partitioned_edges():
@@ -365,7 +370,7 @@ def test_single_linkage_groups_continue_past_the_partitioned_edges():
     np.fill_diagonal(dist, 0.0)
     num_groups = 2
     assert np.count_nonzero(dist[np.triu_indices(40, 1)] == 0.0) > 8 * (40 - num_groups) + 64
-    groups = _single_linkage_groups(dist, num_groups)
+    groups = linkage(dist, num_groups)
     assert groups == kruskal_single_linkage_reference(dist, num_groups)
     assert len(set(groups)) == num_groups
 
@@ -377,17 +382,31 @@ def test_single_linkage_groups_break_ties_by_weight_then_i_then_j():
     np.fill_diagonal(dist, 0.0)
     for i, j in [(3, 5), (2, 3), (1, 5), (0, 4)]:
         dist[i, j] = dist[j, i] = 0.5
-    assert _single_linkage_groups(dist, 4) == [0, 1, 2, 3, 0, 1]
-    assert _single_linkage_groups(dist, 3) == [0, 1, 2, 2, 0, 1]
-    assert _single_linkage_groups(dist, 2) == [0, 1, 1, 1, 0, 1]
+    assert linkage(dist, 4) == [0, 1, 2, 3, 0, 1]
+    assert linkage(dist, 3) == [0, 1, 2, 2, 0, 1]
+    assert linkage(dist, 2) == [0, 1, 1, 1, 0, 1]
+
+
+def append_and_fuse(rows, prompt_dim, feature_dim):
+    """Load all but the last of ``rows``, each a (key, prompt, created_at) with
+    key (mu, sigma), into a domain pool at capacity, then append the last
+    through a fissioned ``update_domain_pool``, which overflows by one row and
+    fuses a pair. Returns the pool and the fused pair."""
+    *first, (key, prompt, created) = rows
+    pool = load_pool(DomainPromptPool(len(first), prompt_dim, feature_dim), first)
+    stats = BatchStats(np.asarray(key[:feature_dim], float), np.asarray(key[feature_dim:], float))
+    prompt = np.asarray(prompt, float)
+    outcome = make_outcome(prompt, None, pool.version)
+    summary = update_domain_pool(pool, prompt, stats, outcome, Hyperparams(), created_at=created)
+    assert summary.appended_index == len(first)
+    return pool, summary.fused_pair
 
 
 def test_fuse_nearest_pair_identical_entries_win():
     mus = [[0.0, 0.0], [5.0, 5.0], [5.0, 5.0], [9.0, 0.0]]
     # each key is (mu, sigma), with sigma zero
     rows = [([*mu, 0.0, 0.0], np.full(2, float(i)), i) for i, mu in enumerate(mus)]
-    pool = load_pool(DomainPromptPool(10, 2, 2), rows)
-    pair = _fuse_core(pool)
+    pool, pair = append_and_fuse(rows, 2, 2)
     assert pair == (1, 2)
     assert len(pool) == 3
     np.testing.assert_array_equal(pool.keys[1, :2], [5.0, 5.0])
@@ -397,8 +416,7 @@ def test_fuse_nearest_pair_identical_entries_win():
 def test_fuse_pool_of_two_averages():
     # each key is (mu, sigma)
     rows = [([0.0, 0.0, 1.0, 1.0], [2.0, 0.0], 0), ([4.0, 0.0, 3.0, 1.0], [0.0, 2.0], 5)]
-    pool = load_pool(DomainPromptPool(10, 2, 2), rows)
-    pair = _fuse_core(pool)
+    pool, pair = append_and_fuse(rows, 2, 2)
     assert pair == (0, 1)
     mu, sigma, prompt, created = domain_pool_tuples(pool)[0]
     np.testing.assert_allclose(mu, [2.0, 0.0], atol=1e-15)
@@ -406,22 +424,24 @@ def test_fuse_pool_of_two_averages():
     np.testing.assert_allclose(prompt, [1.0, 1.0], atol=1e-15)
     assert created == 0
 
+    # a fusion always has a pair to merge: no pool has a capacity below 1
     with pytest.raises(ValueError):
-        _fuse_core(pool)
+        DomainPromptPool(0, 2, 2)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_fuse_nearest_pair_matches_exhaustive_scan(seed):
     rng = SeededRng(seed)
-    pool = random_domain_pool(rng, 6, 10, 3, 2)
-    keys = pool.keys.copy()
+    rows = domain_pool_tuples(random_domain_pool(rng, 6, 10, 3, 2))
+    keys = np.array([np.concatenate((mu, sigma)) for mu, sigma, _, _ in rows])
     best = None
     for i in range(6):
         for j in range(i + 1, 6):
             d = float(np.linalg.norm(keys[i] - keys[j]))
             if best is None or d < best[0]:
                 best = (d, i, j)
-    assert _fuse_core(pool) == best[1:]
+    entries = [(key, prompt, c) for key, (_, _, prompt, c) in zip(keys, rows)]
+    assert append_and_fuse(entries, 2, 3)[1] == best[1:]
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -438,8 +458,8 @@ def test_fuse_with_cached_pair_indices_keeps_the_bits_of_fresh_ones(seed):
     keys[i], prompts[i] = (keys[i] + keys[j]) / 2.0, (prompts[i] + prompts[j]) / 2.0
     entries = [(np.concatenate((mu, sigma)), prompt, c) for mu, sigma, prompt, c in rows]
     for _ in range(2):  # both calls take their pairs from the one shared triangle mask
-        pool = load_pool(DomainPromptPool(n - 1, 3, 5), entries)
-        assert _fuse_core(pool) == (i, j)
+        pool, pair = append_and_fuse(entries, 3, 5)
+        assert pair == (i, j)
         assert pool.keys.tobytes() == np.delete(keys, j, axis=0).tobytes()
         assert pool.prompts.tobytes() == np.delete(prompts, j, axis=0).tobytes()
 
@@ -470,7 +490,7 @@ def test_single_linkage_groups_join_the_rows_of_each_sorted_edge():
         dist = dist + dist.T
         for num_groups in {n - 1, max(1, n // 2)}:
             expected = kruskal_single_linkage_reference(dist, num_groups)
-            assert _single_linkage_groups(dist, num_groups) == expected
+            assert linkage(dist, num_groups) == expected
 
 
 def first_member_numbering(rng, n: int, p_new: float, largest: int) -> list[int]:
@@ -731,3 +751,70 @@ def test_pool_arrays_stay_contiguous_after_updates_compaction_and_fusion():
     rec = random_domain_record(rng, dpool, fission_prob=1.0)
     assert update_domain_pool(dpool, *rec, Hyperparams(alpha_d=0.1)).fused_pair is not None
     assert contiguous(dpool)
+
+
+def domain_pool_bytes(rows):
+    return b"".join(mu.tobytes() + sigma.tobytes() + prompt.tobytes() for mu, sigma, prompt, _ in rows)
+
+
+@pytest.mark.parametrize(
+    "keys, appended, pair",
+    [
+        # pairs (0, 1), (0, 3) and (1, 2) all lie exactly 5.0 apart
+        ([[0, 0, 1, 1], [3, 4, 1, 1], [6, 8, 1, 1]], [0, 0, 4, 5], (0, 1)),
+        # the appended row is 5.0 from both rows 0 and 1
+        ([[0, 0, 0, 0], [6, 8, 0, 0], [20, 0, 0, 0]], [3, 4, 0, 0], (0, 3)),
+    ],
+    ids=["three-way-tie", "tie-on-the-appended-row"],
+)
+def test_domain_fusion_takes_the_lowest_of_exactly_tied_pairs(keys, appended, pair):
+    # keys on integer coordinates, 3-4-5 triangles apart, make several pair
+    # distances exactly equal; the nearest-pair rule breaks the tie by (i, j)
+    rows = [(np.array(k, dtype=float), np.array([float(i), -float(i)]), i) for i, k in enumerate(keys)]
+    pool = load_pool(DomainPromptPool(3, 2, 2), rows)
+    stats = BatchStats(np.array(appended[:2], dtype=float), np.array(appended[2:], dtype=float))
+    learned = np.array([7.0, 9.0])
+    outcome = make_outcome(learned, None, pool.version)
+    expected = algorithm2_reference(domain_pool_tuples(pool), 3, learned, stats, outcome, 0.1, 4)
+    summary = update_domain_pool(pool, learned, stats, outcome, Hyperparams(alpha_d=0.1), created_at=4)
+    assert summary.fused_pair == pair
+    assert domain_pool_bytes(domain_pool_tuples(pool)) == domain_pool_bytes(expected)
+    assert pool.created_at.tolist() == [c for *_, c in expected]
+
+
+def test_gate_passes_a_sample_whose_entropy_is_exactly_gamma_h():
+    # gamma_h is the entropy the gate computes for the one sample: skipping is
+    # strictly above it, so the sample updates its candidate; just below it,
+    # the sample is skipped
+    key = random_prob(SeededRng(4), 3)
+    pred = np.array([0.5, 0.25, 0.25])
+    gamma_h = float(-np.add.reduce(pred * np.log(pred)))
+    for gate, skipped in ((gamma_h, []), (np.nextafter(gamma_h, 0.0), [0])):
+        pool = load_pool(ClassPromptPool(10, 2, 3), [(key, np.zeros(2), 0)])
+        rec = matched_record(pool, np.ones(2), pred, pred, {0: 1.0})
+        summary = update_class_pool(pool, rec, Hyperparams(gamma_h=gate, alpha_c=0.1))
+        assert summary.skipped == skipped
+        assert summary.updated == ([0] if not skipped else [])
+
+
+def test_compaction_clips_a_gram_entry_above_one_to_a_zero_distance():
+    # Two duplicate-key pairs at capacity n - 1: the one-hot pair (0, 1) has a
+    # Gram entry of exactly 1, and the later pair (2, 3) one that rounds above
+    # 1. Clipped, both distances are 0 and the earlier pair merges; unclipped,
+    # the later pair's distance would be negative and it would merge instead.
+    rng = SeededRng(31)
+    for _ in range(100):
+        key = random_prob(rng, 3)
+        keys = np.stack([onehot(0), onehot(0), key, key])
+        normed = keys / numerics.row_norms(keys, keepdims=True)
+        gram = normed @ normed.T
+        if gram[2, 3] > 1.0:
+            break
+    assert gram[0, 1] == 1.0 and gram[2, 3] > 1.0
+    pool = load_pool(ClassPromptPool(3, 2, 3), [(k, np.full(2, float(i)), i) for i, k in enumerate(keys[:3])])
+    outcome = make_outcome(np.full(2, 3.0), None, pool.version)
+    summary = update_class_pool(pool, class_record(np.full(2, 3.0), key, key, outcome), Hyperparams(gamma_h=10.0))
+    assert summary.compaction == [0, 0, 1, 2]
+    merged = np.stack([onehot(0), key, key])
+    assert pool.keys.tobytes() == (merged / np.add.reduce(merged, 1, keepdims=True)).tobytes()
+    assert pool.prompts.tolist() == [[0.5, 0.5], [2.0, 2.0], [3.0, 3.0]]

@@ -509,3 +509,31 @@ def test_fission_domain_bitwise_matches_literal_reference(seed, case, sharp):
     # both sides drew the same fresh prompts, if any, so their generators agree afterwards
     assert engine_rng._gen.bit_generator.state == reference_rng._gen.bit_generator.state
     assert len(cand) == {"empty": 0, "all match": n, "no match": 0, "mixed": n // 2}[case]
+
+
+def test_fission_domain_key_at_exactly_gamma_d_is_not_a_candidate():
+    # a 3-4-5 offset puts entry 0 at distance exactly 5.0 from the batch key;
+    # matching is strictly below gamma_d, so gamma_d = 5.0 leaves it out and
+    # the batch fissions, while gamma_d just above 5.0 takes it
+    pool = make_domain_pool([[0, 0, 0, 0], [30, 40, 0, 0]])
+    query = BatchStats(np.array([3.0, 4.0, 0.0, 0.0]), np.ones(4))
+    assert (np.linalg.norm(pool.keys - query.concat(), axis=1) == [5.0, 45.0]).all()
+    out = fission_domain(pool, query, replace(HP, gamma_d=5.0), SeededRng(0))
+    assert out.fissioned and out.candidates.size == 0
+    out = fission_domain(pool, query, replace(HP, gamma_d=np.nextafter(5.0, 6.0)), SeededRng(0))
+    assert not out.fissioned and out.candidates.tolist() == [0]
+
+
+def test_fission_class_key_at_exactly_gamma_c_is_not_a_candidate():
+    # gamma_c is set to the cosine the engine computes for entry 0: matching
+    # is strictly above it, so entry 0 drops out and only the identical key 1
+    # (cosine 1) is a candidate
+    keys = np.array([prob([1, 1, 0]), prob([1, 0, 1])])
+    pool = make_class_pool(keys)
+    query = keys[1].copy()
+    sims = (pool.keys @ query) / (np.linalg.norm(pool.keys, axis=1) * np.sqrt(query @ query))
+    gamma_c = float(sims[0])
+    out = fission_class_batch(pool, [query], replace(HP, gamma_c=gamma_c), SeededRng(0))
+    assert not out.fissioned and out.candidates.tolist() == [1]
+    out = fission_class_batch(pool, [query], replace(HP, gamma_c=np.nextafter(gamma_c, 0.0)), SeededRng(0))
+    assert out.candidates.tolist() == [0, 1]

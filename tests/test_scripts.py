@@ -32,3 +32,12 @@ def test_repeating_domains_prints_per_round_error(monkeypatch, capsys):
     )
     assert "certified 2 domains" in out
     assert "round 1:" in out and "rounds 2-2:" in out
+
+
+def test_mutant_catalogue_texts_each_occur_exactly_once():
+    # a mutant whose text has moved or doubled would no longer test anything
+    catalogue = runpy.run_path(str(SCRIPTS / "mutants.py"))["CATALOGUE"]
+    root = SCRIPTS.parent
+    for name, (file, old, new, why) in catalogue.items():
+        assert old != new and why, name
+        assert (root / file).read_text().count(old) == 1, name

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ctta import stream as stream_module
 from ctta.harness import build_world
-from ctta.model import key_stats
+from ctta.model import ToyModel, key_stats
 from ctta.numerics import SeededRng
 from ctta.stream import (
     DomainSpec,
@@ -137,6 +137,54 @@ def test_make_separated_fails_when_noise_swamps_theta(world):
         make_separated(
             scfg, 2, 0.01, w.model, SeededRng(19).child(2), noise_std=0.5, class_means=w.class_means
         )
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2, max_value=8),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=2, max_value=6),
+    st.sampled_from([4, 16, 32]),
+    st.floats(min_value=0.0, max_value=1.5),
+    st.floats(min_value=0.25, max_value=8.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_make_separated_certifies_at_the_first_scale_whenever_the_spread_check_passes(
+    seed, input_dim, feature_dim, n_domains, batch_size, noise_std, theta
+):
+    # Random extractors of any gain and rank, domain counts beyond the input
+    # width and noise from none to swamping: the shifts put the closest
+    # domain pair 3 theta apart in feature space, and that first scale
+    # separates the probe keys whenever their spread is below 0.4 theta.
+    rng = np.random.default_rng(seed)
+    gain = 2.0 ** rng.integers(-4, 5)
+    model = ToyModel(rng.normal(size=(feature_dim, input_dim)) * gain, rng.normal(size=(3, feature_dim)), np.zeros(3))
+    order = tuple(range(n_domains))
+    cfg = StreamConfig(domain_order=order, batch_size=batch_size, input_dim=input_dim, num_classes=3)
+    means = rng.normal(size=(3, input_dim))
+    try:
+        specs, cert = make_separated(
+            cfg, n_domains, theta, model, SeededRng(seed), noise_std=noise_std, class_means=means
+        )
+    except ValueError as exc:
+        assert str(exc).startswith("cannot certify: intra-domain spread")
+        event("refused by the spread check")
+        return
+    event("certified")
+    assert cert.max_intra < 0.4 * theta and cert.min_inter > theta
+    shifts = np.array([spec.shift for spec in specs]) @ model.extractor.T
+    gaps = [np.linalg.norm(a - b) for i, a in enumerate(shifts) for b in shifts[i + 1:]]
+    assert min(gaps) == pytest.approx(3.0 * theta, rel=1e-9)
+
+
+def test_make_separated_refuses_probe_keys_at_theta(world, monkeypatch):
+    # the first scale always separates (the property above), but a set whose
+    # closest cross-domain keys are not above theta is still refused
+    cfg, w = world
+    scfg = StreamConfig(domain_order=(0, 1), batch_size=16, input_dim=6, num_classes=3, seed=13, theta=4.0)
+    monkeypatch.setattr(stream_module, "measure_separation", lambda keys, owners: (0.0, 4.0))
+    with pytest.raises(ValueError, match=r"^cannot certify: closest domains 4 apart, not above theta$"):
+        make_separated(scfg, 2, 4.0, w.model, SeededRng(13).child(2), class_means=w.class_means)
 
 
 def test_make_separated_checks_theta_through_the_table(world):
