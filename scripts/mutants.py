@@ -8,10 +8,10 @@ suite killed it (a test failed), let it survive (every test passed) or timed
 out, with the first failing test and the wall time. The results go to a JSON
 file. Standard library only; a full pass takes minutes, one suite run per
 entry, so it is not part of tier-1 (tests/test_scripts.py only checks that
-every ``old`` text still occurs exactly once).
+every ``old`` text still occurs exactly once). A timed-out run is neither
+killed nor survived: the summary counts the three apart.
 
     python scripts/mutants.py --out mutants.json
-    python scripts/mutants.py --only gate-ties-skip fusion-tie-last-min
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 600.0  # seconds per suite run, several times a full tier-1 pass
 
 # name: (file, old, new, why)
 CATALOGUE: dict[str, tuple[str, str, str, str]] = {
@@ -194,13 +195,13 @@ CATALOGUE: dict[str, tuple[str, str, str, str]] = {
 }
 
 
-def tier1(root: Path, timeout: float) -> tuple[str, str | None, float]:
+def tier1(root: Path) -> tuple[str, str | None, float]:
     """Run tier-1 with -x in ``root``: (status, first failing test, seconds)."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
     start = time.perf_counter()
     try:
-        proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, timeout=timeout)
+        proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return "timeout", None, time.perf_counter() - start
     seconds = time.perf_counter() - start
@@ -210,11 +211,10 @@ def tier1(root: Path, timeout: float) -> tuple[str, str | None, float]:
     return "killed", failed[0] if failed else f"exit {proc.returncode}", seconds
 
 
-def run(names: list[str], timeout: float) -> list[dict]:
+def run() -> list[dict]:
     results = []
     ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info")
-    for name in names:
-        file, old, new, why = CATALOGUE[name]
+    for name, (file, old, new, why) in CATALOGUE.items():
         with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
             copy = Path(tmp) / "repo"
             shutil.copytree(ROOT, copy, ignore=ignore)
@@ -222,7 +222,7 @@ def run(names: list[str], timeout: float) -> list[dict]:
             if text.count(old) != 1:
                 raise SystemExit(f"{name}: old text occurs {text.count(old)} times in {file}")
             (copy / file).write_text(text.replace(old, new))
-            status, first, seconds = tier1(copy, timeout)
+            status, first, seconds = tier1(copy)
         results.append({"name": name, "file": file, "why": why, "status": status,
                         "first_failure": first, "seconds": round(seconds, 1)})
         print(f"{status:9} {seconds:6.1f}s  {name}  {first or ''}", flush=True)
@@ -232,13 +232,11 @@ def run(names: list[str], timeout: float) -> list[dict]:
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="mutants.json", help="JSON results file")
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per suite run")
-    parser.add_argument("--only", nargs="+", choices=sorted(CATALOGUE), help="run these entries only")
     args = parser.parse_args(argv)
-    results = run(args.only or list(CATALOGUE), args.timeout)
-    killed = sum(r["status"] != "survived" for r in results)
-    Path(args.out).write_text(json.dumps({"killed": killed, "total": len(results), "results": results}, indent=2) + "\n")
-    print(f"killed {killed} of {len(results)}")
+    results = run()
+    totals = {status: sum(r["status"] == status for r in results) for status in ("killed", "survived", "timeout")}
+    Path(args.out).write_text(json.dumps({**totals, "total": len(results), "results": results}, indent=2) + "\n")
+    print(f"killed {totals['killed']}, survived {totals['survived']}, timed out {totals['timeout']} of {len(results)}")
 
 
 if __name__ == "__main__":

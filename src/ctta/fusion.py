@@ -122,22 +122,22 @@ def _update_order(pos: np.ndarray, sizes: np.ndarray, num_rows: int) -> tuple:
     return by_row[rank.argsort(kind="stable")], np.bincount(rank).cumsum().tolist()
 
 
-def _blend_rows(pool, rows, alpha, weights, inputs, pos, ends, normalise) -> None:
+def _blend_rows(pool, rows, alpha, weights, inputs, *, pos=None, ends=None, normalise=False) -> None:
     """Blend ``inputs`` convexly into the pool's ``rows``: entry e has weight
     ``weights[e]`` and input row ``inputs[e]`` (keys then prompts; one row
-    broadcasts). Step s applies the entries up to ``ends[s]`` to the block rows
-    at ``pos``, or to the whole block if it names every row; with ``normalise``
-    it then divides the key columns by their row sums."""
+    broadcasts). Step s applies the entries up to ``ends[s]`` (by default one
+    step of all) to the block rows at ``pos``, or to the whole block if it names
+    every row; with ``normalise`` it then divides the key columns by their row sums."""
     # The inputs are scaled at once, elementwise as one sample's would be
     # (fact 5, tests/test_bitfacts.py), and the rows gathered and scattered
     # once; the key columns' row sums are the contiguous keys' (facts 4, 8).
     width = pool.keys.shape[1]
-    coef = np.concatenate((alpha * weights, weights), axis=1)
-    coef = coef.repeat((width, pool.prompts.shape[1]), axis=1)
+    coef = np.empty((len(weights), width + pool.prompts.shape[1]))
+    coef[:, :width], coef[:, width:] = alpha * weights, weights
     inp, keep = coef * inputs, 1.0 - coef
     block, lo = np.concatenate((pool.keys[rows], pool.prompts[rows]), axis=1), 0
     block_keys = block[:, :width]
-    for hi in ends:
+    for hi in ends or [len(rows)]:
         # a step of every touched row names them in ascending order
         whole = hi - lo == len(rows)
         step = block if whole else block[pos[lo:hi]]
@@ -191,7 +191,7 @@ def update_class_pool(
         sample = matched.repeat(sizes)[order]
         inputs = np.concatenate((preds, learned), axis=1)[sample]
         weights = outcome.weights[kept][order][:, None]
-        _blend_rows(pool, rows, hp.alpha_c, weights, inputs, pos[order], ends, True)
+        _blend_rows(pool, rows, hp.alpha_c, weights, inputs, pos=pos[order], ends=ends, normalise=True)
         summary.updated = rows.tolist()
     if fissioned.size:
         summary.appended = list(range(len(pool), len(pool) + len(fissioned)))
@@ -329,7 +329,7 @@ def update_domain_pool(
     else:
         idx = outcome.candidates
         inputs = np.concatenate((stats_key, learned))
-        _blend_rows(pool, idx, hp.alpha_d, outcome.weights[:, None], inputs, None, [len(idx)], False)
+        _blend_rows(pool, idx, hp.alpha_d, outcome.weights[:, None], inputs)
         summary.updated = idx.tolist()
     pool.version += 1
     return summary

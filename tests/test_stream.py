@@ -148,7 +148,12 @@ def test_make_separated_fails_when_noise_swamps_theta(world):
     st.floats(min_value=0.0, max_value=1.5),
     st.floats(min_value=0.25, max_value=8.0),
 )
-@settings(max_examples=40, deadline=None)
+# the edges by name (seed 23 draws gain 2^-4, seed 7 gain 2^4), then a fixed draw
+@example(23, 2, 1, 6, 16, 0.0, 1.0)
+@example(7, 8, 1, 6, 4, 0.0, 8.0)
+@example(23, 8, 8, 6, 32, 0.0, 0.25)
+@example(7, 2, 8, 2, 4, 1.5, 0.25)
+@settings(max_examples=40, deadline=None, derandomize=True)
 def test_make_separated_certifies_at_the_first_scale_whenever_the_spread_check_passes(
     seed, input_dim, feature_dim, n_domains, batch_size, noise_std, theta
 ):
