@@ -20,12 +20,9 @@ from .model import (
     forward,
     key_stats,
     make_class_means,
-    prompted_features,
     pseudo_labels,
 )
-from .numerics import (
-    BatchStats, Hyperparams, Matrix, SeededRng, batch_stats, check_param, check_stats,
-)
+from .numerics import BatchStats, Hyperparams, Matrix, SeededRng, check_param, check_stats
 from .objective import finite_diff_grad, grad, optimize_prompts
 from .pools import ClassPromptPool, DomainPromptPool, FissionOutcome, fission_class_batch, fission_domain
 from .stream import DomainSpec, LabeledBatch, SeparationCertificate, StreamConfig
@@ -336,49 +333,37 @@ def gradient_check(num_configs: int = 50, *, seed: int = 0) -> GradCheckResult:
     """Compare analytic gradients with central differences on random setups.
 
     The differences take steps of ``objective.FD_STEP``; the check passes
-    when every relative error is below ``GRADCHECK_TOLERANCE``. Configurations
-    landing within 1e-6 of an alignment-norm kink are resampled, since the
-    subgradient convention is not comparable there.
+    when every relative error is below ``GRADCHECK_TOLERANCE``.
     """
     check_param("num_configs", num_configs)
     check_param("seed", seed)
     rel_errors = []
     base = SeededRng(seed)
     for k in range(num_configs):
-        for attempt in range(20):
-            r = base.child(k, attempt)
-            b = int(r.integers(4, 17))
-            input_dim = int(r.integers(3, 9))
-            feature_dim = int(r.integers(3, 9))
-            num_classes = int(r.integers(2, 9))
-            model = ToyModel(
-                r.normal(size=(feature_dim, input_dim)) / np.sqrt(input_dim),
-                r.normal(size=(num_classes, feature_dim)),
-                r.normal(size=num_classes),
-            )
-            x = r.normal(size=(b, input_dim))
-            p_d = r.normal(size=input_dim, scale=0.5)
-            p_c = r.normal(size=(b, input_dim), scale=0.5)
-            source = BatchStats(
-                r.normal(size=feature_dim),
-                np.abs(r.normal(size=feature_dim)) + 0.1,
-            )
-            a = float(r.uniform(0.0, 4.0))
-            alpha_std = float(r.uniform(0.3, 2.0))
-            stats = batch_stats(prompted_features(model, x, p_d, p_c))
-            if (
-                np.linalg.norm(stats.mu - source.mu) <= 1e-6
-                or np.linalg.norm(stats.sigma - source.sigma) <= 1e-6
-            ):
-                continue
-            ga_d, ga_c = grad(model, x, p_d, p_c, source, a, alpha_std)
-            gf_d, gf_c = finite_diff_grad(model, x, p_d, p_c, source, a, alpha_std)
-            scale = max(np.abs(gf_d).max(), np.abs(gf_c).max(), 1e-12)
-            err = max(np.abs(ga_d - gf_d).max(), np.abs(ga_c - gf_c).max())
-            rel_errors.append(float(err / scale))
-            break
-        else:
-            raise RuntimeError("could not sample a kink-free configuration")
+        r = base.child(k, 0)
+        b = int(r.integers(4, 17))
+        input_dim = int(r.integers(3, 9))
+        feature_dim = int(r.integers(3, 9))
+        num_classes = int(r.integers(2, 9))
+        model = ToyModel(
+            r.normal(size=(feature_dim, input_dim)) / np.sqrt(input_dim),
+            r.normal(size=(num_classes, feature_dim)),
+            r.normal(size=num_classes),
+        )
+        x = r.normal(size=(b, input_dim))
+        p_d = r.normal(size=input_dim, scale=0.5)
+        p_c = r.normal(size=(b, input_dim), scale=0.5)
+        source = BatchStats(
+            r.normal(size=feature_dim),
+            np.abs(r.normal(size=feature_dim)) + 0.1,
+        )
+        a = float(r.uniform(0.0, 4.0))
+        alpha_std = float(r.uniform(0.3, 2.0))
+        ga_d, ga_c = grad(model, x, p_d, p_c, source, a, alpha_std)
+        gf_d, gf_c = finite_diff_grad(model, x, p_d, p_c, source, a, alpha_std)
+        scale = max(np.abs(gf_d).max(), np.abs(gf_c).max(), 1e-12)
+        err = max(np.abs(ga_d - gf_d).max(), np.abs(ga_c - gf_c).max())
+        rel_errors.append(float(err / scale))
     return GradCheckResult(rel_errors, GRADCHECK_TOLERANCE)
 
 

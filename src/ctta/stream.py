@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass, fields
-from itertools import groupby
 
 import numpy as np
 
@@ -276,13 +275,16 @@ def write_stream(batches: list[LabeledBatch], path) -> None:
 def read_stream(path) -> list[LabeledBatch]:
     """Parse a stream CSV back into batches; malformed input fails with a line number.
 
-    Each run of lines with the same batch-index prefix is parsed as one block
-    by ``_parse_batch``. Input it does not accept is parsed again line by line
-    by ``_parse_lines``, which alone reports errors, so every message and line
-    number comes from one place.
+    One ``np.loadtxt`` call reads the data lines into a table that splits
+    where the batch index changes. Input that reader refuses or that breaks a
+    rule it does not know (a skipped blank line, a descending index, a domain
+    change within a batch, a batch of one row, a non-finite sample, an
+    information separator) is parsed again by ``_parse_lines``, which alone
+    reports errors, so every message and line number comes from one place.
     """
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+        text = fh.read()
+    lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
@@ -302,52 +304,45 @@ def read_stream(path) -> list[LabeledBatch]:
         raise StreamParseError(1, "header has no feature columns")
 
     data = lines[1:]
-    batches: list[LabeledBatch] = []
-    for _, rows in groupby(data, key=_batch_prefix):
-        batch = _parse_batch(list(rows), dim)
-        if batch is None or (batches and batch.batch_index <= batches[-1].batch_index):
-            return _parse_lines(data, dim)
-        batches.append(batch)
-    return batches
-
-
-def _batch_prefix(line: str) -> str:
-    return line.partition(",")[0]
-
-
-def _parse_batch(rows: list[str], dim: int) -> LabeledBatch | None:
-    """One batch from its data lines (without newlines), which share a
-    batch-index prefix: one split over the joined lines, then ``int()`` on the
-    id columns, ``float()`` on the features and one finiteness check, as
-    ``_parse_lines`` does per line. None for anything that parser might treat
-    differently."""
-    width = 3 + dim
-    if len(rows) < 2:
-        return None
-    # joined by ",\n", the first field of every later row starts with the only
-    # newlines in the text; when those fields sit at every width-th position
-    # and the count is rows * width, every row has exactly width fields
-    fields = ",\n".join(rows).split(",")
-    if len(fields) != len(rows) * width or set(fields[width::width]) != {"\n" + fields[0]}:
-        return None
+    # loadtxt strips these information separators as whitespace; int() and float() refuse them
+    if any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
+        return _parse_lines(data, dim)
+    del text  # a read's peak memory is the text and its lines, not those and the table
     try:
-        index = int(fields[0])
-        domains = set(map(int, fields[1::width]))
-        class_ids = np.array(list(map(int, fields[2::width])), dtype=np.int64)
-        # casting str objects to float64 calls PyNumber_Float, float()'s own
-        # conversion, on each; numpy's parser for str arrays is another one
-        table = np.fromiter(fields, object, len(fields)).reshape(len(rows), width)
-        samples = table[:, 3:].astype(np.float64)
-    except (ValueError, OverflowError):
-        return None
-    if len(domains) != 1 or not all_finite(samples):
-        return None
-    return LabeledBatch(samples, class_ids, domains.pop(), index)
+        with warnings.catch_warnings():
+            # a refusal too: its warning on data lines that are all blank
+            warnings.simplefilter("error")
+            # floats to float()'s bits (fact 13); comments=None keeps '#' a character
+            table = np.loadtxt(
+                data, [("index", "i8"), ("domain", "i8"), ("class_id", "i8"), ("x", "f8", (dim,))],
+                comments=None, delimiter=",", ndmin=1,
+            )
+    except (ValueError, Warning):
+        return _parse_lines(data, dim)
+    # compared, not subtracted: an int64 difference can wrap
+    index, domain = table["index"], table["domain"]
+    same = index[1:] == index[:-1]
+    bounds = [0, *(np.flatnonzero(~same) + 1).tolist(), len(table)]
+    if (
+        len(table) != len(data)  # loadtxt skips blank lines
+        or (index[1:] < index[:-1]).any()
+        or (domain[1:] != domain[:-1])[same].any()
+        or min(np.diff(bounds)) < 2
+        or not all_finite(table["x"])
+    ):
+        return _parse_lines(data, dim)
+    del lines, data  # and not the lines, the table and the samples' copy
+    samples = np.ascontiguousarray(table["x"])
+    index, domain, class_ids = index.tolist(), domain.tolist(), table["class_id"].copy()
+    return [
+        LabeledBatch(samples[a:b], class_ids[a:b], domain[a], index[a]) for a, b in zip(bounds, bounds[1:])
+    ]
 
 
 def _parse_lines(lines: list[str], dim: int) -> list[LabeledBatch]:
-    """Line-by-line parser of the data lines (file line 2 onwards); raises
-    ``StreamParseError`` with the first offending line."""
+    """Line-by-line parser of the data lines (file line 2 onwards), the spec
+    that ``read_stream`` must equal; raises ``StreamParseError`` with the
+    first offending line."""
     batches: list[LabeledBatch] = []
     cur_idx: int | None = None
     cur_domain = 0

@@ -1,5 +1,6 @@
 """Bit-level facts about numpy and its BLAS that the engine's batched forms rely on,
-and one about Python's float text that the stream writer relies on.
+one about Python's float text that the stream writer relies on, and one about
+numpy's text reader that the stream reader relies on.
 
 The pools are pinned bit for bit to one-sample interpreters (tests/reference.py),
 so a batched expression may replace a per-row loop only where it carries each
@@ -271,3 +272,22 @@ def test_fact12_a_gathered_blocks_max_and_exp_equal_the_whole_matrixs(seed, q, n
         gathered = np.exp(shifted.take(flat[at]))
         assert gathered.tobytes() == whole.take(flat[at]).tobytes()
         assert gathered.tobytes() == candidates[at].tobytes()
+
+
+_FLOAT_EDGES = [
+    -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 1.7976931348623155e308,
+]
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+@example(_FLOAT_EDGES)
+@example([math.nan, math.inf, -math.inf])
+def test_fact13_loadtxt_reads_float_text_to_float_bits(values):
+    # stream.read_stream reads every feature with np.loadtxt: the '%.9g' text
+    # write_stream writes and repr's shortest text must both read to the bits
+    # float() gives them, since stream._parse_lines is its spec
+    for text in (["%.9g" % x for x in values], [repr(x) for x in values]):
+        got = np.loadtxt(text, np.float64, comments=None, delimiter=",", ndmin=1)
+        assert got.tobytes() == np.array([float(t) for t in text]).tobytes()

@@ -471,6 +471,20 @@ def test_empty_stream_is_one_error_for_every_command(generated, tmp_path, capsys
     assert warnings.showwarning is shown
 
 
+def test_a_header_and_a_blank_line_is_one_error_and_no_warning(generated, tmp_path, capsys):
+    # np.loadtxt warns on data lines that are all blank; the reader refuses
+    # them by the line parser's error alone
+    root, config, stream, cert = generated
+    header = stream.read_text().splitlines()[0]
+    blank = tmp_path / "blank.csv"
+    blank.write_text(header + "\n\n")
+    argv = ["run", "--config", str(config), "--stream", str(blank), "--seed", "7"]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 1
+    fields = len(header.split(","))
+    assert capsys.readouterr().err == f"error: stream {blank}: line 2: expected {fields} fields, got 1\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_gamma_d_defaults_to_half_theta_with_certificate(generated, tmp_path, capsys):
     root, config, stream, cert = generated
 

@@ -301,6 +301,17 @@ def test_gradient_check_small_run_passes():
     assert result.max_rel_error < 1e-4
 
 
+def test_gradient_check_rel_errors_keep_their_bits():
+    # one draw per configuration, base.child(k, 0); none of these eight lies
+    # near an alignment-norm kink, where the subgradient is not comparable
+    want = [
+        "0x1.b6ad723ac829dp-33", "0x1.64a356299411bp-34", "0x1.88aba160fe600p-34",
+        "0x1.1b3ab15ab007dp-32", "0x1.0c8637e5e3bedp-33", "0x1.e059f0baab4cfp-34",
+        "0x1.3aae8714cd793p-33", "0x1.536302156fd03p-34",
+    ]
+    assert [x.hex() for x in gradient_check(8, seed=5).rel_errors] == want
+
+
 @pytest.mark.parametrize(
     "kwargs, message",
     [
@@ -371,8 +382,15 @@ def test_hyperparams_validation_and_round_trip():
 
 def test_run_rejects_empty_stream(world):
     cfg, w = world
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^empty stream$"):
         run_ctta(w.model, [], Hyperparams(), w.source_stats, rng=SeededRng(0))
+
+
+def test_verify_lemmas_rejects_empty_stream(world):
+    cfg, w = world
+    certificate = SeparationCertificate(4.0, 0.9, 11.7, 20, 7)
+    with pytest.raises(ValueError, match="^empty stream$"):
+        verify_lemmas([], certificate, Hyperparams(), w.model, w.source_stats, rng=SeededRng(0))
 
 
 @pytest.mark.parametrize("dim", [1, 5])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctta.numerics import BatchStats, SeededRng, as_array, batch_stats
+from ctta.numerics import BatchStats, SeededRng, as_array, batch_stats, check_stats
 from reference import cosine_sim, entropy, euclid, euclid_direct, softmax, two_pass_stats
 
 finite_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -115,6 +115,15 @@ def test_batch_stats_matches_two_pass_oracle():
 def test_batch_stats_rejects_negative_sigma_construction():
     with pytest.raises(ValueError):
         BatchStats(np.zeros(2), np.array([-1.0, 0.0]))
+
+
+def test_check_stats_names_what_is_not_batch_stats():
+    with pytest.raises(ValueError, match="^source statistics must be BatchStats$"):
+        check_stats((np.zeros(3), np.ones(3)), 3, "source statistics")
+    with pytest.raises(
+        ValueError, match=r"^source statistics must have dimension 4 \(the feature dimension\), got 3$"
+    ):
+        check_stats(BatchStats(np.zeros(3), np.ones(3)), 4, "source statistics")
 
 
 def test_cosine_sim_identity_orthogonal_opposite():

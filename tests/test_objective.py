@@ -158,6 +158,14 @@ def test_adamw_rejects_nan_gradient():
     assert state.step == 0  # nothing stored
 
 
+@pytest.mark.parametrize("prompt_shape, grad_shape", [((3,), (2,)), ((2,), (3,)), ((1, 2), (1, 2))])
+def test_adamw_rejects_a_prompt_or_gradient_of_another_shape(prompt_shape, grad_shape):
+    state = AdamWState.fresh(2, lr=0.1)
+    with pytest.raises(ValueError, match="^prompt/grad shape must match the optimizer state$"):
+        adamw_step(state, np.zeros(prompt_shape), np.zeros(grad_shape))
+    assert state.step == 0  # nothing stored
+
+
 def test_adamw_matches_reference_recurrence():
     rng = SeededRng(21)
     state = AdamWState.fresh(3, lr=0.05)

@@ -192,6 +192,22 @@ def test_make_separated_refuses_probe_keys_at_theta(world, monkeypatch):
         make_separated(scfg, 2, 4.0, w.model, SeededRng(13).child(2), class_means=w.class_means)
 
 
+def test_make_separated_refuses_one_domain(world):
+    cfg, w = world
+    scfg = StreamConfig(domain_order=(0,), batch_size=16, input_dim=6, num_classes=3, seed=13, theta=4.0)
+    with pytest.raises(ValueError, match="^need at least 2 domains to separate$"):
+        make_separated(scfg, 1, 4.0, w.model, SeededRng(13), class_means=w.class_means)
+
+
+def test_make_separated_refuses_an_extractor_that_maps_every_shift_to_zero(world):
+    # every input shift has the same features, so no scale separates domains
+    cfg, w = world
+    model = ToyModel(np.zeros((4, 6)), np.ones((3, 4)), np.zeros(3))
+    scfg = StreamConfig(domain_order=(0, 1), batch_size=16, input_dim=6, num_classes=3, seed=13, theta=4.0)
+    with pytest.raises(ValueError, match="^degenerate shift directions under this extractor$"):
+        make_separated(scfg, 2, 4.0, model, SeededRng(13), class_means=w.class_means)
+
+
 def test_make_separated_checks_theta_through_the_table(world):
     cfg, w = world
     scfg = StreamConfig(domain_order=(0, 1), batch_size=16, input_dim=6, num_classes=3, seed=19, theta=4.0)
@@ -551,10 +567,29 @@ def _relabel_batch(lines, batch, index):
 
 
 # Edits of the demo stream (file line 1 is the header; batch b, row r is file
-# line 2 + 16 * b + r) and the outcome read_stream had before batches were
-# parsed as blocks: None where it parses, else (line, message).
+# line 2 + 16 * b + r) and the outcome of the line parser, read_stream's spec:
+# None where it parses, else (line, message).
 STREAM_EDITS = {
     "blank line": (lambda L: L[:40] + [""] + L[40:], (41, "expected 11 fields, got 1")),
+    # np.loadtxt skips every line and warns that it read no data
+    "only a blank line": (lambda L: L[:1] + ["", ""], (2, "expected 11 fields, got 1")),
+    # np.loadtxt's default comments="#" would read this field as 5
+    "5#x": (
+        lambda L: _set_field(L, 1 + 16 * 4 + 9, 10, "5#x"),
+        (75, "could not convert string to float: '5#x'"),
+    ),
+    # np.loadtxt strips the information separators \x1c-\x1f as whitespace
+    "information separator": (
+        lambda L: _set_field(L, 1 + 16 * 2 + 3, 4, "\x1c1.5"),
+        (37, "could not convert string to float: " + repr("\x1c1.5")),
+    ),
+    "1.0 class id": (
+        lambda L: _set_field(L, 1 + 16 * 2 + 3, 2, "1.0"),
+        (37, "invalid literal for int() with base 10: '1.0'"),
+    ),
+    # int() reads the Arabic-Indic digit one, np.loadtxt refuses it
+    "Arabic-Indic class id": (lambda L: _set_field(L, 1 + 16 * 2 + 3, 2, "\u0661"), None),
+    "tab before class id": (lambda L: _set_field(L, 1 + 16 * 2 + 3, 2, "\t1"), None),
     "05 batch prefix": (lambda L: _set_field(L, 1 + 16 * 5 + 7, 0, "05"), None),
     "leading space": (lambda L: _set_field(L, 1 + 16 * 2 + 3, 4, " 1.5"), None),
     "plus sign": (lambda L: _set_field(L, 1 + 16 * 2 + 3, 4, "+1.5"), None),
@@ -586,6 +621,11 @@ STREAM_EDITS = {
         (194, "batch_idx 3 not ascending"),
     ),
     "repeated index joins batches": (lambda L: _relabel_batch(L, 12, 11), None),
+    # the difference of these two indices wraps around int64 to +1
+    "descending across int64": (
+        lambda L: _relabel_batch(_relabel_batch(L, 0, str(2**63 - 1)), 1, str(-(2**63))),
+        (18, f"batch_idx {-(2**63)} not ascending"),
+    ),
     "wrong field count": (lambda L: L[:30] + [L[30] + ",0.5"] + L[31:], (31, "expected 11 fields, got 12")),
     # in batch 0 index and domain are both 0, so the shifted columns still parse
     "field moved to the previous row": (
@@ -606,18 +646,24 @@ def test_read_stream_on_edited_demo_streams(tmp_path, name):
     lines = edit(DEMO_STREAM.read_text().split("\n"))
     path = tmp_path / "edited.csv"
     path.write_text("\n".join(lines))
-    if expected is None:
-        want = stream_module._parse_lines(_data_lines(path.read_text()), 8)
-        assert_same_batches(read_stream(path), want)
-    else:
-        line, message = expected
-        with pytest.raises(StreamParseError) as err:
-            read_stream(path)
-        assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if expected is None:
+            want = stream_module._parse_lines(_data_lines(path.read_text()), 8)
+            assert_same_batches(read_stream(path), want)
+        else:
+            line, message = expected
+            with pytest.raises(StreamParseError) as err:
+                read_stream(path)
+            assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
 
 
-# what a token swap puts in a field; 2**63 is the smallest int past int64
-STREAM_TOKENS = ["", "nan", "1e309", "+3", " 3", "1_0", str(2**63)]
+# what a token swap puts in a field; 2**63 is the smallest int past int64, and
+# from "1.0" on, tokens that np.loadtxt and int() or float() might read apart
+STREAM_TOKENS = [
+    "", "nan", "1e309", "+3", " 3", "1_0", str(2**63),
+    "1.0", "1e3", "5#x", "\t3", "\u0661", "0x10", "\x1c3",
+]
 
 
 def _edit_stream(data, text: str) -> str:
@@ -676,3 +722,37 @@ def test_edited_stream_reads_to_itself_or_fails_with_one_value_error(stream_head
         for b in batches
     ]
     assert_same_batches(back, rounded)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_edited_stream_reads_as_the_line_parser_reads_its_data_lines(stream_head, data):
+    # the same edits: where the header is whole and data lines follow,
+    # read_stream gives the line parser's batches, bit for bit, or its error
+    text, root = stream_head
+    for _ in range(data.draw(st.integers(1, 3))):
+        text = _edit_stream(data, text)
+    path = root / "lines.csv"
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", r"stream file .* (is empty: )?(contains )?zero batches$", UserWarning)
+        try:
+            got = read_stream(path)
+        except StreamParseError as exc:
+            got = exc
+    if got == [] or isinstance(got, StreamParseError) and got.line == 1:
+        event("header outcome")
+        return
+    text = path.read_text(encoding="utf-8")
+    dim = len(text.split("\n", 1)[0].split(",")) - 3
+    try:
+        want = stream_module._parse_lines(_data_lines(text), dim)
+    except StreamParseError as exc:
+        event("refused")
+        assert isinstance(got, StreamParseError)
+        assert (got.line, str(got)) == (exc.line, str(exc))
+        return
+    event("read")
+    assert not isinstance(got, StreamParseError), got
+    assert_same_batches(got, want)
